@@ -136,40 +136,47 @@ class AdapterBank:
         return sum(t.size for t in self.tensors.values())
 
 
-def init_adapters(config: ArcConfig, backbone, rng: Rng) -> AdapterBank:
-    """Fresh bank that is an exact identity map.
-
-    Down-projections draw from N(0, 1/D) (independent up-projections from
-    N(0, 1/D')); coefficients, biases and full-rank deltas start at zero,
-    so the adapted model reproduces the plain one bit for bit.
-    """
+def adapter_shapes(config: ArcConfig, backbone) -> dict[str, tuple[int, int]]:
+    """Name -> shape table for every tensor of a bank (vectors as single rows),
+    in the bank's canonical order."""
     d = backbone.embed_dim
     dp = config.bottleneck
     if config.variant == "bottleneck" and dp > d:
         raise ConfigError(f"bottleneck {dp} exceeds embed_dim {d}")
     layers = resolved_layers(config, backbone.layers)
-    tensors: dict[str, np.ndarray] = {}
     if config.variant == "full_rank":
-        for group in config.groups:
-            for layer in layers:
-                tensors[config.delta_key(group, layer)] = np.zeros((d, d))
-        return AdapterBank(config, d, layers, tensors)
-
+        return {config.delta_key(g, layer): (d, d) for g in config.groups for layer in layers}
+    shapes: dict[str, tuple[int, int]] = {}
     proj_groups = sorted({config.proj_group(g) for g in config.groups},
                          key=lambda g: ("mha", "ffn", "shared").index(g))
     for pg in proj_groups:
-        proj_layers = [0] if config.inter else list(layers)
-        for layer in proj_layers:
-            key = f"arc.{pg}.down" if config.inter else f"arc.{pg}.{layer}.down"
-            tensors[key] = rng.normals((d, dp), scale=1.0 / np.sqrt(d))
+        for layer in [0] if config.inter else layers:
+            scope = f"arc.{pg}" if config.inter else f"arc.{pg}.{layer}"
+            shapes[f"{scope}.down"] = (d, dp)
             if not config.intra:
-                up = f"arc.{pg}.up" if config.inter else f"arc.{pg}.{layer}.up"
-                tensors[up] = rng.normals((dp, d), scale=1.0 / np.sqrt(dp))
+                shapes[f"{scope}.up"] = (dp, d)
     for group in config.groups:
         for layer in layers:
-            tensors[config.coef_key(group, layer)] = np.zeros((1, dp))
-            tensors[config.bias_key(group, layer)] = np.zeros((1, d))
-    return AdapterBank(config, d, layers, tensors)
+            shapes[config.coef_key(group, layer)] = (1, dp)
+            shapes[config.bias_key(group, layer)] = (1, d)
+    return shapes
+
+
+def init_adapters(config: ArcConfig, backbone, rng: Rng) -> AdapterBank:
+    """Fresh bank that is an exact identity map.
+
+    Down-projections draw from N(0, 1/D) (independent up-projections from
+    N(0, 1/D')), in :func:`adapter_shapes` order; coefficients, biases and
+    full-rank deltas start at zero, so the adapted model reproduces the
+    plain one bit for bit.
+    """
+    d = backbone.embed_dim
+    scales = {"down": 1.0 / np.sqrt(d), "up": 1.0 / np.sqrt(config.bottleneck)}
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in adapter_shapes(config, backbone).items():
+        scale = scales.get(name.rsplit(".", 1)[-1])
+        tensors[name] = np.zeros(shape) if scale is None else rng.normals(shape, scale=scale)
+    return AdapterBank(config, d, resolved_layers(config, backbone.layers), tensors)
 
 
 @dataclass(frozen=True)
@@ -212,14 +219,33 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 
-def arc_forward(ops, table: HookTable, layer: int, site: str, x, values,
-                mode: str = "eval", rng: Rng | None = None,
-                dropout_rate: float | None = None):
-    """Apply the adapter registered at (layer, site) to x.
+def dropout_masks(table: HookTable | None, batch: int, tokens: int, rng: Rng | None,
+                  dropout_rate: float | None = None):
+    """One train-mode batch's hidden-feature masks by (layer, site), or None
+    when no site drops anything.
 
-    Sequential and parallel forms compute x + delta(x); the hidden features
-    get an inverted-dropout mask in train mode only, so eval is
-    deterministic with no rescaling.
+    A single draw covers the batch in (image, layer, site) order, the order
+    in which one image at a time would consume the stream. ``dropout_rate``
+    of None uses the bank's configured rate.
+    """
+    if table is None or table.config.variant == "full_rank":
+        return None
+    cfg = table.config
+    rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
+    if rate <= 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("train-mode adapter dropout needs an rng")
+    masks = dropout_mask(rng, (batch, len(table), tokens, cfg.bottleneck), rate)
+    return {key: masks[:, i] for i, key in enumerate(table.entries)}
+
+
+def arc_forward(ops, table: HookTable, layer: int, site: str, x, values, mask=None):
+    """Apply the adapter registered at (layer, site) to a (B, T, D) batch x.
+
+    Sequential and parallel forms compute x + delta(x); a ``mask`` (train
+    mode only) multiplies the hidden features, so eval is deterministic
+    with no rescaling.
     """
     if (layer, site) not in table.entries:
         raise ConfigError(f"no adapter registered at layer {layer}, site {site!r}")
@@ -230,23 +256,19 @@ def arc_forward(ops, table: HookTable, layer: int, site: str, x, values,
         return ops.add(x, delta)
     down = values[cfg.down_key(group, layer)]
     hidden = ops.col_scale(ops.matmul(x, down), values[cfg.coef_key(group, layer)])
-    rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
-    if mode == "train" and rate > 0.0:
-        if rng is None:
-            raise ConfigError("train-mode adapter dropout needs an rng")
-        hidden = ops.mul_mask(hidden, dropout_mask(rng, hidden.shape, rate))
+    if mask is not None:
+        hidden = ops.mul_mask(hidden, mask)
     up = ops.transpose(down) if cfg.intra else values[cfg.up_key(group, layer)]
     delta = ops.add(ops.matmul(hidden, up), values[cfg.bias_key(group, layer)])
     return ops.add(x, delta)
 
 
-def apply_site(ops, table: HookTable | None, layer: int, site: str, x, values,
-               mode: str = "eval", rng: Rng | None = None,
-               dropout_rate: float | None = None):
+def apply_site(ops, table: HookTable | None, layer: int, site: str, x, values, masks=None):
     """Model-facing hook: identity when no adapter is registered at the site."""
     if table is None or (layer, site) not in table.entries:
         return x
-    return arc_forward(ops, table, layer, site, x, values, mode, rng, dropout_rate)
+    return arc_forward(ops, table, layer, site, x, values,
+                       None if masks is None else masks[(layer, site)])
 
 
 def composite_matrix(bank: AdapterBank, group: str, layer: int):

@@ -1,22 +1,193 @@
-"""Reverse-mode differentiation over the dense kernels.
+"""Reverse-mode differentiation over batched dense arrays.
+
+Every primitive is one entry of :data:`PRIMITIVES`: a forward over float64
+arrays with any number of leading batch axes, broadcast by numpy's rules,
+and a vector-Jacobian product that maps the output gradient back to each
+operand's own shape, summing over the axes the forward broadcast. The model
+runs on (B, T, D) token tensors, with attention heads as one more batch
+axis, (B, H, T, d_h), so one node covers a whole batch.
 
 A :class:`Tape` records primitive applications in topological order; each
-node stores its forward value and a vector-Jacobian closure. Forward values
-come from the exact same :mod:`arclab.kernel` functions the tape-free
-:class:`Eager` backend calls, so a recorded forward is bitwise identical to
-an unrecorded one. A parameter is a single leaf node: reusing it at many
-graph sites (shared projections, a transposed twin) accumulates all site
-contributions into one gradient.
+node keeps its forward value, its inputs and its vector-Jacobian product.
+The tape-free :class:`Eager` backend calls the same forwards directly, so a
+recorded forward is bitwise identical to an unrecorded one by construction.
+A parameter is a single leaf node: reusing it at many graph sites (shared
+projections, a transposed twin) or broadcasting it over a batch accumulates
+every contribution into one gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernel
 from .errors import GraphError, ShapeError
+
+
+def _as_array(value) -> np.ndarray:
+    return np.ascontiguousarray(value, dtype=np.float64)
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes a forward broadcast an operand of ``shape`` along."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return g.sum(axis=axes).reshape(shape)
+
+
+# -- primitives: forward(*operands, *static) and vjp(g, out, *operands, *static)
+
+
+def _matmul_vjp(g, out, a, b):
+    ga = _unbroadcast(g @ _swap(b), a.shape)
+    if b.ndim == 2:  # one weight for every row of the batch: a single GEMM over all rows
+        return ga, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return ga, _unbroadcast(_swap(a) @ g, b.shape)
+
+
+def _add(a, b):
+    try:
+        return a + b
+    except ValueError:
+        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from None
+
+
+def _add_vjp(g, out, a, b):
+    return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+
+def _layernorm_vjp(g, out, a, gamma, beta, eps):
+    mu = a.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat = (a - mu) * inv_std
+    gg = g * gamma.reshape(-1)
+    gx = inv_std * (
+        gg
+        - gg.mean(axis=-1, keepdims=True)
+        - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+    )
+    width = a.shape[-1]
+    dgamma = (g * xhat).reshape(-1, width).sum(axis=0).reshape(gamma.shape)
+    dbeta = g.reshape(-1, width).sum(axis=0).reshape(beta.shape)
+    return gx, dgamma, dbeta
+
+
+def _softmax_vjp(g, out, a):
+    return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
+
+
+def _concat_tokens(*parts):
+    """Join token blocks (..., T_i, D) along the token axis, broadcasting batch axes."""
+    lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
+    return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in parts], axis=-2)
+
+
+def _concat_tokens_vjp(g, out, *parts):
+    bounds = np.cumsum([p.shape[-2] for p in parts])[:-1]
+    pieces = np.split(g, bounds, axis=-2)
+    return tuple(_unbroadcast(piece, p.shape) for piece, p in zip(pieces, parts))
+
+
+def _slice_tokens(a, index):
+    """Token ``index`` (an int drops the token axis) or tokens ``index`` (a slice)."""
+    return a[..., index, :]
+
+
+def _slice_tokens_vjp(g, out, a, index):
+    full = np.zeros(a.shape)
+    full[..., index, :] = g
+    return (full,)
+
+
+def _split_heads(a, heads):
+    """(..., T, D) -> (..., H, T, D/H): head h holds columns [h D/H, (h+1) D/H)."""
+    *lead, tokens, width = a.shape
+    if width % heads:
+        raise ShapeError(f"width {width} does not split into {heads} heads")
+    return np.swapaxes(a.reshape(*lead, tokens, heads, width // heads), -2, -3)
+
+
+def _merge_heads(a):
+    """(..., H, T, d) -> (..., T, H d), the inverse of :func:`_split_heads`."""
+    *lead, heads, tokens, width = a.shape
+    return np.swapaxes(a, -2, -3).reshape(*lead, tokens, heads * width)
+
+
+def _col_scale(a, c):
+    """a * c over the last axis: multiplies feature j by c[..., j]."""
+    row = c.reshape(-1)
+    if row.shape[0] != a.shape[-1]:
+        raise ShapeError(f"col_scale width mismatch: {a.shape} vs {c.shape}")
+    return a * row
+
+
+def _col_scale_vjp(g, out, a, c):
+    row = c.reshape(-1)
+    return g * row, (g * a).reshape(-1, row.shape[0]).sum(axis=0).reshape(c.shape)
+
+
+def _mul_mask(a, mask):
+    """Elementwise product with a fixed mask (an input, so backward is exact)."""
+    if mask.shape != a.shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
+    return a * mask
+
+
+def _cross_entropy(logits, labels):
+    return np.array([[kernel.cross_entropy(logits, labels)]])
+
+
+def _cross_entropy_vjp(g, out, logits, labels):
+    n = logits.shape[0]
+    d = kernel.softmax_rows(logits)
+    d[np.arange(n), np.asarray(labels)] -= 1.0
+    return (d * (g[0, 0] / n),)
+
+
+class Primitive(NamedTuple):
+    """One differentiable operation.
+
+    ``forward(*operands, *static)`` computes the value; ``vjp(g, out,
+    *operands, *static)`` returns one gradient per operand. ``operands``
+    is the number of leading differentiable arguments (None: all of them).
+    """
+
+    forward: Callable
+    vjp: Callable
+    operands: int | None
+
+
+PRIMITIVES: dict[str, Primitive] = {
+    "matmul": Primitive(kernel.matmul, _matmul_vjp, 2),
+    "add": Primitive(_add, _add_vjp, 2),
+    "scale": Primitive(lambda a, c: a * c, lambda g, out, a, c: (g * c,), 1),
+    "transpose": Primitive(lambda a: np.ascontiguousarray(_swap(a)),
+                           lambda g, out, a: (_swap(g),), 1),
+    "layernorm": Primitive(kernel.layernorm, _layernorm_vjp, 3),
+    "softmax_rows": Primitive(kernel.softmax_rows, _softmax_vjp, 1),
+    "gelu": Primitive(kernel.gelu, lambda g, out, a: (g * kernel.gelu_grad(a),), 1),
+    "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, None),
+    "slice_tokens": Primitive(_slice_tokens, _slice_tokens_vjp, 1),
+    "split_heads": Primitive(_split_heads, lambda g, out, a, heads: (_merge_heads(g),), 1),
+    "merge_heads": Primitive(_merge_heads,
+                             lambda g, out, a: (_split_heads(g, a.shape[-3]),), 1),
+    "col_scale": Primitive(_col_scale, _col_scale_vjp, 2),
+    "mul_mask": Primitive(_mul_mask, lambda g, out, a, mask: (g * mask,), 1),
+    "mean": Primitive(lambda a: np.array([[a.mean()]]),
+                      lambda g, out, a: (np.full(a.shape, g[0, 0] / a.size),), 1),
+    "cross_entropy": Primitive(_cross_entropy, _cross_entropy_vjp, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -35,11 +206,12 @@ class Var:
         return self.value.shape
 
 
-@dataclass
-class _Node:
+class _Node(NamedTuple):
     value: np.ndarray
+    needs_grad: bool  # a trainable parameter, or computed from one
     parents: tuple[int, ...] = ()
-    vjp: object = None  # callable(grad) -> tuple of parent grads; None for leaves
+    inputs: tuple = ()  # operand values, then static arguments
+    vjp: Callable | None = None  # None for leaves and nodes that need no gradient
 
 
 @dataclass
@@ -48,296 +220,64 @@ class _Param:
     trainable: bool
 
 
-def _check_broadcast_add(a: np.ndarray, b: np.ndarray) -> bool:
-    """True if b is a single row broadcast over a's rows; raises otherwise."""
-    if a.shape == b.shape:
-        return False
-    if b.shape == (1, a.shape[1]):
-        return True
-    raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
-
-
 class Tape:
-    """Append-only record of a forward computation plus a parameter registry."""
+    """Append-only record of a forward computation plus a parameter registry.
+
+    Every entry of :data:`PRIMITIVES` is a method taking :class:`Var`
+    operands and returning a :class:`Var`.
+    """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[str, _Param] = {}
 
-    # -- leaves ----------------------------------------------------------
     def parameter(self, name: str, value: np.ndarray, trainable: bool = True) -> Var:
         if name in self._params:
             raise GraphError(f"parameter {name!r} registered twice")
-        var = self._leaf(value)
+        var = self._leaf(value, trainable)
         self._params[name] = _Param(var.idx, trainable)
         return var
 
-    def constant(self, value: np.ndarray) -> Var:
-        return self._leaf(value)
+    def constant(self, value) -> Var:
+        return self._leaf(value, False)
 
-    def _leaf(self, value) -> Var:
-        node = _Node(kernel.as_matrix(value))
-        self._nodes.append(node)
+    def _leaf(self, value, needs_grad: bool) -> Var:
+        self._nodes.append(_Node(_as_array(value), needs_grad))
         return Var(self, len(self._nodes) - 1)
 
-    def _record(self, value: np.ndarray, parents: tuple[Var, ...], vjp) -> Var:
-        self._nodes.append(_Node(value, tuple(p.idx for p in parents), vjp))
-        return Var(self, len(self._nodes) - 1)
-
-    def _check(self, *operands):
+    def _check(self, operands):
         for p in operands:
             if not isinstance(p, Var) or p.tape is not self:
                 raise GraphError(
                     "operand is not a node of this tape; wrap arrays via constant()/parameter()"
                 )
 
-    # -- primitives ------------------------------------------------------
-    def matmul(self, a: Var, b: Var) -> Var:
-        self._check(a, b)
-        out = kernel.matmul(a.value, b.value)
-        av, bv = a.value, b.value
-
-        def vjp(g):
-            return g @ bv.T, av.T @ g
-
-        return self._record(out, (a, b), vjp)
-
-    def add(self, a: Var, b: Var) -> Var:
-        self._check(a, b)
-        broadcast = _check_broadcast_add(a.value, b.value)
-        out = a.value + b.value
-
-        def vjp(g):
-            return g, (g.sum(axis=0, keepdims=True) if broadcast else g)
-
-        return self._record(out, (a, b), vjp)
-
-    def scale(self, a: Var, c: float) -> Var:
-        self._check(a)
-        return self._record(a.value * c, (a,), lambda g: (g * c,))
-
-    def transpose(self, a: Var) -> Var:
-        self._check(a)
-        return self._record(np.ascontiguousarray(a.value.T), (a,), lambda g: (g.T,))
-
-    def layernorm(self, a: Var, gamma: Var, beta: Var, eps: float) -> Var:
-        self._check(a, gamma, beta)
-        out = kernel.layernorm(a.value, gamma.value, beta.value, eps)
-        x = a.value
-        g_row = gamma.value.reshape(1, -1)
-        mu = x.mean(axis=1, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv_std
-
-        def vjp(g):
-            gg = g * g_row
-            gx = inv_std * (
-                gg
-                - gg.mean(axis=1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=1, keepdims=True)
-            )
-            dgamma = (g * xhat).sum(axis=0, keepdims=True)
-            dbeta = g.sum(axis=0, keepdims=True)
-            return gx, dgamma.reshape(gamma.value.shape), dbeta.reshape(beta.value.shape)
-
-        return self._record(out, (a, gamma, beta), vjp)
-
-    def softmax_rows(self, a: Var) -> Var:
-        self._check(a)
-        out = kernel.softmax_rows(a.value)
-
-        def vjp(g):
-            inner = (g * out).sum(axis=1, keepdims=True)
-            return ((g - inner) * out,)
-
-        return self._record(out, (a,), vjp)
-
-    def gelu(self, a: Var) -> Var:
-        self._check(a)
-        out = kernel.gelu(a.value)
-        grad = kernel.gelu_grad(a.value)
-        return self._record(out, (a,), lambda g: (g * grad,))
-
-    def concat_rows(self, parts: list[Var]) -> Var:
-        self._check(*parts)
-        out = np.concatenate([p.value for p in parts], axis=0)
-        sizes = [p.value.shape[0] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def vjp(g):
-            return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
-
-        return self._record(out, tuple(parts), vjp)
-
-    def concat_cols(self, parts: list[Var]) -> Var:
-        self._check(*parts)
-        out = np.concatenate([p.value for p in parts], axis=1)
-        sizes = [p.value.shape[1] for p in parts]
-        offsets = np.cumsum([0] + sizes)
-
-        def vjp(g):
-            return tuple(g[:, offsets[i] : offsets[i + 1]] for i in range(len(sizes)))
-
-        return self._record(out, tuple(parts), vjp)
-
-    def slice_rows(self, a: Var, start: int, stop: int) -> Var:
-        self._check(a)
-        out = a.value[start:stop].copy()
-        shape = a.value.shape
-
-        def vjp(g):
-            full = np.zeros(shape)
-            full[start:stop] = g
-            return (full,)
-
-        return self._record(out, (a,), vjp)
-
-    def slice_cols(self, a: Var, start: int, stop: int) -> Var:
-        self._check(a)
-        out = a.value[:, start:stop].copy()
-        shape = a.value.shape
-
-        def vjp(g):
-            full = np.zeros(shape)
-            full[:, start:stop] = g
-            return (full,)
-
-        return self._record(out, (a,), vjp)
-
-    def col_scale(self, a: Var, c: Var) -> Var:
-        """a * c broadcast over rows: multiplies column j by c[0, j]."""
-        self._check(a, c)
-        c_row = c.value.reshape(1, -1)
-        if c_row.shape[1] != a.value.shape[1]:
-            raise ShapeError(f"col_scale width mismatch: {a.value.shape} vs {c.value.shape}")
-        out = a.value * c_row
-        av = a.value
-
-        def vjp(g):
-            return g * c_row, (g * av).sum(axis=0, keepdims=True).reshape(c.value.shape)
-
-        return self._record(out, (a, c), vjp)
-
-    def mul_mask(self, a: Var, mask: np.ndarray) -> Var:
-        """Elementwise product with a fixed mask (saved, so backward is exact)."""
-        self._check(a)
-        if mask.shape != a.value.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match {a.value.shape}")
-        mask = mask.copy()
-        return self._record(a.value * mask, (a,), lambda g: (g * mask,))
-
-    def mean(self, a: Var) -> Var:
-        self._check(a)
-        out = np.array([[a.value.mean()]])
-        shape = a.value.shape
-        size = a.value.size
-
-        def vjp(g):
-            return (np.full(shape, g[0, 0] / size),)
-
-        return self._record(out, (a,), vjp)
-
-    def cross_entropy(self, logits: Var, labels: np.ndarray) -> Var:
-        self._check(logits)
-        labels = np.asarray(labels)
-        out = np.array([[kernel.cross_entropy(logits.value, labels)]])
-        probs = kernel.softmax_rows(logits.value)
-        n = logits.value.shape[0]
-
-        def vjp(g):
-            d = probs.copy()
-            d[np.arange(n), labels] -= 1.0
-            return (d * (g[0, 0] / n),)
-
-        return self._record(out, (logits,), vjp)
-
 
 class Eager:
-    """Tape-free twin of :class:`Tape`: same method surface over plain arrays."""
+    """Tape-free backend: every entry of :data:`PRIMITIVES` is its forward on plain arrays."""
 
-    @staticmethod
-    def constant(value):
-        return kernel.as_matrix(value)
-
-    @staticmethod
-    def matmul(a, b):
-        return kernel.matmul(a, b)
-
-    @staticmethod
-    def add(a, b):
-        _check_broadcast_add(a, b)
-        return a + b
-
-    @staticmethod
-    def scale(a, c):
-        return a * c
-
-    @staticmethod
-    def transpose(a):
-        return np.ascontiguousarray(a.T)
-
-    @staticmethod
-    def layernorm(a, gamma, beta, eps):
-        return kernel.layernorm(a, gamma, beta, eps)
-
-    @staticmethod
-    def softmax_rows(a):
-        return kernel.softmax_rows(a)
-
-    @staticmethod
-    def gelu(a):
-        return kernel.gelu(a)
-
-    @staticmethod
-    def concat_rows(parts):
-        return np.concatenate(parts, axis=0)
-
-    @staticmethod
-    def concat_cols(parts):
-        return np.concatenate(parts, axis=1)
-
-    @staticmethod
-    def slice_rows(a, start, stop):
-        return a[start:stop].copy()
-
-    @staticmethod
-    def slice_cols(a, start, stop):
-        return a[:, start:stop].copy()
-
-    @staticmethod
-    def col_scale(a, c):
-        c_row = c.reshape(1, -1)
-        if c_row.shape[1] != a.shape[1]:
-            raise ShapeError(f"col_scale width mismatch: {a.shape} vs {c.shape}")
-        return a * c_row
-
-    @staticmethod
-    def mul_mask(a, mask):
-        if mask.shape != a.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
-        return a * mask
-
-    @staticmethod
-    def mean(a):
-        return np.array([[a.mean()]])
-
-    @staticmethod
-    def cross_entropy(logits, labels):
-        return np.array([[kernel.cross_entropy(logits, np.asarray(labels))]])
+    constant = staticmethod(_as_array)
 
 
-def value_of(x) -> np.ndarray:
-    """Forward value of a backend value (Var or plain array)."""
-    return x.value if isinstance(x, Var) else x
+def _recorder(name: str, prim: Primitive):
+    def record(self: Tape, *args) -> Var:
+        operands = args if prim.operands is None else args[: prim.operands]
+        self._check(operands)
+        nodes = self._nodes
+        inputs = tuple(nodes[v.idx].value for v in operands) + args[len(operands):]
+        needs_grad = any(nodes[v.idx].needs_grad for v in operands)
+        nodes.append(_Node(prim.forward(*inputs), needs_grad, tuple(v.idx for v in operands),
+                           inputs, prim.vjp if needs_grad else None))
+        return Var(self, len(nodes) - 1)
+
+    record.__name__ = name
+    record.__doc__ = prim.forward.__doc__
+    return record
 
 
-def record_forward(tape: Tape, build):
-    """Run ``build(tape)`` and return (output node, its scalar value)."""
-    out = build(tape)
-    if not isinstance(out, Var) or out.tape is not tape:
-        raise GraphError("builder must return a node of the given tape")
-    return out, float(out.value[0, 0]) if out.value.size == 1 else out.value
+for _name, _prim in PRIMITIVES.items():
+    setattr(Tape, _name, _recorder(_name, _prim))
+    setattr(Eager, _name, staticmethod(_prim.forward))
 
 
 def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
@@ -345,21 +285,25 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
 
     Visits nodes exactly once in reverse topological (id) order. A parameter
     used at several sites receives the sum of all site contributions.
-    Frozen parameters never appear in the result.
+    Frozen parameters never appear in the result, and nodes no trainable
+    parameter feeds are never differentiated.
     """
     if out.tape is not tape:
         raise GraphError("output node does not belong to this tape")
     if out.value.shape != (1, 1):
         raise GraphError(f"backward needs a scalar output, got shape {out.value.shape}")
+    nodes = tape._nodes
     grads: dict[int, np.ndarray] = {out.idx: np.ones((1, 1))}
     for idx in range(out.idx, -1, -1):
-        node = tape._nodes[idx]
+        node = nodes[idx]
         if node.vjp is None:
             continue
         g = grads.pop(idx, None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(node.parents, node.vjp(g, node.value, *node.inputs)):
+            if not nodes[parent].needs_grad:
+                continue
             if parent in grads:
                 # out-of-place: a vjp may hand back views or shared buffers
                 grads[parent] = grads[parent] + pg

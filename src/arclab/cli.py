@@ -15,12 +15,15 @@ import argparse
 import dataclasses
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import accounting, analysis, checkpoint, model, reparam, training
-from .adapters import AdapterBank, ArcConfig, init_adapters, resolve_hooks
+from .adapters import (AdapterBank, ArcConfig, adapter_shapes, init_adapters, resolve_hooks,
+                       resolved_layers)
 from .autodiff import gradcheck
 from .errors import CheckpointError, ConfigError, NumericalError, ShapeError, TrainingAborted
 from .kernel import Rng
@@ -65,15 +68,47 @@ class RunConfig:
         return checkpoint.config_digest(doc)
 
 
-def _build_section(name: str, cls, data: dict, defaults: dict):
+_TYPE_NAMES = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings")}
+
+
+def _check_value(where: str, hint, value):
+    """``value`` as a field annotated ``hint`` takes it (a JSON list becomes a
+    tuple); raises ConfigError naming ``where`` when the type is wrong."""
+    optional = isinstance(hint, types.UnionType)
+    if optional:
+        if value is None:
+            return None
+        hint = next(arg for arg in hint.__args__ if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        element = typing.get_args(hint)[0]
+        if isinstance(value, list) and all(_is_a(item, element) for item in value):
+            return tuple(value)
+        expected = f"a list of {_TYPE_NAMES[element][1]}"
+    elif _is_a(value, hint):
+        return value
+    else:
+        expected = _TYPE_NAMES[hint][0]
+    raise ConfigError(f"{where} must be {expected}{' or null' if optional else ''}, "
+                      f"got {value!r}")
+
+
+def _is_a(value, hint) -> bool:
+    if isinstance(value, bool):  # JSON true/false is never a number here
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build_section(name: str, cls, data, defaults: dict):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section {name!r} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
+    hints = typing.get_type_hints(cls)
     merged = dict(defaults)
-    merged.update(data)
-    for key in ("positions", "insertion_layers"):
-        if isinstance(merged.get(key), list):
-            merged[key] = tuple(merged[key])
+    merged.update({key: _check_value(f"{name}.{key}", hints[key], value)
+                   for key, value in data.items()})
     return cls(**merged)
 
 
@@ -89,6 +124,8 @@ def load_run_config(path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown section {unknown[0]!r}")
     io = doc.get("io", {})
+    if not isinstance(io, dict):
+        raise ConfigError(f"section 'io' must be a JSON object, got {io!r}")
     io_unknown = sorted(set(io) - {"seed", "out_dir"})
     if io_unknown:
         raise ConfigError(f"unknown key {io_unknown[0]!r} in section 'io'")
@@ -97,7 +134,9 @@ def load_run_config(path) -> RunConfig:
                         "task": _TASK_DEFAULTS, "arc": {}}
     for name, cls in _SECTIONS.items():
         sections[name] = _build_section(name, cls, doc.get(name, {}), section_defaults[name])
-    cfg = RunConfig(seed=int(io.get("seed", 0)), out_dir=io.get("out_dir"), **sections)
+    seed = _check_value("io.seed", int, io.get("seed", 0))
+    out_dir = _check_value("io.out_dir", str | None, io.get("out_dir"))
+    cfg = RunConfig(seed=seed, out_dir=out_dir, **sections)
     if cfg.task.image_size != cfg.backbone.image_size or cfg.task.channels != cfg.backbone.channels:
         raise ConfigError(
             f"task images {cfg.task.image_size}x{cfg.task.image_size}x{cfg.task.channels} "
@@ -139,19 +178,19 @@ def _load_with_config(ckpt_path, config_path):
 
 
 def _bank_from_tensors(cfg: RunConfig, tensors: dict) -> AdapterBank:
-    reference = init_adapters(cfg.arc, cfg.backbone, Rng(0))
-    missing = sorted(set(reference.tensors) - set(tensors))
-    extra = sorted(set(tensors) - set(reference.tensors))
+    shapes = adapter_shapes(cfg.arc, cfg.backbone)
+    missing = sorted(set(shapes) - set(tensors))
+    extra = sorted(set(tensors) - set(shapes))
     if missing or extra:
         raise CheckpointError(f"adapter tensors mismatch: missing {missing}, unexpected {extra}")
-    for name, arr in tensors.items():
-        if arr.shape != reference.tensors[name].shape:
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
             raise CheckpointError(
-                f"adapter tensor {name!r}: shape {arr.shape}, "
-                f"expected {reference.tensors[name].shape}"
+                f"adapter tensor {name!r}: shape {tensors[name].shape}, expected {shape}"
             )
-    reference.tensors.update(tensors)
-    return reference
+    layers = resolved_layers(cfg.arc, cfg.backbone.layers)
+    return AdapterBank(cfg.arc, cfg.backbone.embed_dim, layers,
+                       {name: tensors[name] for name in shapes})
 
 
 def cmd_train(args) -> int:
@@ -257,8 +296,8 @@ def cmd_gradcheck(args) -> int:
     hooks = resolve_hooks(cfg.arc, cfg.backbone)
     perturb = Rng(cfg.seed + 3)
     live = {name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()}
-    shape = (cfg.backbone.image_size, cfg.backbone.image_size, cfg.backbone.channels)
-    image = Rng(cfg.seed + 4).normals(shape)
+    side = cfg.backbone.image_size
+    image = Rng(cfg.seed + 4).normals((1, side, side, cfg.backbone.channels))
     label = np.array([0])
 
     def build(tape, values):

@@ -1,7 +1,9 @@
 """Dense float64 linear-algebra and elementwise kernels.
 
-Matrices are 2-D C-contiguous ``numpy.float64`` arrays (row-major). Every
-operation is a pure function of its inputs and keeps finite inputs finite.
+Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
+products and row-wise maps act on the last one or two axes and treat any
+leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
+is a pure function of its inputs and keeps finite inputs finite.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 """
 
@@ -27,31 +29,35 @@ def as_matrix(x) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product; shapes (m,k)·(k,n) -> (m,n)."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes, (..., m,k)·(..., k,n) -> (..., m,n);
+    leading (batch) axes broadcast."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
+    try:
+        return a @ b
+    except ValueError:
+        raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} x {b.shape}") from None
 
 
 def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    shifted = a - a.max(axis=1, keepdims=True)
+    """Softmax over the last axis with per-row max subtraction for overflow safety."""
+    shifted = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Per-row normalization with population variance, then affine gamma/beta."""
+    """Normalization over the last axis with population variance, then affine gamma/beta."""
     g = np.asarray(gamma, dtype=np.float64).reshape(-1)
     b = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if g.size != a.shape[1] or b.size != a.shape[1]:
+    if g.size != a.shape[-1] or b.size != a.shape[-1]:
         raise ShapeError(
-            f"layernorm scale/shift length {g.size}/{b.size} does not match row width {a.shape[1]}"
+            f"layernorm scale/shift length {g.size}/{b.size} does not match row width {a.shape[-1]}"
         )
-    mu = a.mean(axis=1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = a.mean(axis=-1, keepdims=True)
+    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
     return (a - mu) / np.sqrt(var + eps) * g + b
 
 

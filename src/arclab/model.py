@@ -1,10 +1,14 @@
 """Small pre-norm Vision Transformer with optional adapter hooks.
 
-The forward pass is written against a backend object (:class:`~arclab.autodiff.Tape`
-for training, :class:`~arclab.autodiff.Eager` for plain evaluation) so the
-recorded and unrecorded paths execute the same kernel calls in the same
-order. Weights are named tensors; the mapping passed to ``forward`` resolves
-each name to a backend value.
+The forward pass runs on a batch: a (B, H, W, C) image stack becomes a
+(B, T, D) token tensor (T = patches + the class token), and attention makes
+its heads a batch axis, (B, heads, T, D_h), so each primitive call covers
+every image and head at once. It is written against a backend object
+(:class:`~arclab.autodiff.Tape` for training, :class:`~arclab.autodiff.Eager`
+for plain evaluation); both run the forwards of the one primitive table in
+:mod:`arclab.autodiff`, so the recorded and unrecorded paths compute the
+same values. Weights are named tensors; the mapping passed to ``forward``
+resolves each name to a backend value.
 """
 
 from __future__ import annotations
@@ -155,54 +159,50 @@ def frozen_checksum(weights) -> str:
     return checksum(weights, exclude_head=True)
 
 
-def extract_patches(image: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
-    """Split an H x W x C image into N rows of flattened P x P x C patches.
+def extract_patches(images: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
+    """Split a (B, H, W, C) image stack into (B, N, P*P*C) flattened patches.
 
     Patches are taken in row-major grid order; each patch flattens row-major
     over (pixel-row, pixel-col, channel). This order is load-bearing for
     bit-exact checkpoints.
     """
-    image = np.asarray(image, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
     h = w = cfg.image_size
-    if image.shape != (h, w, cfg.channels):
-        raise ShapeError(f"image shape {image.shape} does not match {(h, w, cfg.channels)}")
+    if images.ndim != 4 or images.shape[1:] != (h, w, cfg.channels):
+        raise ShapeError(
+            f"image batch shape {images.shape} does not match (B, {h}, {w}, {cfg.channels})"
+        )
     p = cfg.patch_size
     grid = h // p
     return (
-        image.reshape(grid, p, grid, p, cfg.channels)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(grid * grid, cfg.patch_dim)
+        images.reshape(-1, grid, p, grid, p, cfg.channels)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(images.shape[0], grid * grid, cfg.patch_dim)
     )
 
 
 def patch_embed(ops, cfg: BackboneConfig, v, patches):
     """[cls; patches @ W + b] + pos, as backend values."""
     proj = ops.add(ops.matmul(patches, v["patch.weight"]), v["patch.bias"])
-    return ops.add(ops.concat_rows([v["cls"], proj]), v["pos"])
+    return ops.add(ops.concat_tokens(v["cls"], proj), v["pos"])
 
 
 def mha(ops, cfg: BackboneConfig, v, x_norm, layer: int):
-    """Multi-head attention over one normalized token matrix.
+    """Multi-head attention over a normalized (B, T, D) token batch.
 
-    The D x D projections are column-partitioned into head blocks; per head:
-    softmax(Q K^T / sqrt(D_h)) V, heads concatenated, then the output
+    The D x D projections are column-partitioned into head blocks, which
+    ``split_heads`` turns into a batch axis; per head:
+    softmax(Q K^T / sqrt(D_h)) V, heads merged back, then the output
     projection.
     """
     p = f"enc.{layer}.attn"
-    q = ops.add(ops.matmul(x_norm, v[f"{p}.wq"]), v[f"{p}.bq"])
-    k = ops.add(ops.matmul(x_norm, v[f"{p}.wk"]), v[f"{p}.bk"])
-    val = ops.add(ops.matmul(x_norm, v[f"{p}.wv"]), v[f"{p}.bv"])
-    dh = cfg.head_dim
-    heads = []
-    for h in range(cfg.heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = ops.slice_cols(q, lo, hi)
-        kh = ops.slice_cols(k, lo, hi)
-        vh = ops.slice_cols(val, lo, hi)
-        scores = ops.scale(ops.matmul(qh, ops.transpose(kh)), 1.0 / np.sqrt(dh))
-        heads.append(ops.matmul(ops.softmax_rows(scores), vh))
-    merged = ops.concat_cols(heads) if len(heads) > 1 else heads[0]
-    return ops.add(ops.matmul(merged, v[f"{p}.wo"]), v[f"{p}.bo"])
+    q, k, val = (
+        ops.split_heads(ops.add(ops.matmul(x_norm, v[f"{p}.w{n}"]), v[f"{p}.b{n}"]), cfg.heads)
+        for n in "qkv"
+    )
+    scores = ops.scale(ops.matmul(q, ops.transpose(k)), 1.0 / np.sqrt(cfg.head_dim))
+    heads = ops.matmul(ops.softmax_rows(scores), val)
+    return ops.add(ops.matmul(ops.merge_heads(heads), v[f"{p}.wo"]), v[f"{p}.bo"])
 
 
 def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
@@ -212,30 +212,39 @@ def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     return ops.add(ops.matmul(hidden, v[f"{p}.w2"]), v[f"{p}.b2"])
 
 
-def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, mode="eval",
-                   rng=None, dropout_rate=None):
-    """Run the encoder stack and head on an embedded token matrix."""
+def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
+    """Run the encoder stack and head on an embedded (B, T, D) token batch.
+
+    ``masks`` holds the adapter dropout masks of this batch by (layer,
+    site), or is None for no dropout.
+    """
     x = x_emb
     for layer in range(1, cfg.layers + 1):
         z1 = ops.layernorm(x, v[f"enc.{layer}.ln1.gamma"], v[f"enc.{layer}.ln1.beta"], cfg.ln_eps)
-        z1 = adapters.apply_site(ops, hooks, layer, "before_mha", z1, v, mode, rng, dropout_rate)
+        z1 = adapters.apply_site(ops, hooks, layer, "before_mha", z1, v, masks)
         attn = mha(ops, cfg, v, z1, layer)
-        attn = adapters.apply_site(ops, hooks, layer, "after_mha", attn, v, mode, rng, dropout_rate)
+        attn = adapters.apply_site(ops, hooks, layer, "after_mha", attn, v, masks)
         x = ops.add(x, attn)
         z2 = ops.layernorm(x, v[f"enc.{layer}.ln2.gamma"], v[f"enc.{layer}.ln2.beta"], cfg.ln_eps)
-        z2 = adapters.apply_site(ops, hooks, layer, "before_ffn", z2, v, mode, rng, dropout_rate)
+        z2 = adapters.apply_site(ops, hooks, layer, "before_ffn", z2, v, masks)
         mlp = ffn(ops, cfg, v, z2, layer)
-        mlp = adapters.apply_site(ops, hooks, layer, "after_ffn", mlp, v, mode, rng, dropout_rate)
+        mlp = adapters.apply_site(ops, hooks, layer, "after_ffn", mlp, v, masks)
         x = ops.add(x, mlp)
-    cls_row = ops.slice_rows(x, 0, 1)
-    cls_row = ops.layernorm(cls_row, v["final_ln.gamma"], v["final_ln.beta"], cfg.ln_eps)
-    return ops.add(ops.matmul(cls_row, v["head.weight"]), v["head.bias"])
+    cls = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
+                        cfg.ln_eps)
+    return ops.add(ops.matmul(cls, v["head.weight"]), v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, image, hooks=None, mode="eval",
+def forward(ops, cfg: BackboneConfig, v, images, hooks=None, mode="eval",
             rng=None, dropout_rate=None):
-    """Logits (1 x classes) for one image; ``hooks`` wires the adapter bank in."""
+    """Logits (B x classes) for a (B, H, W, C) image stack; ``hooks`` wires
+    the adapter bank in. Train mode draws the batch's dropout masks from
+    ``rng`` before the forward runs."""
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(image, cfg)))
-    return forward_tokens(ops, cfg, v, x_emb, hooks, mode, rng, dropout_rate)
+    patches = extract_patches(images, cfg)
+    masks = None
+    if mode == "train":
+        masks = adapters.dropout_masks(hooks, patches.shape[0], cfg.tokens + 1, rng, dropout_rate)
+    x_emb = patch_embed(ops, cfg, v, ops.constant(patches))
+    return forward_tokens(ops, cfg, v, x_emb, hooks, masks)

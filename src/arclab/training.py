@@ -204,12 +204,8 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
             if bank is not None:
                 for name, arr in bank.tensors.items():
                     values[name] = tape.parameter(name, arr, trainable=True)
-            rows = [
-                model.forward(tape, backbone_cfg, values, data.train_images[i],
-                              hooks=hooks, mode="train", rng=rng, dropout_rate=dropout)
-                for i in idx
-            ]
-            logits = tape.concat_rows(rows) if len(rows) > 1 else rows[0]
+            logits = model.forward(tape, backbone_cfg, values, data.train_images[idx],
+                                   hooks=hooks, mode="train", rng=rng, dropout_rate=dropout)
             labels = data.train_labels[idx]
             loss_node = tape.cross_entropy(logits, labels)
             loss = float(loss_node.value[0, 0])
@@ -233,10 +229,7 @@ def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
     values = dict(weights)
     if bank is not None:
         values.update(bank.tensors)
-    ops = Eager()
-    logits = np.concatenate([
-        model.forward(ops, backbone_cfg, values, img, hooks=hooks) for img in images
-    ])
+    logits = model.forward(Eager(), backbone_cfg, values, images, hooks=hooks)
     labels = np.asarray(labels)
     loss = cross_entropy(logits, labels)
     accuracy = float((logits.argmax(axis=1) == labels).mean())

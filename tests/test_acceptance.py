@@ -107,7 +107,7 @@ def test_04_gradient_correctness() -> None:
     """Criterion 4: central differences (h=1e-5) vs analytic gradients over
     every adapter trainable, max relative error <= 1e-5."""
     weights = model.init_backbone(TOY, Rng(7))
-    image = Rng(8).normals((8, 8, 1))
+    image = Rng(8).normals((1, 8, 8, 1))
     cfg = ArcConfig(bottleneck=DPRIME, dropout_rate=0.0)
     bank = init_adapters(cfg, TOY, Rng(9))
     r = Rng(10)
@@ -149,7 +149,7 @@ def test_06_identity_at_init() -> None:
     """Criterion 6: a fresh bank of any configuration leaves logits exactly
     unchanged (zero coefficients and biases)."""
     weights = model.init_backbone(TOY, Rng(7))
-    images = [Rng(40 + i).normals((8, 8, 1)) for i in range(3)]
+    images = [Rng(40 + i).normals((1, 8, 8, 1)) for i in range(3)]
     ops = Eager()
     plain = [model.forward(ops, TOY, weights, img) for img in images]
     position_sets = [("before_mha", "before_ffn"), ("after_mha", "after_ffn"),

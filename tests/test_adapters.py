@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from arclab import accounting, adapters, model
-from arclab.adapters import ArcConfig, arc_forward, dropout_mask, init_adapters, resolve_hooks
+from arclab.adapters import (ArcConfig, adapter_shapes, arc_forward, dropout_mask, init_adapters,
+                             resolve_hooks)
 from arclab.autodiff import Eager, gradcheck
 from arclab.errors import ConfigError
 from arclab.kernel import Rng
@@ -54,7 +55,7 @@ class TestArcConfig:
 class TestInit:
     def test_identity_at_init_for_all_configs(self) -> None:
         w = model.init_backbone(TOY, Rng(7))
-        img = Rng(8).normals((8, 8, 1))
+        img = Rng(8).normals((1, 8, 8, 1))
         plain = model.forward(Eager(), TOY, w, img)
         combos = list(product(adapters.SHARINGS, POSITION_SETS, ("sequential",))) + [
             ("intra_inter", ("before_mha", "before_ffn"), "parallel"),
@@ -72,6 +73,23 @@ class TestInit:
         values.update(bank.tensors)
         out = model.forward(Eager(), TOY, values, img, hooks=resolve_hooks(fr, TOY))
         assert np.array_equal(out, plain)
+
+    @pytest.mark.parametrize("variant", adapters.VARIANTS)
+    def test_shape_table_matches_init(self, variant) -> None:
+        for sharing, positions in product(adapters.SHARINGS, POSITION_SETS):
+            cfg = ArcConfig(bottleneck=4, positions=positions, sharing=sharing, variant=variant)
+            shapes = adapter_shapes(cfg, TOY)
+            bank = init_adapters(cfg, TOY, Rng(1))
+            assert list(shapes) == list(bank.tensors)
+            assert all(bank.tensors[n].shape == shape for n, shape in shapes.items())
+
+    def test_draws_follow_shape_table_order(self) -> None:
+        bank = init_adapters(ArcConfig(bottleneck=4, sharing="non_intra_inter"), TOY, Rng(1))
+        r = Rng(1)
+        for name in ("arc.mha.down", "arc.mha.up", "arc.ffn.down", "arc.ffn.up"):
+            shape = bank.tensors[name].shape
+            scale = 1.0 / np.sqrt(16) if name.endswith("down") else 1.0 / np.sqrt(4)
+            assert np.array_equal(bank.tensors[name], r.normals(shape, scale)), name
 
     def test_census_example_intra_inter(self) -> None:
         cfg = ArcConfig(bottleneck=4)
@@ -125,7 +143,7 @@ class TestArcForward:
         cfg = ArcConfig(bottleneck=4)
         bank = init_adapters(cfg, TOY, Rng(2))
         table = resolve_hooks(cfg, TOY)
-        x = Rng(3).normals((5, 16))
+        x = Rng(3).normals((1, 5, 16))
         out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
         assert np.array_equal(out, x)
 
@@ -139,10 +157,10 @@ class TestArcForward:
             **{"arc.mha.down": down, "arc.mha.1.coef": np.array([[2.0]])},
         )
         table = resolve_hooks(cfg, TOY)
-        x = Rng(4).normals((5, 16))
+        x = Rng(4).normals((1, 5, 16))
         out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
         want = x.copy()
-        want[:, 0] += 2.0 * x[:, 0]
+        want[..., 0] += 2.0 * x[..., 0]
         assert np.abs(out - want).max() <= 1e-15
 
     def test_eval_mode_deterministic_despite_dropout_rate(self) -> None:
@@ -152,24 +170,28 @@ class TestArcForward:
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.3)
         table = resolve_hooks(cfg, TOY)
-        x = Rng(7).normals((5, 16))
-        a = arc_forward(Eager(), table, 1, "before_ffn", x, bank.tensors, mode="eval")
-        b = arc_forward(Eager(), table, 1, "before_ffn", x, bank.tensors, mode="eval")
+        values = dict(model.init_backbone(TOY, Rng(6)))
+        values.update(bank.tensors)
+        imgs = Rng(7).normals((2, 8, 8, 1))
+        a = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
+        b = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
         assert np.array_equal(a, b)
 
     def test_train_mode_requires_rng(self) -> None:
         cfg = ArcConfig(bottleneck=4, dropout_rate=0.5)
         bank = init_adapters(cfg, TOY, Rng(5))
         table = resolve_hooks(cfg, TOY)
-        x = Rng(7).normals((5, 16))
+        values = dict(model.init_backbone(TOY, Rng(6)))
+        values.update(bank.tensors)
         with pytest.raises(ConfigError):
-            arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors, mode="train")
+            model.forward(Eager(), TOY, values, Rng(7).normals((1, 8, 8, 1)), hooks=table,
+                          mode="train")
 
     def test_outside_insertion_set_is_contract_error(self) -> None:
         cfg = ArcConfig(bottleneck=4, insertion_layers=(1,))
         bank = init_adapters(cfg, TOY, Rng(5))
         table = resolve_hooks(cfg, TOY)
-        x = Rng(7).normals((5, 16))
+        x = Rng(7).normals((1, 5, 16))
         with pytest.raises(ConfigError):
             arc_forward(Eager(), table, 2, "before_mha", x, bank.tensors)
 
@@ -181,7 +203,7 @@ class TestArcForward:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.4)
         table = resolve_hooks(cfg, TOY)
         bias = bank.tensors["arc.mha.1.bias"]
-        x, y = Rng(10).normals((5, 16)), Rng(11).normals((5, 16))
+        x, y = Rng(10).normals((1, 5, 16)), Rng(11).normals((1, 5, 16))
         alpha, beta = 1.7, -0.6
         f = lambda m: arc_forward(Eager(), table, 1, "before_mha", m, bank.tensors)
         lhs = f(alpha * x + beta * y)
@@ -194,7 +216,7 @@ class TestArcForward:
         delta = Rng(13).normals((16, 16), 0.2)
         bank.tensors["arc.mha.1.delta"] = delta
         table = resolve_hooks(cfg, TOY)
-        x = Rng(14).normals((5, 16))
+        x = Rng(14).normals((1, 5, 16))
         out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
         assert np.abs(out - (x @ delta + x)).max() <= 1e-15
 
@@ -223,26 +245,38 @@ class TestDropout:
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.5)
         table = resolve_hooks(cfg, TOY)
-        x = Rng(5).normals((3, 16))
-        eval_out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors, mode="eval")
+        x = Rng(5).normals((1, 3, 16))
+        eval_out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
         rng = Rng(6)
         draws = 2000
         acc = np.zeros_like(eval_out)
         for _ in range(draws):
             acc += arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors,
-                               mode="train", rng=rng)
+                               mask=dropout_mask(rng, (1, 3, 4), 0.3))
         mean = acc / draws
         # loose 3-sigma style bound on the adapter output scale
         scale = np.abs(eval_out).max()
         assert np.abs(mean - eval_out).max() <= 4.0 * scale * np.sqrt(0.3 / 0.7 / draws) + 1e-6
 
+    def test_batch_masks_follow_per_image_order(self) -> None:
+        # one draw for the batch equals per-image draws in (image, layer, site) order
+        cfg = ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.3)
+        table = resolve_hooks(cfg, TOY)
+        masks = adapters.dropout_masks(table, 3, 5, Rng(9))
+        rng = Rng(9)
+        for image in range(3):
+            for key in table.entries:
+                assert np.array_equal(masks[key][image], dropout_mask(rng, (5, 4), 0.3)), key
+
     def test_train_rate_zero_equals_eval(self) -> None:
         cfg = ArcConfig(bottleneck=4, dropout_rate=0.0)
         bank = init_adapters(cfg, TOY, Rng(7))
         table = resolve_hooks(cfg, TOY)
-        x = Rng(8).normals((5, 16))
-        a = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors, mode="train", rng=Rng(0))
-        b = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors, mode="eval")
+        values = dict(model.init_backbone(TOY, Rng(6)))
+        values.update(bank.tensors)
+        imgs = Rng(8).normals((2, 8, 8, 1))
+        a = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="train", rng=Rng(0))
+        b = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
         assert np.array_equal(a, b)
 
 
@@ -289,7 +323,7 @@ class TestIntraSharingGradient:
     def test_transpose_site_contribution_included(self) -> None:
         """Finite differences vs analytic for the symmetric shared projection."""
         w = model.init_backbone(TOY, Rng(30))
-        img = Rng(31).normals((8, 8, 1))
+        img = Rng(31).normals((1, 8, 8, 1))
         cfg = ArcConfig(bottleneck=3, dropout_rate=0.0)
         bank = init_adapters(cfg, TOY, Rng(32))
         r = Rng(33)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arclab.autodiff import Eager, GradCheckReport, Tape, backward, gradcheck, record_forward
+from arclab.autodiff import Eager, GradCheckReport, Tape, backward, gradcheck
 from arclab.errors import GraphError, ShapeError
 from arclab.kernel import Rng
 
@@ -27,13 +27,10 @@ def _fd_grad(loss_fn, theta: np.ndarray, h: float = 1e-6) -> np.ndarray:
 class TestRecordForward:
     def test_scalar_square(self) -> None:
         tape = Tape()
-
-        def build(t):
-            x = t.parameter("x", np.array([[3.0]]))
-            return t.matmul(x, x)
-
-        out, loss = record_forward(tape, build)
-        assert loss == 9.0
+        x = tape.parameter("x", np.array([[3.0]]))
+        out = tape.matmul(x, x)
+        assert out.tape is tape
+        assert float(out.value[0, 0]) == 9.0
 
     def test_matches_kernel_bitwise(self) -> None:
         rng = np.random.default_rng(0)
@@ -180,10 +177,11 @@ class TestPrimitiveGradients:
             elif name == "col_scale":
                 y = tape.col_scale(x, tape.constant(rng_c))
             elif name == "concat_slice":
-                top = tape.slice_rows(x, 0, 2)
-                bottom = tape.slice_rows(x, 2, 3)
-                y = tape.concat_rows([bottom, top])
-                y = tape.concat_cols([tape.slice_cols(y, 2, 4), tape.slice_cols(y, 0, 2)])
+                top = tape.slice_tokens(x, slice(0, 2))
+                bottom = tape.slice_tokens(x, slice(2, 3))
+                y = tape.concat_tokens(bottom, top)
+                heads = tape.split_heads(y, 2)
+                y = tape.merge_heads(tape.matmul(heads, tape.transpose(heads)))
             elif name == "mask":
                 y = tape.mul_mask(x, mask)
             else:  # cross_entropy

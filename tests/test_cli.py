@@ -54,6 +54,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="backbone input"):
             cli.load_run_config(path)
 
+    @pytest.mark.parametrize("doc, where, expected", [
+        ({"arc": {"bottleneck": "4"}}, "arc.bottleneck", "an integer"),
+        ({"arc": {"bottleneck": 4.5}}, "arc.bottleneck", "an integer"),
+        ({"arc": {"positions": "before_mha"}}, "arc.positions", "a list of strings"),
+        ({"train": {"batch_size": True}}, "train.batch_size", "an integer"),
+    ])
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, doc, where, expected) -> None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        (value,) = next(iter(doc.values())).values()
+        assert f"{where} must be {expected}, got {value!r}" in err
+
     def test_digest_stable_under_out_dir(self, tmp_path) -> None:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
@@ -108,6 +123,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_fuse_and_verify_draw_no_bank(self, tmp_path, capsys, monkeypatch) -> None:
+        config = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+
+        def no_draws(*args):
+            raise AssertionError("init_adapters called outside train")
+
+        monkeypatch.setattr(cli, "init_adapters", no_draws)
+        fused_path = tmp_path / "fused.arcl"
+        assert cli.main(["fuse", "--checkpoint", str(run_dir / "checkpoint.arcl"),
+                         "--out", str(fused_path)]) == 0
+        assert cli.main(["verify", "--checkpoint", str(run_dir / "checkpoint.arcl"),
+                         "--fused", str(fused_path), "--trials", "4"]) == 0
 
     def test_verify_detects_corruption(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arclab import adapters, model
-from arclab.autodiff import Eager, Tape
+from arclab.autodiff import Eager, Tape, backward
 from arclab.errors import ConfigError, ShapeError
 from arclab.kernel import Rng, gelu, layernorm, softmax_rows
 
@@ -71,28 +71,28 @@ class TestPatchEmbed:
     def test_zero_everything_leaves_pos(self) -> None:
         w = {name: np.zeros(shape) for name, shape in model.weight_shapes(TOY).items()}
         w["pos"] = Rng(3).normals(w["pos"].shape)
-        out = model.patch_embed(Eager(), TOY, w, np.zeros((TOY.tokens, TOY.patch_dim)))
-        assert np.array_equal(out, w["pos"])
+        out = model.patch_embed(Eager(), TOY, w, np.zeros((1, TOY.tokens, TOY.patch_dim)))
+        assert np.array_equal(out[0], w["pos"])
 
     def test_token_count(self) -> None:
-        img = Rng(4).normals((8, 8, 1))
+        img = Rng(4).normals((1, 8, 8, 1))
         patches = model.extract_patches(img, TOY)
-        assert patches.shape == (4, 16)
+        assert patches.shape == (1, 4, 16)
         out = model.patch_embed(Eager(), TOY, toy_weights(), patches)
-        assert out.shape == (5, 16)
+        assert out.shape == (1, 5, 16)
 
     def test_patch_extraction_against_loop_oracle(self) -> None:
-        img = Rng(5).normals((8, 8, 1))
-        patches = model.extract_patches(img, TOY)
+        img = Rng(5).normals((1, 8, 8, 1))
+        patches = model.extract_patches(img, TOY)[0]
         p, grid = TOY.patch_size, 2
         for pr in range(grid):
             for pc in range(grid):
-                block = img[pr * p:(pr + 1) * p, pc * p:(pc + 1) * p, :]
+                block = img[0, pr * p:(pr + 1) * p, pc * p:(pc + 1) * p, :]
                 assert np.array_equal(patches[pr * grid + pc], block.reshape(-1))
 
     def test_wrong_image_shape(self) -> None:
         with pytest.raises(ShapeError):
-            model.extract_patches(np.zeros((8, 8, 2)), TOY)
+            model.extract_patches(np.zeros((1, 8, 8, 2)), TOY)
 
 
 class TestMha:
@@ -103,7 +103,7 @@ class TestMha:
         r = Rng(9)
         w["enc.1.attn.bv"] = r.normals((1, 16))
         w["enc.1.attn.bo"] = r.normals((1, 16))
-        x = r.normals((1, 16))
+        x = r.normals((1, 1, 16))
         out = model.mha(Eager(), cfg, w, x, 1)
         v = x @ w["enc.1.attn.wv"] + w["enc.1.attn.bv"]
         want = v @ w["enc.1.attn.wo"] + w["enc.1.attn.bo"]
@@ -115,7 +115,7 @@ class TestMha:
         w["enc.1.attn.bv"] = np.zeros_like(w["enc.1.attn.bv"])
         bo = Rng(10).normals((1, 16))
         w["enc.1.attn.bo"] = bo
-        x = Rng(11).normals((5, 16))
+        x = Rng(11).normals((1, 5, 16))
         out = model.mha(Eager(), TOY, w, x, 1)
         assert np.abs(out - bo).max() <= 1e-15
 
@@ -129,7 +129,7 @@ class TestMha:
         for name in ("bq", "bk", "bv", "bo"):
             w[f"enc.1.attn.{name}"] = r.normals((1, 6))
         x = r.normals((2, 6))
-        out = model.mha(Eager(), cfg, w, x, 1)
+        out = model.mha(Eager(), cfg, w, x[None], 1)[0]
         q = x @ w["enc.1.attn.wq"] + w["enc.1.attn.bq"]
         k = x @ w["enc.1.attn.wk"] + w["enc.1.attn.bk"]
         v = x @ w["enc.1.attn.wv"] + w["enc.1.attn.bv"]
@@ -147,21 +147,21 @@ class TestMha:
 class TestFfn:
     def test_zero_input_zero_bias(self) -> None:
         w = toy_weights()
-        out = model.ffn(Eager(), TOY, w, np.zeros((5, 16)), 1)
-        assert np.array_equal(out, np.zeros((5, 16)))
+        out = model.ffn(Eager(), TOY, w, np.zeros((1, 5, 16)), 1)
+        assert np.array_equal(out, np.zeros((1, 5, 16)))
 
     def test_bias_only(self) -> None:
         w = toy_weights()
         r = Rng(14)
         w["enc.1.ffn.b1"] = r.normals((1, TOY.hidden_dim))
         w["enc.1.ffn.b2"] = r.normals((1, 16))
-        out = model.ffn(Eager(), TOY, w, np.zeros((3, 16)), 1)
+        out = model.ffn(Eager(), TOY, w, np.zeros((1, 3, 16)), 1)
         want = gelu(w["enc.1.ffn.b1"]) @ w["enc.1.ffn.w2"] + w["enc.1.ffn.b2"]
         assert np.abs(out - np.repeat(want, 3, axis=0)).max() <= 1e-15
 
     def test_against_kernel_composition(self) -> None:
         w = toy_weights()
-        x = Rng(15).normals((5, 16))
+        x = Rng(15).normals((1, 5, 16))
         out = model.ffn(Eager(), TOY, w, x, 2)
         want = gelu(x @ w["enc.2.ffn.w1"] + w["enc.2.ffn.b1"]) @ w["enc.2.ffn.w2"] \
             + w["enc.2.ffn.b2"]
@@ -171,15 +171,15 @@ class TestFfn:
 class TestForward:
     def test_matches_independent_reference(self) -> None:
         w = toy_weights()
-        img = Rng(16).normals((8, 8, 1))
+        img = Rng(16).normals((1, 8, 8, 1))
         got = model.forward(Eager(), TOY, w, img)
-        want = reference_forward(TOY, w, img)
+        want = reference_forward(TOY, w, img[0])
         assert got.shape == (1, 4)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_tape_forward_bitwise_equals_eager(self) -> None:
         w = toy_weights()
-        img = Rng(17).normals((8, 8, 1))
+        img = Rng(17).normals((1, 8, 8, 1))
         plain = model.forward(Eager(), TOY, w, img)
         tape = Tape()
         values = {n: tape.parameter(n, a, trainable=False) for n, a in w.items()}
@@ -190,10 +190,10 @@ class TestForward:
         cfg = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                    layers=0, heads=2, classes=3)
         w = model.init_backbone(cfg, Rng(18))
-        img = Rng(19).normals((8, 8, 1))
+        img = Rng(19).normals((1, 8, 8, 1))
         got = model.forward(Eager(), cfg, w, img)
         x_emb = model.patch_embed(Eager(), cfg, w, model.extract_patches(img, cfg))
-        cls = layernorm(x_emb[0:1], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)
+        cls = layernorm(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)
         assert np.array_equal(got, cls @ w["head.weight"] + w["head.bias"])
 
     def test_zero_blocks_preserve_residual_stream(self) -> None:
@@ -201,26 +201,26 @@ class TestForward:
         for name in list(w):
             if ".attn." in name or ".ffn." in name:
                 w[name] = np.zeros_like(w[name])
-        img = Rng(20).normals((8, 8, 1))
+        img = Rng(20).normals((1, 8, 8, 1))
         got = model.forward(Eager(), TOY, w, img)
         x_emb = model.patch_embed(Eager(), TOY, w, model.extract_patches(img, TOY))
-        cls = layernorm(x_emb[0:1], w["final_ln.gamma"], w["final_ln.beta"], TOY.ln_eps)
+        cls = layernorm(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], TOY.ln_eps)
         want = cls @ w["head.weight"] + w["head.bias"]
         assert np.array_equal(got, want)
 
     def test_patch_permutation_with_pos_rows_preserves_logits(self) -> None:
         w = toy_weights()
-        img = Rng(21).normals((8, 8, 1))
+        img = Rng(21).normals((1, 8, 8, 1))
         base = model.forward(Eager(), TOY, w, img)
 
         perm = np.array([2, 0, 3, 1])
-        patches = model.extract_patches(img, TOY)
+        patches = model.extract_patches(img, TOY)[0]
         # rebuild an image whose patch sequence is the permuted one
         p, grid = TOY.patch_size, 2
         img2 = np.zeros_like(img)
         for slot, src in enumerate(perm):
             pr, pc = divmod(slot, grid)
-            img2[pr * p:(pr + 1) * p, pc * p:(pc + 1) * p, :] = \
+            img2[0, pr * p:(pr + 1) * p, pc * p:(pc + 1) * p, :] = \
                 patches[src].reshape(p, p, TOY.channels)
         w2 = dict(w)
         w2["pos"] = np.vstack([w["pos"][0:1], w["pos"][1:][perm]])
@@ -229,7 +229,7 @@ class TestForward:
 
     def test_identity_adapters_change_nothing(self) -> None:
         w = toy_weights()
-        img = Rng(22).normals((8, 8, 1))
+        img = Rng(22).normals((1, 8, 8, 1))
         plain = model.forward(Eager(), TOY, w, img)
         acfg = adapters.ArcConfig(bottleneck=4)
         bank = adapters.init_adapters(acfg, TOY, Rng(23))
@@ -241,7 +241,54 @@ class TestForward:
 
     def test_invalid_mode(self) -> None:
         with pytest.raises(ConfigError):
-            model.forward(Eager(), TOY, toy_weights(), np.zeros((8, 8, 1)), mode="test")
+            model.forward(Eager(), TOY, toy_weights(), np.zeros((1, 8, 8, 1)), mode="test")
+
+
+class TestBatchedContract:
+    """A batch is B independent images: rows and gradients match batches of one."""
+
+    ARC = adapters.ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.0)
+
+    def _adapted_values(self, weights):
+        bank = adapters.init_adapters(self.ARC, TOY, Rng(24))
+        r = Rng(25)
+        return {n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()}
+
+    @pytest.mark.parametrize("with_bank", [False, True])
+    def test_rows_match_batch_of_one(self, with_bank) -> None:
+        values = toy_weights()
+        hooks = None
+        if with_bank:
+            values.update(self._adapted_values(values))
+            hooks = adapters.resolve_hooks(self.ARC, TOY)
+        images = Rng(26).normals((5, 8, 8, 1))
+        batch = model.forward(Eager(), TOY, values, images, hooks=hooks)
+        assert batch.shape == (5, TOY.classes)
+        for i in range(5):
+            one = model.forward(Eager(), TOY, values, images[i:i + 1], hooks=hooks)
+            assert np.abs(batch[i] - one[0]).max() <= 1e-12
+
+    def test_batch_mean_gradient_is_mean_of_per_image_gradients(self) -> None:
+        weights = toy_weights()
+        live = self._adapted_values(weights)
+        hooks = adapters.resolve_hooks(self.ARC, TOY)
+        images = Rng(27).normals((4, 8, 8, 1))
+        labels = np.array([0, 3, 1, 2])
+
+        def grads(imgs, labs):
+            tape = Tape()
+            vals = {n: tape.parameter(n, a, trainable=n in model.HEAD_NAMES)
+                    for n, a in weights.items()}
+            vals.update({n: tape.parameter(n, a) for n, a in live.items()})
+            logits = model.forward(tape, TOY, vals, imgs, hooks=hooks)
+            return backward(tape, tape.cross_entropy(logits, labs))
+
+        whole = grads(images, labels)
+        per_image = [grads(images[i:i + 1], labels[i:i + 1]) for i in range(4)]
+        assert set(whole) == set(live) | set(model.HEAD_NAMES)
+        for name, g in whole.items():
+            mean = sum(p[name] for p in per_image) / 4
+            assert np.abs(g - mean).max() <= 1e-12, name
 
 
 class TestWeights:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from arclab import model, training
-from arclab.adapters import ArcConfig, init_adapters
+from arclab.adapters import ArcConfig, init_adapters, resolve_hooks
 from arclab.errors import ConfigError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
@@ -170,6 +170,41 @@ class TestTrain:
         result = train(TOY, weights, bank, data, cfg, max_steps=7)
         assert result.steps == 7
         assert len(result.curve) == 7
+
+    def test_tape_size_independent_of_batch(self, monkeypatch) -> None:
+        sizes = []
+        real_backward = training.backward
+
+        def counting(tape, out):
+            sizes.append(out.idx + 1)  # node ids run 0..out.idx
+            return real_backward(tape, out)
+
+        monkeypatch.setattr(training, "backward", counting)
+        for batch in (1, 8):
+            weights, bank, data = fresh_setup(dropout=0.1)
+            cfg = TrainConfig(lr=0.01, epochs=1, batch_size=batch, seed=1)
+            train(TOY, weights, bank, data, cfg, max_steps=1)
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+
+    def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
+        weights, bank, data = fresh_setup(dropout=0.1)
+        made = []
+
+        class RecordingRng(Rng):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(training, "Rng", RecordingRng)
+        batch = 8
+        cfg = TrainConfig(lr=0.01, epochs=1, batch_size=batch, seed=5)
+        train(TOY, weights, bank, data, cfg, max_steps=1)
+        (used,) = made
+        want = Rng(5)
+        want.permutation(data.train_images.shape[0])
+        sites = len(resolve_hooks(bank.config, TOY))
+        want.uniforms(batch * sites * (TOY.tokens + 1) * bank.config.bottleneck)
+        assert used._s == want._s
 
     def test_linear_probe_trains_head_only(self) -> None:
         weights, _, data = fresh_setup()
