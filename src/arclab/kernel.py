@@ -9,6 +9,7 @@ No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -180,6 +181,14 @@ def _complete_orthonormal(u: np.ndarray, filled: np.ndarray) -> None:
 
 
 _MASK64 = (1 << 64) - 1
+# Bulk draws of fewer words than this come from the scalar generator, which
+# is faster there than starting the numpy lanes.
+_SCALAR_WORDS = 256
+# Values per step of a bulk draw. It bounds a draw's temporaries to about
+# 1 MB and the jumps a draw needs to 2**14 words, so at most 15 tables.
+_BLOCK = 1 << 14
+# Offset in a jump table of the low nibble of each of the 32 state bytes.
+_LOW_NIBBLES = np.arange(0, 1024, 32)
 
 
 def _splitmix64(state: int):
@@ -194,11 +203,74 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
+def _lane_step(s: list) -> np.ndarray:
+    """One xoshiro256** step of every lane at once. ``s`` holds the four state
+    words as uint64 arrays and is updated in place; returns the output words."""
+    s0, s1, s2, s3 = s
+    x = s1 * np.uint64(5)
+    result = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+    t = s1 << np.uint64(17)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    s[3] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
+    return result
+
+
+def _jump_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Images of the (m, 4) uint64 ``states`` under the map whose
+    :func:`_jump` table is ``table``: the XOR of one entry per state nibble."""
+    state_bytes = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 32)
+    low = table.take(((state_bytes & 15) + _LOW_NIBBLES).reshape(-1), axis=0)
+    high = table.take(((state_bytes >> 4) + _LOW_NIBBLES + 16).reshape(-1), axis=0)
+    low ^= high
+    picked = low.reshape(-1, 32, 4)
+    while picked.shape[1] > 1:  # XOR the 32 byte picks together, halving each pass
+        half = picked.shape[1] // 2
+        picked[:, :half] ^= picked[:, half:]
+        picked = picked[:, :half]
+    return picked[:, 0]
+
+
+@functools.cache
+def _jump(k: int) -> np.ndarray:
+    """The map that advances the stream by 2**k words, as a read-only (1024, 4)
+    uint64 lookup table (32 KiB). xoshiro256** is linear over GF(2), so the
+    map is the XOR of the images of the state's set bits; entry 16*c + v is
+    the image of a state whose only set bits are value v in nibble c (bits
+    4c to 4c+3 of the state, counted from bit 0 of word 0)."""
+    bit = np.arange(256)[:, None]
+    units = np.where(bit // 64 == np.arange(4), np.uint64(1) << (bit % 64).astype(np.uint64),
+                     np.uint64(0))
+    if k == 0:
+        lanes = [np.ascontiguousarray(w) for w in units.T]
+        _lane_step(lanes)
+        images = np.stack(lanes, axis=1)
+    else:
+        half = _jump(k - 1)
+        images = _jump_apply(half, _jump_apply(half, units))
+    table = np.zeros((64, 1, 4), dtype=np.uint64)
+    by_nibble = images.reshape(64, 4, 4)
+    for b in range(4):
+        table = np.concatenate([table, table ^ by_nibble[:, b:b + 1]], axis=1)
+    table = table.reshape(1024, 4)
+    table.setflags(write=False)
+    return table
+
+
 class Rng:
     """Deterministic xoshiro256** stream, state seeded through splitmix64.
 
-    Pure 64-bit integer arithmetic, so the sequence is identical across
-    platforms and runs for a given seed. Single-owner: never share an
+    The integer and uniform draws (``u64``, ``uniform``, ``uniforms``,
+    ``randint``, ``permutation``) are pure 64-bit integer arithmetic, so for
+    a given seed they are identical across platforms and runs. ``normal``
+    and ``normals`` also call the C library's ``log`` and ``cos`` through
+    :mod:`math`, once per element in both, so they are identical wherever
+    those agree. numpy's SIMD ``np.log`` is not used: it can differ from
+    libm in the last bit. A bulk draw of n values returns the values of n
+    scalar draws and leaves the same state. Single-owner: never share an
     instance between concurrent consumers.
     """
 
@@ -221,6 +293,36 @@ class Rng:
         s[3] = _rotl(s[3], 45)
         return result
 
+    def _u64s(self, n: int) -> np.ndarray:
+        """The next ``n`` words of :meth:`u64` as a uint64 array.
+
+        The stream is cut into lanes of B = 2**j words, B about sqrt(n)/4.
+        Lane i starts i*B words ahead, reached by jumps of 2**k words
+        (xoshiro256** is linear over GF(2)), and all lanes step together.
+        The state left is the last lane's after the n-th word.
+        """
+        if n < _SCALAR_WORDS:
+            return np.array([self.u64() for _ in range(n)], dtype=np.uint64)
+        j = n.bit_length() // 2 - 2
+        length = 1 << j
+        lanes = -(-n // length)
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = self._s
+        filled = 1
+        while filled < lanes:  # lane filled + i starts filled*B = 2**j words after lane i
+            take = min(filled, lanes - filled)
+            starts[filled:filled + take] = _jump_apply(_jump(j), starts[:take])
+            filled += take
+            j += 1
+        state = [np.ascontiguousarray(w) for w in starts.T]
+        words = np.empty((lanes, length), dtype=np.uint64)
+        last = n - (lanes - 1) * length
+        for t in range(length):
+            words[:, t] = _lane_step(state)
+            if t + 1 == last:
+                self._s = [int(w[-1]) for w in state]
+        return words.reshape(-1)[:n]
+
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
         return (self.u64() >> 11) * 2.0**-53
@@ -231,16 +333,29 @@ class Rng:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
+    def _unit(self, n: int) -> np.ndarray:
+        """The next ``n`` values of :meth:`uniform` as a float64 array."""
+        words = self._u64s(n)
+        words >>= np.uint64(11)
+        unit = words.astype(np.float64)
+        unit *= 2.0**-53
+        return unit
+
     def uniforms(self, shape) -> np.ndarray:
+        """Array of :meth:`uniform` draws, in stream order."""
         out = np.empty(int(np.prod(shape)))
-        for i in range(out.size):
-            out[i] = self.uniform()
+        for start in range(0, out.size, _BLOCK):
+            out[start:start + _BLOCK] = self._unit(min(_BLOCK, out.size - start))
         return out.reshape(shape)
 
     def normals(self, shape, scale: float = 1.0) -> np.ndarray:
+        """Array of ``normal() * scale`` draws, in stream order."""
         out = np.empty(int(np.prod(shape)))
-        for i in range(out.size):
-            out[i] = self.normal() * scale
+        for start in range(0, out.size, _BLOCK):
+            u = self._unit(2 * min(_BLOCK, out.size - start))
+            log_u1 = np.fromiter(map(math.log, memoryview(1.0 - u[0::2])), np.float64)
+            cos_u2 = np.fromiter(map(math.cos, memoryview(2.0 * math.pi * u[1::2])), np.float64)
+            out[start:start + _BLOCK] = np.sqrt(-2.0 * log_u1) * cos_u2 * scale
         return out.reshape(shape)
 
     def randint(self, n: int) -> int:

@@ -89,14 +89,11 @@ def make_task(task: SyntheticTask, rng: Rng) -> Dataset:
     divisible by the class count come out exactly balanced), images are the
     class mean plus sigma-scaled Gaussian noise."""
     shape = (task.image_size, task.image_size, task.channels)
-    means = np.stack([rng.normals(shape, task.mean_scale) for _ in range(task.classes)])
+    means = rng.normals((task.classes, *shape), task.mean_scale)
 
     def draw(count: int):
-        labels = np.array([i % task.classes for i in range(count)])
-        images = np.stack([
-            means[label] + task.noise_sigma * rng.normals(shape) for label in labels
-        ])
-        return images, labels
+        labels = np.arange(count) % task.classes
+        return means[labels] + task.noise_sigma * rng.normals((count, *shape)), labels
 
     train_x, train_y = draw(task.train_count)
     eval_x, eval_y = draw(task.eval_count)

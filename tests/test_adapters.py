@@ -318,6 +318,15 @@ class TestCensusAgainstFormula:
         bank = init_adapters(cfg, TOY, Rng(1))
         assert bank.trainable_count() == accounting.count_arc_config(cfg, 16, TOY.layers)
 
+    @pytest.mark.parametrize("sharing", adapters.SHARINGS)
+    def test_paper_scale(self, sharing) -> None:
+        """ViT-B shape (D=768, L=12) at D'=50 with both positions."""
+        vit_b = model.BackboneConfig(image_size=224, patch_size=16, channels=3,
+                                     embed_dim=768, layers=12, heads=12, classes=100)
+        cfg = ArcConfig(bottleneck=50, positions=("before_mha", "before_ffn"), sharing=sharing)
+        bank = init_adapters(cfg, vit_b, Rng(0))
+        assert bank.trainable_count() == accounting.count_arc_config(cfg, 768, 12)
+
 
 class TestIntraSharingGradient:
     def test_transpose_site_contribution_included(self) -> None:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab.errors import NumericalError, ShapeError
 from arclab.kernel import (
@@ -218,3 +221,118 @@ class TestRng:
     def test_randint_bounds(self) -> None:
         rng = Rng(12)
         assert all(0 <= rng.randint(7) < 7 for _ in range(500))
+
+
+# First 16 words of the xoshiro256** stream, pinned per seed.
+U64_WORDS = {
+    0: (
+        0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c,
+        0xbba5ad4a1f842e59, 0xffef8375d9ebcaca, 0x6c160deed2f54c98, 0x8920ad648fc30a3f,
+        0xdb032c0ba7539731, 0xeb3a475a3e749a3d, 0x1d42993fa43f2a54, 0x11361bf526a14bb5,
+        0x1b4f07a5ab3d8e9c, 0xa7a3257f6986db7f, 0x7efdaa95605dfc9c, 0x4bde97c0a78eaab8,
+    ),
+    1: (
+        0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
+        0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d,
+        0xddfdb48ab9ed4a21, 0x8d3cdb8c3aa5b1d0, 0xeebd114bd87226d1, 0xf50c3ff1e7d7e8a6,
+        0xeeca3115e23bc8f1, 0xab49ed3db4c66435, 0x99953c6c57808dd7, 0xe3fa941b05219325,
+    ),
+    2**63 + 5: (
+        0x2d064cc3000e3b15, 0xe1c6ae926d7b8400, 0x212465571f7c88ec, 0x5fba95c989727ed4,
+        0x7fb15b82d0250d17, 0xea678a6df8ea2977, 0x1aa0da05b848c945, 0xae34b0dc1d50826e,
+        0x476ff791afc219f0, 0x202acfb673456187, 0x2713666ff8c86287, 0xd4e02caef507ca41,
+        0x6ecc733dd60cc8f8, 0x5a232e3b1eaff3c5, 0x65db8919086ee5c9, 0xafcfdfde5abf5e19,
+    ),
+    2**64 - 1: (
+        0x8f5520d52a7ead08, 0xc476a018caa1802d, 0x81de31c0d260469e, 0xbf658d7e065f3c2f,
+        0x913593fda1bca32a, 0xbb535e93941ba525, 0x5ecda415c3c6dfde, 0xc487398fc9de9ae2,
+        0xa06746dbb57c4d62, 0x9d414196fdf05c8a, 0x41cf1af9a178c669, 0x0b3b3a95e78839f9,
+        0x7aaab30444aefc7e, 0x7b251ec961f341b1, 0x30ed32acf367205f, 0xc6ca62fc772728b0,
+    ),
+}
+
+# Per shape, from a fresh Rng(2031): SHA-256 of the little-endian float64
+# bytes of uniforms(shape), then of normals(shape, scale=0.02) drawn next,
+# and the state left after both.
+BULK_DRAWS = [
+    (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     (0xe58530cbd53a8d8d, 0x81430c2d566390b3, 0x0d70072f0eac0075, 0x1b09ff447a2be821)),
+    (1, "06ff94998b3bc00eb885c065a8bb01294f32f7ab6adad9636600222120616964",
+     "b6e62de5e0ade7cd09393c6d954460c451e14c84ff81136189f0091ce2aa9df8",
+     (0xf8a584be298db202, 0x074e8b019d89d096, 0x2709f4a7d8a6b53a, 0xeffbfc39c5f3806c)),
+    (2047, "b11a02bbbfdf1bc43ae5d847aa356dae451266e8a2fd5f599bd08f0c1ec0ee4d",
+     "96ade85ee140b506be66dc20cf08acafff3cc5144c5d049b3afba25a77d29fa7",
+     (0x24003c0a48478f7e, 0x6114ced0a428ff90, 0x0bac063f51460059, 0x78496a294cbf10c1)),
+    (2048, "21719d19f30e0338d5ce3188853d84c6dea13edb69874425557768fce7d1c008",
+     "f3ee8940097862ba7958fa61978c0d5d5823a582d113783ade14279f95d7d702",
+     (0x8653e72508477303, 0x297cc18af5215d3d, 0xd47128493187c282, 0x2bd1210b95031424)),
+    (4097, "9af127b3b0f8e5c618a2187ab13dffd84957dd11c24be1887776d72cf3f26d68",
+     "c6fbea10e6d3f73f485313a8e8619ac7f63bb4c25a0996bb0cb5046418463ada",
+     (0x7e61c16e11c0b0ba, 0x73e282ef402be7da, 0xb42c6e6b1517de63, 0xf08dec6fb9dfef8b)),
+    (65536, "63001ec3f37823d2e75b705e9e30dc0ffa7df19d561b50b613074d8cb6bbd92a",
+     "8bae4276657e5e59b76549db81e3e9ed35cc2ef7341e347a7cd9374afbc31365",
+     (0x3df5c6e7a42a9a15, 0x3e49f50d3d59dad5, 0xff85d081b686c315, 0xf29154037f59407d)),
+    ((128, 512), "63001ec3f37823d2e75b705e9e30dc0ffa7df19d561b50b613074d8cb6bbd92a",
+     "8bae4276657e5e59b76549db81e3e9ed35cc2ef7341e347a7cd9374afbc31365",
+     (0x3df5c6e7a42a9a15, 0x3e49f50d3d59dad5, 0xff85d081b686c315, 0xf29154037f59407d)),
+]
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestRngKnownAnswers:
+    @pytest.mark.parametrize("seed", sorted(U64_WORDS))
+    def test_first_words(self, seed: int) -> None:
+        rng = Rng(seed)
+        assert tuple(rng.u64() for _ in range(16)) == U64_WORDS[seed]
+
+    @pytest.mark.parametrize("shape, uniforms_sha, normals_sha, state", BULK_DRAWS,
+                             ids=[str(row[0]) for row in BULK_DRAWS])
+    def test_bulk_draws(self, shape, uniforms_sha, normals_sha, state) -> None:
+        rng = Rng(2031)
+        u = rng.uniforms(shape)
+        x = rng.normals(shape, scale=0.02)
+        want_shape = shape if isinstance(shape, tuple) else (shape,)
+        assert u.shape == want_shape and x.shape == want_shape
+        assert u.dtype == np.float64 and x.dtype == np.float64
+        assert _sha256(u) == uniforms_sha
+        assert _sha256(x) == normals_sha
+        assert tuple(rng._s) == state
+
+
+_CALLS = st.one_of(
+    st.tuples(st.just("uniforms"), st.integers(0, 3000)),
+    st.tuples(st.just("normals"), st.integers(0, 1500),
+              st.floats(-4.0, 4.0, allow_nan=False)),
+    st.tuples(st.just("permutation"), st.integers(0, 40)),
+    st.tuples(st.just("u64")),
+)
+
+
+class TestRngBulkMatchesScalar:
+    """Bulk draws equal the scalar reference loop bit for bit and leave the
+    state that the same number of scalar draws leaves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), calls=st.lists(_CALLS, max_size=6))
+    def test_any_call_sequence(self, seed: int, calls) -> None:
+        bulk, scalar = Rng(seed), Rng(seed)
+        for kind, *args in calls:
+            if kind == "uniforms":
+                (n,) = args
+                got = bulk.uniforms(n)
+                want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+            elif kind == "normals":
+                n, scale = args
+                got = bulk.normals(n, scale)
+                want = np.array([scalar.normal() * scale for _ in range(n)], dtype=np.float64)
+            elif kind == "permutation":
+                (m,) = args
+                got, want = bulk.permutation(m), scalar.permutation(m)
+            else:
+                got, want = np.array(bulk.u64()), np.array(scalar.u64())
+            assert got.tobytes() == want.tobytes(), kind
+        assert bulk._s == scalar._s

@@ -60,6 +60,25 @@ class TestMakeTask:
         data = make_task(task, Rng(4))
         assert not np.array_equal(data.train_images[0], data.class_means[0])
 
+    def test_matches_per_image_draws(self) -> None:
+        """The arrays equal those of one draw per class mean and per image,
+        taken in the same stream order."""
+        task = SyntheticTask(classes=3, image_size=4, channels=2, noise_sigma=0.3,
+                             train_count=7, eval_count=5, mean_scale=0.5)
+        drawn = Rng(5)
+        data = make_task(task, drawn)
+        rng = Rng(5)
+        shape = (4, 4, 2)
+        means = np.stack([rng.normals(shape, 0.5) for _ in range(3)])
+        train_x = np.stack([means[i % 3] + 0.3 * rng.normals(shape) for i in range(7)])
+        eval_x = np.stack([means[i % 3] + 0.3 * rng.normals(shape) for i in range(5)])
+        assert data.class_means.tobytes() == means.tobytes()
+        assert data.train_images.tobytes() == train_x.tobytes()
+        assert data.eval_images.tobytes() == eval_x.tobytes()
+        assert data.train_labels.tolist() == [0, 1, 2, 0, 1, 2, 0]
+        assert data.eval_labels.tolist() == [0, 1, 2, 0, 1]
+        assert drawn._s == rng._s
+
     def test_validation(self) -> None:
         with pytest.raises(ConfigError):
             SyntheticTask(classes=1, image_size=8)
