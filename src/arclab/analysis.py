@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import AdapterBank
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericalError, ShapeError
 from .kernel import svd
 
 DEFAULT_BINS = 50
@@ -73,7 +73,10 @@ def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
         raise ShapeError(f"spectrum expects a square matrix, got {delta.shape}")
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
-    _, s, _ = svd(delta)
+    try:
+        _, s, _ = svd(delta)
+    except NumericalError as exc:
+        raise NumericalError(f"layer {layer} group {group} delta: {exc}") from None
     if value_range is None:
         s_max = float(s[0]) if s.size else 0.0
         value_range = (0.0, s_max if s_max > 0.0 else 1.0)

@@ -10,11 +10,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """An iterative numerical routine failed to converge."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical routine failed to converge or met non-finite values."""
 
 
 class GraphError(RuntimeError):

@@ -34,13 +34,10 @@ class FusedWeights:
     """Backbone-shaped tensors with adapter effects folded in."""
 
     tensors: dict[str, np.ndarray]
-    config_digest: str = ""
-    source_checkpoint: str = ""
-    max_verified_deviation: float | None = None
     sites_fused: int = 0
 
 
-def fuse(weights, bank: AdapterBank, backbone_cfg, mode: str = "eval") -> FusedWeights:
+def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     """Fold the bank into a copy of ``weights``.
 
     before_* sites left-multiply the downstream matrices by (P + I) and add
@@ -48,8 +45,6 @@ def fuse(weights, bank: AdapterBank, backbone_cfg, mode: str = "eval") -> FusedW
     matrix and map its bias through the adapter. A bank whose P and b are
     exactly zero leaves the weights bitwise untouched.
     """
-    if mode != "eval":
-        raise ConfigError("fusion requires an eval-mode bank: dropout must be inactive")
     table = resolve_hooks(bank.config, backbone_cfg)
     fused = {name: arr.copy() for name, arr in weights.items()}
     sites = 0

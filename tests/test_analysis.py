@@ -101,6 +101,25 @@ class TestSpectrum:
         assert np.all(np.diff(s) <= 0)
 
 
+class TestPaperWidthSpectrum:
+    def test_planted_rank_eight_at_768(self) -> None:
+        # Noise is kept off the planted singular subspaces, so the planted
+        # values stay exact singular values and the noise floor (below
+        # 1e-4) stays under the 1% rank threshold.
+        rng = np.random.default_rng(768)
+        n = 768
+        sigmas = np.array([4.0, 3.0, 2.0, 1.5, 1.0, 0.75, 0.5, 0.25])
+        u = orthonormal_columns(rng, n, sigmas.size)
+        v = orthonormal_columns(rng, n, sigmas.size)
+        noise = 1e-6 * rng.normal(size=(n, n))
+        noise -= u @ (u.T @ noise)
+        noise -= (noise @ v) @ v.T
+        report = spectrum((u * sigmas) @ v.T + noise, layer=1, group="mha")
+        assert report.effective_rank == 8
+        assert np.abs(report.singular_values[:8] - sigmas).max() <= 1e-8
+        assert report.bin_counts.sum() == n
+
+
 class TestRankSweep:
     def _full_rank_bank(self, seed=5, layers=TOY.layers):
         cfg = ArcConfig(variant="full_rank")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arclab import cli
-from arclab.checkpoint import load
+from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
 
 
@@ -185,6 +185,24 @@ class TestCommands:
         rc = cli.main(["spectrum", "--checkpoint", str(run_dir / "checkpoint.arcl"),
                        "--out", str(tmp_path / "s")])
         assert rc == cli.EXIT_CONFIG
+
+    def test_spectrum_non_finite_delta_exit_3(self, tmp_path, capfd) -> None:
+        config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        ckpt = run_dir / "checkpoint.arcl"
+        header, tensors = load(ckpt)
+        tensors["arc.mha.2.delta"][1, 2] = np.inf
+        tensors["arc.ffn.2.delta"][0, 0] = np.nan
+        save(ckpt, tensors, header.config_digest)
+        capfd.readouterr()
+        out_dir = tmp_path / "spec"
+        rc = cli.main(["spectrum", "--checkpoint", str(ckpt), "--out", str(out_dir)])
+        err = capfd.readouterr().err
+        assert rc == cli.EXIT_NUMERICAL
+        assert "layer 2 group mha" in err and "non-finite" in err
+        assert "DLASCL" not in err
+        assert not (out_dir / "spectrum_summary.csv").exists()
 
     def test_gradcheck_command(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -104,12 +104,50 @@ class TestSvd:
         assert u.shape == (3, 3) and v.shape == (9, 3)
         assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-8 * np.abs(a).max()
 
-    def test_nonconvergence_raises_with_residual(self) -> None:
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(8, 8))
-        with pytest.raises(NumericalError) as info:
-            svd(a, max_sweeps=0)
-        assert info.value.residual is not None and info.value.residual > 0
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_raises(self, bad: float) -> None:
+        a = np.random.default_rng(5).normal(size=(8, 8))
+        a[3, 5] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            svd(a)
+
+    def test_lapack_failure_becomes_numerical_error(self, monkeypatch) -> None:
+        def failing_svd(a, full_matrices=True):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericalError, match="did not converge"):
+            svd(np.eye(3))
+
+    @pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 2, 2)), np.zeros((0, 3)),
+                                   np.zeros((3, 0))])
+    def test_rejects_non_matrix_or_empty(self, a: np.ndarray) -> None:
+        with pytest.raises(ShapeError):
+            svd(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dense", "low_rank", "zero_columns"]),
+           scale=st.sampled_from([1e-150, 1.0, 1e150]))
+    def test_contract_property(self, m: int, n: int, seed: int, kind: str,
+                               scale: float) -> None:
+        rng = np.random.default_rng(seed)
+        if kind == "low_rank":
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            a = rng.normal(size=(m, n))
+        if kind == "zero_columns":
+            a[:, rng.random(n) < 0.5] = 0.0
+        a *= scale
+        u, s, v = svd(a)
+        k = min(m, n)
+        assert u.shape == (m, k) and s.shape == (k,) and v.shape == (n, k)
+        assert np.abs(u @ np.diag(s) @ v.T - a).max() <= 1e-8 * np.abs(a).max()
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-10
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-10
+        assert np.all(np.diff(s) <= 0)
+        assert np.all(s >= 0)
 
 
 class TestSoftmaxRows:

@@ -72,12 +72,6 @@ class TestFuse:
         assert {n: t.shape for n, t in fused.tensors.items()} == \
             {n: t.shape for n, t in w.items()}
 
-    def test_train_mode_rejected(self) -> None:
-        w = model.init_backbone(TOY, Rng(11))
-        bank = randomized_bank(ArcConfig(bottleneck=4), 12)
-        with pytest.raises(ConfigError):
-            reparam.fuse(w, bank, TOY, mode="train")
-
 
 class TestVerifyFusion:
     def test_identity_bank_zero_deviation(self) -> None:
