@@ -259,8 +259,7 @@ def arc_forward(ops, table: HookTable, layer: int, site: str, x, values, mask=No
     if mask is not None:
         hidden = ops.mul_mask(hidden, mask)
     up = ops.transpose(down) if cfg.intra else values[cfg.up_key(group, layer)]
-    delta = ops.add(ops.matmul(hidden, up), values[cfg.bias_key(group, layer)])
-    return ops.add(x, delta)
+    return ops.add(x, ops.linear(hidden, up, values[cfg.bias_key(group, layer)]))
 
 
 def apply_site(ops, table: HookTable | None, layer: int, site: str, x, values, masks=None):

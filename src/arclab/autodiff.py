@@ -46,14 +46,26 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
-# -- primitives: forward(*operands, *static) and vjp(g, out, *operands, *static)
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with its leading axes flattened: (..., n) -> (rows, n)."""
+    return a.reshape(-1, a.shape[-1])
 
 
-def _matmul_vjp(g, out, a, b):
-    ga = _unbroadcast(g @ _swap(b), a.shape)
+# -- primitives: forward(*operands, *static) and vjp(g, out, needs, *operands, *static)
+
+
+def _matmul_vjp(g, out, needs, a, b):
+    ga = _unbroadcast(g @ _swap(b), a.shape) if needs[0] else None
+    if not needs[1]:
+        return ga, None
     if b.ndim == 2:  # one weight for every row of the batch: a single GEMM over all rows
-        return ga, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return ga, _rows(a).T @ _rows(g)
     return ga, _unbroadcast(_swap(a) @ g, b.shape)
+
+
+def _linear_vjp(g, out, needs, x, w, b):
+    gx, gw = _matmul_vjp(g, out, needs[:2], x, w)
+    return gx, gw, _rows(g).sum(axis=0).reshape(b.shape) if needs[2] else None
 
 
 def _add(a, b):
@@ -63,27 +75,28 @@ def _add(a, b):
         raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}") from None
 
 
-def _add_vjp(g, out, a, b):
+def _add_vjp(g, out, needs, a, b):
     return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
-def _layernorm_vjp(g, out, a, gamma, beta, eps):
+def _layernorm_vjp(g, out, needs, a, gamma, beta, eps):
     mu = a.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + eps)
     xhat = (a - mu) * inv_std
-    gg = g * gamma.reshape(-1)
-    gx = inv_std * (
-        gg
-        - gg.mean(axis=-1, keepdims=True)
-        - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-    )
-    width = a.shape[-1]
-    dgamma = (g * xhat).reshape(-1, width).sum(axis=0).reshape(gamma.shape)
-    dbeta = g.reshape(-1, width).sum(axis=0).reshape(beta.shape)
+    gx = None
+    if needs[0]:
+        gg = g * gamma.reshape(-1)
+        gx = inv_std * (
+            gg
+            - gg.mean(axis=-1, keepdims=True)
+            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+        )
+    dgamma = _rows(g * xhat).sum(axis=0).reshape(gamma.shape) if needs[1] else None
+    dbeta = _rows(g).sum(axis=0).reshape(beta.shape) if needs[2] else None
     return gx, dgamma, dbeta
 
 
-def _softmax_vjp(g, out, a):
+def _softmax_vjp(g, out, needs, a):
     return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
 
 
@@ -93,7 +106,7 @@ def _concat_tokens(*parts):
     return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in parts], axis=-2)
 
 
-def _concat_tokens_vjp(g, out, *parts):
+def _concat_tokens_vjp(g, out, needs, *parts):
     bounds = np.cumsum([p.shape[-2] for p in parts])[:-1]
     pieces = np.split(g, bounds, axis=-2)
     return tuple(_unbroadcast(piece, p.shape) for piece, p in zip(pieces, parts))
@@ -104,7 +117,7 @@ def _slice_tokens(a, index):
     return a[..., index, :]
 
 
-def _slice_tokens_vjp(g, out, a, index):
+def _slice_tokens_vjp(g, out, needs, a, index):
     full = np.zeros(a.shape)
     full[..., index, :] = g
     return (full,)
@@ -132,7 +145,7 @@ def _col_scale(a, c):
     return a * row
 
 
-def _col_scale_vjp(g, out, a, c):
+def _col_scale_vjp(g, out, needs, a, c):
     row = c.reshape(-1)
     return g * row, (g * a).reshape(-1, row.shape[0]).sum(axis=0).reshape(c.shape)
 
@@ -148,7 +161,7 @@ def _cross_entropy(logits, labels):
     return np.array([[kernel.cross_entropy(logits, labels)]])
 
 
-def _cross_entropy_vjp(g, out, logits, labels):
+def _cross_entropy_vjp(g, out, needs, logits, labels):
     n = logits.shape[0]
     d = kernel.softmax_rows(logits)
     d[np.arange(n), np.asarray(labels)] -= 1.0
@@ -159,8 +172,10 @@ class Primitive(NamedTuple):
     """One differentiable operation.
 
     ``forward(*operands, *static)`` computes the value; ``vjp(g, out,
-    *operands, *static)`` returns one gradient per operand. ``operands``
-    is the number of leading differentiable arguments (None: all of them).
+    needs, *operands, *static)`` returns one gradient per operand, where
+    ``needs`` holds one flag per operand and an operand flagged False may
+    get None instead of a gradient nobody reads. ``operands`` is the
+    number of leading differentiable arguments (None: all of them).
     """
 
     forward: Callable
@@ -170,22 +185,23 @@ class Primitive(NamedTuple):
 
 PRIMITIVES: dict[str, Primitive] = {
     "matmul": Primitive(kernel.matmul, _matmul_vjp, 2),
+    "linear": Primitive(kernel.linear, _linear_vjp, 3),
     "add": Primitive(_add, _add_vjp, 2),
-    "scale": Primitive(lambda a, c: a * c, lambda g, out, a, c: (g * c,), 1),
+    "scale": Primitive(lambda a, c: a * c, lambda g, out, needs, a, c: (g * c,), 1),
     "transpose": Primitive(lambda a: np.ascontiguousarray(_swap(a)),
-                           lambda g, out, a: (_swap(g),), 1),
+                           lambda g, out, needs, a: (_swap(g),), 1),
     "layernorm": Primitive(kernel.layernorm, _layernorm_vjp, 3),
     "softmax_rows": Primitive(kernel.softmax_rows, _softmax_vjp, 1),
-    "gelu": Primitive(kernel.gelu, lambda g, out, a: (g * kernel.gelu_grad(a),), 1),
+    "gelu": Primitive(kernel.gelu, lambda g, out, needs, a: (g * kernel.gelu_grad(a),), 1),
     "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, None),
     "slice_tokens": Primitive(_slice_tokens, _slice_tokens_vjp, 1),
-    "split_heads": Primitive(_split_heads, lambda g, out, a, heads: (_merge_heads(g),), 1),
+    "split_heads": Primitive(_split_heads, lambda g, out, needs, a, heads: (_merge_heads(g),), 1),
     "merge_heads": Primitive(_merge_heads,
-                             lambda g, out, a: (_split_heads(g, a.shape[-3]),), 1),
+                             lambda g, out, needs, a: (_split_heads(g, a.shape[-3]),), 1),
     "col_scale": Primitive(_col_scale, _col_scale_vjp, 2),
-    "mul_mask": Primitive(_mul_mask, lambda g, out, a, mask: (g * mask,), 1),
+    "mul_mask": Primitive(_mul_mask, lambda g, out, needs, a, mask: (g * mask,), 1),
     "mean": Primitive(lambda a: np.array([[a.mean()]]),
-                      lambda g, out, a: (np.full(a.shape, g[0, 0] / a.size),), 1),
+                      lambda g, out, needs, a: (np.full(a.shape, g[0, 0] / a.size),), 1),
     "cross_entropy": Primitive(_cross_entropy, _cross_entropy_vjp, 1),
 }
 
@@ -285,8 +301,9 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
 
     Visits nodes exactly once in reverse topological (id) order. A parameter
     used at several sites receives the sum of all site contributions.
-    Frozen parameters never appear in the result, and nodes no trainable
-    parameter feeds are never differentiated.
+    Frozen parameters never appear in the result, nodes no trainable
+    parameter feeds are never differentiated, and each vjp is told which
+    of its operands need a gradient, so it can skip the others.
     """
     if out.tape is not tape:
         raise GraphError("output node does not belong to this tape")
@@ -301,8 +318,10 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
         g = grads.pop(idx, None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.vjp(g, node.value, *node.inputs)):
-            if not nodes[parent].needs_grad:
+        needs = tuple(nodes[parent].needs_grad for parent in node.parents)
+        for parent, need, pg in zip(node.parents, needs,
+                                    node.vjp(g, node.value, needs, *node.inputs)):
+            if not need:
                 continue
             if parent in grads:
                 # out-of-place: a vjp may hand back views or shared buffers

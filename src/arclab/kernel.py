@@ -42,11 +42,31 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} x {b.shape}") from None
 
 
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b for a (k, n) weight and a (1, n) bias row, (..., k) -> (..., n).
+
+    The leading axes of x are flattened into rows, so the product is one
+    GEMM, not one per batch entry, and the bias is added into the product
+    in place, which rounds as ``x_rows @ w + b`` does. The flat GEMM may
+    round differently from numpy's per-entry batched ``x @ w``, depending
+    on the shapes and the BLAS.
+    """
+    if w.ndim != 2 or b.shape != (1, w.shape[-1]):
+        raise ShapeError(f"linear needs a 2-D weight and a (1, n) bias row, "
+                         f"got {w.shape} and {b.shape}")
+    if x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape}")
+    out = x.reshape(-1, w.shape[0]) @ w
+    out += b
+    return out.reshape(x.shape[:-1] + (w.shape[1],))
+
+
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis with per-row max subtraction for overflow safety."""
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = a - a.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -57,20 +77,39 @@ def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1
         raise ShapeError(
             f"layernorm scale/shift length {g.size}/{b.size} does not match row width {a.shape[-1]}"
         )
-    mu = a.mean(axis=-1, keepdims=True)
-    var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (a - mu) / np.sqrt(var + eps) * g + b
+    out = a - a.mean(axis=-1, keepdims=True)
+    std = np.square(out).mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    out /= std  # a division, not a product with 1/std: that would round differently
+    out *= g
+    out += b
+    return out
 
 
 def gelu(a: np.ndarray) -> np.ndarray:
     """Exact GELU x*Phi(x) via the error function (no tanh approximation)."""
-    return a * 0.5 * (1.0 + erf(a * INV_SQRT2))
+    cdf = a * INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    out = a * 0.5
+    out *= cdf
+    return out
 
 
 def gelu_grad(a: np.ndarray) -> np.ndarray:
     """d/dx of exact GELU: Phi(x) + x*phi(x)."""
-    phi = np.exp(-0.5 * a * a) * INV_SQRT_2PI
-    return 0.5 * (1.0 + erf(a * INV_SQRT2)) + a * phi
+    pdf = a * -0.5
+    pdf *= a
+    np.exp(pdf, out=pdf)
+    pdf *= INV_SQRT_2PI
+    pdf *= a
+    out = a * INV_SQRT2
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out += pdf
+    return out
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

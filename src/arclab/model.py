@@ -183,7 +183,7 @@ def extract_patches(images: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
 
 def patch_embed(ops, cfg: BackboneConfig, v, patches):
     """[cls; patches @ W + b] + pos, as backend values."""
-    proj = ops.add(ops.matmul(patches, v["patch.weight"]), v["patch.bias"])
+    proj = ops.linear(patches, v["patch.weight"], v["patch.bias"])
     return ops.add(ops.concat_tokens(v["cls"], proj), v["pos"])
 
 
@@ -197,19 +197,19 @@ def mha(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     """
     p = f"enc.{layer}.attn"
     q, k, val = (
-        ops.split_heads(ops.add(ops.matmul(x_norm, v[f"{p}.w{n}"]), v[f"{p}.b{n}"]), cfg.heads)
+        ops.split_heads(ops.linear(x_norm, v[f"{p}.w{n}"], v[f"{p}.b{n}"]), cfg.heads)
         for n in "qkv"
     )
     scores = ops.scale(ops.matmul(q, ops.transpose(k)), 1.0 / np.sqrt(cfg.head_dim))
     heads = ops.matmul(ops.softmax_rows(scores), val)
-    return ops.add(ops.matmul(ops.merge_heads(heads), v[f"{p}.wo"]), v[f"{p}.bo"])
+    return ops.linear(ops.merge_heads(heads), v[f"{p}.wo"], v[f"{p}.bo"])
 
 
 def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     """GELU(x W1 + b1) W2 + b2."""
     p = f"enc.{layer}.ffn"
-    hidden = ops.gelu(ops.add(ops.matmul(x_norm, v[f"{p}.w1"]), v[f"{p}.b1"]))
-    return ops.add(ops.matmul(hidden, v[f"{p}.w2"]), v[f"{p}.b2"])
+    hidden = ops.gelu(ops.linear(x_norm, v[f"{p}.w1"], v[f"{p}.b1"]))
+    return ops.linear(hidden, v[f"{p}.w2"], v[f"{p}.b2"])
 
 
 def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
@@ -232,7 +232,7 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
         x = ops.add(x, mlp)
     cls = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
                         cfg.ln_eps)
-    return ops.add(ops.matmul(cls, v["head.weight"]), v["head.bias"])
+    return ops.linear(cls, v["head.weight"], v["head.bias"])
 
 
 def forward(ops, cfg: BackboneConfig, v, images, hooks=None, mode="eval",

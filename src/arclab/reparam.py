@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model
 from .adapters import AdapterBank, composite_matrix, resolve_hooks
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .kernel import Rng
 from .autodiff import Eager
 
@@ -43,8 +43,12 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     before_* sites left-multiply the downstream matrices by (P + I) and add
     ``b W`` to their biases; after_* sites right-multiply the upstream
     matrix and map its bias through the adapter. A bank whose P and b are
-    exactly zero leaves the weights bitwise untouched.
+    exactly zero leaves the weights bitwise untouched. Raises
+    NumericalError naming the first adapter tensor that holds a NaN or inf.
     """
+    for name, arr in bank.tensors.items():
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"adapter tensor {name!r} holds non-finite values")
     table = resolve_hooks(bank.config, backbone_cfg)
     fused = {name: arr.copy() for name, arr in weights.items()}
     sites = 0

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arclab.autodiff import Eager, GradCheckReport, Tape, backward, gradcheck
+from arclab.autodiff import PRIMITIVES, Eager, GradCheckReport, Tape, backward, gradcheck
 from arclab.errors import GraphError, ShapeError
 from arclab.kernel import Rng
 
@@ -155,17 +155,32 @@ class TestPrimitiveGradients:
     """Finite-difference checks of each registered primitive's vjp."""
 
     PRIMITIVES = ["matmul", "layernorm", "softmax", "gelu", "col_scale",
-                  "concat_slice", "mask", "cross_entropy"]
+                  "concat_slice", "mask", "cross_entropy", "linear", "add", "scale"]
 
-    @pytest.mark.parametrize("name", PRIMITIVES)
-    def test_primitive(self, name: str) -> None:
-        rng = np.random.default_rng(self.PRIMITIVES.index(name))
+    @staticmethod
+    def _case(name: str):
+        """(build, parameter values) of the gradcheck case ``name``."""
+        rng = np.random.default_rng(TestPrimitiveGradients.PRIMITIVES.index(name))
         x0 = rng.normal(size=(3, 4))
         mask = np.where(rng.uniform(size=(3, 4)) < 0.4, 0.0, 1.0 / 0.6)
+        if name == "linear":
+            params = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
+                      "b": rng.normal(size=(1, 5))}
+        elif name == "add":
+            params = {"x": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(1, 4))}
+        else:
+            params = {"x": x0}
 
         def build(tape, values):
             x = tape.parameter("x", values["x"])
-            if name == "matmul":
+            if name == "linear":
+                y = tape.linear(x, tape.parameter("w", values["w"]),
+                                tape.parameter("b", values["b"]))
+            elif name == "add":
+                y = tape.add(x, tape.parameter("b", values["b"]))
+            elif name == "scale":
+                y = tape.scale(x, -1.7)
+            elif name == "matmul":
                 y = tape.matmul(x, tape.constant(rng_w))
             elif name == "layernorm":
                 y = tape.layernorm(x, tape.constant(np.ones((1, 4))),
@@ -190,8 +205,84 @@ class TestPrimitiveGradients:
 
         rng_w = rng.normal(size=(4, 4))
         rng_c = rng.normal(size=(1, 4))
-        report = gradcheck(build, {"x": x0}, h=1e-5, tol=1e-5)
+        return build, params
+
+    @pytest.mark.parametrize("name", PRIMITIVES)
+    def test_primitive(self, name: str) -> None:
+        build, params = self._case(name)
+        report = gradcheck(build, params, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
+        assert set(report.errors) == set(params)
+
+    def test_every_primitive_has_a_case(self) -> None:
+        """Each vjp of the table runs in the backward pass of some case above."""
+        names = {prim.vjp: name for name, prim in PRIMITIVES.items()}
+        assert len(names) == len(PRIMITIVES)
+        exercised = set()
+        for case in self.PRIMITIVES:
+            build, params = self._case(case)
+            tape = Tape()
+            build(tape, params)
+            exercised |= {names[node.vjp] for node in tape._nodes if node.vjp is not None}
+        assert exercised == set(PRIMITIVES)
+
+
+class TestNeedsGrad:
+    """A vjp skips the gradients of operands that need none."""
+
+    def test_frozen_operands_get_none(self) -> None:
+        rng = np.random.default_rng(5)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(1, 5))
+        linear = PRIMITIVES["linear"]
+        out = linear.forward(x, w, b)
+        g = rng.normal(size=out.shape)
+        full = linear.vjp(g, out, (True, True, True), x, w, b)
+        assert all(grad is not None for grad in full)
+        gx, gw, gb = linear.vjp(g, out, (True, False, False), x, w, b)
+        assert gw is None and gb is None and np.array_equal(gx, full[0])
+        gx, gw, gb = linear.vjp(g, out, (False, True, False), x, w, b)
+        assert gx is None and gb is None and np.array_equal(gw, full[1])
+        matmul = PRIMITIVES["matmul"]
+        prod = matmul.forward(x, w)
+        ga, gw = matmul.vjp(g, prod, (False, True), x, w)
+        assert ga is None and np.array_equal(gw, full[1])
+        ga, gw = matmul.vjp(g, prod, (True, False), x, w)
+        assert gw is None and np.array_equal(ga, full[0])
+
+    def test_backward_passes_the_flags(self) -> None:
+        tape = Tape()
+        x = tape.constant(np.ones((2, 3, 4)))
+        w = tape.parameter("w", np.ones((4, 5)), trainable=False)
+        b = tape.parameter("b", np.ones((1, 5)))
+        out = tape.linear(x, w, b)
+        seen = []
+        real = tape._nodes[out.idx].vjp
+
+        def spy(g, value, needs, *inputs):
+            seen.append(needs)
+            return real(g, value, needs, *inputs)
+
+        tape._nodes[out.idx] = tape._nodes[out.idx]._replace(vjp=spy)
+        grads = backward(tape, tape.mean(out))
+        assert seen == [(False, False, True)]
+        assert np.allclose(grads["b"], 0.2, rtol=0, atol=1e-15)
+
+    def test_freezing_leaves_other_gradients_bit_equal(self) -> None:
+        rng = np.random.default_rng(6)
+        x0, w0, b0, v0 = (rng.normal(size=s) for s in ((2, 3, 4), (4, 5), (1, 5), (5, 2)))
+
+        def grads(weights_trainable: bool):
+            tape = Tape()
+            x = tape.parameter("x", x0)
+            w = tape.parameter("w", w0, trainable=weights_trainable)
+            hidden = tape.gelu(tape.linear(x, w, tape.parameter("b", b0)))
+            v = tape.parameter("v", v0, trainable=weights_trainable)
+            return backward(tape, tape.mean(tape.matmul(hidden, v)))
+
+        frozen, full = grads(False), grads(True)
+        assert set(full) - set(frozen) == {"w", "v"}
+        for name, g in frozen.items():
+            assert np.array_equal(g, full[name]), name
 
 
 class TestGradcheck:

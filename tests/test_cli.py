@@ -204,6 +204,22 @@ class TestCommands:
         assert "DLASCL" not in err
         assert not (out_dir / "spectrum_summary.csv").exists()
 
+    def test_fuse_non_finite_adapter_exit_3(self, tmp_path, capsys) -> None:
+        config = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        ckpt = run_dir / "checkpoint.arcl"
+        header, tensors = load(ckpt)
+        tensors["arc.ffn.1.bias"][0, 0] = np.inf
+        save(ckpt, tensors, header.config_digest)
+        capsys.readouterr()
+        fused = tmp_path / "fused.arcl"
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(fused)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_NUMERICAL
+        assert "'arc.ffn.1.bias'" in err and "non-finite" in err
+        assert not fused.exists()
+
     def test_gradcheck_command(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)
         rc = cli.main(["gradcheck", "--config", str(config), "--tol", "1e-5"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arclab import kernel
 from arclab.errors import NumericalError, ShapeError
 from arclab.kernel import (
     Rng,
@@ -15,6 +16,7 @@ from arclab.kernel import (
     gelu,
     gelu_grad,
     layernorm,
+    linear,
     matmul,
     softmax_rows,
     svd,
@@ -60,6 +62,46 @@ class TestMatmul:
             right = matmul(a, matmul(b, c))
             scale = max(np.abs(left).max(), 1e-30)
             assert np.abs(left - right).max() / scale <= 1e-9
+
+
+class TestLinear:
+    def test_equals_matmul_plus_bias_on_rows(self) -> None:
+        rng = np.random.default_rng(3)
+        x, w, b = _rand(rng, 2, 5, 7), _rand(rng, 7, 3), _rand(rng, 1, 3)
+        rows = x.reshape(-1, 7)
+        assert np.array_equal(linear(x, w, b), (rows @ w + b).reshape(2, 5, 3))
+        assert np.array_equal(linear(rows, w, b), rows @ w + b)
+        assert np.abs(linear(x, w, b) - (x @ w + b)).max() <= 1e-14
+
+    @pytest.mark.parametrize("x, w, b", [
+        (np.zeros((2, 3)), np.zeros((4, 5)), np.zeros((1, 5))),
+        (np.zeros((2, 4)), np.zeros((2, 4, 5)), np.zeros((1, 5))),
+        (np.zeros((2, 4)), np.zeros((4, 5)), np.zeros((5,))),
+        (np.zeros((2, 4)), np.zeros((4, 5)), np.zeros((1, 4))),
+    ])
+    def test_shape_errors(self, x, w, b) -> None:
+        with pytest.raises(ShapeError):
+            linear(x, w, b)
+
+
+class TestKernelsKeepInputs:
+    """The in-place kernels write only into arrays they allocated."""
+
+    @pytest.mark.parametrize("name", ["linear", "layernorm", "softmax_rows", "gelu",
+                                      "gelu_grad"])
+    def test_inputs_unmodified(self, name: str) -> None:
+        rng = np.random.default_rng(11)
+        x = _rand(rng, 2, 3, 4)
+        args = {
+            "linear": (x, _rand(rng, 4, 5), _rand(rng, 1, 5)),
+            "layernorm": (x, _rand(rng, 1, 4), _rand(rng, 1, 4), 1e-6),
+        }.get(name, (x,))
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        out = getattr(kernel, name)(*args)
+        for a, kept in zip(arrays, before):
+            assert np.array_equal(a, kept)
+            assert not np.shares_memory(out, a)
 
 
 class TestSvd:

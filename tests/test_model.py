@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from arclab import adapters, model
+from arclab import adapters, model, training
 from arclab.autodiff import Eager, Tape, backward
 from arclab.errors import ConfigError, ShapeError
 from arclab.kernel import Rng, gelu, layernorm, softmax_rows
@@ -289,6 +291,72 @@ class TestBatchedContract:
         for name, g in whole.items():
             mean = sum(p[name] for p in per_image) / 4
             assert np.abs(g - mean).max() <= 1e-12, name
+
+
+    def test_frozen_backbone_leaves_trainable_gradients_bit_equal(self) -> None:
+        """Skipping the gradients of frozen weights changes no gradient that is read."""
+        weights = toy_weights()
+        live = self._adapted_values(weights)
+        hooks = adapters.resolve_hooks(self.ARC, TOY)
+        images = Rng(28).normals((3, 8, 8, 1))
+
+        def grads(backbone_trainable: bool):
+            tape = Tape()
+            vals = {n: tape.parameter(n, a, trainable=backbone_trainable or n in model.HEAD_NAMES)
+                    for n, a in weights.items()}
+            vals.update({n: tape.parameter(n, a) for n, a in live.items()})
+            logits = model.forward(tape, TOY, vals, images, hooks=hooks)
+            return backward(tape, tape.cross_entropy(logits, np.array([2, 0, 1])))
+
+        frozen, full = grads(False), grads(True)
+        assert set(frozen) == set(live) | set(model.HEAD_NAMES)
+        for name, g in frozen.items():
+            assert np.array_equal(g, full[name]), name
+
+
+def _sha256(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestKnownAnswers:
+    """SHA-256 digests of the float64 bytes of Eager logits and of a short
+    loss curve. They pin the forward and backward to the exact values of
+    the unfused add(matmul(x, W), b) formulation; the digests hold for
+    numpy's bundled OpenBLAS on x86-64, and another BLAS may round
+    differently."""
+
+    CFG = model.BackboneConfig(image_size=8, patch_size=2, channels=3, embed_dim=32,
+                               layers=2, heads=4, classes=5)
+
+    @pytest.mark.parametrize("arc, digest", [
+        (None, "0312bff36d12903ff7a20e9032e3673cbf7deafd16824dfcdaa6554a5b616e07"),
+        (adapters.ArcConfig(bottleneck=6, positions=adapters.SITES, dropout_rate=0.0),
+         "a2df02a125b605eb0572b07ea5a2edcb4109f29aaf66db6253b482c44a8171ce"),
+        (adapters.ArcConfig(variant="full_rank", positions=adapters.SITES),
+         "c9a5428f2945a1d95608c1ed9a314c7c770959c3059f392a67fded37257eb217"),
+    ], ids=["plain", "bottleneck", "full_rank"])
+    def test_eager_logits(self, arc, digest) -> None:
+        values = model.init_backbone(self.CFG, Rng(31))
+        hooks = None
+        if arc is not None:
+            bank = adapters.init_adapters(arc, self.CFG, Rng(32))
+            r = Rng(33)
+            values.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
+            hooks = adapters.resolve_hooks(arc, self.CFG)
+        images = Rng(34).normals((6, 8, 8, 3))
+        assert _sha256(model.forward(Eager(), self.CFG, values, images, hooks=hooks)) == digest
+
+    def test_loss_curve(self) -> None:
+        task = training.SyntheticTask(classes=5, image_size=8, channels=3, noise_sigma=0.5,
+                                      train_count=20, eval_count=5)
+        weights = model.init_backbone(self.CFG, Rng(41))
+        bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=6, dropout_rate=0.1),
+                                      self.CFG, Rng(42))
+        data = training.make_task(task, Rng(43))
+        cfg = training.TrainConfig(lr=0.01, epochs=5, batch_size=4, warmup_epochs=1, seed=44)
+        result = training.train(self.CFG, weights, bank, data, cfg, max_steps=5)
+        assert _sha256([rec.loss for rec in result.curve]) == (
+            "8b25851b0066ba308c07d733bd7aec803eb749b69f9e2e116d4b1fb0207a9ec9")
 
 
 class TestWeights:

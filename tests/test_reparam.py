@@ -7,7 +7,7 @@ import pytest
 
 from arclab import adapters, model, reparam
 from arclab.adapters import ArcConfig, init_adapters
-from arclab.errors import ConfigError
+from arclab.errors import ConfigError, NumericalError
 from arclab.kernel import Rng
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -30,6 +30,15 @@ class TestFuse:
         assert fused.sites_fused == 0
         assert set(fused.tensors) == set(w)
         assert all(np.array_equal(fused.tensors[n], w[n]) for n in w)
+
+    @pytest.mark.parametrize("name, bad", [("arc.mha.down", np.nan), ("arc.ffn.2.coef", -np.inf),
+                                           ("arc.mha.3.bias", np.inf)])
+    def test_non_finite_adapter_tensor_rejected(self, name, bad) -> None:
+        w = model.init_backbone(TOY, Rng(1))
+        bank = randomized_bank(ArcConfig(bottleneck=4), 5)
+        bank.tensors[name][0, 1] = bad
+        with pytest.raises(NumericalError, match=f"'{name}'"):
+            reparam.fuse(w, bank, TOY)
 
     def test_hand_case_w1(self) -> None:
         # D=2, D'=1: W_down=[1,0]^T, c=[3], W_1=I  =>  W_1' = [[4,0],[0,1]]

@@ -205,6 +205,25 @@ class TestTrain:
             train(TOY, weights, bank, data, cfg, max_steps=1)
         assert len(sizes) == 2 and sizes[0] == sizes[1]
 
+    def test_readme_demo_tape_size(self, monkeypatch) -> None:
+        """The README demo step records 174 nodes: one linear node per
+        projection, FFN layer, patch embedding, head and adapter up-projection."""
+        sizes = []
+        real_backward = training.backward
+
+        def counting(tape, out):
+            sizes.append(out.idx + 1)
+            return real_backward(tape, out)
+
+        monkeypatch.setattr(training, "backward", counting)
+        backbone = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                                        layers=3, heads=2, classes=4)
+        bank = init_adapters(ArcConfig(bottleneck=4, dropout_rate=0.1), backbone, Rng(9))
+        task = SyntheticTask(classes=4, image_size=8, channels=1, train_count=32, eval_count=16)
+        train(backbone, model.init_backbone(backbone, Rng(7)), bank, make_task(task, Rng(8)),
+              TrainConfig(lr=0.01, epochs=1, batch_size=8, seed=3), max_steps=2)
+        assert sizes == [174, 174]
+
     def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
         weights, bank, data = fresh_setup(dropout=0.1)
         made = []
