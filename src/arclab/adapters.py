@@ -255,11 +255,9 @@ def arc_forward(ops, table: HookTable, layer: int, site: str, x, values, mask=No
         delta = ops.matmul(x, values[cfg.delta_key(group, layer)])
         return ops.add(x, delta)
     down = values[cfg.down_key(group, layer)]
-    hidden = ops.col_scale(ops.matmul(x, down), values[cfg.coef_key(group, layer)])
-    if mask is not None:
-        hidden = ops.mul_mask(hidden, mask)
-    up = ops.transpose(down) if cfg.intra else values[cfg.up_key(group, layer)]
-    return ops.add(x, ops.linear(hidden, up, values[cfg.bias_key(group, layer)]))
+    up = down if cfg.intra else values[cfg.up_key(group, layer)]
+    return ops.arc_adapter(x, up, values[cfg.coef_key(group, layer)],
+                           values[cfg.bias_key(group, layer)], down, mask, cfg.intra)
 
 
 def apply_site(ops, table: HookTable | None, layer: int, site: str, x, values, masks=None):

@@ -7,13 +7,20 @@ operand's own shape, summing over the axes the forward broadcast. The model
 runs on (B, T, D) token tensors, with attention heads as one more batch
 axis, (B, H, T, d_h), so one node covers a whole batch.
 
+A forward may also return intermediates its vjp reuses (a residual, as in
+a JAX ``custom_vjp`` fwd/bwd pair), so the backward pass recomputes nothing
+the forward had. Coarse primitives cover whole model blocks: ``attention``
+is one multi-head attention core and ``arc_adapter`` one re-composed
+adapter site, each with a hand-written vjp.
+
 A :class:`Tape` records primitive applications in topological order; each
-node keeps its forward value, its inputs and its vector-Jacobian product.
-The tape-free :class:`Eager` backend calls the same forwards directly, so a
-recorded forward is bitwise identical to an unrecorded one by construction.
+node keeps its forward value, its inputs, its vector-Jacobian product and
+the forward's residual. The tape-free :class:`Eager` backend calls the same
+forwards directly and drops the residuals, so a recorded forward is bitwise
+identical to an unrecorded one by construction.
 A parameter is a single leaf node: reusing it at many graph sites (shared
-projections, a transposed twin) or broadcasting it over a batch accumulates
-every contribution into one gradient.
+projections, a tied down-projection in both adapter slots) or broadcasting
+it over a batch accumulates every contribution into one gradient.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-# -- primitives: forward(*operands, *static) and vjp(g, out, needs, *operands, *static)
+# -- primitives: forward(*operands, *static) and vjp(g, res, needs, *operands, *static)
 
 
 def _matmul_vjp(g, out, needs, a, b):
@@ -79,10 +86,10 @@ def _add_vjp(g, out, needs, a, b):
     return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
 
-def _layernorm_vjp(g, out, needs, a, gamma, beta, eps):
-    mu = a.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(((a - mu) ** 2).mean(axis=-1, keepdims=True) + eps)
-    xhat = (a - mu) * inv_std
+def _layernorm_vjp(g, saved, needs, a, gamma, beta, eps):
+    centered, std = saved
+    inv_std = 1.0 / std
+    xhat = centered * inv_std
     gx = None
     if needs[0]:
         gg = g * gamma.reshape(-1)
@@ -98,6 +105,18 @@ def _layernorm_vjp(g, out, needs, a, gamma, beta, eps):
 
 def _softmax_vjp(g, out, needs, a):
     return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
+
+
+def _gelu_vjp(g, cdf, needs, a):
+    """g * (Phi(x) + x phi(x)), with Phi = cdf / 2 from the forward."""
+    pdf = a * -0.5
+    pdf *= a
+    np.exp(pdf, out=pdf)
+    pdf *= kernel.INV_SQRT_2PI
+    pdf *= a
+    slope = cdf * 0.5
+    slope += pdf
+    return (g * slope,)
 
 
 def _concat_tokens(*parts):
@@ -137,24 +156,84 @@ def _merge_heads(a):
     return np.swapaxes(a, -2, -3).reshape(*lead, tokens, heads * width)
 
 
-def _col_scale(a, c):
-    """a * c over the last axis: multiplies feature j by c[..., j]."""
-    row = c.reshape(-1)
-    if row.shape[0] != a.shape[-1]:
-        raise ShapeError(f"col_scale width mismatch: {a.shape} vs {c.shape}")
-    return a * row
+def _attention(q, k, v, heads, scale):
+    """Multi-head softmax(scale Q K^T) V over (..., T, D) projections.
+
+    The width is column-partitioned into ``heads`` blocks, which become a
+    batch axis; the heads are merged back into a (..., T, D) result.
+    Saves the split heads, the contiguous K^T and the probabilities.
+    """
+    if not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
+    kt = np.ascontiguousarray(_swap(kh))
+    probs = qh @ kt
+    probs *= scale  # a product after Q K^T, not a scaled Q
+    probs = kernel.softmax_rows(probs)  # frees the scores before the next product
+    return _merge_heads(probs @ vh), (qh, kt, vh, probs)
 
 
-def _col_scale_vjp(g, out, needs, a, c):
-    row = c.reshape(-1)
-    return g * row, (g * a).reshape(-1, row.shape[0]).sum(axis=0).reshape(c.shape)
+def _attention_vjp(g, saved, needs, q, k, v, heads, scale):
+    qh, kt, vh, probs = saved
+    gh = _split_heads(g, heads)
+    gq = gk = gv = None
+    if needs[2]:
+        gv = _merge_heads(_swap(probs) @ gh)
+    if needs[0] or needs[1]:
+        (gscores,) = _softmax_vjp(gh @ _swap(vh), probs, None, None)
+        gscores = gscores * scale
+        if needs[0]:
+            gq = _merge_heads(gscores @ _swap(kt))
+        if needs[1]:
+            gk = _merge_heads(_swap(_swap(qh) @ gscores))
+    return gq, gk, gv
 
 
-def _mul_mask(a, mask):
-    """Elementwise product with a fixed mask (an input, so backward is exact)."""
-    if mask.shape != a.shape:
-        raise ShapeError(f"mask shape {mask.shape} does not match {a.shape}")
-    return a * mask
+def _arc_adapter(x, up, coef, bias, down, mask, tied):
+    """The re-composed adapter x + (x W_down diag(c)) W_up + b on a (..., T, D) batch.
+
+    ``tied`` means W_up = W_down^T: the caller passes W_down as ``up`` too.
+    A ``mask`` (train-mode dropout, or None) multiplies the hidden features.
+    Saves x W_down, the masked hidden features and the W_up it multiplied.
+    """
+    pre = kernel.matmul(x, down)
+    row = coef.reshape(-1)
+    if row.shape[0] != pre.shape[-1]:
+        raise ShapeError(f"adapter coef {coef.shape} does not match bottleneck {pre.shape[-1]}")
+    hidden = pre * row
+    if mask is not None:
+        if mask.shape != hidden.shape:
+            raise ShapeError(f"mask shape {mask.shape} does not match {hidden.shape}")
+        hidden *= mask
+    w_up = np.ascontiguousarray(_swap(up)) if tied else up
+    out = kernel.linear(hidden, w_up, bias)
+    if out.shape != x.shape:
+        raise ShapeError(f"adapter output {out.shape} does not match its input {x.shape}")
+    out += x
+    return out, (pre, hidden, w_up)
+
+
+def _arc_adapter_vjp(g, saved, needs, x, up, coef, bias, down, mask, tied):
+    pre, hidden, w_up = saved
+    gx = gup = gcoef = gbias = gdown = None
+    if needs[1]:
+        gup = _rows(hidden).T @ _rows(g)
+        if tied:
+            gup = _swap(gup)
+    if needs[3]:
+        gbias = _rows(g).sum(axis=0).reshape(bias.shape)
+    if needs[0] or needs[2] or needs[4]:
+        ghidden = g @ _swap(w_up)
+        if mask is not None:
+            ghidden *= mask
+        if needs[2]:
+            gcoef = (ghidden * pre).reshape(-1, pre.shape[-1]).sum(axis=0).reshape(coef.shape)
+        gpre = ghidden * coef.reshape(-1)
+        if needs[0]:
+            gx = g + gpre @ _swap(down)
+        if needs[4]:
+            gdown = _rows(x).T @ _rows(gpre)
+    return gx, gup, gcoef, gbias, gdown
 
 
 def _cross_entropy(logits, labels):
@@ -171,35 +250,33 @@ def _cross_entropy_vjp(g, out, needs, logits, labels):
 class Primitive(NamedTuple):
     """One differentiable operation.
 
-    ``forward(*operands, *static)`` computes the value; ``vjp(g, out,
-    needs, *operands, *static)`` returns one gradient per operand, where
-    ``needs`` holds one flag per operand and an operand flagged False may
-    get None instead of a gradient nobody reads. ``operands`` is the
-    number of leading differentiable arguments (None: all of them).
+    ``forward(*operands, *static)`` computes the value, or, when ``saves``
+    is set, returns ``(value, saved)``: intermediates its vjp reuses instead
+    of recomputing them. ``vjp(g, res, needs, *operands, *static)`` returns
+    one gradient per operand, where ``res`` is ``saved`` (or the value, for
+    a forward that saves nothing) and ``needs`` holds one flag per operand;
+    an operand flagged False may get None instead of a gradient nobody
+    reads. ``operands`` is the number of leading differentiable arguments
+    (None: all of them).
     """
 
     forward: Callable
     vjp: Callable
     operands: int | None
+    saves: bool = False
 
 
 PRIMITIVES: dict[str, Primitive] = {
     "matmul": Primitive(kernel.matmul, _matmul_vjp, 2),
     "linear": Primitive(kernel.linear, _linear_vjp, 3),
     "add": Primitive(_add, _add_vjp, 2),
-    "scale": Primitive(lambda a, c: a * c, lambda g, out, needs, a, c: (g * c,), 1),
-    "transpose": Primitive(lambda a: np.ascontiguousarray(_swap(a)),
-                           lambda g, out, needs, a: (_swap(g),), 1),
-    "layernorm": Primitive(kernel.layernorm, _layernorm_vjp, 3),
+    "layernorm": Primitive(kernel.layernorm_parts, _layernorm_vjp, 3, saves=True),
     "softmax_rows": Primitive(kernel.softmax_rows, _softmax_vjp, 1),
-    "gelu": Primitive(kernel.gelu, lambda g, out, needs, a: (g * kernel.gelu_grad(a),), 1),
+    "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True),
+    "attention": Primitive(_attention, _attention_vjp, 3, saves=True),
+    "arc_adapter": Primitive(_arc_adapter, _arc_adapter_vjp, 5, saves=True),
     "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, None),
     "slice_tokens": Primitive(_slice_tokens, _slice_tokens_vjp, 1),
-    "split_heads": Primitive(_split_heads, lambda g, out, needs, a, heads: (_merge_heads(g),), 1),
-    "merge_heads": Primitive(_merge_heads,
-                             lambda g, out, needs, a: (_split_heads(g, a.shape[-3]),), 1),
-    "col_scale": Primitive(_col_scale, _col_scale_vjp, 2),
-    "mul_mask": Primitive(_mul_mask, lambda g, out, needs, a, mask: (g * mask,), 1),
     "mean": Primitive(lambda a: np.array([[a.mean()]]),
                       lambda g, out, needs, a: (np.full(a.shape, g[0, 0] / a.size),), 1),
     "cross_entropy": Primitive(_cross_entropy, _cross_entropy_vjp, 1),
@@ -228,6 +305,7 @@ class _Node(NamedTuple):
     parents: tuple[int, ...] = ()
     inputs: tuple = ()  # operand values, then static arguments
     vjp: Callable | None = None  # None for leaves and nodes that need no gradient
+    res: object = None  # what the vjp reuses from the forward (None when there is no vjp)
 
 
 @dataclass
@@ -270,7 +348,8 @@ class Tape:
 
 
 class Eager:
-    """Tape-free backend: every entry of :data:`PRIMITIVES` is its forward on plain arrays."""
+    """Tape-free backend: every entry of :data:`PRIMITIVES` is its forward on
+    plain arrays, returning the value alone."""
 
     constant = staticmethod(_as_array)
 
@@ -282,8 +361,11 @@ def _recorder(name: str, prim: Primitive):
         nodes = self._nodes
         inputs = tuple(nodes[v.idx].value for v in operands) + args[len(operands):]
         needs_grad = any(nodes[v.idx].needs_grad for v in operands)
-        nodes.append(_Node(prim.forward(*inputs), needs_grad, tuple(v.idx for v in operands),
-                           inputs, prim.vjp if needs_grad else None))
+        value = res = prim.forward(*inputs)
+        if prim.saves:
+            value, res = value
+        nodes.append(_Node(value, needs_grad, tuple(v.idx for v in operands), inputs,
+                           prim.vjp if needs_grad else None, res if needs_grad else None))
         return Var(self, len(nodes) - 1)
 
     record.__name__ = name
@@ -291,9 +373,22 @@ def _recorder(name: str, prim: Primitive):
     return record
 
 
+def _value_only(name: str, prim: Primitive):
+    """``prim``'s forward without the intermediates it saves."""
+    if not prim.saves:
+        return prim.forward
+
+    def forward(*args):
+        return prim.forward(*args)[0]
+
+    forward.__name__ = name
+    forward.__doc__ = prim.forward.__doc__
+    return forward
+
+
 for _name, _prim in PRIMITIVES.items():
     setattr(Tape, _name, _recorder(_name, _prim))
-    setattr(Eager, _name, staticmethod(_prim.forward))
+    setattr(Eager, _name, staticmethod(_value_only(_name, _prim)))
 
 
 def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
@@ -320,7 +415,7 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
             continue
         needs = tuple(nodes[parent].needs_grad for parent in node.parents)
         for parent, need, pg in zip(node.parents, needs,
-                                    node.vjp(g, node.value, needs, *node.inputs)):
+                                    node.vjp(g, node.res, needs, *node.inputs)):
             if not need:
                 continue
             if parent in grads:

@@ -10,8 +10,10 @@ Layout, all little-endian:
         name_len u32, name utf-8, ndim u32, dims u32 each,
         payload float64 little-endian, row-major
 
-There is no tensor count: records run to end of file, and any byte-level
-inconsistency rejects the whole file before anything is returned.
+There is no tensor count: records run to end of file. Any byte-level
+inconsistency, a record cut short included, rejects the whole file before
+anything is returned, but a file cut exactly at a record boundary reads as
+the records before the cut.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ class _Reader:
 
 
 def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
-    """Parse and validate a checkpoint; never returns a partial read."""
+    """Parse and validate a checkpoint.
+
+    Every field is checked and every returned record is complete; a
+    malformed or short record raises CheckpointError with its byte offset.
+    The format has no tensor count, so a file cut exactly at a record
+    boundary returns the records before the cut: callers that need a full
+    set check the names (``model.validate_weights``, the CLI's adapter
+    check).
+    """
     reader = _Reader(Path(path).read_bytes())
     magic = reader.take(4, "magic")
     if magic != MAGIC:

@@ -71,45 +71,42 @@ def softmax_rows(a: np.ndarray) -> np.ndarray:
 
 def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Normalization over the last axis with population variance, then affine gamma/beta."""
+    return layernorm_parts(a, gamma, beta, eps)[0]
+
+
+def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
+    """:func:`layernorm` and its intermediates: (out, (a - mean, sqrt(var + eps)))."""
     g = np.asarray(gamma, dtype=np.float64).reshape(-1)
     b = np.asarray(beta, dtype=np.float64).reshape(-1)
     if g.size != a.shape[-1] or b.size != a.shape[-1]:
         raise ShapeError(
             f"layernorm scale/shift length {g.size}/{b.size} does not match row width {a.shape[-1]}"
         )
-    out = a - a.mean(axis=-1, keepdims=True)
-    std = np.square(out).mean(axis=-1, keepdims=True)
+    centered = a - a.mean(axis=-1, keepdims=True)
+    out = np.square(centered)
+    std = out.mean(axis=-1, keepdims=True)
     std += eps
     np.sqrt(std, out=std)
-    out /= std  # a division, not a product with 1/std: that would round differently
+    # a division, not a product with 1/std: that would round differently
+    np.divide(centered, std, out=out)
     out *= g
     out += b
-    return out
+    return out, (centered, std)
 
 
 def gelu(a: np.ndarray) -> np.ndarray:
     """Exact GELU x*Phi(x) via the error function (no tanh approximation)."""
+    return gelu_parts(a)[0]
+
+
+def gelu_parts(a: np.ndarray):
+    """:func:`gelu` and its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf)."""
     cdf = a * INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     out = a * 0.5
     out *= cdf
-    return out
-
-
-def gelu_grad(a: np.ndarray) -> np.ndarray:
-    """d/dx of exact GELU: Phi(x) + x*phi(x)."""
-    pdf = a * -0.5
-    pdf *= a
-    np.exp(pdf, out=pdf)
-    pdf *= INV_SQRT_2PI
-    pdf *= a
-    out = a * INV_SQRT2
-    erf(out, out=out)
-    out += 1.0
-    out *= 0.5
-    out += pdf
-    return out
+    return out, cdf
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -191,18 +191,14 @@ def mha(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     """Multi-head attention over a normalized (B, T, D) token batch.
 
     The D x D projections are column-partitioned into head blocks, which
-    ``split_heads`` turns into a batch axis; per head:
+    the ``attention`` primitive makes a batch axis; per head:
     softmax(Q K^T / sqrt(D_h)) V, heads merged back, then the output
     projection.
     """
     p = f"enc.{layer}.attn"
-    q, k, val = (
-        ops.split_heads(ops.linear(x_norm, v[f"{p}.w{n}"], v[f"{p}.b{n}"]), cfg.heads)
-        for n in "qkv"
-    )
-    scores = ops.scale(ops.matmul(q, ops.transpose(k)), 1.0 / np.sqrt(cfg.head_dim))
-    heads = ops.matmul(ops.softmax_rows(scores), val)
-    return ops.linear(ops.merge_heads(heads), v[f"{p}.wo"], v[f"{p}.bo"])
+    q, k, val = (ops.linear(x_norm, v[f"{p}.w{n}"], v[f"{p}.b{n}"]) for n in "qkv")
+    heads = ops.attention(q, k, val, cfg.heads, 1.0 / np.sqrt(cfg.head_dim))
+    return ops.linear(heads, v[f"{p}.wo"], v[f"{p}.bo"])
 
 
 def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):

@@ -37,6 +37,13 @@ class FusedWeights:
     sites_fused: int = 0
 
 
+def check_finite(bank: AdapterBank) -> None:
+    """Raise NumericalError naming the first adapter tensor that holds a NaN or inf."""
+    for name, arr in bank.tensors.items():
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"adapter tensor {name!r} holds non-finite values")
+
+
 def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     """Fold the bank into a copy of ``weights``.
 
@@ -46,9 +53,7 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     exactly zero leaves the weights bitwise untouched. Raises
     NumericalError naming the first adapter tensor that holds a NaN or inf.
     """
-    for name, arr in bank.tensors.items():
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"adapter tensor {name!r} holds non-finite values")
+    check_finite(bank)
     table = resolve_hooks(bank.config, backbone_cfg)
     fused = {name: arr.copy() for name, arr in weights.items()}
     sites = 0
@@ -73,9 +78,13 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
 def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: FusedWeights,
                   trials: int = 32, rng: Rng | None = None) -> float:
     """Max absolute logit deviation between the adapted-unfused forward and
-    the plain forward over the fused weights, across random images."""
+    the plain forward over the fused weights, across random images.
+
+    Raises NumericalError naming the first adapter tensor that holds a NaN
+    or inf, before any forward runs."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_finite(bank)
     rng = rng or Rng(0)
     table = resolve_hooks(bank.config, backbone_cfg)
     values = dict(weights)

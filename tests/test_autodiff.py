@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from arclab.autodiff import PRIMITIVES, Eager, GradCheckReport, Tape, backward, gradcheck
 from arclab.errors import GraphError, ShapeError
@@ -40,19 +43,19 @@ class TestRecordForward:
         vb = tape.constant(b)
         prod = tape.matmul(va, vb)
         assert np.array_equal(prod.value, Eager.matmul(a, b))
-        total = tape.scale(tape.mean(prod), float(prod.value.size))
+        total = tape.matmul(tape.mean(prod), tape.constant([[float(prod.value.size)]]))
         assert total.value[0, 0] == Eager.mean(Eager.matmul(a, b))[0, 0] * a.shape[0] * b.shape[1]
 
     def test_rejects_foreign_operand(self) -> None:
         tape, other = Tape(), Tape()
         x = other.constant(np.eye(2))
         with pytest.raises(GraphError):
-            tape.transpose(x)
+            tape.gelu(x)
 
     def test_rejects_raw_array_operand(self) -> None:
         tape = Tape()
         with pytest.raises(GraphError):
-            tape.transpose(np.eye(2))
+            tape.gelu(np.eye(2))
 
     def test_duplicate_parameter_name(self) -> None:
         tape = Tape()
@@ -63,30 +66,34 @@ class TestRecordForward:
 
 class TestBackward:
     def test_sum_of_squares_via_transpose_site(self) -> None:
-        # loss = W^T W (1x1) = sum of squares, gradient exactly 2 W through
-        # the direct site plus the transposed site
-        w0 = np.array([[1.0], [2.0]])
+        # loss = 1 + W W^T (1x1) = 1 + sum of squares: a tied adapter on the
+        # input [[1]] with unit coefficients. The gradient is exactly 2 W,
+        # through the direct (down) site plus the transposed (up) site.
+        w0 = np.array([[1.0, 2.0]])
         tape = Tape()
         w = tape.parameter("w", w0)
-        loss = tape.mean(tape.matmul(tape.transpose(w), w))
+        loss = tape.mean(tape.arc_adapter(tape.constant([[1.0]]), w, tape.constant(np.ones((1, 2))),
+                                          tape.constant(np.zeros((1, 1))), w, None, True))
         grads = backward(tape, loss)
         assert np.allclose(grads["w"], 2.0 * w0)
 
         def loss_fn(theta):
-            return float((theta.T @ theta)[0, 0])
+            return float(1.0 + (theta @ theta.T)[0, 0])
 
         assert np.abs(grads["w"] - _fd_grad(loss_fn, w0.copy())).max() <= 1e-6
 
     def test_sum_outer_product_matches_fd(self) -> None:
+        # a tied adapter on the identity: I + W W^T, summed
         w0 = np.array([[1.0], [2.0]])
         tape = Tape()
         w = tape.parameter("w", w0)
-        prod = tape.matmul(w, tape.transpose(w))
-        loss = tape.scale(tape.mean(prod), float(prod.value.size))
+        prod = tape.arc_adapter(tape.constant(np.eye(2)), w, tape.constant(np.ones((1, 1))),
+                                tape.constant(np.zeros((1, 2))), w, None, True)
+        loss = tape.matmul(tape.mean(prod), tape.constant([[float(prod.value.size)]]))
         grads = backward(tape, loss)
 
         def loss_fn(theta):
-            return float((theta @ theta.T).sum())
+            return float(2.0 + (theta @ theta.T).sum())
 
         assert np.abs(grads["w"] - _fd_grad(loss_fn, w0.copy())).max() <= 1e-6
 
@@ -126,7 +133,7 @@ class TestBackward:
         tape = Tape()
         b = tape.parameter("b", np.array([[0.5, -0.5]]))
         out = tape.add(tape.constant(x), b)
-        loss = tape.scale(tape.mean(out), float(out.value.size))
+        loss = tape.matmul(tape.mean(out), tape.constant([[float(out.value.size)]]))
         grads = backward(tape, loss)
         assert np.array_equal(grads["b"], np.array([[3.0, 3.0]]))
 
@@ -152,34 +159,59 @@ class TestBackward:
 
 
 class TestPrimitiveGradients:
-    """Finite-difference checks of each registered primitive's vjp."""
+    """Finite-difference checks of each registered primitive's vjp.
+
+    ``col_scale``, ``mask`` and ``scale`` keep the ids of the primitives they
+    once checked; those operations now live inside ``arc_adapter`` (the
+    coefficient scaling and the dropout mask) and ``attention`` (the score
+    scale), which the cases check with every operand a parameter.
+    """
 
     PRIMITIVES = ["matmul", "layernorm", "softmax", "gelu", "col_scale",
-                  "concat_slice", "mask", "cross_entropy", "linear", "add", "scale"]
+                  "concat_slice", "mask", "cross_entropy", "linear", "add", "scale",
+                  "arc_adapter_tied", "arc_adapter_untied_mask", "arc_adapter_frozen_x",
+                  "attention"]
 
     @staticmethod
     def _case(name: str):
         """(build, parameter values) of the gradcheck case ``name``."""
         rng = np.random.default_rng(TestPrimitiveGradients.PRIMITIVES.index(name))
         x0 = rng.normal(size=(3, 4))
-        mask = np.where(rng.uniform(size=(3, 4)) < 0.4, 0.0, 1.0 / 0.6)
         if name == "linear":
             params = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
                       "b": rng.normal(size=(1, 5))}
         elif name == "add":
             params = {"x": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(1, 4))}
+        elif name in ("scale", "attention"):
+            shape, heads = ((3, 4), 2) if name == "scale" else ((2, 3, 6), 3)
+            params = {n: rng.normal(size=shape) for n in ("x", "k", "v")}
+        elif name.startswith("arc_adapter") or name in ("col_scale", "mask"):
+            tied = name in ("mask", "arc_adapter_tied", "arc_adapter_frozen_x")
+            masked = name in ("mask", "arc_adapter_untied_mask", "arc_adapter_frozen_x")
+            params = {"x": rng.normal(size=(2, 3, 4)), "down": rng.normal(size=(4, 2)),
+                      "coef": rng.normal(size=(1, 2)), "bias": rng.normal(size=(1, 4))}
+            if not tied:
+                params["up"] = rng.normal(size=(2, 4))
+            mask = np.where(rng.uniform(size=(2, 3, 2)) < 0.4, 0.0, 1.0 / 0.6) if masked else None
+            frozen_x = params.pop("x") if name == "arc_adapter_frozen_x" else None
         else:
             params = {"x": x0}
 
         def build(tape, values):
-            x = tape.parameter("x", values["x"])
+            x = tape.parameter("x", values["x"]) if "x" in params else tape.constant(frozen_x)
             if name == "linear":
                 y = tape.linear(x, tape.parameter("w", values["w"]),
                                 tape.parameter("b", values["b"]))
             elif name == "add":
                 y = tape.add(x, tape.parameter("b", values["b"]))
-            elif name == "scale":
-                y = tape.scale(x, -1.7)
+            elif name in ("scale", "attention"):
+                k, v = (tape.parameter(n, values[n]) for n in ("k", "v"))
+                y = tape.attention(x, k, v, heads, -1.7)
+            elif "down" in params:
+                down = tape.parameter("down", values["down"])
+                up = down if tied else tape.parameter("up", values["up"])
+                y = tape.arc_adapter(x, up, tape.parameter("coef", values["coef"]),
+                                     tape.parameter("bias", values["bias"]), down, mask, tied)
             elif name == "matmul":
                 y = tape.matmul(x, tape.constant(rng_w))
             elif name == "layernorm":
@@ -189,22 +221,18 @@ class TestPrimitiveGradients:
                 y = tape.softmax_rows(x)
             elif name == "gelu":
                 y = tape.gelu(x)
-            elif name == "col_scale":
-                y = tape.col_scale(x, tape.constant(rng_c))
             elif name == "concat_slice":
                 top = tape.slice_tokens(x, slice(0, 2))
                 bottom = tape.slice_tokens(x, slice(2, 3))
-                y = tape.concat_tokens(bottom, top)
-                heads = tape.split_heads(y, 2)
-                y = tape.merge_heads(tape.matmul(heads, tape.transpose(heads)))
-            elif name == "mask":
-                y = tape.mul_mask(x, mask)
+                # the constant block broadcasts the (3, 4) tokens to a batch of two
+                z = tape.concat_tokens(tape.constant(rng_z), tape.concat_tokens(bottom, top))
+                y = tape.matmul(z, z)  # batched (2, 4, 4) operands on both sides
             else:  # cross_entropy
                 return tape.cross_entropy(x, np.array([1, 3, 0]))
             return tape.mean(tape.gelu(y))
 
         rng_w = rng.normal(size=(4, 4))
-        rng_c = rng.normal(size=(1, 4))
+        rng_z = rng.normal(size=(2, 1, 4))
         return build, params
 
     @pytest.mark.parametrize("name", PRIMITIVES)
@@ -293,21 +321,24 @@ class TestGradcheck:
         w0 = rng.normal(size=(3, 1))
 
         def build(tape, values):
+            # w as a row: resid^T = w^T X^T - y^T, and a tied adapter on the
+            # input [[1]] with unit coefficients gives 1 + resid^T resid
             w = tape.parameter("w", values["w"])
-            resid = tape.add(tape.matmul(tape.constant(x), w), tape.constant(-y))
-            sq = tape.mul_mask(resid, np.ones_like(y))  # keep resid node alive
-            prod = tape.matmul(tape.transpose(resid), sq)
-            return tape.scale(prod, 1.0 / x.shape[0])
+            resid = tape.add(tape.matmul(w, tape.constant(x.T)), tape.constant(-y.T))
+            gram = tape.arc_adapter(tape.constant([[1.0]]), resid,
+                                    tape.constant(np.ones((1, x.shape[0]))),
+                                    tape.constant(np.zeros((1, 1))), resid, None, True)
+            return tape.matmul(gram, tape.constant([[1.0 / x.shape[0]]]))
 
-        report = gradcheck(build, {"w": w0})
+        report = gradcheck(build, {"w": w0.T})
         assert report.passed and report.max_rel_err <= 1e-7
 
         # closed form: 2/n X^T (X w - y)
         tape = Tape()
-        out = build(tape, {"w": w0})
+        out = build(tape, {"w": w0.T})
         grads = backward(tape, out)
         closed = 2.0 / x.shape[0] * x.T @ (x @ w0 - y)
-        assert np.abs(grads["w"] - closed).max() <= 1e-10
+        assert np.abs(grads["w"].T - closed).max() <= 1e-10
 
     def test_unused_parameter_passes(self) -> None:
         def build(tape, values):
@@ -323,3 +354,210 @@ class TestGradcheck:
         report = GradCheckReport(errors={"w": 1.0}, tol=1e-5, h=1e-5)
         assert not report.passed
         assert "FAIL" in report.summary()
+
+
+# -- the fine-grained compositions the coarse primitives replace, in plain numpy,
+# operation for operation (array layouts included, since BLAS rounding depends on them)
+
+
+def _swapped(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _flat(a):
+    return a.reshape(-1, a.shape[-1])
+
+
+def _split(a, heads):
+    *lead, tokens, width = a.shape
+    return np.swapaxes(a.reshape(*lead, tokens, heads, width // heads), -2, -3)
+
+
+def _merge(a):
+    *lead, heads, tokens, width = a.shape
+    return np.swapaxes(a, -2, -3).reshape(*lead, tokens, heads * width)
+
+
+def _accumulate(grads, name, g):
+    grads[name] = grads[name] + g if name in grads else g
+
+
+def _upstream(y):
+    """d mean(gelu(y)) / dy as the mean vjp and the exact GELU derivative
+    Phi(y) + y phi(y) compute it."""
+    pdf = y * -0.5
+    pdf *= y
+    np.exp(pdf, out=pdf)
+    pdf *= 1.0 / np.sqrt(2.0 * np.pi)
+    pdf *= y
+    slope = y * (1.0 / np.sqrt(2.0))
+    erf(slope, out=slope)
+    slope += 1.0
+    slope *= 0.5
+    slope += pdf
+    return np.full(y.shape, 1.0 / y.size) * slope
+
+
+def _fine_adapter(x, up, coef, bias, down, mask, tied):
+    """matmul, col_scale, mul_mask, transpose, linear and add; returns the
+    output and a backward that maps g to each input's gradient contributions
+    in the order the old tape summed them."""
+    pre = x @ down
+    hidden = pre * coef.reshape(-1)
+    if mask is not None:
+        hidden = hidden * mask
+    w_up = np.ascontiguousarray(_swapped(up)) if tied else up
+    lin = _flat(hidden) @ w_up
+    lin += bias
+    y = x + lin.reshape(x.shape)
+
+    def back(g):
+        ghidden = g @ _swapped(w_up)
+        gup = _flat(hidden).T @ _flat(g)
+        gbias = _flat(g).sum(axis=0).reshape(bias.shape)
+        if mask is not None:
+            ghidden = ghidden * mask
+        gpre = ghidden * coef.reshape(-1)
+        gcoef = (ghidden * pre).reshape(-1, pre.shape[-1]).sum(axis=0).reshape(coef.shape)
+        # node order, last first: add (x), linear (bias, up), transpose, col_scale, matmul
+        return [("x", g), ("bias", gbias), ("up", _swapped(gup) if tied else gup),
+                ("coef", gcoef), ("x", gpre @ _swapped(down)), ("down", _flat(x).T @ _flat(gpre))]
+
+    return y, back
+
+
+def _fine_attention(q, k, v, heads, scale):
+    """split_heads, transpose, matmul, scale, softmax_rows, matmul and merge_heads."""
+    qh, kh, vh = _split(q, heads), _split(k, heads), _split(v, heads)
+    kt = np.ascontiguousarray(_swapped(kh))
+    scores = (qh @ kt) * scale
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    y = _merge(probs @ vh)
+
+    def back(g):
+        gh = _split(g, heads)
+        gprobs = gh @ _swapped(vh)
+        gv = _merge(_swapped(probs) @ gh)
+        gscores = (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        return _merge(gscores @ _swapped(kt)), _merge(_swapped(_swapped(qh) @ gscores)), gv
+
+    return y, back
+
+
+def _draw_mask(rng, shape, masked):
+    if not masked:
+        return None
+    return np.where(rng.uniform(size=shape) < 0.3, 0.0, 1.0 / 0.7)
+
+
+class TestCoarseMatchesFine:
+    """``arc_adapter`` and ``attention`` equal the fine-grained compositions
+    they replace bit for bit: Tape and Eager forwards, and every gradient
+    ``backward`` accumulates, the shared projections' included. Sizes of 16
+    and up are drawn because BLAS rounding starts to depend on operand
+    layouts there."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 3), tokens=st.integers(1, 5), width=st.integers(1, 20),
+           data=st.data(), tied=st.booleans(), masked=st.booleans(),
+           x_trainable=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_arc_adapter(self, batch, tokens, width, data, tied, masked, x_trainable,
+                         seed) -> None:
+        """Two stacked sites share the projections, as layers do under inter sharing."""
+        bottleneck = data.draw(st.integers(1, width), label="bottleneck")
+        rng = np.random.default_rng(seed)
+        values = {"x": rng.normal(size=(batch, tokens, width)),
+                  "down": rng.normal(size=(width, bottleneck))}
+        if not tied:
+            values["up"] = rng.normal(size=(bottleneck, width))
+        for site in (1, 2):
+            values[f"coef{site}"] = rng.normal(size=(1, bottleneck))
+            values[f"bias{site}"] = rng.normal(size=(1, width))
+        masks = [_draw_mask(rng, (batch, tokens, bottleneck), masked) for _ in (1, 2)]
+
+        def run(ops, v):
+            up = v["down"] if tied else v["up"]
+            y = v["x"]
+            for site, mask in zip((1, 2), masks):
+                y = ops.arc_adapter(y, up, v[f"coef{site}"], v[f"bias{site}"], v["down"],
+                                    mask, tied)
+            return y
+
+        tape = Tape()
+        tv = {n: (tape.parameter(n, a) if n != "x" or x_trainable else tape.constant(a))
+              for n, a in values.items()}
+        y_tape = run(tape, tv)
+        grads = backward(tape, tape.mean(tape.gelu(y_tape)))
+
+        up = values["down"] if tied else values["up"]
+        y1, back1 = _fine_adapter(values["x"], up, values["coef1"], values["bias1"],
+                                  values["down"], masks[0], tied)
+        y2, back2 = _fine_adapter(y1, up, values["coef2"], values["bias2"], values["down"],
+                                  masks[1], tied)
+        want: dict[str, np.ndarray] = {}
+        rename = {1: {"x": "x"}, 2: {"x": "y1"}}
+        g = _upstream(y2)
+        for site, back in ((2, back2), (1, back1)):
+            for name, contribution in back(g):
+                if name == "up" and tied:
+                    name = "down"
+                elif name in ("coef", "bias"):
+                    name += str(site)
+                _accumulate(want, rename[site].get(name, name), contribution)
+            g = want.pop("y1", None)
+        if not x_trainable:
+            del want["x"]
+
+        assert np.array_equal(y_tape.value, y2)
+        assert np.array_equal(run(Eager, values), y2)
+        assert set(grads) == set(want)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, want[name]), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 3), tokens=st.integers(1, 5), heads=st.integers(1, 3),
+           head_dim=st.sampled_from([1, 2, 3, 4, 16, 17]), trainable=st.lists(st.booleans(), min_size=4, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_attention(self, batch, tokens, heads, head_dim, trainable, seed) -> None:
+        """q, k and v are projections of one input, as in the model, so the
+        input's gradient sums the v, k and q contributions in that order."""
+        width = heads * head_dim
+        scale = 1.0 / np.sqrt(head_dim)
+        rng = np.random.default_rng(seed)
+        values = {"x": rng.normal(size=(batch, tokens, width))}
+        for n in "qkv":
+            values[f"w{n}"] = rng.normal(size=(width, width))
+            values[f"b{n}"] = rng.normal(size=(1, width))
+        flags = dict(zip("xqkv", trainable))  # x, and each projection's weight and bias
+
+        def run(ops, v):
+            q, k, val = (ops.linear(v["x"], v[f"w{n}"], v[f"b{n}"]) for n in "qkv")
+            return ops.attention(q, k, val, heads, scale)
+
+        tape = Tape()
+        tv = {n: tape.parameter(n, a, trainable=flags[n[-1]]) for n, a in values.items()}
+        y_tape = run(tape, tv)
+        grads = backward(tape, tape.mean(tape.gelu(y_tape)))
+
+        x = values["x"]
+        proj = {}
+        for n in "qkv":
+            out = _flat(x) @ values[f"w{n}"]
+            out += values[f"b{n}"]
+            proj[n] = out.reshape(x.shape)
+        y, back = _fine_attention(proj["q"], proj["k"], proj["v"], heads, scale)
+        gq, gk, gv = back(_upstream(y))
+        want: dict[str, np.ndarray] = {}
+        for n, g in (("v", gv), ("k", gk), ("q", gq)):  # the old tape's node order, last first
+            _accumulate(want, "x", g @ _swapped(values[f"w{n}"]))
+            want[f"w{n}"] = _flat(x).T @ _flat(g)
+            want[f"b{n}"] = _flat(g).sum(axis=0).reshape(1, width)
+        want = {n: g for n, g in want.items() if flags[n[-1]]}
+
+        assert np.array_equal(y_tape.value, y)
+        assert np.array_equal(run(Eager, values), y)
+        assert set(grads) == set(want)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, want[name]), name

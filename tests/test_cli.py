@@ -220,6 +220,44 @@ class TestCommands:
         assert "'arc.ffn.1.bias'" in err and "non-finite" in err
         assert not fused.exists()
 
+    def test_verify_non_finite_adapter_exit_3(self, tmp_path, capfd) -> None:
+        config = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        ckpt = run_dir / "checkpoint.arcl"
+        fused = tmp_path / "fused.arcl"
+        assert cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(fused)]) == 0
+        header, tensors = load(ckpt)
+        tensors["arc.ffn.1.bias"][0, 0] = np.inf
+        save(ckpt, tensors, header.config_digest)
+        capfd.readouterr()
+        rc = cli.main(["verify", "--checkpoint", str(ckpt), "--fused", str(fused)])
+        out, err = capfd.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert "'arc.ffn.1.bias'" in err and "non-finite" in err
+        assert "RuntimeWarning" not in out + err and "max_logit_deviation" not in out
+
+    def test_fuse_checkpoint_cut_at_record_boundary_exit_2(self, tmp_path, capsys) -> None:
+        """A file cut exactly before its last tensor record loads as a shorter
+        tensor set; the command then reports the missing weight."""
+        config = write_config(tmp_path)
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        ckpt = run_dir / "checkpoint.arcl"
+        header, tensors = load(ckpt)
+        last = sorted(tensors)[-1]
+        blob = ckpt.read_bytes()
+        record = 4 + len(last.encode()) + 4 + 4 * tensors[last].ndim + 8 * tensors[last].size
+        ckpt.write_bytes(blob[:-record])
+        _, partial = load(ckpt)
+        assert sorted(partial) == sorted(tensors)[:-1]
+        capsys.readouterr()
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(tmp_path / "f.arcl")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert "missing" in err and last in err
+        assert not (tmp_path / "f.arcl").exists()
+
     def test_gradcheck_command(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)
         rc = cli.main(["gradcheck", "--config", str(config), "--tol", "1e-5"])

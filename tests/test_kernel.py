@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arclab import kernel
+from arclab.autodiff import PRIMITIVES
 from arclab.errors import NumericalError, ShapeError
 from arclab.kernel import (
     Rng,
     cross_entropy,
     gelu,
-    gelu_grad,
     layernorm,
     linear,
     matmul,
@@ -25,6 +25,13 @@ from arclab.kernel import (
 
 def _rand(rng: np.random.Generator, *shape):
     return rng.normal(size=shape)
+
+
+def _arrays(out) -> list:
+    """Every array in a kernel result, a ``*_parts`` tuple included."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    return [a for part in out for a in _arrays(part)]
 
 
 class TestMatmul:
@@ -88,20 +95,21 @@ class TestKernelsKeepInputs:
     """The in-place kernels write only into arrays they allocated."""
 
     @pytest.mark.parametrize("name", ["linear", "layernorm", "softmax_rows", "gelu",
-                                      "gelu_grad"])
+                                      "gelu_parts", "layernorm_parts"])
     def test_inputs_unmodified(self, name: str) -> None:
         rng = np.random.default_rng(11)
         x = _rand(rng, 2, 3, 4)
         args = {
             "linear": (x, _rand(rng, 4, 5), _rand(rng, 1, 5)),
             "layernorm": (x, _rand(rng, 1, 4), _rand(rng, 1, 4), 1e-6),
+            "layernorm_parts": (x, _rand(rng, 1, 4), _rand(rng, 1, 4), 1e-6),
         }.get(name, (x,))
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         before = [a.copy() for a in arrays]
         out = getattr(kernel, name)(*args)
         for a, kept in zip(arrays, before):
             assert np.array_equal(a, kept)
-            assert not np.shares_memory(out, a)
+            assert not any(np.shares_memory(o, a) for o in _arrays(out))
 
 
 class TestSvd:
@@ -257,10 +265,14 @@ class TestGelu:
         assert abs(gelu(np.array([[1.0]]))[0, 0] - 0.8413447460685429486) <= 1e-15
 
     def test_grad_matches_finite_differences(self) -> None:
+        # the derivative is the vjp of the gelu primitive, from the forward's cdf
         x = np.linspace(-4.0, 4.0, 33).reshape(1, -1)
         h = 1e-6
         fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-        assert np.abs(fd - gelu_grad(x)).max() <= 1e-9
+        prim = PRIMITIVES["gelu"]
+        _, cdf = prim.forward(x)
+        (grad,) = prim.vjp(np.ones_like(x), cdf, (True,), x)
+        assert np.abs(fd - grad).max() <= 1e-9
 
 
 class TestCrossEntropy:

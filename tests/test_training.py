@@ -206,8 +206,9 @@ class TestTrain:
         assert len(sizes) == 2 and sizes[0] == sizes[1]
 
     def test_readme_demo_tape_size(self, monkeypatch) -> None:
-        """The README demo step records 174 nodes: one linear node per
-        projection, FFN layer, patch embedding, head and adapter up-projection."""
+        """The README demo step records 120 nodes: one linear node per
+        projection, FFN layer, patch embedding and head, one attention node
+        per layer and one arc_adapter node per adapter site."""
         sizes = []
         real_backward = training.backward
 
@@ -222,7 +223,7 @@ class TestTrain:
         task = SyntheticTask(classes=4, image_size=8, channels=1, train_count=32, eval_count=16)
         train(backbone, model.init_backbone(backbone, Rng(7)), bank, make_task(task, Rng(8)),
               TrainConfig(lr=0.01, epochs=1, batch_size=8, seed=3), max_steps=2)
-        assert sizes == [174, 174]
+        assert sizes == [120, 120]
 
     def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
         weights, bank, data = fresh_setup(dropout=0.1)
