@@ -22,7 +22,6 @@ from .kernel import Rng
 SITES = ("before_mha", "after_mha", "before_ffn", "after_ffn")
 GROUPS = ("mha", "ffn")
 SHARINGS = ("intra_inter", "intra_inter_star", "non_intra_inter", "non_intra_non_inter")
-FORMS = ("sequential", "parallel")
 VARIANTS = ("bottleneck", "full_rank")
 
 
@@ -34,17 +33,15 @@ def group_of(site: str) -> str:
 class ArcConfig:
     """Adapter hyperparameters.
 
-    ``insertion_layers`` of None means every encoder layer. The two forms
-    compute the same function (the bypass branch merges where the block
-    projects its input, which is what keeps fusion exact); ``parallel`` is
-    additionally restricted to the before_* sites.
+    ``insertion_layers`` of None means every encoder layer. Each site
+    applies one affine map, x -> x (W_down diag(c) W_up + I) + b, merged
+    where the block projects its input, which is what keeps fusion exact.
     """
 
     bottleneck: int = 50
     positions: tuple[str, ...] = ("before_mha", "before_ffn")
     sharing: str = "intra_inter"
     insertion_layers: tuple[int, ...] | None = None
-    form: str = "sequential"
     dropout_rate: float = 0.1
     variant: str = "bottleneck"
 
@@ -60,8 +57,6 @@ class ArcConfig:
         object.__setattr__(self, "positions", positions)
         if self.sharing not in SHARINGS:
             raise ConfigError(f"sharing must be one of {SHARINGS}, got {self.sharing!r}")
-        if self.form not in FORMS:
-            raise ConfigError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -71,10 +66,6 @@ class ArcConfig:
             if not layers or layers[0] < 1:
                 raise ConfigError(f"insertion_layers must be nonempty positive, got {layers}")
             object.__setattr__(self, "insertion_layers", layers)
-        if self.form == "parallel":
-            after = [s for s in self.positions if s.startswith("after")]
-            if after:
-                raise ConfigError(f"parallel form does not support after_* sites, got {after}")
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -122,6 +113,15 @@ def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
     return layers
 
 
+def _fitted_layers(config: ArcConfig, backbone) -> tuple[int, ...]:
+    """The bank's layers on ``backbone``; rejects a bottleneck wider than the embedding."""
+    if config.variant == "bottleneck" and config.bottleneck > backbone.embed_dim:
+        raise ConfigError(
+            f"bottleneck {config.bottleneck} exceeds embed_dim {backbone.embed_dim}"
+        )
+    return resolved_layers(config, backbone.layers)
+
+
 @dataclass
 class AdapterBank:
     """Named trainable tensors of one adapter configuration."""
@@ -139,11 +139,9 @@ class AdapterBank:
 def adapter_shapes(config: ArcConfig, backbone) -> dict[str, tuple[int, int]]:
     """Name -> shape table for every tensor of a bank (vectors as single rows),
     in the bank's canonical order."""
+    layers = _fitted_layers(config, backbone)
     d = backbone.embed_dim
     dp = config.bottleneck
-    if config.variant == "bottleneck" and dp > d:
-        raise ConfigError(f"bottleneck {dp} exceeds embed_dim {d}")
-    layers = resolved_layers(config, backbone.layers)
     if config.variant == "full_rank":
         return {config.delta_key(g, layer): (d, d) for g in config.groups for layer in layers}
     shapes: dict[str, tuple[int, int]] = {}
@@ -200,11 +198,7 @@ def resolve_hooks(config: ArcConfig, backbone) -> HookTable:
     Sites transform: before_mha the LN1 output, before_ffn the LN2 output,
     after_mha / after_ffn the block output before its residual add.
     """
-    layers = resolved_layers(config, backbone.layers)
-    if config.variant == "bottleneck" and config.bottleneck > backbone.embed_dim:
-        raise ConfigError(
-            f"bottleneck {config.bottleneck} exceeds embed_dim {backbone.embed_dim}"
-        )
+    layers = _fitted_layers(config, backbone)
     entries = {
         (layer, site): group_of(site)
         for layer in layers
@@ -219,33 +213,29 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 
-def dropout_masks(table: HookTable | None, batch: int, tokens: int, rng: Rng | None,
-                  dropout_rate: float | None = None):
-    """One train-mode batch's hidden-feature masks by (layer, site), or None
-    when no site drops anything.
+def dropout_masks(table: HookTable | None, batch: int, tokens: int, rng: Rng):
+    """One training batch's hidden-feature masks by (layer, site), drawn
+    from ``rng`` at the bank's ``dropout_rate``, or None when no site drops
+    anything (no draw is made then).
 
     A single draw covers the batch in (image, layer, site) order, the order
-    in which one image at a time would consume the stream. ``dropout_rate``
-    of None uses the bank's configured rate.
+    in which one image at a time would consume the stream.
     """
     if table is None or table.config.variant == "full_rank":
         return None
     cfg = table.config
-    rate = cfg.dropout_rate if dropout_rate is None else dropout_rate
-    if rate <= 0.0:
+    if cfg.dropout_rate <= 0.0:
         return None
-    if rng is None:
-        raise ConfigError("train-mode adapter dropout needs an rng")
-    masks = dropout_mask(rng, (batch, len(table), tokens, cfg.bottleneck), rate)
+    masks = dropout_mask(rng, (batch, len(table), tokens, cfg.bottleneck), cfg.dropout_rate)
     return {key: masks[:, i] for i, key in enumerate(table.entries)}
 
 
 def arc_forward(ops, table: HookTable, layer: int, site: str, x, values, mask=None):
     """Apply the adapter registered at (layer, site) to a (B, T, D) batch x.
 
-    Sequential and parallel forms compute x + delta(x); a ``mask`` (train
-    mode only) multiplies the hidden features, so eval is deterministic
-    with no rescaling.
+    Computes x + (x W_down diag(c)) W_up + b (or x + x delta for the
+    full-rank variant); a ``mask`` (training only) multiplies the hidden
+    features, so evaluation is deterministic with no rescaling.
     """
     if (layer, site) not in table.entries:
         raise ConfigError(f"no adapter registered at layer {layer}, site {site!r}")

@@ -308,28 +308,23 @@ class _Node(NamedTuple):
     res: object = None  # what the vjp reuses from the forward (None when there is no vjp)
 
 
-@dataclass
-class _Param:
-    idx: int
-    trainable: bool
-
-
 class Tape:
     """Append-only record of a forward computation plus a parameter registry.
 
     Every entry of :data:`PRIMITIVES` is a method taking :class:`Var`
-    operands and returning a :class:`Var`.
+    operands and returning a :class:`Var`. A :meth:`parameter` is a named
+    trainable leaf; a frozen tensor enters as a :meth:`constant`.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._params: dict[str, _Param] = {}
+        self._params: dict[str, int] = {}  # name -> leaf index
 
-    def parameter(self, name: str, value: np.ndarray, trainable: bool = True) -> Var:
+    def parameter(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:
             raise GraphError(f"parameter {name!r} registered twice")
-        var = self._leaf(value, trainable)
-        self._params[name] = _Param(var.idx, trainable)
+        var = self._leaf(value, True)
+        self._params[name] = var.idx
         return var
 
     def constant(self, value) -> Var:
@@ -392,13 +387,13 @@ for _name, _prim in PRIMITIVES.items():
 
 
 def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
-    """Accumulated gradients of a scalar output for every touched trainable.
+    """Accumulated gradients of a scalar output for every touched parameter.
 
     Visits nodes exactly once in reverse topological (id) order. A parameter
     used at several sites receives the sum of all site contributions.
-    Frozen parameters never appear in the result, nodes no trainable
-    parameter feeds are never differentiated, and each vjp is told which
-    of its operands need a gradient, so it can skip the others.
+    Constants never appear in the result, nodes no parameter feeds are
+    never differentiated, and each vjp is told which of its operands need
+    a gradient, so it can skip the others.
     """
     if out.tape is not tape:
         raise GraphError("output node does not belong to this tape")
@@ -423,11 +418,7 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
-    return {
-        name: grads[p.idx]
-        for name, p in tape._params.items()
-        if p.trainable and p.idx in grads
-    }
+    return {name: grads[idx] for name, idx in tape._params.items() if idx in grads}
 
 
 @dataclass
@@ -460,10 +451,11 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-5, tol: float 
     """Compare analytic gradients against central finite differences.
 
     ``build(tape, values)`` must register each entry of ``values`` it uses
-    via ``tape.parameter(name, values[name], trainable=True)`` and return a
-    scalar loss node, deterministically for fixed values. The relative error
-    per entry uses denominator max(|analytic|, |numeric|, 1e-8). A parameter
-    the loss never touches counts as an exact zero gradient.
+    via ``tape.parameter(name, values[name])``, pass every other tensor as a
+    ``tape.constant``, and return a scalar loss node, deterministically for
+    fixed values. The relative error per entry uses denominator
+    max(|analytic|, |numeric|, 1e-8). A parameter the loss never touches
+    counts as an exact zero gradient.
     """
     tape = Tape()
     out = build(tape, params)

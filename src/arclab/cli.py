@@ -5,8 +5,8 @@ Run configs are strict JSON documents with sections ``backbone``, ``arc``,
 typo can never silently fall back to a default. Every command echoes the
 fully-defaulted effective config it ran with.
 
-Exit codes: 0 success, 1 a verification failed, 2 configuration error,
-3 numerical abort.
+Exit codes: 0 success, 1 a verification failed, 2 configuration error
+(an unreadable config or checkpoint path included), 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -113,11 +113,13 @@ def _build_section(name: str, cls, data, defaults: dict):
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = sorted(set(doc) - (set(_SECTIONS) | {"io"}))
@@ -301,10 +303,8 @@ def cmd_gradcheck(args) -> int:
     label = np.array([0])
 
     def build(tape, values):
-        vals = {n: tape.parameter(n, a, trainable=False) for n, a in weights.items()}
-        for name, base in live.items():
-            vals[name] = tape.parameter(name, values.get(name, base),
-                                        trainable=name in values)
+        vals = {n: tape.constant(a) for n, a in weights.items()}
+        vals.update({n: tape.parameter(n, a) for n, a in values.items()})
         logits = model.forward(tape, cfg.backbone, vals, image, hooks=hooks)
         return tape.cross_entropy(logits, label)
 
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, CheckpointError, FileNotFoundError) as exc:
+    except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingAborted, NumericalError) as exc:

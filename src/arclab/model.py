@@ -231,16 +231,14 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
     return ops.linear(cls, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, hooks=None, mode="eval",
-            rng=None, dropout_rate=None):
+def forward(ops, cfg: BackboneConfig, v, images, hooks=None, rng=None):
     """Logits (B x classes) for a (B, H, W, C) image stack; ``hooks`` wires
-    the adapter bank in. Train mode draws the batch's dropout masks from
-    ``rng`` before the forward runs."""
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    the adapter bank in. Given an ``rng`` (training), the batch's adapter
+    dropout masks are drawn from it before the forward runs; without one
+    the pass is the deterministic evaluation forward."""
     patches = extract_patches(images, cfg)
     masks = None
-    if mode == "train":
-        masks = adapters.dropout_masks(hooks, patches.shape[0], cfg.tokens + 1, rng, dropout_rate)
+    if rng is not None:
+        masks = adapters.dropout_masks(hooks, patches.shape[0], cfg.tokens + 1, rng)
     x_emb = patch_embed(ops, cfg, v, ops.constant(patches))
     return forward_tokens(ops, cfg, v, x_emb, hooks, masks)

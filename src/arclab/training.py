@@ -34,8 +34,6 @@ class TrainConfig:
     warmup_epochs: int = 0
     schedule: str = "cosine"
     seed: int = 0
-    dropout_rate: float | None = None  # None: use the bank's configured rate
-    optimizer: str = "adamw"
 
     def __post_init__(self):
         if self.lr < 0:
@@ -50,8 +48,6 @@ class TrainConfig:
             raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.optimizer != "adamw":
-            raise ConfigError(f"only the adamw optimizer is implemented, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +167,10 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     TrainingAborted on a non-finite loss.
     """
     hooks = resolve_hooks(bank.config, backbone_cfg) if bank is not None else None
-    dropout = cfg.dropout_rate
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
         trainable.update(bank.tensors)
+    frozen = {name: arr for name, arr in weights.items() if name not in trainable}
     opt = AdamW(weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
     n = data.train_images.shape[0]
@@ -194,15 +190,10 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
             tape = Tape()
-            values = {
-                name: tape.parameter(name, arr, trainable=(name in trainable))
-                for name, arr in weights.items()
-            }
-            if bank is not None:
-                for name, arr in bank.tensors.items():
-                    values[name] = tape.parameter(name, arr, trainable=True)
+            values = {name: tape.constant(arr) for name, arr in frozen.items()}
+            values.update({name: tape.parameter(name, arr) for name, arr in trainable.items()})
             logits = model.forward(tape, backbone_cfg, values, data.train_images[idx],
-                                   hooks=hooks, mode="train", rng=rng, dropout_rate=dropout)
+                                   hooks=hooks, rng=rng)
             labels = data.train_labels[idx]
             loss_node = tape.cross_entropy(logits, labels)
             loss = float(loss_node.value[0, 0])

@@ -28,7 +28,6 @@ class TestArcConfig:
         assert cfg.bottleneck == 50
         assert cfg.positions == ("before_mha", "before_ffn")
         assert cfg.sharing == "intra_inter"
-        assert cfg.form == "sequential"
 
     def test_positions_canonicalized(self) -> None:
         cfg = ArcConfig(positions=("before_ffn", "before_mha", "before_ffn"))
@@ -37,10 +36,9 @@ class TestArcConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(bottleneck=0), dict(positions=()), dict(positions=("mha",)),
-         dict(sharing="none"), dict(form="serial"), dict(dropout_rate=1.0),
+         dict(sharing="none"), dict(dropout_rate=1.0),
          dict(dropout_rate=-0.1), dict(variant="low_rank"),
-         dict(insertion_layers=(0, 1)),
-         dict(form="parallel", positions=("after_mha",))],
+         dict(insertion_layers=(0, 1))],
     )
     def test_invalid(self, kwargs) -> None:
         with pytest.raises(ConfigError):
@@ -57,16 +55,13 @@ class TestInit:
         w = model.init_backbone(TOY, Rng(7))
         img = Rng(8).normals((1, 8, 8, 1))
         plain = model.forward(Eager(), TOY, w, img)
-        combos = list(product(adapters.SHARINGS, POSITION_SETS, ("sequential",))) + [
-            ("intra_inter", ("before_mha", "before_ffn"), "parallel"),
-        ]
-        for sharing, positions, form in combos:
-            cfg = ArcConfig(bottleneck=4, positions=positions, sharing=sharing, form=form)
+        for sharing, positions in product(adapters.SHARINGS, POSITION_SETS):
+            cfg = ArcConfig(bottleneck=4, positions=positions, sharing=sharing)
             bank = init_adapters(cfg, TOY, Rng(9))
             values = dict(w)
             values.update(bank.tensors)
             out = model.forward(Eager(), TOY, values, img, hooks=resolve_hooks(cfg, TOY))
-            assert np.array_equal(out, plain), (sharing, positions, form)
+            assert np.array_equal(out, plain), (sharing, positions)
         fr = ArcConfig(bottleneck=4, variant="full_rank")
         bank = init_adapters(fr, TOY, Rng(9))
         values = dict(w)
@@ -173,19 +168,9 @@ class TestArcForward:
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(7).normals((2, 8, 8, 1))
-        a = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
-        b = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
+        a = model.forward(Eager(), TOY, values, imgs, hooks=table)
+        b = model.forward(Eager(), TOY, values, imgs, hooks=table)
         assert np.array_equal(a, b)
-
-    def test_train_mode_requires_rng(self) -> None:
-        cfg = ArcConfig(bottleneck=4, dropout_rate=0.5)
-        bank = init_adapters(cfg, TOY, Rng(5))
-        table = resolve_hooks(cfg, TOY)
-        values = dict(model.init_backbone(TOY, Rng(6)))
-        values.update(bank.tensors)
-        with pytest.raises(ConfigError):
-            model.forward(Eager(), TOY, values, Rng(7).normals((1, 8, 8, 1)), hooks=table,
-                          mode="train")
 
     def test_outside_insertion_set_is_contract_error(self) -> None:
         cfg = ArcConfig(bottleneck=4, insertion_layers=(1,))
@@ -275,8 +260,8 @@ class TestDropout:
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
-        a = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="train", rng=Rng(0))
-        b = model.forward(Eager(), TOY, values, imgs, hooks=table, mode="eval")
+        a = model.forward(Eager(), TOY, values, imgs, hooks=table, rng=Rng(0))
+        b = model.forward(Eager(), TOY, values, imgs, hooks=table)
         assert np.array_equal(a, b)
 
 
@@ -340,10 +325,9 @@ class TestIntraSharingGradient:
         table = resolve_hooks(cfg, TOY)
 
         def build(tape, values):
-            vals = {n: tape.parameter(n, a, trainable=False) for n, a in w.items()}
-            for name, base in live.items():
-                vals[name] = tape.parameter(name, values.get(name, base),
-                                            trainable=name in values)
+            vals = {n: tape.constant(a) for n, a in w.items()}
+            vals.update({n: tape.constant(a) for n, a in live.items() if n not in values})
+            vals.update({n: tape.parameter(n, a) for n, a in values.items()})
             logits = model.forward(tape, TOY, vals, img, hooks=table)
             return tape.cross_entropy(logits, np.array([1]))
 

@@ -99,7 +99,7 @@ class TestBackward:
 
     def test_frozen_parameter_absent(self) -> None:
         tape = Tape()
-        frozen = tape.parameter("frozen", np.array([[2.0]]), trainable=False)
+        frozen = tape.constant(np.array([[2.0]]))
         x = tape.parameter("x", np.array([[3.0]]))
         loss = tape.mean(tape.matmul(frozen, x))
         grads = backward(tape, loss)
@@ -280,7 +280,7 @@ class TestNeedsGrad:
     def test_backward_passes_the_flags(self) -> None:
         tape = Tape()
         x = tape.constant(np.ones((2, 3, 4)))
-        w = tape.parameter("w", np.ones((4, 5)), trainable=False)
+        w = tape.constant(np.ones((4, 5)))
         b = tape.parameter("b", np.ones((1, 5)))
         out = tape.linear(x, w, b)
         seen = []
@@ -302,9 +302,9 @@ class TestNeedsGrad:
         def grads(weights_trainable: bool):
             tape = Tape()
             x = tape.parameter("x", x0)
-            w = tape.parameter("w", w0, trainable=weights_trainable)
+            w = tape.parameter("w", w0) if weights_trainable else tape.constant(w0)
             hidden = tape.gelu(tape.linear(x, w, tape.parameter("b", b0)))
-            v = tape.parameter("v", v0, trainable=weights_trainable)
+            v = tape.parameter("v", v0) if weights_trainable else tape.constant(v0)
             return backward(tape, tape.mean(tape.matmul(hidden, v)))
 
         frozen, full = grads(False), grads(True)
@@ -537,7 +537,8 @@ class TestCoarseMatchesFine:
             return ops.attention(q, k, val, heads, scale)
 
         tape = Tape()
-        tv = {n: tape.parameter(n, a, trainable=flags[n[-1]]) for n, a in values.items()}
+        tv = {n: tape.parameter(n, a) if flags[n[-1]] else tape.constant(a)
+              for n, a in values.items()}
         y_tape = run(tape, tv)
         grads = backward(tape, tape.mean(tape.gelu(y_tape)))
 

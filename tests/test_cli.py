@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,9 +40,23 @@ class TestRunConfig:
         assert doc["io"]["seed"] == 0
 
     def test_unknown_key_rejected_by_name(self, tmp_path) -> None:
-        path = write_config(tmp_path, train={"learning_rate": 0.1})
-        with pytest.raises(ConfigError, match="learning_rate"):
-            cli.load_run_config(path)
+        """A typo, and each key that earlier versions accepted and echoed."""
+        cases = [("train", "learning_rate", 0.1), ("arc", "form", "sequential"),
+                 ("train", "optimizer", "adamw"), ("train", "dropout_rate", 0.0)]
+        for section, key, value in cases:
+            path = write_config(tmp_path, **{section: {key: value}})
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in section '{section}'"):
+                cli.load_run_config(path)
+
+    def test_readme_run_config_loads(self, tmp_path) -> None:
+        """The README's "Run config" example is a valid config."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(example, encoding="utf-8")
+        echoed = json.loads(json.dumps(cli.load_run_config(path).as_dict()))
+        for section, keys in json.loads(example).items():
+            assert {key: echoed[section][key] for key in keys} == keys, section
 
     def test_unknown_section_rejected(self, tmp_path) -> None:
         path = tmp_path / "c.json"
@@ -273,8 +288,25 @@ class TestCommands:
         assert rc in (cli.EXIT_NUMERICAL, cli.EXIT_OK)
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys) -> None:
-        rc = cli.main(["train", "--config", str(tmp_path / "nope.json")])
-        assert rc == cli.EXIT_CONFIG
+        """A missing path, a directory or a non-UTF-8 file exits 2 naming the path."""
+        config = write_config(tmp_path)
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe" + config.read_text().encode("utf-16-le"))
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        cases = [
+            (["train", "--config", str(tmp_path / "nope.json")], tmp_path / "nope.json"),
+            (["gradcheck", "--config", str(folder)], folder),
+            (["gradcheck", "--config", str(utf16)], utf16),
+            (["fuse", "--checkpoint", str(folder), "--config", str(config),
+              "--out", str(tmp_path / "x")], folder),
+        ]
+        for argv, named in cases:
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            assert rc == cli.EXIT_CONFIG, argv
+            assert str(named) in err, (argv, err)
+        assert not (tmp_path / "x").exists()
 
     def test_run_reproducible_from_echoed_config(self, tmp_path) -> None:
         config = write_config(tmp_path)

@@ -184,7 +184,7 @@ class TestForward:
         img = Rng(17).normals((1, 8, 8, 1))
         plain = model.forward(Eager(), TOY, w, img)
         tape = Tape()
-        values = {n: tape.parameter(n, a, trainable=False) for n, a in w.items()}
+        values = {n: tape.constant(a) for n, a in w.items()}
         recorded = model.forward(tape, TOY, values, img)
         assert np.array_equal(recorded.value, plain)
 
@@ -241,10 +241,6 @@ class TestForward:
         adapted = model.forward(Eager(), TOY, values, img, hooks=table)
         assert np.array_equal(adapted, plain)
 
-    def test_invalid_mode(self) -> None:
-        with pytest.raises(ConfigError):
-            model.forward(Eager(), TOY, toy_weights(), np.zeros((1, 8, 8, 1)), mode="test")
-
 
 class TestBatchedContract:
     """A batch is B independent images: rows and gradients match batches of one."""
@@ -279,7 +275,7 @@ class TestBatchedContract:
 
         def grads(imgs, labs):
             tape = Tape()
-            vals = {n: tape.parameter(n, a, trainable=n in model.HEAD_NAMES)
+            vals = {n: tape.parameter(n, a) if n in model.HEAD_NAMES else tape.constant(a)
                     for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
             logits = model.forward(tape, TOY, vals, imgs, hooks=hooks)
@@ -302,8 +298,8 @@ class TestBatchedContract:
 
         def grads(backbone_trainable: bool):
             tape = Tape()
-            vals = {n: tape.parameter(n, a, trainable=backbone_trainable or n in model.HEAD_NAMES)
-                    for n, a in weights.items()}
+            vals = {n: tape.parameter(n, a) if backbone_trainable or n in model.HEAD_NAMES
+                    else tape.constant(a) for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
             logits = model.forward(tape, TOY, vals, images, hooks=hooks)
             return backward(tape, tape.cross_entropy(logits, np.array([2, 0, 1])))
