@@ -283,8 +283,7 @@ PRIMITIVES: dict[str, Primitive] = {
 }
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     """Handle to one tape node."""
 
     tape: "Tape"
@@ -309,16 +308,34 @@ class _Node(NamedTuple):
 
 
 class Tape:
-    """Append-only record of a forward computation plus a parameter registry.
+    """Record of a forward computation plus a parameter registry.
 
     Every entry of :data:`PRIMITIVES` is a method taking :class:`Var`
     operands and returning a :class:`Var`. A :meth:`parameter` is a named
-    trainable leaf; a frozen tensor enters as a :meth:`constant`.
+    trainable leaf; a frozen tensor enters as a :meth:`constant`. A leaf
+    holds its array without a copy when the array is contiguous float64,
+    so a training loop can register its leaves once, update the arrays in
+    place and :meth:`rewind` to them before each step.
     """
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._params: dict[str, int] = {}  # name -> leaf index
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def rewind(self, size: int) -> None:
+        """Drop every node after the first ``size``, keeping the nodes below.
+
+        Raises GraphError if that would drop a parameter. Handles to the
+        dropped nodes must not be used again: new nodes take their ids.
+        """
+        last_param = max(self._params.values(), default=-1)
+        if not last_param < size <= len(self._nodes):
+            raise GraphError(f"cannot rewind a tape of {len(self._nodes)} nodes to {size}: "
+                             f"its parameters end at node {last_param}")
+        del self._nodes[size:]
 
     def parameter(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:

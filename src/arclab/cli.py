@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import types
 import typing
@@ -46,6 +47,7 @@ _BACKBONE_DEFAULTS = dict(image_size=8, patch_size=4, channels=1, embed_dim=16,
                           layers=3, heads=2, classes=4)
 _TRAIN_DEFAULTS = dict(lr=0.01, epochs=25, batch_size=8, warmup_epochs=2)
 _TASK_DEFAULTS = dict(classes=4, image_size=8, channels=1)
+_ARC_DEFAULTS = dict(bottleneck=4)  # ArcConfig's 50 is the ViT-B value; it overflows embed_dim 16
 
 
 @dataclasses.dataclass
@@ -113,9 +115,18 @@ def _build_section(name: str, cls, data, defaults: dict):
 
 
 def load_run_config(path) -> RunConfig:
+    def reject_constant(name: str):
+        raise ConfigError(f"config {path} holds the non-finite JSON constant {name}")
+
+    def finite_float(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path} holds the number {text}, which overflows a float")
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -131,9 +142,14 @@ def load_run_config(path) -> RunConfig:
     io_unknown = sorted(set(io) - {"seed", "out_dir"})
     if io_unknown:
         raise ConfigError(f"unknown key {io_unknown[0]!r} in section 'io'")
+    train_defaults = dict(_TRAIN_DEFAULTS)
+    train = doc.get("train")
+    if isinstance(train, dict) and _is_a(train.get("epochs"), int):
+        # a defaulted warmup never outlasts a shorter run
+        train_defaults["warmup_epochs"] = min(train_defaults["warmup_epochs"], train["epochs"])
     sections = {}
-    section_defaults = {"backbone": _BACKBONE_DEFAULTS, "train": _TRAIN_DEFAULTS,
-                        "task": _TASK_DEFAULTS, "arc": {}}
+    section_defaults = {"backbone": _BACKBONE_DEFAULTS, "train": train_defaults,
+                        "task": _TASK_DEFAULTS, "arc": _ARC_DEFAULTS}
     for name, cls in _SECTIONS.items():
         sections[name] = _build_section(name, cls, doc.get(name, {}), section_defaults[name])
     seed = _check_value("io.seed", int, io.get("seed", 0))

@@ -231,14 +231,11 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
     return ops.linear(cls, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, hooks=None, rng=None):
+def forward(ops, cfg: BackboneConfig, v, images, hooks=None, masks=None):
     """Logits (B x classes) for a (B, H, W, C) image stack; ``hooks`` wires
-    the adapter bank in. Given an ``rng`` (training), the batch's adapter
-    dropout masks are drawn from it before the forward runs; without one
-    the pass is the deterministic evaluation forward."""
-    patches = extract_patches(images, cfg)
-    masks = None
-    if rng is not None:
-        masks = adapters.dropout_masks(hooks, patches.shape[0], cfg.tokens + 1, rng)
-    x_emb = patch_embed(ops, cfg, v, ops.constant(patches))
+    the adapter bank in. ``masks`` holds the batch's adapter dropout masks
+    by (layer, site), B rows each, as :func:`adapters.dropout_masks` draws
+    them: given masks, the pass is a training forward; without them it is
+    the deterministic evaluation forward. The forward itself draws nothing."""
+    x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg)))
     return forward_tokens(ops, cfg, v, x_emb, hooks, masks)

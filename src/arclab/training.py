@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .adapters import AdapterBank, resolve_hooks
+from .adapters import AdapterBank, dropout_masks, resolve_hooks
 from .autodiff import Eager, Tape, backward
 from .errors import ConfigError, TrainingAborted
 from .kernel import Rng, cross_entropy
@@ -164,16 +164,38 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     """Fine-tune bank + head in place; the rest of the backbone is frozen.
 
     ``bank=None`` trains the head alone (linear probing). Raises
-    TrainingAborted on a non-finite loss.
+    TrainingAborted on a non-finite loss; the trainable arrays then hold
+    the values of the last completed step.
+
+    The run's state is built once. The trainables are copied into one flat
+    float64 buffer that AdamW updates as a single tensor, and each is a
+    tape parameter over a view of it; the frozen tensors are tape
+    constants. Each step rewinds the tape to these leaves. After each
+    epoch's permutation, one :func:`adapters.dropout_masks` draw covers
+    the images of the steps that epoch runs, and each step takes its
+    rows. The stream is read in the order of a draw per step, and every
+    update is elementwise, so the losses and values are the same bits as
+    with a fresh tape, a draw and an optimizer step per tensor each step.
+    The caller's arrays get the final values when training stops.
     """
     hooks = resolve_hooks(bank.config, backbone_cfg) if bank is not None else None
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
         trainable.update(bank.tensors)
-    frozen = {name: arr for name, arr in weights.items() if name not in trainable}
+    flat = np.concatenate(list(trainable.values()), axis=None, dtype=np.float64)
+    tape = Tape()
+    values = {name: tape.constant(arr) for name, arr in weights.items() if name not in trainable}
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, arr in trainable.items():
+        views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
+        values[name] = tape.parameter(name, views[name])
+        offset += arr.size
+    leaves = len(tape)
     opt = AdamW(weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
     n = data.train_images.shape[0]
+    tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
     if max_steps is not None:
@@ -182,32 +204,43 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for b in range(batches_per_epoch):
-            if step >= total_steps:
-                return result
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
-            tape = Tape()
-            values = {name: tape.constant(arr) for name, arr in frozen.items()}
-            values.update({name: tape.parameter(name, arr) for name, arr in trainable.items()})
-            logits = model.forward(tape, backbone_cfg, values, data.train_images[idx],
-                                   hooks=hooks, rng=rng)
-            labels = data.train_labels[idx]
-            loss_node = tape.cross_entropy(logits, labels)
-            loss = float(loss_node.value[0, 0])
-            if not math.isfinite(loss):
-                raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)
-            grads = backward(tape, loss_node)
-            max_grad_seen = max(
-                max_grad_seen, max((float(np.abs(g).max()) for g in grads.values()), default=0.0)
-            )
-            accuracy = float((logits.value.argmax(axis=1) == labels).mean())
-            opt.step(trainable, grads, lr_t)
-            result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
-            step += 1
-            result.steps = step
+    try:
+        # A permutation follows every full epoch, the one that ends the run
+        # included, so the stream ends where per-step draws leave it.
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            runs = min(batches_per_epoch, total_steps - step)
+            if runs <= 0:
+                break
+            masks = dropout_masks(hooks, min(n, runs * cfg.batch_size), tokens, rng)
+            for b in range(runs):
+                rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+                idx = order[rows]
+                lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
+                tape.rewind(leaves)
+                logits = model.forward(
+                    tape, backbone_cfg, values, data.train_images[idx], hooks=hooks,
+                    masks=None if masks is None else {key: m[rows] for key, m in masks.items()})
+                labels = data.train_labels[idx]
+                loss_node = tape.cross_entropy(logits, labels)
+                loss = float(loss_node.value[0, 0])
+                if not math.isfinite(loss):
+                    raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)
+                grads = backward(tape, loss_node)
+                grad = np.concatenate(
+                    [grads[name] if name in grads else np.zeros(view.size)
+                     for name, view in views.items()], axis=None)
+                max_grad_seen = max(max_grad_seen, float(np.abs(grad).max()))
+                accuracy = float((logits.value.argmax(axis=1) == labels).mean())
+                opt.step({"trainable": flat}, {"trainable": grad}, lr_t)
+                result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
+                step += 1
+                result.steps = step
+            if runs < batches_per_epoch:
+                break
+    finally:
+        for name, arr in trainable.items():
+            arr[...] = views[name]
     return result
 
 

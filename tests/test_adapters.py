@@ -260,7 +260,8 @@ class TestDropout:
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
-        a = model.forward(Eager(), TOY, values, imgs, hooks=table, rng=Rng(0))
+        masks = adapters.dropout_masks(table, imgs.shape[0], TOY.tokens + 1, Rng(0))
+        a = model.forward(Eager(), TOY, values, imgs, hooks=table, masks=masks)
         b = model.forward(Eager(), TOY, values, imgs, hooks=table)
         assert np.array_equal(a, b)
 

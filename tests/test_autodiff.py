@@ -63,6 +63,27 @@ class TestRecordForward:
         with pytest.raises(GraphError):
             tape.parameter("w", np.eye(2))
 
+    def test_rewind_keeps_leaves_and_drops_ops(self) -> None:
+        tape = Tape()
+        w = tape.parameter("w", np.array([[2.0]]))
+        c = tape.constant(np.array([[3.0]]))
+        leaves = len(tape)
+        for _ in range(2):
+            tape.rewind(leaves)
+            out = tape.matmul(w, c)
+            assert len(tape) == leaves + 1 and out.idx == leaves
+            assert backward(tape, out)["w"][0, 0] == 3.0
+        assert tape._nodes[w.idx].value[0, 0] == 2.0 and tape._nodes[c.idx].value[0, 0] == 3.0
+
+    def test_rewind_past_a_parameter_raises(self) -> None:
+        tape = Tape()
+        tape.constant(np.eye(2))
+        tape.parameter("w", np.eye(2))
+        for size in (1, 0, -1, 3):
+            with pytest.raises(GraphError):
+                tape.rewind(size)
+        assert len(tape) == 2
+
 
 class TestBackward:
     def test_sum_of_squares_via_transpose_site(self) -> None:

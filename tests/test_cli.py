@@ -84,6 +84,27 @@ class TestRunConfig:
         (value,) = next(iter(doc.values())).values()
         assert f"{where} must be {expected}, got {value!r}" in err
 
+    @pytest.mark.parametrize("section, key", [
+        ("train", "lr"), ("task", "noise_sigma"), ("backbone", "ln_eps"), ("task", "mean_scale"),
+    ])
+    def test_non_finite_constant_exit_2(self, tmp_path, capsys, section, key) -> None:
+        """Python's json reads NaN, Infinity and -Infinity, which are not JSON
+        numbers, and turns a literal beyond the float range into an
+        infinity; a config holding either is rejected before anything runs."""
+        for value, constant in ((float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                (float("-inf"), "-Infinity")):
+            path = write_config(tmp_path, **{section: {key: value}})
+            assert constant in path.read_text()
+            rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+            assert rc == cli.EXIT_CONFIG, constant
+            assert f"non-finite JSON constant {constant}" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+        path = write_config(tmp_path, **{section: {key: 0.125}})
+        path.write_text(path.read_text().replace("0.125", "-1e400"))  # parses to -inf
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert "number -1e400, which overflows a float" in capsys.readouterr().err
+
     def test_digest_stable_under_out_dir(self, tmp_path) -> None:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
@@ -117,6 +138,17 @@ class TestCommands:
         rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
         assert rc == cli.EXIT_CONFIG
         assert "momentum" in capsys.readouterr().err
+
+    def test_defaults_train(self, tmp_path, capsys) -> None:
+        """Without an arc section the bottleneck defaults to 4, which fits
+        the default toy backbone, and the default warmup fits one epoch."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"epochs": 1}}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_OK
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed["arc"]["bottleneck"] == 4 and echoed["train"]["warmup_epochs"] == 1
+        assert "steps 4" in capsys.readouterr().out
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

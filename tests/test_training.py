@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -269,6 +270,127 @@ class TestTrain:
             return train(TOY, weights, bank, data, cfg).curve[-1].loss
 
         assert run(1) != run(2)
+
+
+class TestRunState:
+    """``train`` builds its state once per run: one dropout draw per epoch,
+    one tape whose leaves every step reuses and one flat trainable buffer."""
+
+    TASK = SyntheticTask(classes=4, image_size=8, channels=1, noise_sigma=0.3,
+                         train_count=30, eval_count=8)
+    CFG = TrainConfig(lr=0.01, epochs=3, batch_size=8, warmup_epochs=1, weight_decay=0.05,
+                      seed=54)
+    STEPS = 6  # batches of 8, 8, 8 and 6, then two steps of the second epoch
+
+    def setup_run(self):
+        weights = model.init_backbone(TOY, Rng(51))
+        bank = init_adapters(ArcConfig(bottleneck=4, dropout_rate=0.1), TOY, Rng(52))
+        return weights, bank, make_task(self.TASK, Rng(53))
+
+    @staticmethod
+    def trainables(weights, bank):
+        tensors = {name: weights[name] for name in model.HEAD_NAMES}
+        tensors.update(bank.tensors)
+        return tensors
+
+    def test_known_answer(self) -> None:
+        """SHA-256 of the loss curve and the final trainable bytes, computed
+        with a fresh tape, a mask draw and an optimizer step per tensor every
+        step. BLAS-dependent like ``test_model.TestKnownAnswers``."""
+        weights, bank, data = self.setup_run()
+        result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+        h = hashlib.sha256(np.array([rec.loss for rec in result.curve]).tobytes())
+        for name, arr in sorted(self.trainables(weights, bank).items()):
+            h.update(name.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == "2896db20dcbb1123a54c65f133e7c1d9f3676bc0ae9559dbcaee7a496c43bc70"
+
+    def test_rng_state_matches_per_step_draws(self, monkeypatch) -> None:
+        """One mask draw per epoch leaves the stream where a permutation per
+        epoch and a mask draw per step leave it, for a run cut mid-epoch and
+        one cut at an epoch's end (which still draws the next permutation)."""
+        made = []
+
+        class RecordingRng(Rng):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(training, "Rng", RecordingRng)
+        n, batch = self.TASK.train_count, self.CFG.batch_size
+
+        def per_step_draws(steps, per_image):
+            want, step = Rng(self.CFG.seed), 0
+            for _ in range(self.CFG.epochs):
+                want.permutation(n)
+                for start in range(0, n, batch):
+                    if step == steps:
+                        return want
+                    want.uniforms(min(batch, n - start) * per_image)
+                    step += 1
+            return want
+
+        for steps in (self.STEPS, 4):
+            weights, bank, data = self.setup_run()
+            made.clear()
+            train(TOY, weights, bank, data, self.CFG, max_steps=steps)
+            (used,) = made
+            per_image = (len(resolve_hooks(bank.config, TOY)) * (TOY.tokens + 1)
+                         * bank.config.bottleneck)
+            assert used._s == per_step_draws(steps, per_image)._s, steps
+
+    def test_abort_leaves_last_completed_step(self, monkeypatch) -> None:
+        """A non-finite loss at step 3 leaves the caller's arrays bit-equal
+        to a run stopped after 3 steps."""
+        weights, bank, data = self.setup_run()
+        train(TOY, weights, bank, data, self.CFG, max_steps=3)
+        want = {name: arr.copy() for name, arr in self.trainables(weights, bank).items()}
+
+        real_forward = model.forward
+        calls = []
+
+        def poisoned(ops, *args, **kwargs):
+            logits = real_forward(ops, *args, **kwargs)
+            calls.append(None)
+            if len(calls) == 4:
+                return ops.add(logits, ops.constant([[np.nan]]))
+            return logits
+
+        monkeypatch.setattr(model, "forward", poisoned)
+        weights, bank, data = self.setup_run()
+        before = {name: arr.copy() for name, arr in self.trainables(weights, bank).items()}
+        with pytest.raises(TrainingAborted) as info:
+            train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+        assert info.value.step == 3
+        got = self.trainables(weights, bank)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+        assert not all(np.array_equal(got[name], before[name]) for name in want)
+
+    def test_leaves_alias_the_optimizer_buffer(self, monkeypatch) -> None:
+        """Every step's parameter leaves are views of the buffer AdamW
+        updates, so no leaf can be a stale copy of a trainable."""
+        tapes, buffers = [], []
+        real_backward, real_step = training.backward, AdamW.step
+
+        def keep_tape(tape, out):
+            tapes.append(tape)
+            return real_backward(tape, out)
+
+        def keep_buffer(self, params, grads, lr_t):
+            (flat,) = params.values()
+            buffers.append(flat)
+            leaves = [tapes[-1]._nodes[idx].value for idx in tapes[-1]._params.values()]
+            assert all(np.shares_memory(leaf, flat) for leaf in leaves)
+            real_step(self, params, grads, lr_t)
+            assert np.array_equal(np.concatenate(leaves, axis=None), flat)
+
+        monkeypatch.setattr(training, "backward", keep_tape)
+        monkeypatch.setattr(AdamW, "step", keep_buffer)
+        weights, bank, data = self.setup_run()
+        train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+        assert len(buffers) == self.STEPS
+        assert all(t is tapes[0] for t in tapes) and all(b is buffers[0] for b in buffers)
+        assert len(tapes[0]._params) == len(self.trainables(weights, bank))
 
 
 class TestEvaluate:
