@@ -95,8 +95,8 @@ def _layernorm_vjp(g, saved, needs, a, gamma, beta, eps):
         gg = g * gamma.reshape(-1)
         gx = inv_std * (
             gg
-            - gg.mean(axis=-1, keepdims=True)
-            - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
+            - kernel.row_mean(gg)
+            - xhat * kernel.row_mean(gg * xhat)
         )
     dgamma = _rows(g * xhat).sum(axis=0).reshape(gamma.shape) if needs[1] else None
     dbeta = _rows(g).sum(axis=0).reshape(beta.shape) if needs[2] else None

@@ -14,12 +14,22 @@ There is no tensor count: records run to end of file. Any byte-level
 inconsistency, a record cut short included, rejects the whole file before
 anything is returned, but a file cut exactly at a record boundary reads as
 the records before the cut.
+
+Both directions stream. :func:`save` writes each payload straight from its
+array into a temp file beside the target and renames it over the target, so
+it never holds a second copy of the weights. :func:`load` reads every payload
+into one float64 buffer sized from the file, so it never holds the file's
+bytes beside the arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,31 +57,93 @@ def config_digest(config: dict) -> bytes:
     return hashlib.sha256(blob).digest()
 
 
+def _record_head(name: str, tensor) -> tuple[bytes, np.ndarray]:
+    """The bytes before ``tensor``'s payload, and the array to write after them.
+
+    Rejects, naming the tensor, every record :func:`load` would refuse and
+    every array that float64 cannot hold.
+    """
+    try:
+        encoded = name.encode()
+    except UnicodeEncodeError as exc:
+        raise CheckpointError(f"tensor name {name!r} is not encodable as UTF-8: {exc}") from exc
+    if not 0 < len(encoded) <= _MAX_NAME:
+        raise CheckpointError(
+            f"tensor name {name[:64]!r} encodes to {len(encoded)} bytes; "
+            f"it must be 1 to {_MAX_NAME}")
+    arr = np.atleast_1d(tensor)  # a 0-d array is stored with shape (1,), as it always was
+    if not np.can_cast(arr.dtype, np.float64, casting="same_kind"):
+        raise CheckpointError(f"tensor {name!r} has dtype {arr.dtype}, which float64 cannot hold")
+    if arr.ndim > _MAX_NDIM:
+        raise CheckpointError(f"tensor {name!r} has rank {arr.ndim}; at most {_MAX_NDIM} is stored")
+    if 0 in arr.shape:
+        raise CheckpointError(f"tensor {name!r} is empty: shape {arr.shape}")
+    head = struct.pack(f"<I{len(encoded)}sI{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape)
+    return head, arr
+
+
 def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> None:
+    """Write ``tensors`` to ``path`` atomically, one record at a time.
+
+    Every record is checked before a byte is written, and a tensor the
+    format cannot hold (an empty name, an empty or complex array, rank
+    above 8) raises CheckpointError naming it. The records go to a temp
+    file in the target's directory, which then replaces the target with
+    ``os.replace``: a reader sees the old file or the new one, never a
+    mix, and a failed save deletes the temp file and leaves the old file
+    as it was. There is no fsync, so the rename is atomic against other
+    processes, not durable across a power cut. The new file keeps the
+    permissions of the one it replaces, and a symlinked ``path`` has its
+    target replaced. Each payload is written from its own array, copied
+    only if it is not C-contiguous little-endian float64.
+    """
     if len(digest) != 32:
         raise CheckpointError(f"config digest must be 32 bytes, got {len(digest)}")
-    chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<B", int(fused)), digest]
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
-        encoded = name.encode()
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    records = [_record_head(name, tensors[name]) for name in sorted(tensors)]
+    path = Path(os.path.realpath(path))  # through a symlink to its target, not over it
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            fh.write(struct.pack("<4sIB32s", MAGIC, VERSION, int(fused), digest))
+            for head, arr in records:
+                fh.write(head)
+                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a checkpoint front to back, checking each read against the file size."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
+    def _check(self, n: int, what: str) -> None:
+        if self.offset + n > self.size:
             raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
-        out = self.blob[self.offset : self.offset + n]
+
+    def _advance(self, got: int, n: int, what: str) -> None:
+        if got != n:  # the file shrank after it was measured
+            raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
         self.offset += n
+
+    def take(self, n: int, what: str) -> bytes:
+        self._check(n, what)
+        out = self.fh.read(n)
+        self._advance(len(out), n, what)
+        return out
+
+    def take_floats(self, buffer: np.ndarray, start: int, count: int, what: str) -> np.ndarray:
+        """Read ``count`` float64 values into ``buffer[start:]`` and return that slice."""
+        self._check(8 * count, what)
+        out = buffer[start : start + count]
+        self._advance(self.fh.readinto(memoryview(out).cast("B")), 8 * count, what)
         return out
 
     def u32(self, what: str) -> int:
@@ -83,43 +155,53 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
 
     Every field is checked and every returned record is complete; a
     malformed or short record raises CheckpointError with its byte offset.
-    The format has no tensor count, so a file cut exactly at a record
-    boundary returns the records before the cut: callers that need a full
-    set check the names (``model.validate_weights``, the CLI's adapter
-    check).
+    Each length is checked against the file size before anything is
+    allocated for it. The format has no tensor count, so a file cut exactly
+    at a record boundary returns the records before the cut: callers that
+    need a full set check the names (``model.validate_weights``, the CLI's
+    adapter check).
+
+    The payloads are read into one float64 buffer, sized from the file, and
+    each returned tensor is a writeable, C-contiguous view of its own slice
+    of it. A single tensor that is still referenced keeps the whole buffer
+    alive; copy it to keep it alone.
     """
-    reader = _Reader(Path(path).read_bytes())
-    magic = reader.take(4, "magic")
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    version = reader.u32("version")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported format version {version}", offset=4)
-    fused_byte = reader.take(1, "fused flag")[0]
-    if fused_byte not in (0, 1):
-        raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
-    digest = reader.take(32, "config digest")
-    tensors: dict[str, np.ndarray] = {}
-    while reader.offset < len(reader.blob):
-        record_at = reader.offset
-        name_len = reader.u32("tensor name length")
-        if name_len == 0 or name_len > _MAX_NAME:
-            raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
-        try:
-            name = reader.take(name_len, "tensor name").decode()
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
-        if name in tensors:
-            raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
-        ndim = reader.u32("tensor rank")
-        if ndim > _MAX_NDIM:
-            raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
-        dims = [reader.u32(f"dim {i} of {name!r}") for i in range(ndim)]
-        if any(d == 0 for d in dims):
-            raise CheckpointError(f"zero-sized dim in {name!r}: {dims}", offset=record_at)
-        count = int(np.prod(dims)) if dims else 1
-        payload = reader.take(8 * count, f"payload of {name!r}")
-        arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(dims)
-        tensors[name] = arr
+    with open(path, "rb") as fh:
+        reader = _Reader(fh)
+        magic = reader.take(4, "magic")
+        if magic != MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        version = reader.u32("version")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported format version {version}", offset=4)
+        fused_byte = reader.take(1, "fused flag")[0]
+        if fused_byte not in (0, 1):
+            raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
+        digest = reader.take(32, "config digest")
+        # every payload fits in what is left of the file
+        buffer = np.empty((reader.size - reader.offset) // 8, dtype="<f8")
+        used = 0
+        tensors: dict[str, np.ndarray] = {}
+        while reader.offset < reader.size:
+            record_at = reader.offset
+            name_len = reader.u32("tensor name length")
+            if name_len == 0 or name_len > _MAX_NAME:
+                raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
+            try:
+                name = reader.take(name_len, "tensor name").decode()
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
+            if name in tensors:
+                raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
+            ndim = reader.u32("tensor rank")
+            if ndim > _MAX_NDIM:
+                raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
+            dims = [reader.u32(f"dim {i} of {name!r}") for i in range(ndim)]
+            if any(d == 0 for d in dims):
+                raise CheckpointError(f"zero-sized dim in {name!r}: {dims}", offset=record_at)
+            count = math.prod(dims)
+            payload = reader.take_floats(buffer, used, count, f"payload of {name!r}")
+            used += count
+            tensors[name] = payload.reshape(dims)
     header = CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest)
     return header, tensors

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arclab.checkpoint import MAGIC, VERSION, CheckpointHeader, config_digest, load, save
 from arclab.errors import CheckpointError
@@ -42,6 +48,40 @@ class TestRoundTrip:
         save(a, tensors)
         save(b, dict(reversed(list(tensors.items()))))  # insertion order irrelevant
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pinned_bytes(self, tmp_path) -> None:
+        # digest computed with the writer that joined every record in memory
+        rng = Rng(1)
+        tensors = {
+            "alpha": rng.normals((3, 4)),
+            "beta.gamma": rng.normals((1, 7)),
+            "delta": rng.normals((5, 2, 2)),
+            "scalar": np.array(2.5),
+            "special": np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-1074]]),
+            "strided": np.arange(24.0).reshape(4, 6)[:, ::2],
+            "ints": np.arange(6).reshape(2, 3),
+            "f32": np.linspace(-1, 1, 5, dtype=np.float32),
+            "na\u00efve": np.ones((1,) * 8),
+        }
+        path = tmp_path / "ck.arcl"
+        save(path, tensors, config_digest({"a": 1}), fused=True)
+        blob = path.read_bytes()
+        assert len(blob) == 818
+        assert hashlib.sha256(blob).hexdigest() == \
+            "a17dcb1f2a8d3d26d18d8ff98ae242faa2c1ded0e40b84fc019d7ac82ce62af1"
+        _, loaded = load(path)
+        assert loaded["scalar"].shape == (1,)  # a 0-d tensor is stored as shape (1,)
+
+    def test_loaded_tensors_are_views_of_one_buffer(self, tmp_path, tensors) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        _, loaded = load(path)
+        assert len({id(t.base) for t in loaded.values()}) == 1
+        for t in loaded.values():
+            assert t.flags.c_contiguous and t.flags.aligned and t.flags.writeable
+        loaded["alpha"][...] = 7.0
+        assert np.array_equal(loaded["beta.gamma"], tensors["beta.gamma"])
+        assert np.array_equal(loaded["delta"], tensors["delta"])
 
     def test_special_values_preserved(self, tmp_path) -> None:
         special = {"s": np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-1074]])}
@@ -118,6 +158,155 @@ class TestRejection:
     def test_bad_digest_length_on_save(self, tmp_path, tensors) -> None:
         with pytest.raises(CheckpointError):
             save(tmp_path / "ck.arcl", tensors, digest=b"short")
+
+
+    @pytest.mark.parametrize("dims", [[2**32 - 1] * 8, [2**31, 2**31, 4], [3, 3]])
+    def test_payload_length_checked_before_reading(self, tmp_path, dims) -> None:
+        path = tmp_path / "ck.arcl"
+        record = struct.pack(f"<I1sI{len(dims)}I", 1, b"x", len(dims), *dims) + bytes(64)
+        path.write_bytes(MAGIC + struct.pack("<I", VERSION) + b"\x00" * 33 + record)
+        with pytest.raises(CheckpointError, match="payload of 'x'") as info:
+            load(path)
+        assert info.value.offset == 41 + 9 + 4 * len(dims)
+
+
+def _listing(directory) -> list[str]:
+    return sorted(p.name for p in directory.iterdir())
+
+
+class TestSaveContract:
+    @pytest.mark.parametrize("name, tensor, match", [
+        ("z", np.zeros((0, 3)), "'z' is empty"),
+        ("", np.ones(2), "encodes to 0 bytes"),
+        ("n" * 5000, np.ones(2), "encodes to 5000 bytes"),
+        ("r", np.ones((1,) * 9), "'r' has rank 9"),
+        ("c", np.array([1 + 2j]), "'c' has dtype complex128"),
+        ("s", np.array(["1.0"]), "'s' has dtype <U3"),
+        ("\ud800", np.ones(2), "not encodable"),
+    ], ids=["empty-array", "empty-name", "long-name", "rank-9", "complex", "string", "surrogate"])
+    def test_unloadable_tensor_rejected_before_writing(self, tmp_path, tensors, name,
+                                                       tensor, match) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match=match):
+            save(path, {**tensors, name: tensor})
+        assert path.read_bytes() == before
+        assert _listing(tmp_path) == ["ck.arcl"]
+
+    @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["os-error", "interrupt"])
+    def test_failed_save_leaves_old_file(self, tmp_path, tensors, monkeypatch, failure) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        before = path.read_bytes()
+        convert = np.ascontiguousarray
+        calls = []
+
+        def fail_on_second(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise failure
+            return convert(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_second)
+        with pytest.raises(type(failure)):
+            save(path, {name: t + 1.0 for name, t in tensors.items()})
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert _listing(tmp_path) == ["ck.arcl"]
+
+    def test_replaces_rather_than_rewrites(self, tmp_path, tensors) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        before = path.read_bytes()
+        with open(path, "rb") as old:
+            save(path, {"alpha": tensors["alpha"]})
+            assert old.read() == before
+        _, loaded = load(path)
+        assert list(loaded) == ["alpha"]
+        assert _listing(tmp_path) == ["ck.arcl"]
+
+    def test_keeps_permissions_and_symlinks(self, tmp_path, tensors) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        path.chmod(0o600)
+        link = tmp_path / "link.arcl"
+        link.symlink_to(path.name)
+        save(link, {"alpha": tensors["alpha"]})
+        assert link.is_symlink()
+        assert path.stat().st_mode & 0o777 == 0o600
+        assert list(load(path)[1]) == ["alpha"]
+        assert _listing(tmp_path) == ["ck.arcl", "link.arcl"]
+
+    def test_streamed_memory(self, tmp_path) -> None:
+        gen = np.random.default_rng(0)
+        tensors = {f"t{i}": gen.normal(size=(500, 500)) for i in range(8)}  # 2M values
+        path = tmp_path / "ck.arcl"
+        mib = 2**20
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save(path, tensors)
+            save_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, loaded = load(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak < mib
+        assert load_peak <= path.stat().st_size + mib
+        assert all(np.array_equal(loaded[k], tensors[k]) for k in tensors)
+
+
+@pytest.fixture(scope="module")
+def valid_file(tmp_path_factory):
+    """A three-record checkpoint, its bytes, its tensors and its record boundaries."""
+    rng = Rng(5)
+    tensors = {"a": rng.normals((2, 3)), "bb": rng.normals((4,)), "c.d": rng.normals((1, 2, 2))}
+    path = tmp_path_factory.mktemp("fuzz") / "ck.arcl"
+    save(path, tensors)
+    ends = [41]
+    for name in sorted(tensors):
+        t = tensors[name]
+        ends.append(ends[-1] + 8 + len(name) + 4 * t.ndim + 8 * t.size)
+    return path, path.read_bytes(), tensors, ends
+
+
+class TestDamagedFiles:
+    """A damaged file loads or raises CheckpointError: never another exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, 400))
+    def test_truncation(self, valid_file, cut) -> None:
+        path, blob, tensors, ends = valid_file
+        cut = min(cut, len(blob))
+        damaged = path.with_name("cut.arcl")
+        damaged.write_bytes(blob[:cut])
+        try:
+            _, loaded = load(damaged)
+        except CheckpointError as exc:
+            assert cut not in ends and exc.offset is not None
+            return
+        kept = ends.index(cut)
+        assert list(loaded) == sorted(tensors)[:kept]
+        for name, t in loaded.items():
+            assert t.tobytes() == tensors[name].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(at=st.integers(0, 400), mask=st.integers(1, 255))
+    def test_byte_flip(self, valid_file, at, mask) -> None:
+        path, blob, _, _ = valid_file
+        damaged = bytearray(blob)
+        damaged[at % len(blob)] ^= mask
+        flipped = path.with_name("flip.arcl")
+        flipped.write_bytes(bytes(damaged))
+        try:
+            load(flipped)
+        except CheckpointError:
+            pass
 
 
 class TestDigest:

@@ -253,6 +253,16 @@ class TestLayernorm:
             layernorm(np.zeros((2, 4)), np.ones(3), np.zeros(4), 1e-6)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1), transpose=st.booleans())
+    def test_row_mean_is_ndarray_mean(self, shape: list, seed: int, transpose: bool) -> None:
+        a = np.random.default_rng(seed).normal(size=shape) * 1e3
+        if transpose:
+            a = a.T  # a strided last axis
+        assert kernel.row_mean(a).tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
+
+
 class TestGelu:
     def test_zero(self) -> None:
         assert gelu(np.array([[0.0]]))[0, 0] == 0.0
