@@ -1,6 +1,6 @@
 """Desk-scale laboratory for re-composable low-rank adapters on a small ViT."""
 
-from .adapters import AdapterBank, ArcConfig, init_adapters, resolve_hooks
+from .adapters import AdapterBank, ArcConfig, init_adapters
 from .model import BackboneConfig, init_backbone
 from .training import SyntheticTask, TrainConfig, make_task, train
 
@@ -15,7 +15,6 @@ __all__ = [
     "init_adapters",
     "init_backbone",
     "make_task",
-    "resolve_hooks",
     "train",
     "__version__",
 ]

@@ -13,12 +13,15 @@ group for spectrum analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import ConfigError
 from .kernel import Rng
 
+# before_mha transforms the LN1 output and before_ffn the LN2 output;
+# after_mha and after_ffn transform the block output before its residual add.
 SITES = ("before_mha", "after_mha", "before_ffn", "after_ffn")
 GROUPS = ("mha", "ffn")
 SHARINGS = ("intra_inter", "intra_inter_star", "non_intra_inter", "non_intra_non_inter")
@@ -101,6 +104,16 @@ class ArcConfig:
     def delta_key(self, group: str, layer: int) -> str:
         return f"arc.{group}.{layer}.delta"
 
+    def site_keys(self, group: str, layer: int) -> tuple[str, ...]:
+        """Names of the tensors the (group, layer) adapter reads: (delta,)
+        for the full-rank variant, else (down, up, coef, bias), where a
+        tied up-projection is named by its down-projection."""
+        if self.variant == "full_rank":
+            return (self.delta_key(group, layer),)
+        down = self.down_key(group, layer)
+        return (down, down if self.intra else self.up_key(group, layer),
+                self.coef_key(group, layer), self.bias_key(group, layer))
+
 
 def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
     layers = config.insertion_layers or tuple(range(1, total_layers + 1))
@@ -113,23 +126,30 @@ def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
     return layers
 
 
-def _fitted_layers(config: ArcConfig, backbone) -> tuple[int, ...]:
-    """The bank's layers on ``backbone``; rejects a bottleneck wider than the embedding."""
-    if config.variant == "bottleneck" and config.bottleneck > backbone.embed_dim:
-        raise ConfigError(
-            f"bottleneck {config.bottleneck} exceeds embed_dim {backbone.embed_dim}"
-        )
-    return resolved_layers(config, backbone.layers)
-
-
 @dataclass
 class AdapterBank:
-    """Named trainable tensors of one adapter configuration."""
+    """Named trainable tensors of one adapter configuration, and the wiring
+    they give a backbone: an adapter at each of ``config.positions`` in
+    each of ``layers``."""
 
     config: ArcConfig
     embed_dim: int
     layers: tuple[int, ...]
     tensors: dict[str, np.ndarray]
+
+    @property
+    def sites(self) -> tuple[tuple[int, str], ...]:
+        """The (layer, site) pairs with an adapter, layer by layer, each
+        layer's sites in ``SITES`` order."""
+        return tuple((layer, site) for layer in self.layers for site in self.config.positions)
+
+    def check_depth(self, total_layers: int) -> None:
+        """Raise ConfigError unless the bank was built for a backbone of
+        ``total_layers`` encoder layers."""
+        want = resolved_layers(self.config, total_layers)
+        if self.layers != want:
+            raise ConfigError(f"adapter bank covers layers {self.layers}, "
+                              f"but a {total_layers}-layer backbone takes layers {want}")
 
     def trainable_count(self) -> int:
         """Census of trainable scalars; must equal the closed-form count."""
@@ -138,25 +158,23 @@ class AdapterBank:
 
 def adapter_shapes(config: ArcConfig, backbone) -> dict[str, tuple[int, int]]:
     """Name -> shape table for every tensor of a bank (vectors as single rows),
-    in the bank's canonical order."""
-    layers = _fitted_layers(config, backbone)
+    in the bank's canonical order: the projections, then the coefficients
+    and biases; rejects a bottleneck wider than the embedding."""
     d = backbone.embed_dim
     dp = config.bottleneck
+    if config.variant == "bottleneck" and dp > d:
+        raise ConfigError(f"bottleneck {dp} exceeds embed_dim {d}")
+    sites = list(product(config.groups, resolved_layers(config, backbone.layers)))
     if config.variant == "full_rank":
-        return {config.delta_key(g, layer): (d, d) for g in config.groups for layer in layers}
+        return {config.delta_key(g, layer): (d, d) for g, layer in sites}
     shapes: dict[str, tuple[int, int]] = {}
-    proj_groups = sorted({config.proj_group(g) for g in config.groups},
-                         key=lambda g: ("mha", "ffn", "shared").index(g))
-    for pg in proj_groups:
-        for layer in [0] if config.inter else layers:
-            scope = f"arc.{pg}" if config.inter else f"arc.{pg}.{layer}"
-            shapes[f"{scope}.down"] = (d, dp)
-            if not config.intra:
-                shapes[f"{scope}.up"] = (dp, d)
-    for group in config.groups:
-        for layer in layers:
-            shapes[config.coef_key(group, layer)] = (1, dp)
-            shapes[config.bias_key(group, layer)] = (1, d)
+    for g, layer in sites:  # a shared projection keeps its first slot
+        shapes.setdefault(config.down_key(g, layer), (d, dp))
+        if not config.intra:
+            shapes.setdefault(config.up_key(g, layer), (dp, d))
+    for g, layer in sites:
+        shapes[config.coef_key(g, layer)] = (1, dp)
+        shapes[config.bias_key(g, layer)] = (1, d)
     return shapes
 
 
@@ -177,43 +195,13 @@ def init_adapters(config: ArcConfig, backbone, rng: Rng) -> AdapterBank:
     return AdapterBank(config, d, resolved_layers(config, backbone.layers), tensors)
 
 
-@dataclass(frozen=True)
-class HookTable:
-    """Resolved (layer, site) -> group wiring for one bank/backbone pair."""
-
-    config: ArcConfig
-    layers: tuple[int, ...]
-    entries: dict[tuple[int, str], str]
-
-    def __contains__(self, key) -> bool:
-        return key in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def resolve_hooks(config: ArcConfig, backbone) -> HookTable:
-    """Build the hook table; rejects combinations that cannot be fused.
-
-    Sites transform: before_mha the LN1 output, before_ffn the LN2 output,
-    after_mha / after_ffn the block output before its residual add.
-    """
-    layers = _fitted_layers(config, backbone)
-    entries = {
-        (layer, site): group_of(site)
-        for layer in layers
-        for site in config.positions
-    }
-    return HookTable(config=config, layers=layers, entries=entries)
-
-
 def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: zero with probability ``rate``, else 1/(1-rate)."""
     u = rng.uniforms(shape)
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 
-def dropout_masks(table: HookTable | None, batch: int, tokens: int, rng: Rng):
+def dropout_masks(bank: AdapterBank | None, batch: int, tokens: int, rng: Rng):
     """One training batch's hidden-feature masks by (layer, site), drawn
     from ``rng`` at the bank's ``dropout_rate``, or None when no site drops
     anything (no draw is made then).
@@ -221,40 +209,39 @@ def dropout_masks(table: HookTable | None, batch: int, tokens: int, rng: Rng):
     A single draw covers the batch in (image, layer, site) order, the order
     in which one image at a time would consume the stream.
     """
-    if table is None or table.config.variant == "full_rank":
+    if bank is None or bank.config.variant == "full_rank" or bank.config.dropout_rate <= 0.0:
         return None
-    cfg = table.config
-    if cfg.dropout_rate <= 0.0:
-        return None
-    masks = dropout_mask(rng, (batch, len(table), tokens, cfg.bottleneck), cfg.dropout_rate)
-    return {key: masks[:, i] for i, key in enumerate(table.entries)}
+    cfg, sites = bank.config, bank.sites
+    masks = dropout_mask(rng, (batch, len(sites), tokens, cfg.bottleneck), cfg.dropout_rate)
+    return {key: masks[:, i] for i, key in enumerate(sites)}
 
 
-def arc_forward(ops, table: HookTable, layer: int, site: str, x, values, mask=None):
-    """Apply the adapter registered at (layer, site) to a (B, T, D) batch x.
+def arc_forward(ops, bank: AdapterBank, layer: int, site: str, x, values, mask=None):
+    """Apply the bank's adapter at (layer, site) to a (B, T, D) batch x.
 
     Computes x + (x W_down diag(c)) W_up + b (or x + x delta for the
     full-rank variant); a ``mask`` (training only) multiplies the hidden
-    features, so evaluation is deterministic with no rescaling.
+    features, so evaluation is deterministic with no rescaling. ``values``
+    maps the tensor names to backend values.
     """
-    if (layer, site) not in table.entries:
+    cfg = bank.config
+    if layer not in bank.layers or site not in cfg.positions:
         raise ConfigError(f"no adapter registered at layer {layer}, site {site!r}")
-    cfg = table.config
-    group = table.entries[(layer, site)]
+    tensors = [values[name] for name in cfg.site_keys(group_of(site), layer)]
     if cfg.variant == "full_rank":
-        delta = ops.matmul(x, values[cfg.delta_key(group, layer)])
-        return ops.add(x, delta)
-    down = values[cfg.down_key(group, layer)]
-    up = down if cfg.intra else values[cfg.up_key(group, layer)]
-    return ops.arc_adapter(x, up, values[cfg.coef_key(group, layer)],
-                           values[cfg.bias_key(group, layer)], down, mask, cfg.intra)
+        return ops.add(x, ops.matmul(x, tensors[0]))
+    down, up, coef, bias = tensors
+    return ops.arc_adapter(x, up, coef, bias, down, mask, cfg.intra)
 
 
-def apply_site(ops, table: HookTable | None, layer: int, site: str, x, values, masks=None):
-    """Model-facing hook: identity when no adapter is registered at the site."""
-    if table is None or (layer, site) not in table.entries:
+def apply_site(ops, bank: AdapterBank | None, layer: int, site: str, x, values, masks=None):
+    """Model-facing hook: identity when the bank has no adapter at the site.
+
+    ``masks``, if given, holds the batch's dropout masks by (layer, site).
+    """
+    if bank is None or layer not in bank.layers or site not in bank.config.positions:
         return x
-    return arc_forward(ops, table, layer, site, x, values,
+    return arc_forward(ops, bank, layer, site, x, values,
                        None if masks is None else masks[(layer, site)])
 
 
@@ -262,9 +249,8 @@ def composite_matrix(bank: AdapterBank, group: str, layer: int):
     """(P, b) with P = W_down diag(c) W_up (or the full-rank delta) and the
     per-layer bias row; the adapter map is x -> x (P + I) + 1 b^T."""
     cfg = bank.config
+    tensors = [bank.tensors[name] for name in cfg.site_keys(group, layer)]
     if cfg.variant == "full_rank":
-        return bank.tensors[cfg.delta_key(group, layer)].copy(), np.zeros((1, bank.embed_dim))
-    down = bank.tensors[cfg.down_key(group, layer)]
-    coef = bank.tensors[cfg.coef_key(group, layer)].reshape(-1)
-    up = down.T if cfg.intra else bank.tensors[cfg.up_key(group, layer)]
-    return (down * coef) @ up, bank.tensors[cfg.bias_key(group, layer)].copy()
+        return tensors[0].copy(), np.zeros((1, bank.embed_dim))
+    down, up, coef, bias = tensors
+    return (down * coef.reshape(-1)) @ (up.T if cfg.intra else up), bias.copy()

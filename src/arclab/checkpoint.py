@@ -86,19 +86,22 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
     """Write ``tensors`` to ``path`` atomically, one record at a time.
 
     Every record is checked before a byte is written, and a tensor the
-    format cannot hold (an empty name, an empty or complex array, rank
-    above 8) raises CheckpointError naming it. The records go to a temp
-    file in the target's directory, which then replaces the target with
-    ``os.replace``: a reader sees the old file or the new one, never a
-    mix, and a failed save deletes the temp file and leaves the old file
-    as it was. There is no fsync, so the rename is atomic against other
-    processes, not durable across a power cut. The new file keeps the
-    permissions of the one it replaces, and a symlinked ``path`` has its
-    target replaced. Each payload is written from its own array, copied
-    only if it is not C-contiguous little-endian float64.
+    format cannot hold (a name that is not a nonempty str, an empty or
+    complex array, rank above 8) raises CheckpointError naming it. The
+    records go to a temp file in the target's directory, which then
+    replaces the target with ``os.replace``: a reader sees the old file or
+    the new one, never a mix, and a failed save deletes the temp file and
+    leaves the old file as it was. There is no fsync, so the rename is
+    atomic against other processes, not durable across a power cut. The
+    new file keeps the permissions of the one it replaces, and a symlinked
+    ``path`` has its target replaced. Each payload is written from its own
+    array, copied only if it is not C-contiguous little-endian float64.
     """
     if len(digest) != 32:
         raise CheckpointError(f"config digest must be 32 bytes, got {len(digest)}")
+    for name in tensors:
+        if not isinstance(name, str):
+            raise CheckpointError(f"tensor name {name!r} is not a str")
     records = [_record_head(name, tensors[name]) for name in sorted(tensors)]
     path = Path(os.path.realpath(path))  # through a symlink to its target, not over it
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")

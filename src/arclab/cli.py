@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accounting, analysis, checkpoint, model, reparam, training
-from .adapters import (AdapterBank, ArcConfig, adapter_shapes, init_adapters, resolve_hooks,
-                       resolved_layers)
+from .adapters import AdapterBank, ArcConfig, adapter_shapes, init_adapters, resolved_layers
 from .autodiff import gradcheck
 from .errors import CheckpointError, ConfigError, NumericalError, ShapeError, TrainingAborted
 from .kernel import Rng
@@ -46,7 +45,6 @@ _SECTIONS = {
 _BACKBONE_DEFAULTS = dict(image_size=8, patch_size=4, channels=1, embed_dim=16,
                           layers=3, heads=2, classes=4)
 _TRAIN_DEFAULTS = dict(lr=0.01, epochs=25, batch_size=8, warmup_epochs=2)
-_TASK_DEFAULTS = dict(classes=4, image_size=8, channels=1)
 _ARC_DEFAULTS = dict(bottleneck=4)  # ArcConfig's 50 is the ViT-B value; it overflows embed_dim 16
 
 
@@ -149,8 +147,11 @@ def load_run_config(path) -> RunConfig:
         train_defaults["warmup_epochs"] = min(train_defaults["warmup_epochs"], train["epochs"])
     sections = {}
     section_defaults = {"backbone": _BACKBONE_DEFAULTS, "train": train_defaults,
-                        "task": _TASK_DEFAULTS, "arc": _ARC_DEFAULTS}
+                        "arc": _ARC_DEFAULTS}
     for name, cls in _SECTIONS.items():
+        if name == "task":  # built after the backbone, whose input and head it defaults to
+            section_defaults[name] = {key: getattr(sections["backbone"], key)
+                                      for key in ("classes", "image_size", "channels")}
         sections[name] = _build_section(name, cls, doc.get(name, {}), section_defaults[name])
     seed = _check_value("io.seed", int, io.get("seed", 0))
     out_dir = _check_value("io.out_dir", str | None, io.get("out_dir"))
@@ -311,7 +312,6 @@ def cmd_gradcheck(args) -> int:
     cfg = load_run_config(args.config)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
-    hooks = resolve_hooks(cfg.arc, cfg.backbone)
     perturb = Rng(cfg.seed + 3)
     live = {name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()}
     side = cfg.backbone.image_size
@@ -321,7 +321,7 @@ def cmd_gradcheck(args) -> int:
     def build(tape, values):
         vals = {n: tape.constant(a) for n, a in weights.items()}
         vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-        logits = model.forward(tape, cfg.backbone, vals, image, hooks=hooks)
+        logits = model.forward(tape, cfg.backbone, vals, image, bank=bank)
         return tape.cross_entropy(logits, label)
 
     report = gradcheck(build, live, tol=args.tol)

@@ -1,4 +1,4 @@
-"""Small pre-norm Vision Transformer with optional adapter hooks.
+"""Small pre-norm Vision Transformer with optional adapter sites.
 
 The forward pass runs on a batch: a (B, H, W, C) image stack becomes a
 (B, T, D) token tensor (T = patches + the class token), and attention makes
@@ -208,34 +208,39 @@ def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     return ops.linear(hidden, v[f"{p}.w2"], v[f"{p}.b2"])
 
 
-def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, hooks=None, masks=None):
+def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, bank=None, masks=None):
     """Run the encoder stack and head on an embedded (B, T, D) token batch.
 
-    ``masks`` holds the adapter dropout masks of this batch by (layer,
-    site), or is None for no dropout.
+    ``bank`` wires its adapters in at its (layer, site) pairs; ``masks``
+    holds the adapter dropout masks of this batch by (layer, site), or is
+    None for no dropout.
     """
     x = x_emb
     for layer in range(1, cfg.layers + 1):
         z1 = ops.layernorm(x, v[f"enc.{layer}.ln1.gamma"], v[f"enc.{layer}.ln1.beta"], cfg.ln_eps)
-        z1 = adapters.apply_site(ops, hooks, layer, "before_mha", z1, v, masks)
+        z1 = adapters.apply_site(ops, bank, layer, "before_mha", z1, v, masks)
         attn = mha(ops, cfg, v, z1, layer)
-        attn = adapters.apply_site(ops, hooks, layer, "after_mha", attn, v, masks)
+        attn = adapters.apply_site(ops, bank, layer, "after_mha", attn, v, masks)
         x = ops.add(x, attn)
         z2 = ops.layernorm(x, v[f"enc.{layer}.ln2.gamma"], v[f"enc.{layer}.ln2.beta"], cfg.ln_eps)
-        z2 = adapters.apply_site(ops, hooks, layer, "before_ffn", z2, v, masks)
+        z2 = adapters.apply_site(ops, bank, layer, "before_ffn", z2, v, masks)
         mlp = ffn(ops, cfg, v, z2, layer)
-        mlp = adapters.apply_site(ops, hooks, layer, "after_ffn", mlp, v, masks)
+        mlp = adapters.apply_site(ops, bank, layer, "after_ffn", mlp, v, masks)
         x = ops.add(x, mlp)
     cls = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
                         cfg.ln_eps)
     return ops.linear(cls, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, hooks=None, masks=None):
-    """Logits (B x classes) for a (B, H, W, C) image stack; ``hooks`` wires
-    the adapter bank in. ``masks`` holds the batch's adapter dropout masks
-    by (layer, site), B rows each, as :func:`adapters.dropout_masks` draws
-    them: given masks, the pass is a training forward; without them it is
-    the deterministic evaluation forward. The forward itself draws nothing."""
+def forward(ops, cfg: BackboneConfig, v, images, bank=None, masks=None):
+    """Logits (B x classes) for a (B, H, W, C) image stack; ``bank`` wires
+    its adapters in, reading their tensors from ``v`` by name, and raises
+    ConfigError if it was built for another depth. ``masks`` holds the
+    batch's adapter dropout masks by (layer, site), B rows each, as
+    :func:`adapters.dropout_masks` draws them: given masks, the pass is a
+    training forward; without them it is the deterministic evaluation
+    forward. The forward itself draws nothing."""
+    if bank is not None:
+        bank.check_depth(cfg.layers)
     x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg)))
-    return forward_tokens(ops, cfg, v, x_emb, hooks, masks)
+    return forward_tokens(ops, cfg, v, x_emb, bank, masks)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .adapters import AdapterBank, composite_matrix, resolve_hooks
+from .adapters import AdapterBank, composite_matrix, group_of
 from .errors import ConfigError, NumericalError
 from .kernel import Rng
 from .autodiff import Eager
@@ -51,14 +51,15 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     ``b W`` to their biases; after_* sites right-multiply the upstream
     matrix and map its bias through the adapter. A bank whose P and b are
     exactly zero leaves the weights bitwise untouched. Raises
-    NumericalError naming the first adapter tensor that holds a NaN or inf.
+    NumericalError naming the first adapter tensor that holds a NaN or inf,
+    and ConfigError if the bank was built for another depth.
     """
     check_finite(bank)
-    table = resolve_hooks(bank.config, backbone_cfg)
+    bank.check_depth(backbone_cfg.layers)
     fused = {name: arr.copy() for name, arr in weights.items()}
     sites = 0
-    for (layer, site), group in sorted(table.entries.items()):
-        p, b = composite_matrix(bank, group, layer)
+    for layer, site in bank.sites:
+        p, b = composite_matrix(bank, group_of(site), layer)
         if not p.any() and not b.any():
             continue  # exact identity adapter: skip to keep weights bit-identical
         sites += 1
@@ -86,12 +87,11 @@ def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: FusedWeights,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_finite(bank)
     rng = rng or Rng(0)
-    table = resolve_hooks(bank.config, backbone_cfg)
     values = dict(weights)
     values.update(bank.tensors)
     ops = Eager()
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
-    adapted = model.forward(ops, backbone_cfg, values, images, hooks=table)
+    adapted = model.forward(ops, backbone_cfg, values, images, bank=bank)
     plain = model.forward(ops, backbone_cfg, fused.tensors, images)
     return float(np.abs(adapted - plain).max())

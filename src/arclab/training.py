@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .adapters import AdapterBank, dropout_masks, resolve_hooks
+from .adapters import AdapterBank, dropout_masks
 from .autodiff import Eager, Tape, backward
 from .errors import ConfigError, TrainingAborted
 from .kernel import Rng, cross_entropy
@@ -67,6 +67,8 @@ class SyntheticTask:
             raise ConfigError(f"need at least 2 classes, got {self.classes}")
         if self.train_count < self.classes:
             raise ConfigError("train_count must cover every class at least once")
+        if self.eval_count < 1:
+            raise ConfigError(f"eval_count must be >= 1, got {self.eval_count}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -97,38 +99,31 @@ def make_task(task: SyntheticTask, rng: Rng) -> Dataset:
 
 
 class AdamW:
-    """Adam moments plus decoupled, schedule-scaled weight decay.
+    """Adam moments plus decoupled, schedule-scaled weight decay over one
+    flat parameter vector of ``size`` values.
 
     With gradient zero, one step multiplies the parameter by exactly
     (1 - lr_t * weight_decay): the decay path never touches the moments.
     """
 
-    def __init__(self, weight_decay: float = 0.0):
+    def __init__(self, size: int, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr_t: float) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray, lr_t: float) -> None:
+        """Update ``p`` in place from its gradient ``g``."""
         self.t += 1
-        for name in sorted(params):
-            p = params[name]
-            g = grads.get(name)
-            decay = lr_t * self.weight_decay * p
-            if g is not None:
-                if name not in self.m:
-                    self.m[name] = np.zeros_like(p)
-                    self.v[name] = np.zeros_like(p)
-                m = self.m[name]
-                v = self.v[name]
-                m *= ADAM_BETA1
-                m += (1 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1 - ADAM_BETA2) * (g * g)
-                m_hat = m / (1 - ADAM_BETA1 ** self.t)
-                v_hat = v / (1 - ADAM_BETA2 ** self.t)
-                p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            p -= decay
+        decay = lr_t * self.weight_decay * p
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * (g * g)
+        m_hat = self.m / (1 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1 - ADAM_BETA2 ** self.t)
+        p -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        p -= decay
 
 
 def schedule_scale(cfg: TrainConfig, step: int, total_steps: int, warmup_steps: int) -> float:
@@ -178,7 +173,6 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     with a fresh tape, a draw and an optimizer step per tensor each step.
     The caller's arrays get the final values when training stops.
     """
-    hooks = resolve_hooks(bank.config, backbone_cfg) if bank is not None else None
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
         trainable.update(bank.tensors)
@@ -192,7 +186,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
         values[name] = tape.parameter(name, views[name])
         offset += arr.size
     leaves = len(tape)
-    opt = AdamW(weight_decay=cfg.weight_decay)
+    opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
     n = data.train_images.shape[0]
     tokens = backbone_cfg.tokens + 1
@@ -212,14 +206,14 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
             runs = min(batches_per_epoch, total_steps - step)
             if runs <= 0:
                 break
-            masks = dropout_masks(hooks, min(n, runs * cfg.batch_size), tokens, rng)
+            masks = dropout_masks(bank, min(n, runs * cfg.batch_size), tokens, rng)
             for b in range(runs):
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
                 tape.rewind(leaves)
                 logits = model.forward(
-                    tape, backbone_cfg, values, data.train_images[idx], hooks=hooks,
+                    tape, backbone_cfg, values, data.train_images[idx], bank=bank,
                     masks=None if masks is None else {key: m[rows] for key, m in masks.items()})
                 labels = data.train_labels[idx]
                 loss_node = tape.cross_entropy(logits, labels)
@@ -232,7 +226,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                      for name, view in views.items()], axis=None)
                 max_grad_seen = max(max_grad_seen, float(np.abs(grad).max()))
                 accuracy = float((logits.value.argmax(axis=1) == labels).mean())
-                opt.step({"trainable": flat}, {"trainable": grad}, lr_t)
+                opt.step(flat, grad, lr_t)
                 result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
                 step += 1
                 result.steps = step
@@ -246,11 +240,10 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
 
 def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
     """(mean loss, accuracy) of the eval-mode forward over a labeled set."""
-    hooks = resolve_hooks(bank.config, backbone_cfg) if bank is not None else None
     values = dict(weights)
     if bank is not None:
         values.update(bank.tensors)
-    logits = model.forward(Eager(), backbone_cfg, values, images, hooks=hooks)
+    logits = model.forward(Eager(), backbone_cfg, values, images, bank=bank)
     labels = np.asarray(labels)
     loss = cross_entropy(logits, labels)
     accuracy = float((logits.argmax(axis=1) == labels).mean())

@@ -13,7 +13,7 @@ import pytest
 
 from arclab import adapters, model, reparam, training
 from arclab.accounting import MethodSpec, count_arc_config, count_finetune
-from arclab.adapters import ArcConfig, init_adapters, resolve_hooks
+from arclab.adapters import ArcConfig, init_adapters
 from arclab.autodiff import Eager, gradcheck
 from arclab.checkpoint import load, save
 from arclab.errors import CheckpointError
@@ -105,12 +105,11 @@ def test_04_gradient_correctness() -> None:
     bank = init_adapters(cfg, TOY, Rng(9))
     r = Rng(10)
     live = {n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()}
-    table = resolve_hooks(cfg, TOY)
 
     def build(tape, values):
         vals = {n: tape.constant(a) for n, a in weights.items()}
         vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-        logits = model.forward(tape, TOY, vals, image, hooks=table)
+        logits = model.forward(tape, TOY, vals, image, bank=bank)
         return tape.cross_entropy(logits, np.array([2]))
 
     report = gradcheck(build, live, h=1e-5, tol=1e-5)
@@ -151,11 +150,10 @@ def test_06_identity_at_init() -> None:
             cfg = ArcConfig(bottleneck=DPRIME, positions=positions, sharing=sharing,
                             variant=variant)
             bank = init_adapters(cfg, TOY, Rng(50 + checked))
-            table = resolve_hooks(cfg, TOY)
             values = dict(weights)
             values.update(bank.tensors)
             for img, want in zip(images, plain):
-                got = model.forward(ops, TOY, values, img, hooks=table)
+                got = model.forward(ops, TOY, values, img, bank=bank)
                 assert np.array_equal(got, want), (sharing, positions, variant)
             checked += 1
     print(f"ACCEPTANCE 6 PASS: exact identity at init for {checked} configurations")

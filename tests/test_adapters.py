@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from arclab import accounting, adapters, model
-from arclab.adapters import (ArcConfig, adapter_shapes, arc_forward, dropout_mask, init_adapters,
-                             resolve_hooks)
+from arclab.adapters import ArcConfig, adapter_shapes, arc_forward, dropout_mask, init_adapters
 from arclab.autodiff import Eager, gradcheck
 from arclab.errors import ConfigError
 from arclab.kernel import Rng
@@ -60,13 +59,13 @@ class TestInit:
             bank = init_adapters(cfg, TOY, Rng(9))
             values = dict(w)
             values.update(bank.tensors)
-            out = model.forward(Eager(), TOY, values, img, hooks=resolve_hooks(cfg, TOY))
+            out = model.forward(Eager(), TOY, values, img, bank=bank)
             assert np.array_equal(out, plain), (sharing, positions)
         fr = ArcConfig(bottleneck=4, variant="full_rank")
         bank = init_adapters(fr, TOY, Rng(9))
         values = dict(w)
         values.update(bank.tensors)
-        out = model.forward(Eager(), TOY, values, img, hooks=resolve_hooks(fr, TOY))
+        out = model.forward(Eager(), TOY, values, img, bank=bank)
         assert np.array_equal(out, plain)
 
     @pytest.mark.parametrize("variant", adapters.VARIANTS)
@@ -137,9 +136,8 @@ class TestArcForward:
     def test_zero_coef_zero_bias_is_identity(self) -> None:
         cfg = ArcConfig(bottleneck=4)
         bank = init_adapters(cfg, TOY, Rng(2))
-        table = resolve_hooks(cfg, TOY)
         x = Rng(3).normals((1, 5, 16))
-        out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
+        out = arc_forward(Eager(), bank, 1, "before_mha", x, bank.tensors)
         assert np.array_equal(out, x)
 
     def test_rank_one_hand_case(self) -> None:
@@ -151,9 +149,8 @@ class TestArcForward:
             cfg,
             **{"arc.mha.down": down, "arc.mha.1.coef": np.array([[2.0]])},
         )
-        table = resolve_hooks(cfg, TOY)
         x = Rng(4).normals((1, 5, 16))
-        out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
+        out = arc_forward(Eager(), bank, 1, "before_mha", x, bank.tensors)
         want = x.copy()
         want[..., 0] += 2.0 * x[..., 0]
         assert np.abs(out - want).max() <= 1e-15
@@ -164,21 +161,19 @@ class TestArcForward:
         r = Rng(6)
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.3)
-        table = resolve_hooks(cfg, TOY)
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(7).normals((2, 8, 8, 1))
-        a = model.forward(Eager(), TOY, values, imgs, hooks=table)
-        b = model.forward(Eager(), TOY, values, imgs, hooks=table)
+        a = model.forward(Eager(), TOY, values, imgs, bank=bank)
+        b = model.forward(Eager(), TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 
     def test_outside_insertion_set_is_contract_error(self) -> None:
         cfg = ArcConfig(bottleneck=4, insertion_layers=(1,))
         bank = init_adapters(cfg, TOY, Rng(5))
-        table = resolve_hooks(cfg, TOY)
         x = Rng(7).normals((1, 5, 16))
         with pytest.raises(ConfigError):
-            arc_forward(Eager(), table, 2, "before_mha", x, bank.tensors)
+            arc_forward(Eager(), bank, 2, "before_mha", x, bank.tensors)
 
     def test_affine_linearity_in_eval_mode(self) -> None:
         cfg = ArcConfig(bottleneck=4, dropout_rate=0.0)
@@ -186,11 +181,10 @@ class TestArcForward:
         r = Rng(9)
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.4)
-        table = resolve_hooks(cfg, TOY)
         bias = bank.tensors["arc.mha.1.bias"]
         x, y = Rng(10).normals((1, 5, 16)), Rng(11).normals((1, 5, 16))
         alpha, beta = 1.7, -0.6
-        f = lambda m: arc_forward(Eager(), table, 1, "before_mha", m, bank.tensors)
+        f = lambda m: arc_forward(Eager(), bank, 1, "before_mha", m, bank.tensors)
         lhs = f(alpha * x + beta * y)
         rhs = alpha * f(x) + beta * f(y) - (alpha + beta - 1.0) * np.repeat(bias, 5, axis=0)
         assert np.abs(lhs - rhs).max() <= 1e-10
@@ -200,9 +194,8 @@ class TestArcForward:
         bank = init_adapters(cfg, TOY, Rng(12))
         delta = Rng(13).normals((16, 16), 0.2)
         bank.tensors["arc.mha.1.delta"] = delta
-        table = resolve_hooks(cfg, TOY)
         x = Rng(14).normals((1, 5, 16))
-        out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
+        out = arc_forward(Eager(), bank, 1, "before_mha", x, bank.tensors)
         assert np.abs(out - (x @ delta + x)).max() <= 1e-15
 
 
@@ -229,14 +222,13 @@ class TestDropout:
         r = Rng(4)
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.5)
-        table = resolve_hooks(cfg, TOY)
         x = Rng(5).normals((1, 3, 16))
-        eval_out = arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors)
+        eval_out = arc_forward(Eager(), bank, 1, "before_mha", x, bank.tensors)
         rng = Rng(6)
         draws = 2000
         acc = np.zeros_like(eval_out)
         for _ in range(draws):
-            acc += arc_forward(Eager(), table, 1, "before_mha", x, bank.tensors,
+            acc += arc_forward(Eager(), bank, 1, "before_mha", x, bank.tensors,
                                mask=dropout_mask(rng, (1, 3, 4), 0.3))
         mean = acc / draws
         # loose 3-sigma style bound on the adapter output scale
@@ -246,46 +238,49 @@ class TestDropout:
     def test_batch_masks_follow_per_image_order(self) -> None:
         # one draw for the batch equals per-image draws in (image, layer, site) order
         cfg = ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.3)
-        table = resolve_hooks(cfg, TOY)
-        masks = adapters.dropout_masks(table, 3, 5, Rng(9))
+        bank = init_adapters(cfg, TOY, Rng(1))
+        masks = adapters.dropout_masks(bank, 3, 5, Rng(9))
         rng = Rng(9)
         for image in range(3):
-            for key in table.entries:
+            for key in bank.sites:
                 assert np.array_equal(masks[key][image], dropout_mask(rng, (5, 4), 0.3)), key
 
     def test_train_rate_zero_equals_eval(self) -> None:
         cfg = ArcConfig(bottleneck=4, dropout_rate=0.0)
         bank = init_adapters(cfg, TOY, Rng(7))
-        table = resolve_hooks(cfg, TOY)
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
-        masks = adapters.dropout_masks(table, imgs.shape[0], TOY.tokens + 1, Rng(0))
-        a = model.forward(Eager(), TOY, values, imgs, hooks=table, masks=masks)
-        b = model.forward(Eager(), TOY, values, imgs, hooks=table)
+        masks = adapters.dropout_masks(bank, imgs.shape[0], TOY.tokens + 1, Rng(0))
+        a = model.forward(Eager(), TOY, values, imgs, bank=bank, masks=masks)
+        b = model.forward(Eager(), TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 
 
 class TestResolveHooks:
+    """The (layer, site) pairs a bank wires, as ``bank.sites`` lists them."""
+
     def test_default_config_two_hooks_per_layer(self) -> None:
-        table = resolve_hooks(ArcConfig(bottleneck=4), TOY)
-        assert len(table) == 2 * TOY.layers
+        bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(1))
+        assert bank.sites == ((1, "before_mha"), (1, "before_ffn"),
+                              (2, "before_mha"), (2, "before_ffn"))
 
     def test_insertion_subset(self) -> None:
         cfg12 = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                      layers=12, heads=2, classes=4)
-        table = resolve_hooks(ArcConfig(bottleneck=4, insertion_layers=tuple(range(1, 7))), cfg12)
-        assert len(table) == 12
-        assert all(layer <= 6 for layer, _ in table.entries)
+        bank = init_adapters(ArcConfig(bottleneck=4, insertion_layers=tuple(range(1, 7))), cfg12,
+                             Rng(1))
+        assert len(bank.sites) == 12
+        assert all(layer <= 6 for layer, _ in bank.sites)
 
     def test_attention_only(self) -> None:
-        table = resolve_hooks(ArcConfig(bottleneck=4, positions=("before_mha",)), TOY)
-        assert len(table) == TOY.layers
-        assert all(site == "before_mha" for _, site in table.entries)
+        bank = init_adapters(ArcConfig(bottleneck=4, positions=("before_mha",)), TOY, Rng(1))
+        assert len(bank.sites) == TOY.layers
+        assert all(site == "before_mha" for _, site in bank.sites)
 
     def test_insertion_beyond_depth(self) -> None:
         with pytest.raises(ConfigError):
-            resolve_hooks(ArcConfig(bottleneck=4, insertion_layers=(3,)), TOY)
+            init_adapters(ArcConfig(bottleneck=4, insertion_layers=(3,)), TOY, Rng(1))
 
 
 class TestCensusAgainstFormula:
@@ -323,13 +318,12 @@ class TestIntraSharingGradient:
         bank = init_adapters(cfg, TOY, Rng(32))
         r = Rng(33)
         live = {n: r.normals(a.shape, 0.4) for n, a in bank.tensors.items()}
-        table = resolve_hooks(cfg, TOY)
 
         def build(tape, values):
             vals = {n: tape.constant(a) for n, a in w.items()}
             vals.update({n: tape.constant(a) for n, a in live.items() if n not in values})
             vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-            logits = model.forward(tape, TOY, vals, img, hooks=table)
+            logits = model.forward(tape, TOY, vals, img, bank=bank)
             return tape.cross_entropy(logits, np.array([1]))
 
         report = gradcheck(build, {"arc.mha.down": live["arc.mha.down"],

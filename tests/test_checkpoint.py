@@ -194,6 +194,19 @@ class TestSaveContract:
         assert path.read_bytes() == before
         assert _listing(tmp_path) == ["ck.arcl"]
 
+    @pytest.mark.parametrize("extra, match", [
+        ({1: np.ones(2)}, "tensor name 1 is not a str"),
+        ({"a": np.ones(2), b"b": np.ones(2)}, "tensor name b'b' is not a str"),
+    ], ids=["int-only", "mixed"])
+    def test_non_str_name_rejected_before_sorting(self, tmp_path, tensors, extra, match) -> None:
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        before = path.read_bytes()
+        with pytest.raises(CheckpointError, match=match):
+            save(path, extra)
+        assert path.read_bytes() == before
+        assert _listing(tmp_path) == ["ck.arcl"]
+
     @pytest.mark.parametrize("failure", [OSError("disk full"), KeyboardInterrupt()],
                              ids=["os-error", "interrupt"])
     def test_failed_save_leaves_old_file(self, tmp_path, tensors, monkeypatch, failure) -> None:

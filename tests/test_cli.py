@@ -58,6 +58,28 @@ class TestRunConfig:
         for section, keys in json.loads(example).items():
             assert {key: echoed[section][key] for key in keys} == keys, section
 
+    def test_task_defaults_to_backbone(self, tmp_path) -> None:
+        """The task's classes and image shape default to the backbone's; an
+        explicit conflicting value is still rejected, and the configs that
+        loaded before keep their effective values and digests."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"backbone": {"classes": 10, "image_size": 12,
+                                                 "channels": 3}}))
+        task = cli.load_run_config(path).task
+        assert (task.classes, task.image_size, task.channels) == (10, 12, 3)
+        path.write_text(json.dumps({"backbone": {"classes": 10}, "task": {"classes": 4}}))
+        with pytest.raises(ConfigError, match="task classes 4 do not match backbone head 10"):
+            cli.load_run_config(path)
+        for doc, digest in [
+            ({}, "f97302dfeb70d82e938e60269c6558e3b016239bf1b0e6866da28036bdd4695c"),
+            ({"task": {"classes": 4}},
+             "f97302dfeb70d82e938e60269c6558e3b016239bf1b0e6866da28036bdd4695c"),
+            ({"backbone": {"channels": 1}, "task": {"image_size": 8, "eval_count": 4}},
+             "e51296c3dcd44f892e858cf93bc7e7ad79730fa57e789aece182bd1489c0c8f6"),
+        ]:
+            path.write_text(json.dumps(doc))
+            assert cli.load_run_config(path).digest().hex() == digest, doc
+
     def test_unknown_section_rejected(self, tmp_path) -> None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"optimizer": {}}))
@@ -149,6 +171,14 @@ class TestCommands:
         echoed = json.loads((out / "config.json").read_text())
         assert echoed["arc"]["bottleneck"] == 4 and echoed["train"]["warmup_epochs"] == 1
         assert "steps 4" in capsys.readouterr().out
+
+    def test_empty_eval_set_exit_2(self, tmp_path, capsys) -> None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"task": {"eval_count": 0}, "train": {"epochs": 1}}))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "eval_count must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -235,10 +236,9 @@ class TestForward:
         plain = model.forward(Eager(), TOY, w, img)
         acfg = adapters.ArcConfig(bottleneck=4)
         bank = adapters.init_adapters(acfg, TOY, Rng(23))
-        table = adapters.resolve_hooks(acfg, TOY)
         values = dict(w)
         values.update(bank.tensors)
-        adapted = model.forward(Eager(), TOY, values, img, hooks=table)
+        adapted = model.forward(Eager(), TOY, values, img, bank=bank)
         assert np.array_equal(adapted, plain)
 
 
@@ -247,29 +247,29 @@ class TestBatchedContract:
 
     ARC = adapters.ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.0)
 
+    BANK = adapters.init_adapters(ARC, TOY, Rng(24))
+
     def _adapted_values(self, weights):
-        bank = adapters.init_adapters(self.ARC, TOY, Rng(24))
         r = Rng(25)
-        return {n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()}
+        return {n: r.normals(a.shape, 0.3) for n, a in self.BANK.tensors.items()}
 
     @pytest.mark.parametrize("with_bank", [False, True])
     def test_rows_match_batch_of_one(self, with_bank) -> None:
         values = toy_weights()
-        hooks = None
+        bank = None
         if with_bank:
             values.update(self._adapted_values(values))
-            hooks = adapters.resolve_hooks(self.ARC, TOY)
+            bank = self.BANK
         images = Rng(26).normals((5, 8, 8, 1))
-        batch = model.forward(Eager(), TOY, values, images, hooks=hooks)
+        batch = model.forward(Eager(), TOY, values, images, bank=bank)
         assert batch.shape == (5, TOY.classes)
         for i in range(5):
-            one = model.forward(Eager(), TOY, values, images[i:i + 1], hooks=hooks)
+            one = model.forward(Eager(), TOY, values, images[i:i + 1], bank=bank)
             assert np.abs(batch[i] - one[0]).max() <= 1e-12
 
     def test_batch_mean_gradient_is_mean_of_per_image_gradients(self) -> None:
         weights = toy_weights()
         live = self._adapted_values(weights)
-        hooks = adapters.resolve_hooks(self.ARC, TOY)
         images = Rng(27).normals((4, 8, 8, 1))
         labels = np.array([0, 3, 1, 2])
 
@@ -278,7 +278,7 @@ class TestBatchedContract:
             vals = {n: tape.parameter(n, a) if n in model.HEAD_NAMES else tape.constant(a)
                     for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
-            logits = model.forward(tape, TOY, vals, imgs, hooks=hooks)
+            logits = model.forward(tape, TOY, vals, imgs, bank=self.BANK)
             return backward(tape, tape.cross_entropy(logits, labs))
 
         whole = grads(images, labels)
@@ -293,7 +293,6 @@ class TestBatchedContract:
         """Skipping the gradients of frozen weights changes no gradient that is read."""
         weights = toy_weights()
         live = self._adapted_values(weights)
-        hooks = adapters.resolve_hooks(self.ARC, TOY)
         images = Rng(28).normals((3, 8, 8, 1))
 
         def grads(backbone_trainable: bool):
@@ -301,13 +300,31 @@ class TestBatchedContract:
             vals = {n: tape.parameter(n, a) if backbone_trainable or n in model.HEAD_NAMES
                     else tape.constant(a) for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
-            logits = model.forward(tape, TOY, vals, images, hooks=hooks)
+            logits = model.forward(tape, TOY, vals, images, bank=self.BANK)
             return backward(tape, tape.cross_entropy(logits, np.array([2, 0, 1])))
 
         frozen, full = grads(False), grads(True)
         assert set(frozen) == set(live) | set(model.HEAD_NAMES)
         for name, g in frozen.items():
             assert np.array_equal(g, full[name]), name
+
+
+class TestBankDepth:
+    """A bank runs only on a backbone of the depth it was built for."""
+
+    @pytest.mark.parametrize("ops", [Eager, Tape])
+    @pytest.mark.parametrize("built_layers", [1, 3], ids=["shallower", "deeper"])
+    def test_other_depth_is_config_error(self, ops, built_layers) -> None:
+        other = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                                     layers=built_layers, heads=2, classes=4)
+        bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=4), other, Rng(1))
+        values = toy_weights()
+        values.update(bank.tensors)
+        backend = ops()
+        if isinstance(backend, Tape):
+            values = {name: backend.constant(arr) for name, arr in values.items()}
+        with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
+            model.forward(backend, TOY, values, Rng(2).normals((1, 8, 8, 1)), bank=bank)
 
 
 def _sha256(a) -> str:
@@ -333,14 +350,13 @@ class TestKnownAnswers:
     ], ids=["plain", "bottleneck", "full_rank"])
     def test_eager_logits(self, arc, digest) -> None:
         values = model.init_backbone(self.CFG, Rng(31))
-        hooks = None
+        bank = None
         if arc is not None:
             bank = adapters.init_adapters(arc, self.CFG, Rng(32))
             r = Rng(33)
             values.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
-            hooks = adapters.resolve_hooks(arc, self.CFG)
         images = Rng(34).normals((6, 8, 8, 3))
-        assert _sha256(model.forward(Eager(), self.CFG, values, images, hooks=hooks)) == digest
+        assert _sha256(model.forward(Eager(), self.CFG, values, images, bank=bank)) == digest
 
     def test_loss_curve(self) -> None:
         task = training.SyntheticTask(classes=5, image_size=8, channels=3, noise_sigma=0.5,

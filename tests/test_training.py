@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from arclab import model, training
-from arclab.adapters import ArcConfig, init_adapters, resolve_hooks
+from arclab.adapters import ArcConfig, init_adapters
 from arclab.errors import ConfigError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
@@ -87,6 +87,8 @@ class TestMakeTask:
             SyntheticTask(classes=4, image_size=8, train_count=2)
         with pytest.raises(ConfigError):
             SyntheticTask(classes=4, image_size=8, noise_sigma=-1.0)
+        with pytest.raises(ConfigError, match="eval_count"):
+            SyntheticTask(classes=4, image_size=8, eval_count=0)
 
 
 class TestTrainConfig:
@@ -124,31 +126,25 @@ class TestSchedule:
 
 class TestAdamW:
     def test_zero_gradient_pure_decay(self) -> None:
-        opt = AdamW(weight_decay=0.2)
-        p0 = np.full((2, 2), 3.0)
-        params = {"p": p0.copy()}
-        opt.step(params, {"p": np.zeros((2, 2))}, lr_t=0.5)
-        assert np.abs(params["p"] / p0 - (1.0 - 0.5 * 0.2)).max() <= 1e-16
-
-    def test_absent_gradient_also_decays(self) -> None:
-        opt = AdamW(weight_decay=0.1)
-        params = {"p": np.ones((2,  2))}
-        opt.step(params, {}, lr_t=1.0)
-        assert np.allclose(params["p"], 0.9)
+        opt = AdamW(4, weight_decay=0.2)
+        p0 = np.full(4, 3.0)
+        p = p0.copy()
+        opt.step(p, np.zeros(4), lr_t=0.5)
+        assert np.abs(p / p0 - (1.0 - 0.5 * 0.2)).max() <= 1e-16
 
     def test_first_step_moves_by_lr_signs(self) -> None:
-        opt = AdamW()
-        params = {"p": np.zeros((1, 3))}
-        g = np.array([[1.0, -2.0, 0.5]])
-        opt.step(params, {"p": g}, lr_t=0.1)
+        opt = AdamW(3)
+        p = np.zeros(3)
+        g = np.array([1.0, -2.0, 0.5])
+        opt.step(p, g, lr_t=0.1)
         # bias-corrected first Adam step is -lr * sign(g) up to eps
-        assert np.abs(params["p"] + 0.1 * np.sign(g)).max() <= 1e-6
+        assert np.abs(p + 0.1 * np.sign(g)).max() <= 1e-6
 
     def test_updates_in_place(self) -> None:
-        opt = AdamW()
-        arr = np.ones((1, 1))
-        opt.step({"p": arr}, {"p": np.ones((1, 1))}, lr_t=0.1)
-        assert arr[0, 0] != 1.0  # the caller's array itself moved
+        opt = AdamW(1)
+        arr = np.ones(1)
+        opt.step(arr, np.ones(1), lr_t=0.1)
+        assert arr[0] != 1.0  # the caller's array itself moved
 
 
 class TestTrain:
@@ -242,7 +238,7 @@ class TestTrain:
         (used,) = made
         want = Rng(5)
         want.permutation(data.train_images.shape[0])
-        sites = len(resolve_hooks(bank.config, TOY))
+        sites = len(bank.sites)
         want.uniforms(batch * sites * (TOY.tokens + 1) * bank.config.bottleneck)
         assert used._s == want._s
 
@@ -335,7 +331,7 @@ class TestRunState:
             made.clear()
             train(TOY, weights, bank, data, self.CFG, max_steps=steps)
             (used,) = made
-            per_image = (len(resolve_hooks(bank.config, TOY)) * (TOY.tokens + 1)
+            per_image = (len(bank.sites) * (TOY.tokens + 1)
                          * bank.config.bottleneck)
             assert used._s == per_step_draws(steps, per_image)._s, steps
 
@@ -376,12 +372,11 @@ class TestRunState:
             tapes.append(tape)
             return real_backward(tape, out)
 
-        def keep_buffer(self, params, grads, lr_t):
-            (flat,) = params.values()
+        def keep_buffer(self, flat, grad, lr_t):
             buffers.append(flat)
             leaves = [tapes[-1]._nodes[idx].value for idx in tapes[-1]._params.values()]
             assert all(np.shares_memory(leaf, flat) for leaf in leaves)
-            real_step(self, params, grads, lr_t)
+            real_step(self, flat, grad, lr_t)
             assert np.array_equal(np.concatenate(leaves, axis=None), flat)
 
         monkeypatch.setattr(training, "backward", keep_tape)
