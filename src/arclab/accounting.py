@@ -18,7 +18,7 @@ from .errors import ConfigError
 
 METHODS = ("adapter", "vpt_shallow", "vpt_deep", "lora", "ssf", "arc", "arc_att")
 
-# knob name -> (attribute, methods that require it)
+# knob -> the methods that require it
 _KNOBS = {
     "bottleneck": ("adapter", "lora", "arc", "arc_att"),
     "prompts": ("vpt_shallow", "vpt_deep"),
@@ -134,22 +134,22 @@ class ScalingRow:
 
 def scaling_table(spec: MethodSpec, layer_range=None, backbones=None,
                   embed_dim: int | None = None) -> list[ScalingRow]:
-    """Counts over a range of depths (fixed D) or a list of backbone shapes."""
+    """Counts over a range of depths (fixed D) or a list of backbone shapes;
+    rejects an empty range and a bottleneck or rank wider than a row's D."""
     if (layer_range is None) == (backbones is None):
         raise ConfigError("pass exactly one of layer_range or backbones")
-    rows = []
     if layer_range is not None:
         if embed_dim is None:
             raise ConfigError("layer sweep needs embed_dim")
-        for layers in layer_range:
-            rows.append(ScalingRow(f"L={layers}", embed_dim, layers,
-                                   count_finetune(spec, embed_dim, layers),
-                                   count_inference(spec, embed_dim, layers)))
-    else:
-        for label, d, layers in backbones:
-            rows.append(ScalingRow(label, d, layers,
-                                   count_finetune(spec, d, layers),
-                                   count_inference(spec, d, layers)))
+        if not layer_range:
+            raise ConfigError(f"layer sweep needs at least one depth L >= 1, got {layer_range}")
+        backbones = [(f"L={layers}", embed_dim, layers) for layers in layer_range]
+    rows = []
+    for label, d, layers in backbones:
+        if spec.bottleneck is not None and spec.bottleneck > d:
+            raise ConfigError(f"bottleneck {spec.bottleneck} exceeds embed_dim {d}")
+        rows.append(ScalingRow(label, d, layers, count_finetune(spec, d, layers),
+                               count_inference(spec, d, layers)))
     return rows
 
 

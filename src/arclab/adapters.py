@@ -12,13 +12,17 @@ group for spectrum analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .kernel import Rng
+
+if TYPE_CHECKING:
+    from .model import BackboneConfig
 
 # before_mha transforms the LN1 output and before_ffn the LN2 output;
 # after_mha and after_ffn transform the block output before its residual add.
@@ -128,14 +132,27 @@ def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
 
 @dataclass
 class AdapterBank:
-    """Named trainable tensors of one adapter configuration, and the wiring
-    they give a backbone: an adapter at each of ``config.positions`` in
-    each of ``layers``."""
+    """Named trainable tensors of one adapter configuration on one backbone,
+    and the wiring they give it: an adapter at each of ``config.positions``
+    in each of ``layers``. Building one (``dataclasses.replace`` included)
+    raises ShapeError naming a missing, unexpected or misshapen tensor."""
 
     config: ArcConfig
-    embed_dim: int
-    layers: tuple[int, ...]
+    backbone: BackboneConfig
     tensors: dict[str, np.ndarray]
+    layers: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        shapes = adapter_shapes(self.config, self.backbone)
+        missing = sorted(set(shapes) - set(self.tensors))
+        extra = sorted(set(self.tensors) - set(shapes))
+        if missing or extra:
+            raise ShapeError(f"adapter tensors mismatch: missing {missing}, unexpected {extra}")
+        for name, shape in shapes.items():
+            if self.tensors[name].shape != shape:
+                raise ShapeError(
+                    f"adapter tensor {name!r}: shape {self.tensors[name].shape}, expected {shape}")
+        self.layers = resolved_layers(self.config, self.backbone.layers)
 
     @property
     def sites(self) -> tuple[tuple[int, str], ...]:
@@ -186,13 +203,12 @@ def init_adapters(config: ArcConfig, backbone, rng: Rng) -> AdapterBank:
     full-rank deltas start at zero, so the adapted model reproduces the
     plain one bit for bit.
     """
-    d = backbone.embed_dim
-    scales = {"down": 1.0 / np.sqrt(d), "up": 1.0 / np.sqrt(config.bottleneck)}
+    scales = {"down": 1.0 / np.sqrt(backbone.embed_dim), "up": 1.0 / np.sqrt(config.bottleneck)}
     tensors: dict[str, np.ndarray] = {}
     for name, shape in adapter_shapes(config, backbone).items():
         scale = scales.get(name.rsplit(".", 1)[-1])
         tensors[name] = np.zeros(shape) if scale is None else rng.normals(shape, scale=scale)
-    return AdapterBank(config, d, resolved_layers(config, backbone.layers), tensors)
+    return AdapterBank(config, backbone, tensors)
 
 
 def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
@@ -251,6 +267,6 @@ def composite_matrix(bank: AdapterBank, group: str, layer: int):
     cfg = bank.config
     tensors = [bank.tensors[name] for name in cfg.site_keys(group, layer)]
     if cfg.variant == "full_rank":
-        return tensors[0].copy(), np.zeros((1, bank.embed_dim))
+        return tensors[0].copy(), np.zeros((1, bank.backbone.embed_dim))
     down, up, coef, bias = tensors
     return (down * coef.reshape(-1)) @ (up.T if cfg.intra else up), bias.copy()

@@ -1,9 +1,11 @@
 """Singular-value spectra of learned adaptation matrices.
 
-Trains-side code produces full-rank per-layer delta matrices; this module
-decomposes each one, bins the singular values into fixed-width histogram
-buckets, and reports scale-free rank metrics. CSV output is the artifact;
-plotting is left to whatever consumes the CSVs.
+Each (layer, group) adapter of a bank adds x P to its input, where P is
+the re-composed W_down diag(c) W_up of a bottleneck bank (rank at most
+D') or the learned delta of a full-rank one. This module decomposes each
+P, bins the singular values into fixed-width histogram buckets, and
+reports scale-free rank metrics. CSV output is the artifact; plotting is
+left to whatever consumes the CSVs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import AdapterBank
+from .adapters import AdapterBank, composite_matrix
 from .errors import ConfigError, NumericalError, ShapeError
 from .kernel import svd
 
@@ -76,7 +78,7 @@ def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
     try:
         _, s, _ = svd(delta)
     except NumericalError as exc:
-        raise NumericalError(f"layer {layer} group {group} delta: {exc}") from None
+        raise NumericalError(f"layer {layer} group {group} matrix: {exc}") from None
     if value_range is None:
         s_max = float(s[0]) if s.size else 0.0
         value_range = (0.0, s_max if s_max > 0.0 else 1.0)
@@ -86,15 +88,10 @@ def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
 
 
 def rank_sweep(bank: AdapterBank, bins: int = DEFAULT_BINS) -> list[SpectrumReport]:
-    """Spectrum of every per-layer, per-group delta of a full-rank bank."""
-    if bank.config.variant != "full_rank":
-        raise ConfigError("rank_sweep needs a bank with variant='full_rank'")
-    reports = []
-    for layer in bank.layers:
-        for group in bank.config.groups:
-            delta = bank.tensors[bank.config.delta_key(group, layer)]
-            reports.append(spectrum(delta, bins=bins, layer=layer, group=group))
-    return reports
+    """Spectrum of every per-layer, per-group adapter matrix P of the bank
+    (see :func:`adapters.composite_matrix`)."""
+    return [spectrum(composite_matrix(bank, group, layer)[0], bins=bins, layer=layer, group=group)
+            for layer in bank.layers for group in bank.config.groups]
 
 
 def sweep_summary(reports: list[SpectrumReport]) -> dict:

@@ -157,7 +157,8 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
     """Parse and validate a checkpoint.
 
     Every field is checked and every returned record is complete; a
-    malformed or short record raises CheckpointError with its byte offset.
+    malformed or short record raises CheckpointError whose message starts
+    with ``path`` and gives the byte offset.
     Each length is checked against the file size before anything is
     allocated for it. The format has no tensor count, so a file cut exactly
     at a record boundary returns the records before the cut: callers that
@@ -169,42 +170,46 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
     of it. A single tensor that is still referenced keeps the whole buffer
     alive; copy it to keep it alone.
     """
-    with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        magic = reader.take(4, "magic")
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-        version = reader.u32("version")
-        if version != VERSION:
-            raise CheckpointError(f"unsupported format version {version}", offset=4)
-        fused_byte = reader.take(1, "fused flag")[0]
-        if fused_byte not in (0, 1):
-            raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
-        digest = reader.take(32, "config digest")
-        # every payload fits in what is left of the file
-        buffer = np.empty((reader.size - reader.offset) // 8, dtype="<f8")
-        used = 0
-        tensors: dict[str, np.ndarray] = {}
-        while reader.offset < reader.size:
-            record_at = reader.offset
-            name_len = reader.u32("tensor name length")
-            if name_len == 0 or name_len > _MAX_NAME:
-                raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
-            try:
-                name = reader.take(name_len, "tensor name").decode()
-            except UnicodeDecodeError as exc:
-                raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
-            if name in tensors:
-                raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
-            ndim = reader.u32("tensor rank")
-            if ndim > _MAX_NDIM:
-                raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
-            dims = [reader.u32(f"dim {i} of {name!r}") for i in range(ndim)]
-            if any(d == 0 for d in dims):
-                raise CheckpointError(f"zero-sized dim in {name!r}: {dims}", offset=record_at)
-            count = math.prod(dims)
-            payload = reader.take_floats(buffer, used, count, f"payload of {name!r}")
-            used += count
-            tensors[name] = payload.reshape(dims)
+    try:
+        with open(path, "rb") as fh:
+            reader = _Reader(fh)
+            magic = reader.take(4, "magic")
+            if magic != MAGIC:
+                raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+            version = reader.u32("version")
+            if version != VERSION:
+                raise CheckpointError(f"unsupported format version {version}", offset=4)
+            fused_byte = reader.take(1, "fused flag")[0]
+            if fused_byte not in (0, 1):
+                raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
+            digest = reader.take(32, "config digest")
+            # every payload fits in what is left of the file
+            buffer = np.empty((reader.size - reader.offset) // 8, dtype="<f8")
+            used = 0
+            tensors: dict[str, np.ndarray] = {}
+            while reader.offset < reader.size:
+                record_at = reader.offset
+                name_len = reader.u32("tensor name length")
+                if name_len == 0 or name_len > _MAX_NAME:
+                    raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
+                try:
+                    name = reader.take(name_len, "tensor name").decode()
+                except UnicodeDecodeError as exc:
+                    raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
+                if name in tensors:
+                    raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
+                ndim = reader.u32("tensor rank")
+                if ndim > _MAX_NDIM:
+                    raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
+                dims = [reader.u32(f"dim {i} of {name!r}") for i in range(ndim)]
+                if any(d == 0 for d in dims):
+                    raise CheckpointError(f"zero-sized dim in {name!r}: {dims}", offset=record_at)
+                count = math.prod(dims)
+                payload = reader.take_floats(buffer, used, count, f"payload of {name!r}")
+                used += count
+                tensors[name] = payload.reshape(dims)
+    except CheckpointError as exc:
+        exc.args = (f"{path}: {exc}",)  # the byte offset, if any, stays in .offset
+        raise
     header = CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest)
     return header, tensors

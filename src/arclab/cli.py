@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accounting, analysis, checkpoint, model, reparam, training
-from .adapters import AdapterBank, ArcConfig, adapter_shapes, init_adapters, resolved_layers
+from .adapters import AdapterBank, ArcConfig, init_adapters
 from .autodiff import gradcheck
 from .errors import CheckpointError, ConfigError, NumericalError, ShapeError, TrainingAborted
 from .kernel import Rng
@@ -174,42 +174,32 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(cfg.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar_config(args) -> Path:
-    if args.config:
-        return Path(args.config)
-    return Path(args.checkpoint).parent / "config.json"
+def _sidecar_config(args) -> tuple[RunConfig, Path]:
+    """The run config ``--config`` names (default: config.json next to the
+    checkpoint), and its path."""
+    path = Path(args.config) if args.config else Path(args.checkpoint).parent / "config.json"
+    return load_run_config(path), path
 
 
-def _load_with_config(ckpt_path, config_path):
-    cfg = load_run_config(config_path)
-    header, tensors = checkpoint.load(ckpt_path)
+def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool):
+    """``(weights, bank)`` of the checkpoint at ``path``, which must carry
+    ``cfg``'s digest and the ``fused`` flag, in that order, and hold a full
+    backbone. An unfused checkpoint yields a bank of its ``arc.*`` tensors;
+    a fused one must hold none and yields None."""
+    header, tensors = checkpoint.load(path)
     if header.config_digest != cfg.digest():
-        raise CheckpointError(
-            f"checkpoint {ckpt_path} was not produced by config {config_path}"
-        )
-    backbone_tensors = {k: v for k, v in tensors.items() if not k.startswith("arc.")}
-    bank_tensors = {k: v for k, v in tensors.items() if k.startswith("arc.")}
-    model.validate_weights(cfg.backbone, backbone_tensors)
-    bank = None
-    if bank_tensors:
-        bank = _bank_from_tensors(cfg, bank_tensors)
-    return cfg, header, backbone_tensors, bank
-
-
-def _bank_from_tensors(cfg: RunConfig, tensors: dict) -> AdapterBank:
-    shapes = adapter_shapes(cfg.arc, cfg.backbone)
-    missing = sorted(set(shapes) - set(tensors))
-    extra = sorted(set(tensors) - set(shapes))
-    if missing or extra:
-        raise CheckpointError(f"adapter tensors mismatch: missing {missing}, unexpected {extra}")
-    for name, shape in shapes.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError(
-                f"adapter tensor {name!r}: shape {tensors[name].shape}, expected {shape}"
-            )
-    layers = resolved_layers(cfg.arc, cfg.backbone.layers)
-    return AdapterBank(cfg.arc, cfg.backbone.embed_dim, layers,
-                       {name: tensors[name] for name in shapes})
+        raise CheckpointError(f"checkpoint {path} was not produced by config {config_path}")
+    if header.fused != fused:
+        raise ConfigError(f"checkpoint {path} "
+                          f"{'does not carry' if fused else 'already carries'} the fused flag")
+    weights = {k: v for k, v in tensors.items() if fused or not k.startswith("arc.")}
+    try:
+        model.validate_weights(cfg.backbone, weights)
+        bank = None if fused else AdapterBank(cfg.arc, cfg.backbone, {
+            k: v for k, v in tensors.items() if k.startswith("arc.")})
+    except ShapeError as exc:
+        raise ShapeError(f"checkpoint {path}: {exc}") from None
+    return weights, bank
 
 
 def cmd_train(args) -> int:
@@ -240,11 +230,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    cfg, header, weights, bank = _load_with_config(args.checkpoint, _sidecar_config(args))
-    if header.fused:
-        raise ConfigError("checkpoint is already fused")
-    if bank is None:
-        raise ConfigError("checkpoint holds no adapter tensors to fuse")
+    cfg, config_path = _sidecar_config(args)
+    weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     fused = reparam.fuse(weights, bank, cfg.backbone)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -254,14 +241,9 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, header, weights, bank = _load_with_config(args.checkpoint, _sidecar_config(args))
-    if bank is None:
-        raise ConfigError("unfused checkpoint holds no adapter tensors")
-    fused_header, fused_tensors = checkpoint.load(args.fused)
-    if not fused_header.fused:
-        raise ConfigError(f"{args.fused} does not carry the fused flag")
-    model.validate_weights(cfg.backbone, fused_tensors)
-    fused = reparam.FusedWeights(tensors=fused_tensors)
+    cfg, config_path = _sidecar_config(args)
+    weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
+    fused, _ = _load_checkpoint(cfg, config_path, args.fused, fused=True)
     deviation = reparam.verify_fusion(weights, bank, cfg.backbone, fused,
                                       trials=args.trials, rng=Rng(args.seed))
     passed = deviation <= 1e-10
@@ -270,16 +252,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    knobs = {}
-    if args.Dprime is not None:
-        knobs["bottleneck"] = args.Dprime
-    if args.m is not None:
-        knobs["prompts"] = args.m
-    if args.w is not None:
-        knobs["attn_matrices"] = args.w
-    if args.o is not None:
-        knobs["operations"] = args.o
-    spec = accounting.MethodSpec(args.method, **knobs)
+    spec = accounting.MethodSpec(args.method, bottleneck=args.Dprime, prompts=args.m,
+                                 attn_matrices=args.w, operations=args.o)
     if args.sweep == "layers":
         rows = accounting.scaling_table(spec, layer_range=range(1, args.L + 1),
                                         embed_dim=args.D)
@@ -296,9 +270,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg, header, weights, bank = _load_with_config(args.checkpoint, _sidecar_config(args))
-    if bank is None:
-        raise ConfigError("checkpoint holds no adapter tensors")
+    cfg, config_path = _sidecar_config(args)
+    _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     reports = analysis.rank_sweep(bank, bins=args.bins)
     paths = analysis.write_spectrum_csvs(reports, args.out)
     summary = analysis.sweep_summary(reports)
@@ -366,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("spectrum", help="singular-value spectra of a full-rank bank")
+    p = sub.add_parser("spectrum", help="singular-value spectra of each adapter's matrix")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--bins", type=int, default=analysis.DEFAULT_BINS)
     p.add_argument("--out", required=True)

@@ -76,10 +76,10 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     return FusedWeights(tensors=fused, sites_fused=sites)
 
 
-def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: FusedWeights,
+def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: dict[str, np.ndarray],
                   trials: int = 32, rng: Rng | None = None) -> float:
     """Max absolute logit deviation between the adapted-unfused forward and
-    the plain forward over the fused weights, across random images.
+    the plain forward over the ``fused`` tensors, across random images.
 
     Raises NumericalError naming the first adapter tensor that holds a NaN
     or inf, before any forward runs."""
@@ -93,5 +93,5 @@ def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: FusedWeights,
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
     adapted = model.forward(ops, backbone_cfg, values, images, bank=bank)
-    plain = model.forward(ops, backbone_cfg, fused.tensors, images)
+    plain = model.forward(ops, backbone_cfg, fused, images)
     return float(np.abs(adapted - plain).max())

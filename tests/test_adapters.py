@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from arclab import accounting, adapters, model
-from arclab.adapters import ArcConfig, adapter_shapes, arc_forward, dropout_mask, init_adapters
+from arclab.adapters import (AdapterBank, ArcConfig, adapter_shapes, arc_forward, dropout_mask,
+                             init_adapters)
 from arclab.autodiff import Eager, gradcheck
-from arclab.errors import ConfigError
+from arclab.errors import ConfigError, ShapeError
 from arclab.kernel import Rng
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -255,6 +258,42 @@ class TestDropout:
         a = model.forward(Eager(), TOY, values, imgs, bank=bank, masks=masks)
         b = model.forward(Eager(), TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
+
+
+class TestBankChecksTensors:
+    """A bank holds exactly the tensors ``adapter_shapes`` names, at their shapes."""
+
+    @pytest.mark.parametrize("variant", adapters.VARIANTS)
+    def test_built_from_its_own_tensors(self, variant) -> None:
+        bank = init_adapters(ArcConfig(bottleneck=4, variant=variant), TOY, Rng(1))
+        again = AdapterBank(bank.config, TOY, dict(bank.tensors))
+        assert again.layers == bank.layers == (1, 2)
+        assert again.backbone is TOY
+
+    @pytest.mark.parametrize("build", ["constructor", "replace"])
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "missing ['arc.ffn.2.coef'], unexpected []"),
+        ("extra", "missing [], unexpected ['arc.ffn.3.coef']"),
+        ("misshapen", "adapter tensor 'arc.ffn.2.coef': shape (1, 3), expected (1, 4)"),
+    ])
+    def test_wrong_tensor_is_shape_error(self, build, fault, message) -> None:
+        bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(1))
+        tensors = dict(bank.tensors)
+        if fault == "missing":
+            del tensors["arc.ffn.2.coef"]
+        elif fault == "extra":
+            tensors["arc.ffn.3.coef"] = np.zeros((1, 4))
+        else:
+            tensors["arc.ffn.2.coef"] = np.zeros((1, 3))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            if build == "constructor":
+                AdapterBank(bank.config, TOY, tensors)
+            else:
+                dataclasses.replace(bank, tensors=tensors)
+
+    def test_bottleneck_wider_than_embedding(self) -> None:
+        with pytest.raises(ConfigError, match="bottleneck 50 exceeds embed_dim 16"):
+            AdapterBank(ArcConfig(bottleneck=50), TOY, {})
 
 
 class TestResolveHooks:

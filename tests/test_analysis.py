@@ -143,10 +143,20 @@ class TestRankSweep:
         reports = rank_sweep(bank)
         assert len(reports) == 2
 
-    def test_rejects_bottleneck_bank(self) -> None:
-        bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(7))
-        with pytest.raises(ConfigError):
-            rank_sweep(bank)
+    @pytest.mark.parametrize("sharing", ["intra_inter", "non_intra_non_inter"])
+    def test_bottleneck_bank_rank_at_most_dprime(self, sharing) -> None:
+        """A bottleneck bank reports W_down diag(c_l) W_up, of rank at most D'."""
+        bank = init_adapters(ArcConfig(bottleneck=4, sharing=sharing), TOY, Rng(7))
+        rng = np.random.default_rng(7)
+        for name, arr in bank.tensors.items():
+            bank.tensors[name] = rng.normal(size=arr.shape)
+        reports = rank_sweep(bank)
+        assert [(r.layer, r.group) for r in reports] == [
+            (1, "mha"), (1, "ffn"), (2, "mha"), (2, "ffn")
+        ]
+        for r in reports:
+            assert r.singular_values.size == 16
+            assert r.effective_rank_at(1e-10) == 4
 
     def test_planted_low_rank_deltas_detected(self) -> None:
         bank = self._full_rank_bank()

@@ -259,7 +259,7 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("name", PRIMITIVES)
     def test_primitive(self, name: str) -> None:
         build, params = self._case(name)
-        report = gradcheck(build, params, h=1e-5, tol=1e-5)
+        report = gradcheck(build, params, tol=1e-5)
         assert report.passed, report.summary()
         assert set(report.errors) == set(params)
 
@@ -370,6 +370,34 @@ class TestGradcheck:
         report = gradcheck(build, {"x": np.array([[1.5]]), "unused": np.ones((2, 2))})
         assert report.passed
         assert report.errors["unused"] == 0.0
+
+    @pytest.mark.parametrize("planted", ["arc_adapter", "gelu"])
+    def test_planted_wrong_vjp_fails(self, planted) -> None:
+        """One node's vjp scaled by 1 + 1e-4 fails at the default h and tol;
+        the same graph with the true vjps passes."""
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(2, 3, 4))
+        params = {"down": rng.normal(size=(4, 2)), "coef": rng.normal(size=(1, 2)),
+                  "bias": rng.normal(size=(1, 4))}
+
+        def build(tape, values, scale=1.0):
+            p = {name: tape.parameter(name, arr) for name, arr in values.items()}
+            y = tape.arc_adapter(tape.constant(x), p["down"], p["coef"], p["bias"], p["down"],
+                                 None, True)
+            z = tape.gelu(y)
+            node = {"arc_adapter": y, "gelu": z}[planted].idx
+            real = tape._nodes[node].vjp
+
+            def scaled(*args):
+                return tuple(None if g is None else g * scale for g in real(*args))
+
+            tape._nodes[node] = tape._nodes[node]._replace(vjp=scaled)
+            return tape.mean(z)
+
+        assert gradcheck(build, params).passed
+        report = gradcheck(lambda tape, values: build(tape, values, 1.0 + 1e-4), params)
+        assert not report.passed
+        assert 5e-5 < report.max_rel_err < 2e-4, report.summary()
 
     def test_report_summary_mentions_failures(self) -> None:
         report = GradCheckReport(errors={"w": 1.0}, tol=1e-5, h=1e-5)

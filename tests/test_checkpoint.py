@@ -120,6 +120,7 @@ class TestRejection:
             load(path)
         assert info.value.offset is not None
         assert "offset" in str(info.value)
+        assert str(info.value).startswith(f"{path}: truncated while reading ")
 
     def test_truncated_header(self, tmp_path) -> None:
         path = tmp_path / "ck.arcl"

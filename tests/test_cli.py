@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -133,6 +134,112 @@ class TestRunConfig:
         assert a.digest() == b.digest()
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """One trained toy run and its fused checkpoint, shared read-only."""
+    root = tmp_path_factory.mktemp("trained")
+    run_dir = root / "run"
+    assert cli.main(["train", "--config", str(write_config(root)), "--out", str(run_dir)]) == 0
+    fused = run_dir / "fused.arcl"
+    assert cli.main(["fuse", "--checkpoint", str(run_dir / "checkpoint.arcl"),
+                     "--out", str(fused)]) == 0
+    return run_dir
+
+
+class TestCheckpointInputs:
+    """Every checkpoint fuse, verify and spectrum open is checked against the
+    run config, the fused flag the command expects and the backbone; a
+    file that fails exits 2 naming it."""
+
+    def test_verify_fused_from_other_config_exit_2(self, trained_run, tmp_path, capsys) -> None:
+        other = tmp_path / "other"
+        assert cli.main(["train", "--config", str(write_config(tmp_path, io={"seed": 8})),
+                         "--out", str(other)]) == 0
+        foreign = tmp_path / "foreign_fused.arcl"
+        assert cli.main(["fuse", "--checkpoint", str(other / "checkpoint.arcl"),
+                         "--out", str(foreign)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["verify", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                       "--fused", str(foreign), "--trials", "4"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert f"checkpoint {foreign} was not produced by config " \
+               f"{trained_run / 'config.json'}" in err
+        assert "max_logit_deviation" not in out
+
+    def test_fused_flag_checked(self, trained_run, tmp_path, capsys) -> None:
+        ckpt, fused = trained_run / "checkpoint.arcl", trained_run / "fused.arcl"
+        config = trained_run / "config.json"
+        cases = [
+            (["fuse", "--checkpoint", str(fused), "--config", str(config),
+              "--out", str(tmp_path / "twice.arcl")], f"{fused} already carries the fused flag"),
+            (["verify", "--checkpoint", str(fused), "--fused", str(fused), "--config", str(config)],
+             f"{fused} already carries the fused flag"),
+            (["verify", "--checkpoint", str(ckpt), "--fused", str(ckpt)],
+             f"{ckpt} does not carry the fused flag"),
+            (["spectrum", "--checkpoint", str(fused), "--config", str(config),
+              "--out", str(tmp_path / "s")], f"{fused} already carries the fused flag"),
+        ]
+        for argv, message in cases:
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
+            assert rc == cli.EXIT_CONFIG, argv
+            assert message in err, (argv, err)
+        assert not (tmp_path / "twice.arcl").exists() and not (tmp_path / "s").exists()
+
+    def test_fused_file_holding_adapters_exit_2(self, trained_run, tmp_path, capsys) -> None:
+        header, tensors = load(trained_run / "checkpoint.arcl")
+        _, fused = load(trained_run / "fused.arcl")
+        fused.update({name: arr for name, arr in tensors.items() if name.startswith("arc.")})
+        path = tmp_path / "fused_with_arc.arcl"
+        save(path, fused, header.config_digest, fused=True)
+        rc = cli.main(["verify", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                       "--fused", str(path), "--config", str(trained_run / "config.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert str(path) in err and "unexpected ['arc.ffn.1.bias'" in err
+
+    @pytest.mark.parametrize("command", ["fuse", "verify --checkpoint", "verify --fused",
+                                         "spectrum"])
+    @pytest.mark.parametrize("fault", ["missing", "empty", "truncated", "foreign"])
+    def test_unreadable_checkpoint_exit_2(self, trained_run, tmp_path, capsys,
+                                          command, fault) -> None:
+        bad = tmp_path / "bad.arcl"
+        if fault == "empty":
+            bad.write_bytes(b"")
+        elif fault == "truncated":
+            blob = (trained_run / "checkpoint.arcl").read_bytes()
+            bad.write_bytes(blob[: len(blob) // 2])
+        elif fault == "foreign":
+            bad.write_bytes(b"PK\x03\x04" + bytes(64))
+        ckpt, fused = trained_run / "checkpoint.arcl", trained_run / "fused.arcl"
+        config = ["--config", str(trained_run / "config.json")]
+        argv = {
+            "fuse": ["fuse", "--checkpoint", str(bad), "--out", str(tmp_path / "f.arcl")],
+            "verify --checkpoint": ["verify", "--checkpoint", str(bad), "--fused", str(fused)],
+            "verify --fused": ["verify", "--checkpoint", str(ckpt), "--fused", str(bad)],
+            "spectrum": ["spectrum", "--checkpoint", str(bad), "--out", str(tmp_path / "s")],
+        }[command] + config
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert str(bad) in err, err
+        assert not (tmp_path / "f.arcl").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "empty", "not UTF-8"])
+    def test_unreadable_train_config_exit_2(self, tmp_path, capsys, fault) -> None:
+        config = tmp_path / "config.json"
+        if fault == "empty":
+            config.write_bytes(b"")
+        elif fault == "not UTF-8":
+            config.write_bytes(b'{"io": {"out_dir": "\xff"}}')
+        rc = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert str(config) in err, err
+        assert not (tmp_path / "run").exists()
+
+
 class TestCommands:
     def test_count_prints_value(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc", "--D", "768", "--L", "12",
@@ -149,6 +256,33 @@ class TestCommands:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "method,label,D,L,finetune,inference"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--method", "arc", "--D", "16", "--L", "3", "--Dprime", "50"],
+         "bottleneck 50 exceeds embed_dim 16"),
+        (["--method", "arc_att", "--D", "16", "--L", "3", "--Dprime", "17"],
+         "bottleneck 17 exceeds embed_dim 16"),
+        (["--method", "adapter", "--D", "16", "--L", "3", "--Dprime", "50", "--sweep", "layers"],
+         "bottleneck 50 exceeds embed_dim 16"),
+        (["--method", "lora", "--w", "2", "--Dprime", "1000", "--sweep", "backbones"],
+         "bottleneck 1000 exceeds embed_dim 768"),
+        (["--method", "arc", "--Dprime", "4", "--L", "0", "--sweep", "layers"], "depth L"),
+        (["--method", "arc", "--Dprime", "4", "--L", "0"], "L=0"),
+        (["--method", "ssf", "--o", "2", "--Dprime", "4"], "does not take knob 'bottleneck'"),
+    ], ids=["arc", "arc_att", "adapter-layers", "lora-backbones", "layers-L0", "L0",
+            "ssf-Dprime"])
+    def test_count_rejects_exit_2(self, tmp_path, capsys, argv, message) -> None:
+        csv_path = tmp_path / "t.csv"
+        rc = cli.main(["count", *argv, "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert message in err and out == ""
+        assert not csv_path.exists()
+
+    def test_count_bottleneck_equal_to_embedding(self, capsys) -> None:
+        rc = cli.main(["count", "--method", "arc", "--D", "16", "--L", "3", "--Dprime", "16"])
+        assert rc == 0
+        assert str(2 * (16 * 16 + (16 + 16) * 3)) in capsys.readouterr().out
 
     def test_count_missing_knob_is_config_error(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc"])
@@ -255,13 +389,18 @@ class TestCommands:
         assert (out_dir / "spectrum_summary.csv").exists()
         assert (out_dir / "spectrum_layer1_mha.csv").exists()
 
-    def test_spectrum_rejects_bottleneck_bank(self, tmp_path, capsys) -> None:
+    def test_spectrum_of_bottleneck_bank(self, tmp_path, capsys) -> None:
+        """A bottleneck bank's re-composed matrices have rank at most D' = 4."""
         config = write_config(tmp_path)
         run_dir = tmp_path / "run"
-        cli.main(["train", "--config", str(config), "--out", str(run_dir)])
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        out_dir = tmp_path / "s"
         rc = cli.main(["spectrum", "--checkpoint", str(run_dir / "checkpoint.arcl"),
-                       "--out", str(tmp_path / "s")])
-        assert rc == cli.EXIT_CONFIG
+                       "--out", str(out_dir)])
+        assert rc == 0
+        with open(out_dir / "spectrum_summary.csv", newline="") as fh:
+            ranks = [int(row["effective_rank"]) for row in csv.DictReader(fh)]
+        assert len(ranks) == 4 and all(1 <= rank <= 4 for rank in ranks), ranks
 
     def test_spectrum_non_finite_delta_exit_3(self, tmp_path, capfd) -> None:
         config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
@@ -334,6 +473,16 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert "missing" in err and last in err
         assert not (tmp_path / "f.arcl").exists()
+
+    @pytest.mark.parametrize("doc", [{}, {"arc": {"variant": "full_rank"}}],
+                             ids=["defaults", "full_rank"])
+    def test_gradcheck_passes_at_tol_1e_5(self, tmp_path, capsys, doc) -> None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["gradcheck", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK, out
+        assert "gradcheck PASS" in out and "(tol 1e-05)" in out
 
     def test_gradcheck_command(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

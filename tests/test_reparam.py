@@ -86,13 +86,13 @@ class TestVerifyFusion:
         w = model.init_backbone(TOY, Rng(13))
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(14))
         fused = reparam.fuse(w, bank, TOY)
-        assert reparam.verify_fusion(w, bank, TOY, fused, trials=4, rng=Rng(0)) == 0.0
+        assert reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=4, rng=Rng(0)) == 0.0
 
     def test_random_bank_fuses_exactly(self) -> None:
         w = model.init_backbone(TOY, Rng(15))
         bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 16)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused, trials=32, rng=Rng(1))
+        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=32, rng=Rng(1))
         assert dev <= 1e-10
 
     def test_corrupted_fused_weight_detected(self) -> None:
@@ -100,7 +100,7 @@ class TestVerifyFusion:
         bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 18)
         fused = reparam.fuse(w, bank, TOY)
         fused.tensors["enc.2.ffn.w2"][0, 0] += 1e-3
-        dev = reparam.verify_fusion(w, bank, TOY, fused, trials=16, rng=Rng(2))
+        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=16, rng=Rng(2))
         assert dev > 1e-5
 
     def test_trials_validated(self) -> None:
@@ -108,7 +108,7 @@ class TestVerifyFusion:
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(20))
         fused = reparam.fuse(w, bank, TOY)
         with pytest.raises(ConfigError):
-            reparam.verify_fusion(w, bank, TOY, fused, trials=0)
+            reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=0)
 
 
 class TestFullGrid:
@@ -121,7 +121,7 @@ class TestFullGrid:
             bank = randomized_bank(cfg, seed)
             seed += 7
             fused = reparam.fuse(w, bank, TOY)
-            dev = reparam.verify_fusion(w, bank, TOY, fused, trials=8, rng=Rng(3))
+            dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=8, rng=Rng(3))
             assert dev <= 1e-10, (site, sharing, dev)
 
     def test_full_rank_variant_fuses(self) -> None:
@@ -132,7 +132,7 @@ class TestFullGrid:
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.1)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused, trials=8, rng=Rng(4))
+        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=8, rng=Rng(4))
         assert dev <= 1e-10
 
     def test_trained_style_combined_positions(self) -> None:
@@ -141,6 +141,6 @@ class TestFullGrid:
                         insertion_layers=(1, 3), dropout_rate=0.0)
         bank = randomized_bank(cfg, 26)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused, trials=16, rng=Rng(5))
+        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=16, rng=Rng(5))
         assert dev <= 1e-10
         assert fused.sites_fused == 4
