@@ -14,10 +14,15 @@ is one multi-head attention core and ``arc_adapter`` one re-composed
 adapter site, each with a hand-written vjp.
 
 A :class:`Tape` records primitive applications in topological order; each
-node keeps its forward value, its inputs, its vector-Jacobian product and
-the forward's residual. The tape-free :class:`Eager` backend calls the same
+node keeps its forward value, its primitive, its parents' ids, its static
+(non-operand) arguments and the forward's residual, and reads its operand
+values from its parents. The tape-free :class:`Eager` backend calls the same
 forwards directly and drops the residuals, so a recorded forward is bitwise
-identical to an unrecorded one by construction.
+identical to an unrecorded one by construction. A recording can be
+replayed: :meth:`Tape.replay` re-runs the recorded forwards over the current
+contents of the leaves, so a loop whose graph stays the same (a training
+run: one tape per run, recorded once per batch size, then replayed every
+step) records once and refills its leaves in place.
 A parameter is a single leaf node: reusing it at many graph sites (shared
 projections, a tied down-projection in both adapter slots) or broadcasting
 it over a batch accumulates every contribution into one gradient.
@@ -39,7 +44,7 @@ def _as_array(value) -> np.ndarray:
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -301,10 +306,19 @@ class Var(NamedTuple):
 class _Node(NamedTuple):
     value: np.ndarray
     needs_grad: bool  # a trainable parameter, or computed from one
-    parents: tuple[int, ...] = ()
-    inputs: tuple = ()  # operand values, then static arguments
-    vjp: Callable | None = None  # None for leaves and nodes that need no gradient
-    res: object = None  # what the vjp reuses from the forward (None when there is no vjp)
+    parents: tuple[int, ...] = ()  # operand node ids
+    prim: Primitive | None = None  # None for leaves
+    static: tuple = ()  # the forward's non-operand arguments
+    res: object = None  # what the vjp reuses from the forward (None when it needs no gradient)
+
+    def run(self, nodes: list["_Node"]) -> "_Node":
+        """This node with the value of its forward over its parents' current values."""
+        prim = self.prim
+        value = res = prim.forward(*[nodes[p].value for p in self.parents], *self.static)
+        if prim.saves:
+            value, res = value
+        return _Node(value, self.needs_grad, self.parents, prim, self.static,
+                     res if self.needs_grad else None)
 
 
 class Tape:
@@ -315,7 +329,8 @@ class Tape:
     trainable leaf; a frozen tensor enters as a :meth:`constant`. A leaf
     holds its array without a copy when the array is contiguous float64,
     so a training loop can register its leaves once, update the arrays in
-    place and :meth:`rewind` to them before each step.
+    place and either :meth:`replay` what it recorded over them or
+    :meth:`rewind` to them and record again.
     """
 
     def __init__(self):
@@ -336,6 +351,22 @@ class Tape:
             raise GraphError(f"cannot rewind a tape of {len(self._nodes)} nodes to {size}: "
                              f"its parameters end at node {last_param}")
         del self._nodes[size:]
+
+    def replay(self, start: int) -> None:
+        """Re-run every recorded node from id ``start`` on, in id order, over
+        the current contents of the leaves; the leaves themselves are kept.
+
+        A replayed node calls the forward it recorded, on its parents' new
+        values and its own static arguments, so it gives the bits a fresh
+        recording over the same contents would. Handles stay valid, and
+        :func:`backward` then differentiates the replayed values. The graph
+        is the one recorded: a forward whose path depends on the values
+        must be recorded again.
+        """
+        nodes = self._nodes
+        for idx in range(start, len(nodes)):
+            if nodes[idx].prim is not None:
+                nodes[idx] = nodes[idx].run(nodes)
 
     def parameter(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:
@@ -371,13 +402,9 @@ def _recorder(name: str, prim: Primitive):
         operands = args if prim.operands is None else args[: prim.operands]
         self._check(operands)
         nodes = self._nodes
-        inputs = tuple(nodes[v.idx].value for v in operands) + args[len(operands):]
-        needs_grad = any(nodes[v.idx].needs_grad for v in operands)
-        value = res = prim.forward(*inputs)
-        if prim.saves:
-            value, res = value
-        nodes.append(_Node(value, needs_grad, tuple(v.idx for v in operands), inputs,
-                           prim.vjp if needs_grad else None, res if needs_grad else None))
+        parents = tuple(v.idx for v in operands)
+        needs_grad = any(nodes[p].needs_grad for p in parents)
+        nodes.append(_Node(None, needs_grad, parents, prim, args[len(operands):]).run(nodes))
         return Var(self, len(nodes) - 1)
 
     record.__name__ = name
@@ -420,14 +447,15 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
     grads: dict[int, np.ndarray] = {out.idx: np.ones((1, 1))}
     for idx in range(out.idx, -1, -1):
         node = nodes[idx]
-        if node.vjp is None:
+        if node.prim is None or not node.needs_grad:
             continue
         g = grads.pop(idx, None)
         if g is None:
             continue
         needs = tuple(nodes[parent].needs_grad for parent in node.parents)
+        inputs = [nodes[parent].value for parent in node.parents]
         for parent, need, pg in zip(node.parents, needs,
-                                    node.vjp(g, node.res, needs, *node.inputs)):
+                                    node.prim.vjp(g, node.res, needs, *inputs, *node.static)):
             if not need:
                 continue
             if parent in grads:
@@ -473,34 +501,36 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
 
     ``build(tape, values)`` must register each entry of ``values`` it uses
     via ``tape.parameter(name, values[name])``, pass every other tensor as a
-    ``tape.constant``, and return a scalar loss node, deterministically for
-    fixed values. The relative error per entry uses denominator
+    ``tape.constant``, and return a scalar loss node. It is called once, on
+    copies of ``params``: each perturbed loss changes one entry of a
+    parameter leaf's own array in place and replays the recording
+    (:meth:`Tape.replay`), so the graph ``build`` records must not depend on
+    the values. The relative error per entry uses denominator
     max(|analytic|, |numeric|, 1e-8). A parameter the loss never touches
     counts as an exact zero gradient.
     """
+    work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     tape = Tape()
-    out = build(tape, params)
+    out = build(tape, work)
     analytic = backward(tape, out)
 
-    def loss_at(values) -> float:
-        t = Tape()
-        o = build(t, values)
-        return float(o.value[0, 0])
+    def loss_at() -> float:
+        tape.replay(0)
+        return float(out.value[0, 0])
 
     errors: dict[str, float] = {}
-    for name, base in params.items():
+    for name, base in work.items():
         ana = analytic.get(name, np.zeros_like(base))
         num = np.zeros_like(base)
-        work = {k: (v.copy() if k == name else v) for k, v in params.items()}
-        flat = work[name].reshape(-1)
+        flat = base.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             slopes = []
             for step in (h, h / 2):
                 flat[i] = orig + step
-                f_plus = loss_at(work)
+                f_plus = loss_at()
                 flat[i] = orig - step
-                slopes.append((f_plus - loss_at(work)) / (2.0 * step))
+                slopes.append((f_plus - loss_at()) / (2.0 * step))
             flat[i] = orig
             num.reshape(-1)[i] = (4.0 * slopes[1] - slopes[0]) / 3.0
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-8)

@@ -165,17 +165,25 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     The run's state is built once. The trainables are copied into one flat
     float64 buffer that AdamW updates as a single tensor, and each is a
     tape parameter over a view of it; the frozen tensors are tape
-    constants. Each step rewinds the tape to these leaves. After each
-    epoch's permutation, one :func:`adapters.dropout_masks` draw covers
-    the images of the steps that epoch runs, and each step takes its
-    rows. The stream is read in the order of a draw per step, and every
-    update is elementwise, so the losses and values are the same bits as
-    with a fresh tape, a draw and an optimizer step per tensor each step.
-    The caller's arrays get the final values when training stops.
+    constants. The images are cut into patches once. After each epoch's
+    permutation, one :func:`adapters.dropout_masks` draw covers the images
+    of the steps that epoch runs. The first step of a batch size (the
+    first step, and a short last batch) copies its patches, labels and
+    per-site dropout masks into new buffers, rewinds the tape to the
+    leaves and records the forward over a constant on the patches buffer,
+    with the masks and labels as static arguments. Every later step of
+    that size refills the buffers in place and replays the recording
+    (:meth:`Tape.replay`); ``model.forward`` itself never runs. The stream
+    is read in the order of a draw per step, every update is elementwise,
+    and a replay runs the recorded forwards, so the losses and values are
+    the same bits as with a fresh tape, a draw and an optimizer step per
+    tensor each step. The caller's arrays get the final values when
+    training stops.
     """
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
         trainable.update(bank.tensors)
+        bank.check_depth(backbone_cfg.layers)
     flat = np.concatenate(list(trainable.values()), axis=None, dtype=np.float64)
     tape = Tape()
     values = {name: tape.constant(arr) for name, arr in weights.items() if name not in trainable}
@@ -188,7 +196,8 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     leaves = len(tape)
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
-    n = data.train_images.shape[0]
+    all_patches = model.extract_patches(data.train_images, backbone_cfg)
+    n = all_patches.shape[0]
     tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
@@ -198,6 +207,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
+    recorded = 0  # the batch size the tape holds a recording for
     try:
         # A permutation follows every full epoch, the one that ends the run
         # included, so the stream ends where per-step draws leave it.
@@ -211,12 +221,22 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
-                tape.rewind(leaves)
-                logits = model.forward(
-                    tape, backbone_cfg, values, data.train_images[idx], bank=bank,
-                    masks=None if masks is None else {key: m[rows] for key, m in masks.items()})
-                labels = data.train_labels[idx]
-                loss_node = tape.cross_entropy(logits, labels)
+                if idx.size != recorded:  # record over new buffers holding this batch
+                    patches, labels = all_patches[idx], data.train_labels[idx]
+                    step_masks = None if masks is None else {
+                        key: m[rows].copy() for key, m in masks.items()}
+                    tape.rewind(leaves)
+                    x_emb = model.patch_embed(tape, backbone_cfg, values, tape.constant(patches))
+                    logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
+                                                  step_masks)
+                    loss_node = tape.cross_entropy(logits, labels)
+                    recorded = idx.size
+                else:  # refill the buffers in place and replay
+                    np.take(all_patches, idx, axis=0, out=patches)
+                    np.take(data.train_labels, idx, out=labels)
+                    for key, m in (step_masks or {}).items():
+                        m[...] = masks[key][rows]
+                    tape.replay(leaves)
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):
                     raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from arclab import model
+from arclab.adapters import ArcConfig, dropout_masks, init_adapters
 from arclab.autodiff import PRIMITIVES, Eager, GradCheckReport, Tape, backward, gradcheck
 from arclab.errors import GraphError, ShapeError
 from arclab.kernel import Rng
@@ -83,6 +85,81 @@ class TestRecordForward:
             with pytest.raises(GraphError):
                 tape.rewind(size)
         assert len(tape) == 2
+
+
+# the README demo's backbone and bank
+DEMO = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                            layers=3, heads=2, classes=4)
+DEMO_ARC = ArcConfig(bottleneck=4, positions=("before_mha", "before_ffn"), dropout_rate=0.1)
+
+
+class TestReplay:
+    """``Tape.replay`` over leaves refilled in place gives the bits of a
+    fresh recording over the new contents."""
+
+    @staticmethod
+    def _record(tape, weights, bank, patches, masks, labels):
+        """The training step's graph: frozen constants, trainable head and
+        bank, patches, dropout masks and labels as the training loop passes
+        them."""
+        values = {n: tape.constant(a) for n, a in weights.items() if n not in model.HEAD_NAMES}
+        values.update({n: tape.parameter(n, weights[n]) for n in model.HEAD_NAMES})
+        values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
+        x_emb = model.patch_embed(tape, DEMO, values, tape.constant(patches))
+        logits = model.forward_tokens(tape, DEMO, values, x_emb, bank, masks)
+        return tape.cross_entropy(logits, labels)
+
+    @staticmethod
+    def _draw(rng, batch, bank):
+        """(patches, masks, labels) of one random batch."""
+        patches = model.extract_patches(rng.normals((batch, 8, 8, 1)), DEMO)
+        masks = dropout_masks(bank, batch, DEMO.tokens + 1, rng)
+        labels = (rng.uniforms(batch) * DEMO.classes).astype(np.int64)
+        return patches, masks, labels
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8))
+    def test_bit_equal_to_fresh_recording(self, seed, batch) -> None:
+        rng = Rng(seed)
+        weights = model.init_backbone(DEMO, Rng(7))
+        bank = init_adapters(DEMO_ARC, DEMO, Rng(9))
+        patches, masks, labels = self._draw(rng, batch, bank)
+        tape = Tape()
+        loss = self._record(tape, weights, bank, patches, masks, labels)
+        first = float(loss.value[0, 0])
+
+        # refill every leaf in place: inputs, masks, labels and trainables
+        new_patches, new_masks, new_labels = self._draw(rng, batch, bank)
+        patches[...] = new_patches
+        for key, m in masks.items():
+            m[...] = new_masks[key]
+        labels[...] = new_labels
+        for name in model.HEAD_NAMES:
+            weights[name] += rng.normals(weights[name].shape, 0.1)
+        for arr in bank.tensors.values():
+            arr += rng.normals(arr.shape, 0.1)
+        tape.replay(0)
+
+        fresh = Tape()
+        want = self._record(fresh, weights, bank, patches, masks, labels)
+        assert len(tape) == len(fresh) and loss.idx == want.idx
+        for idx, (got, ref) in enumerate(zip(tape._nodes, fresh._nodes)):
+            assert np.array_equal(got.value, ref.value), idx
+        assert float(loss.value[0, 0]) != first
+        grads, ref_grads = backward(tape, loss), backward(fresh, want)
+        assert grads.keys() == ref_grads.keys()
+        assert all(np.array_equal(grads[name], ref_grads[name]) for name in grads)
+
+    def test_keeps_leaves_and_handles(self) -> None:
+        tape = Tape()
+        x = tape.parameter("x", np.array([[2.0]]))
+        c = tape.constant(np.array([[3.0]]))
+        out = tape.matmul(x, c)
+        leaf = tape._nodes[x.idx].value
+        leaf[0, 0] = 5.0
+        tape.replay(0)
+        assert tape._nodes[x.idx].value is leaf and len(tape) == 3
+        assert out.value[0, 0] == 15.0 and backward(tape, out)["x"][0, 0] == 3.0
 
 
 class TestBackward:
@@ -272,7 +349,8 @@ class TestPrimitiveGradients:
             build, params = self._case(case)
             tape = Tape()
             build(tape, params)
-            exercised |= {names[node.vjp] for node in tape._nodes if node.vjp is not None}
+            exercised |= {names[node.prim.vjp] for node in tape._nodes
+                          if node.prim is not None and node.needs_grad}
         assert exercised == set(PRIMITIVES)
 
 
@@ -305,13 +383,13 @@ class TestNeedsGrad:
         b = tape.parameter("b", np.ones((1, 5)))
         out = tape.linear(x, w, b)
         seen = []
-        real = tape._nodes[out.idx].vjp
+        node = tape._nodes[out.idx]
 
         def spy(g, value, needs, *inputs):
             seen.append(needs)
-            return real(g, value, needs, *inputs)
+            return node.prim.vjp(g, value, needs, *inputs)
 
-        tape._nodes[out.idx] = tape._nodes[out.idx]._replace(vjp=spy)
+        tape._nodes[out.idx] = node._replace(prim=node.prim._replace(vjp=spy))
         grads = backward(tape, tape.mean(out))
         assert seen == [(False, False, True)]
         assert np.allclose(grads["b"], 0.2, rtol=0, atol=1e-15)
@@ -386,12 +464,12 @@ class TestGradcheck:
                                  None, True)
             z = tape.gelu(y)
             node = {"arc_adapter": y, "gelu": z}[planted].idx
-            real = tape._nodes[node].vjp
+            prim = tape._nodes[node].prim
 
             def scaled(*args):
-                return tuple(None if g is None else g * scale for g in real(*args))
+                return tuple(None if g is None else g * scale for g in prim.vjp(*args))
 
-            tape._nodes[node] = tape._nodes[node]._replace(vjp=scaled)
+            tape._nodes[node] = tape._nodes[node]._replace(prim=prim._replace(vjp=scaled))
             return tape.mean(z)
 
         assert gradcheck(build, params).passed

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arclab import cli
 from arclab.checkpoint import load, save
@@ -27,6 +31,12 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def readme_config_text() -> str:
+    """The README's "Run config" example, as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
 
 
 class TestRunConfig:
@@ -51,8 +61,7 @@ class TestRunConfig:
 
     def test_readme_run_config_loads(self, tmp_path) -> None:
         """The README's "Run config" example is a valid config."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        example = readme.split("### Run config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        example = readme_config_text()
         path = tmp_path / "config.json"
         path.write_text(example, encoding="utf-8")
         echoed = json.loads(json.dumps(cli.load_run_config(path).as_dict()))
@@ -132,6 +141,62 @@ class TestRunConfig:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
         assert a.digest() == b.digest()
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "bool"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+# the README config cut to one epoch (and so one warmup epoch at most), and its keys
+_SHORT_README = json.loads(readme_config_text())
+_SHORT_README["train"].update(epochs=1, warmup_epochs=1)
+_README_KEYS = [(section, key) for section, keys in _SHORT_README.items() for key in keys]
+
+
+class TestConfigMutations:
+    """Any single-key mutation of the README config trains (exit 0) or is
+    rejected as a config error (exit 2); it never aborts (exit 3) or
+    raises. A value of the wrong JSON type names ``section.key``, and an
+    unknown key names itself and its section. A value out of range or
+    contradicting another field is checked by exit code alone: its
+    message names the value, not always the key."""
+
+    def test_unmutated_config_trains(self, tmp_path) -> None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_SHORT_README))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(where=st.sampled_from(_README_KEYS),
+           mutation=st.sampled_from(["x", True, [1], 0, -1, "+1", "-1", "removed", "unknown"]))
+    def test_single_key_mutation(self, tmp_path_factory, where, mutation) -> None:
+        section, key = where
+        doc = json.loads(json.dumps(_SHORT_README))
+        old = doc[section][key]
+        if mutation == "removed":
+            del doc[section][key]
+        elif mutation == "unknown":
+            doc[section][f"{key}_typo"] = 1
+        elif mutation in ("+1", "-1"):
+            assume(_json_kind(old) == "number")
+            doc[section][key] = old + int(mutation)
+        else:
+            doc[section][key] = mutation
+        run = tmp_path_factory.mktemp("mutation")
+        (run / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(["train", "--config", str(run / "config.json"), "--out", str(run / "out")])
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG), (doc, err.getvalue())
+        if mutation == "unknown":
+            assert rc == cli.EXIT_CONFIG
+            assert f"unknown key '{key}_typo' in section '{section}'" in err.getvalue()
+        elif mutation not in ("removed", "+1", "-1") and _json_kind(mutation) != _json_kind(old):
+            assert rc == cli.EXIT_CONFIG
+            assert f"{section}.{key} must be" in err.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")

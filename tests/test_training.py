@@ -9,6 +9,7 @@ import pytest
 
 from arclab import model, training
 from arclab.adapters import ArcConfig, init_adapters
+from arclab.autodiff import Tape
 from arclab.errors import ConfigError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
@@ -222,6 +223,27 @@ class TestTrain:
               TrainConfig(lr=0.01, epochs=1, batch_size=8, seed=3), max_steps=2)
         assert sizes == [120, 120]
 
+    def test_readme_demo_records_once(self, monkeypatch) -> None:
+        """50 steps of the README demo (32 images, batches of 8) record the
+        forward once and replay it 49 times; the taped ``model.forward``
+        never runs."""
+        recorded, replays = [], []
+        real_tokens, real_replay = model.forward_tokens, Tape.replay
+        monkeypatch.setattr(model, "forward_tokens",
+                            lambda *args: recorded.append(None) or real_tokens(*args))
+        monkeypatch.setattr(Tape, "replay",
+                            lambda tape, start: replays.append(None) or real_replay(tape, start))
+        monkeypatch.setattr(model, "forward", None)
+        backbone = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                                        layers=3, heads=2, classes=4)
+        bank = init_adapters(ArcConfig(bottleneck=4, dropout_rate=0.1), backbone, Rng(9))
+        task = SyntheticTask(classes=4, image_size=8, channels=1, train_count=32, eval_count=16)
+        result = train(backbone, model.init_backbone(backbone, Rng(7)), bank,
+                       make_task(task, Rng(8)),
+                       TrainConfig(lr=0.01, epochs=125, batch_size=8, warmup_epochs=10, seed=3),
+                       max_steps=50)
+        assert result.steps == 50 and len(recorded) == 1 and len(replays) == 49
+
     def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
         weights, bank, data = fresh_setup(dropout=0.1)
         made = []
@@ -241,6 +263,14 @@ class TestTrain:
         sites = len(bank.sites)
         want.uniforms(batch * sites * (TOY.tokens + 1) * bank.config.bottleneck)
         assert used._s == want._s
+
+    def test_bank_of_other_depth_is_config_error(self) -> None:
+        weights, _, data = fresh_setup()
+        shallow = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                                       layers=1, heads=2, classes=4)
+        bank = init_adapters(ArcConfig(bottleneck=4), shallow, Rng(1))
+        with pytest.raises(ConfigError, match="covers layers"):
+            train(TOY, weights, bank, data, TrainConfig(lr=0.01, epochs=1, batch_size=8))
 
     def test_linear_probe_trains_head_only(self) -> None:
         weights, _, data = fresh_setup()
@@ -289,17 +319,43 @@ class TestRunState:
         tensors.update(bank.tensors)
         return tensors
 
-    def test_known_answer(self) -> None:
-        """SHA-256 of the loss curve and the final trainable bytes, computed
-        with a fresh tape, a mask draw and an optimizer step per tensor every
-        step. BLAS-dependent like ``test_model.TestKnownAnswers``."""
-        weights, bank, data = self.setup_run()
-        result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+    # SHA-256 of the loss curve and the final trainable bytes, computed with
+    # a fresh tape, a mask draw and an optimizer step per tensor every step.
+    # BLAS-dependent like ``test_model.TestKnownAnswers``.
+    DIGEST = "2896db20dcbb1123a54c65f133e7c1d9f3676bc0ae9559dbcaee7a496c43bc70"
+
+    def digest(self, result, weights, bank) -> str:
         h = hashlib.sha256(np.array([rec.loss for rec in result.curve]).tobytes())
         for name, arr in sorted(self.trainables(weights, bank).items()):
             h.update(name.encode())
             h.update(arr.tobytes())
-        assert h.hexdigest() == "2896db20dcbb1123a54c65f133e7c1d9f3676bc0ae9559dbcaee7a496c43bc70"
+        return h.hexdigest()
+
+    def test_known_answer(self) -> None:
+        weights, bank, data = self.setup_run()
+        result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+        assert self.digest(result, weights, bank) == self.DIGEST
+
+    def test_records_again_at_each_batch_size_change(self, monkeypatch) -> None:
+        """Batches of 8, 8, 8, 6, 8 and 8 record at steps 0, 3 and 4 and
+        replay the other three, with the known-answer bits."""
+        recorded, replays = [], []
+        real_tokens, real_replay = model.forward_tokens, Tape.replay
+
+        def record(ops, cfg, v, x_emb, *args):
+            recorded.append(x_emb.value.shape[0])
+            return real_tokens(ops, cfg, v, x_emb, *args)
+
+        def replay(tape, start):
+            replays.append(start)
+            return real_replay(tape, start)
+
+        monkeypatch.setattr(model, "forward_tokens", record)
+        monkeypatch.setattr(Tape, "replay", replay)
+        weights, bank, data = self.setup_run()
+        result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
+        assert recorded == [8, 6, 8] and len(replays) == 3
+        assert self.digest(result, weights, bank) == self.DIGEST
 
     def test_rng_state_matches_per_step_draws(self, monkeypatch) -> None:
         """One mask draw per epoch leaves the stream where a permutation per
@@ -335,25 +391,16 @@ class TestRunState:
                          * bank.config.bottleneck)
             assert used._s == per_step_draws(steps, per_image)._s, steps
 
-    def test_abort_leaves_last_completed_step(self, monkeypatch) -> None:
+    def test_abort_leaves_last_completed_step(self) -> None:
         """A non-finite loss at step 3 leaves the caller's arrays bit-equal
         to a run stopped after 3 steps."""
         weights, bank, data = self.setup_run()
         train(TOY, weights, bank, data, self.CFG, max_steps=3)
         want = {name: arr.copy() for name, arr in self.trainables(weights, bank).items()}
 
-        real_forward = model.forward
-        calls = []
-
-        def poisoned(ops, *args, **kwargs):
-            logits = real_forward(ops, *args, **kwargs)
-            calls.append(None)
-            if len(calls) == 4:
-                return ops.add(logits, ops.constant([[np.nan]]))
-            return logits
-
-        monkeypatch.setattr(model, "forward", poisoned)
         weights, bank, data = self.setup_run()
+        # the six images of step 3, the last batch of the first epoch
+        data.train_images[Rng(self.CFG.seed).permutation(self.TASK.train_count)[24:]] = np.nan
         before = {name: arr.copy() for name, arr in self.trainables(weights, bank).items()}
         with pytest.raises(TrainingAborted) as info:
             train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
