@@ -57,7 +57,7 @@ class ArcConfig:
             raise ConfigError(f"bottleneck must be >= 1, got {self.bottleneck}")
         invalid = sorted(set(self.positions) - set(SITES))
         if invalid:
-            raise ConfigError(f"unknown positions {invalid}; valid sites are {SITES}")
+            raise ConfigError(f"positions holds unknown sites {invalid}; valid sites are {SITES}")
         positions = tuple(sorted(set(self.positions), key=SITES.index))
         if not positions:
             raise ConfigError("positions must name at least one site")
@@ -122,11 +122,9 @@ class ArcConfig:
 def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
     layers = config.insertion_layers or tuple(range(1, total_layers + 1))
     if not layers:
-        raise ConfigError("no insertion layers: backbone has zero encoder layers")
+        raise ConfigError("backbone.layers is 0: no encoder layer takes an adapter")
     if layers[-1] > total_layers:
-        raise ConfigError(
-            f"insertion_layers {layers} exceed backbone depth {total_layers}"
-        )
+        raise ConfigError(f"arc.insertion_layers {layers} exceed backbone.layers {total_layers}")
     return layers
 
 

@@ -14,15 +14,16 @@ is one multi-head attention core and ``arc_adapter`` one re-composed
 adapter site, each with a hand-written vjp.
 
 A :class:`Tape` records primitive applications in topological order; each
-node keeps its forward value, its primitive, its parents' ids, its static
-(non-operand) arguments and the forward's residual, and reads its operand
-values from its parents. The tape-free :class:`Eager` backend calls the same
-forwards directly and drops the residuals, so a recorded forward is bitwise
-identical to an unrecorded one by construction. A recording can be
-replayed: :meth:`Tape.replay` re-runs the recorded forwards over the current
-contents of the leaves, so a loop whose graph stays the same (a training
-run: one tape per run, recorded once per batch size, then replayed every
-step) records once and refills its leaves in place.
+node keeps its forward value, its primitive, its parents' ids and their
+needs-grad flags, its static (non-operand) arguments and the forward's
+residual, and reads its operand values from its parents. The tape-free
+:class:`Eager` backend calls the same forwards directly and drops the
+residuals, so a recorded forward is bitwise identical to an unrecorded one
+by construction. A recording can be replayed: :meth:`Tape.replay` re-runs
+the recorded forwards over the current contents of the leaves, so a loop
+whose graph stays the same records once and refills its leaves in place (a
+training run keeps one tape per batch size and replays it at every later
+step of that size).
 A parameter is a single leaf node: reusing it at many graph sites (shared
 projections, a tied down-projection in both adapter slots) or broadcasting
 it over a batch accumulates every contribution into one gradient.
@@ -307,6 +308,7 @@ class _Node(NamedTuple):
     value: np.ndarray
     needs_grad: bool  # a trainable parameter, or computed from one
     parents: tuple[int, ...] = ()  # operand node ids
+    needs: tuple[bool, ...] = ()  # each parent's needs_grad when this node was recorded
     prim: Primitive | None = None  # None for leaves
     static: tuple = ()  # the forward's non-operand arguments
     res: object = None  # what the vjp reuses from the forward (None when it needs no gradient)
@@ -317,7 +319,7 @@ class _Node(NamedTuple):
         value = res = prim.forward(*[nodes[p].value for p in self.parents], *self.static)
         if prim.saves:
             value, res = value
-        return _Node(value, self.needs_grad, self.parents, prim, self.static,
+        return _Node(value, self.needs_grad, self.parents, self.needs, prim, self.static,
                      res if self.needs_grad else None)
 
 
@@ -328,9 +330,8 @@ class Tape:
     operands and returning a :class:`Var`. A :meth:`parameter` is a named
     trainable leaf; a frozen tensor enters as a :meth:`constant`. A leaf
     holds its array without a copy when the array is contiguous float64,
-    so a training loop can register its leaves once, update the arrays in
-    place and either :meth:`replay` what it recorded over them or
-    :meth:`rewind` to them and record again.
+    so a loop can record once over its leaves, update their arrays in place
+    and :meth:`replay` the recording.
     """
 
     def __init__(self):
@@ -340,33 +341,21 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def rewind(self, size: int) -> None:
-        """Drop every node after the first ``size``, keeping the nodes below.
-
-        Raises GraphError if that would drop a parameter. Handles to the
-        dropped nodes must not be used again: new nodes take their ids.
-        """
-        last_param = max(self._params.values(), default=-1)
-        if not last_param < size <= len(self._nodes):
-            raise GraphError(f"cannot rewind a tape of {len(self._nodes)} nodes to {size}: "
-                             f"its parameters end at node {last_param}")
-        del self._nodes[size:]
-
-    def replay(self, start: int) -> None:
-        """Re-run every recorded node from id ``start`` on, in id order, over
-        the current contents of the leaves; the leaves themselves are kept.
+    def replay(self) -> None:
+        """Re-run every recorded node, in id order, over the current contents
+        of the leaves; the leaves themselves are kept.
 
         A replayed node calls the forward it recorded, on its parents' new
         values and its own static arguments, so it gives the bits a fresh
         recording over the same contents would. Handles stay valid, and
         :func:`backward` then differentiates the replayed values. The graph
-        is the one recorded: a forward whose path depends on the values
-        must be recorded again.
+        is the one recorded, each node's needs-grad flags included: a
+        forward whose path depends on the values must be recorded again.
         """
         nodes = self._nodes
-        for idx in range(start, len(nodes)):
-            if nodes[idx].prim is not None:
-                nodes[idx] = nodes[idx].run(nodes)
+        for idx, node in enumerate(nodes):
+            if node.prim is not None:
+                nodes[idx] = node.run(nodes)
 
     def parameter(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:
@@ -403,8 +392,8 @@ def _recorder(name: str, prim: Primitive):
         self._check(operands)
         nodes = self._nodes
         parents = tuple(v.idx for v in operands)
-        needs_grad = any(nodes[p].needs_grad for p in parents)
-        nodes.append(_Node(None, needs_grad, parents, prim, args[len(operands):]).run(nodes))
+        needs = tuple(nodes[p].needs_grad for p in parents)
+        nodes.append(_Node(None, any(needs), parents, needs, prim, args[len(operands):]).run(nodes))
         return Var(self, len(nodes) - 1)
 
     record.__name__ = name
@@ -431,13 +420,16 @@ for _name, _prim in PRIMITIVES.items():
 
 
 def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
-    """Accumulated gradients of a scalar output for every touched parameter.
+    """Accumulated gradients of a scalar output for every parameter of the
+    tape, in registration order.
 
     Visits nodes exactly once in reverse topological (id) order. A parameter
-    used at several sites receives the sum of all site contributions.
+    used at several sites receives the sum of all site contributions, and
+    one the output does not depend on gets exact zeros of its shape.
     Constants never appear in the result, nodes no parameter feeds are
     never differentiated, and each vjp is told which of its operands need
-    a gradient, so it can skip the others.
+    a gradient (the flags fixed when the node was recorded), so it can skip
+    the others.
     """
     if out.tape is not tape:
         raise GraphError("output node does not belong to this tape")
@@ -452,10 +444,9 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
         g = grads.pop(idx, None)
         if g is None:
             continue
-        needs = tuple(nodes[parent].needs_grad for parent in node.parents)
         inputs = [nodes[parent].value for parent in node.parents]
-        for parent, need, pg in zip(node.parents, needs,
-                                    node.prim.vjp(g, node.res, needs, *inputs, *node.static)):
+        for parent, need, pg in zip(node.parents, node.needs,
+                                    node.prim.vjp(g, node.res, node.needs, *inputs, *node.static)):
             if not need:
                 continue
             if parent in grads:
@@ -463,7 +454,8 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
-    return {name: grads[idx] for name, idx in tape._params.items() if idx in grads}
+    return {name: grads[idx] if idx in grads else np.zeros(nodes[idx].value.shape)
+            for name, idx in tape._params.items()}
 
 
 @dataclass
@@ -499,15 +491,15 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
     (4 D(h/2) - D(h)) / 3 of two central differences D: its O(h^4) error
     lets h be large enough that rounding in the loss stays far below tol.
 
-    ``build(tape, values)`` must register each entry of ``values`` it uses
-    via ``tape.parameter(name, values[name])``, pass every other tensor as a
+    ``build(tape, values)`` must register every entry of ``values`` via
+    ``tape.parameter(name, values[name])``, pass every other tensor as a
     ``tape.constant``, and return a scalar loss node. It is called once, on
     copies of ``params``: each perturbed loss changes one entry of a
     parameter leaf's own array in place and replays the recording
     (:meth:`Tape.replay`), so the graph ``build`` records must not depend on
     the values. The relative error per entry uses denominator
     max(|analytic|, |numeric|, 1e-8). A parameter the loss never touches
-    counts as an exact zero gradient.
+    has an exact zero gradient (see :func:`backward`).
     """
     work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     tape = Tape()
@@ -515,12 +507,12 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
     analytic = backward(tape, out)
 
     def loss_at() -> float:
-        tape.replay(0)
+        tape.replay()
         return float(out.value[0, 0])
 
     errors: dict[str, float] = {}
     for name, base in work.items():
-        ana = analytic.get(name, np.zeros_like(base))
+        ana = analytic[name]
         num = np.zeros_like(base)
         flat = base.reshape(-1)
         for i in range(flat.size):

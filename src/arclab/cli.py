@@ -109,7 +109,10 @@ def _build_section(name: str, cls, data, defaults: dict):
     merged = dict(defaults)
     merged.update({key: _check_value(f"{name}.{key}", hints[key], value)
                    for key, value in data.items()})
-    return cls(**merged)
+    try:
+        return cls(**merged)
+    except ConfigError as exc:  # the class's message starts with the key it rejects
+        raise ConfigError(f"{name}.{exc}") from None
 
 
 def load_run_config(path) -> RunConfig:

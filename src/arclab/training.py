@@ -38,8 +38,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ConfigError(
                 f"warmup_epochs must lie in [0, epochs], got {self.warmup_epochs}"
@@ -64,9 +66,9 @@ class SyntheticTask:
 
     def __post_init__(self):
         if self.classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.classes}")
+            raise ConfigError(f"classes must be >= 2, got {self.classes}")
         if self.train_count < self.classes:
-            raise ConfigError("train_count must cover every class at least once")
+            raise ConfigError(f"train_count must be >= classes {self.classes}, got {self.train_count}")
         if self.eval_count < 1:
             raise ConfigError(f"eval_count must be >= 1, got {self.eval_count}")
         if self.noise_sigma < 0:
@@ -163,37 +165,33 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     the values of the last completed step.
 
     The run's state is built once. The trainables are copied into one flat
-    float64 buffer that AdamW updates as a single tensor, and each is a
-    tape parameter over a view of it; the frozen tensors are tape
-    constants. The images are cut into patches once. After each epoch's
-    permutation, one :func:`adapters.dropout_masks` draw covers the images
-    of the steps that epoch runs. The first step of a batch size (the
-    first step, and a short last batch) copies its patches, labels and
-    per-site dropout masks into new buffers, rewinds the tape to the
-    leaves and records the forward over a constant on the patches buffer,
-    with the masks and labels as static arguments. Every later step of
-    that size refills the buffers in place and replays the recording
-    (:meth:`Tape.replay`); ``model.forward`` itself never runs. The stream
-    is read in the order of a draw per step, every update is elementwise,
-    and a replay runs the recorded forwards, so the losses and values are
-    the same bits as with a fresh tape, a draw and an optimizer step per
-    tensor each step. The caller's arrays get the final values when
-    training stops.
+    float64 buffer that AdamW updates as a single tensor. The images are
+    cut into patches once. After each epoch's permutation, one
+    :func:`adapters.dropout_masks` draw covers the images of the steps that
+    epoch runs. The run keeps one recording per batch size (the full size
+    and the size of a short last batch). The first step of a size builds a
+    :class:`Tape` whose leaves are the frozen tensors as constants and the
+    trainables as parameters over views of the flat buffer, copies its
+    patches, labels and per-site dropout masks into new buffers and records
+    the forward over a constant on the patches buffer, with the masks and
+    labels as static arguments. Every later step of that size refills the
+    buffers in place and replays that recording (:meth:`Tape.replay`);
+    ``model.forward`` itself never runs. The stream is read in the order of
+    a draw per step, every update is elementwise, and a replay runs the
+    recorded forwards, so the losses and values are the same bits as with
+    a fresh tape, a draw and an optimizer step per tensor each step. The
+    caller's arrays get the final values when training stops.
     """
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
         trainable.update(bank.tensors)
         bank.check_depth(backbone_cfg.layers)
     flat = np.concatenate(list(trainable.values()), axis=None, dtype=np.float64)
-    tape = Tape()
-    values = {name: tape.constant(arr) for name, arr in weights.items() if name not in trainable}
     views: dict[str, np.ndarray] = {}
     offset = 0
     for name, arr in trainable.items():
         views[name] = flat[offset:offset + arr.size].reshape(arr.shape)
-        values[name] = tape.parameter(name, views[name])
         offset += arr.size
-    leaves = len(tape)
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
     all_patches = model.extract_patches(data.train_images, backbone_cfg)
@@ -207,7 +205,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
-    recorded = 0  # the batch size the tape holds a recording for
+    recordings = {}  # batch size -> its tape, patches, labels, masks, logits and loss
     try:
         # A permutation follows every full epoch, the one that ends the run
         # included, so the stream ends where per-step draws leave it.
@@ -221,29 +219,31 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
-                if idx.size != recorded:  # record over new buffers holding this batch
-                    patches, labels = all_patches[idx], data.train_labels[idx]
-                    step_masks = None if masks is None else {
-                        key: m[rows].copy() for key, m in masks.items()}
-                    tape.rewind(leaves)
-                    x_emb = model.patch_embed(tape, backbone_cfg, values, tape.constant(patches))
-                    logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
-                                                  step_masks)
-                    loss_node = tape.cross_entropy(logits, labels)
-                    recorded = idx.size
-                else:  # refill the buffers in place and replay
+                if idx.size in recordings:  # refill this size's buffers in place and replay
+                    tape, patches, labels, step_masks, logits, loss_node = recordings[idx.size]
                     np.take(all_patches, idx, axis=0, out=patches)
                     np.take(data.train_labels, idx, out=labels)
                     for key, m in (step_masks or {}).items():
                         m[...] = masks[key][rows]
-                    tape.replay(leaves)
+                    tape.replay()
+                else:  # record this size's step over new buffers holding the batch
+                    patches, labels = all_patches[idx], data.train_labels[idx]
+                    step_masks = None if masks is None else {
+                        key: m[rows].copy() for key, m in masks.items()}
+                    tape = Tape()
+                    values = {name: tape.constant(arr)
+                              for name, arr in weights.items() if name not in views}
+                    values.update({name: tape.parameter(name, view) for name, view in views.items()})
+                    x_emb = model.patch_embed(tape, backbone_cfg, values, tape.constant(patches))
+                    logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
+                                                  step_masks)
+                    loss_node = tape.cross_entropy(logits, labels)
+                    recordings[idx.size] = tape, patches, labels, step_masks, logits, loss_node
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):
                     raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)
-                grads = backward(tape, loss_node)
-                grad = np.concatenate(
-                    [grads[name] if name in grads else np.zeros(view.size)
-                     for name, view in views.items()], axis=None)
+                # the tape's parameters are registered in the flat buffer's order
+                grad = np.concatenate(list(backward(tape, loss_node).values()), axis=None)
                 max_grad_seen = max(max_grad_seen, float(np.abs(grad).max()))
                 accuracy = float((logits.value.argmax(axis=1) == labels).mean())
                 opt.step(flat, grad, lr_t)

@@ -65,27 +65,6 @@ class TestRecordForward:
         with pytest.raises(GraphError):
             tape.parameter("w", np.eye(2))
 
-    def test_rewind_keeps_leaves_and_drops_ops(self) -> None:
-        tape = Tape()
-        w = tape.parameter("w", np.array([[2.0]]))
-        c = tape.constant(np.array([[3.0]]))
-        leaves = len(tape)
-        for _ in range(2):
-            tape.rewind(leaves)
-            out = tape.matmul(w, c)
-            assert len(tape) == leaves + 1 and out.idx == leaves
-            assert backward(tape, out)["w"][0, 0] == 3.0
-        assert tape._nodes[w.idx].value[0, 0] == 2.0 and tape._nodes[c.idx].value[0, 0] == 3.0
-
-    def test_rewind_past_a_parameter_raises(self) -> None:
-        tape = Tape()
-        tape.constant(np.eye(2))
-        tape.parameter("w", np.eye(2))
-        for size in (1, 0, -1, 3):
-            with pytest.raises(GraphError):
-                tape.rewind(size)
-        assert len(tape) == 2
-
 
 # the README demo's backbone and bank
 DEMO = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -138,7 +117,7 @@ class TestReplay:
             weights[name] += rng.normals(weights[name].shape, 0.1)
         for arr in bank.tensors.values():
             arr += rng.normals(arr.shape, 0.1)
-        tape.replay(0)
+        tape.replay()
 
         fresh = Tape()
         want = self._record(fresh, weights, bank, patches, masks, labels)
@@ -150,6 +129,21 @@ class TestReplay:
         assert grads.keys() == ref_grads.keys()
         assert all(np.array_equal(grads[name], ref_grads[name]) for name in grads)
 
+    def test_needs_fixed_at_record_time(self) -> None:
+        """Each node holds its parents' needs-grad flags as they were when it
+        was recorded, and a replay keeps them."""
+        weights = model.init_backbone(DEMO, Rng(7))
+        bank = init_adapters(DEMO_ARC, DEMO, Rng(9))
+        tape = Tape()
+        self._record(tape, weights, bank, *self._draw(Rng(3), 2, bank))
+        nodes = tape._nodes
+        recorded = [node.needs for node in nodes]
+        assert all(node.needs == tuple(nodes[p].needs_grad for p in node.parents)
+                   for node in nodes)
+        assert {flag for needs in recorded for flag in needs} == {False, True}
+        tape.replay()
+        assert [node.needs for node in tape._nodes] == recorded
+
     def test_keeps_leaves_and_handles(self) -> None:
         tape = Tape()
         x = tape.parameter("x", np.array([[2.0]]))
@@ -157,7 +151,7 @@ class TestReplay:
         out = tape.matmul(x, c)
         leaf = tape._nodes[x.idx].value
         leaf[0, 0] = 5.0
-        tape.replay(0)
+        tape.replay()
         assert tape._nodes[x.idx].value is leaf and len(tape) == 3
         assert out.value[0, 0] == 15.0 and backward(tape, out)["x"][0, 0] == 3.0
 
@@ -203,6 +197,22 @@ class TestBackward:
         grads = backward(tape, loss)
         assert "frozen" not in grads
         assert set(grads) == {"x"}
+
+    def test_every_parameter_in_result(self) -> None:
+        """A parameter the output does not depend on, registered before or
+        after it, gets exact zeros of its shape, in registration order."""
+        tape = Tape()
+        x = tape.parameter("x", np.array([[3.0]]))
+        side = tape.parameter("side", np.ones((2, 3)))
+        tape.gelu(side)  # recorded, but the loss does not read it
+        loss = tape.mean(tape.matmul(x, x))
+        tape.parameter("after", np.ones((4, 1)))
+        grads = backward(tape, loss)
+        assert list(grads) == ["x", "side", "after"]
+        assert grads["x"][0, 0] == 6.0
+        for name, shape in (("side", (2, 3)), ("after", (4, 1))):
+            assert grads[name].shape == shape and grads[name].dtype == np.float64
+            assert np.array_equal(grads[name], np.zeros(shape))
 
     def test_shared_parameter_sums_site_contributions(self) -> None:
         x1 = np.array([[1.0, -0.5]])
@@ -389,10 +399,16 @@ class TestNeedsGrad:
             seen.append(needs)
             return node.prim.vjp(g, value, needs, *inputs)
 
+        assert node.needs == (False, False, True)
         tape._nodes[out.idx] = node._replace(prim=node.prim._replace(vjp=spy))
-        grads = backward(tape, tape.mean(out))
+        loss = tape.mean(out)
+        grads = backward(tape, loss)
         assert seen == [(False, False, True)]
         assert np.allclose(grads["b"], 0.2, rtol=0, atol=1e-15)
+        # the flags come from the node as recorded, not from its parents now
+        tape._nodes[out.idx] = tape._nodes[out.idx]._replace(needs=(False, True, True))
+        backward(tape, loss)
+        assert seen[-1] == (False, True, True)
 
     def test_freezing_leaves_other_gradients_bit_equal(self) -> None:
         rng = np.random.default_rng(6)

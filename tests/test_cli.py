@@ -158,10 +158,12 @@ _README_KEYS = [(section, key) for section, keys in _SHORT_README.items() for ke
 class TestConfigMutations:
     """Any single-key mutation of the README config trains (exit 0) or is
     rejected as a config error (exit 2); it never aborts (exit 3) or
-    raises. A value of the wrong JSON type names ``section.key``, and an
-    unknown key names itself and its section. A value out of range or
-    contradicting another field is checked by exit code alone: its
-    message names the value, not always the key."""
+    raises. A value of the wrong JSON type says ``section.key must be``, and
+    an unknown key names itself and its section. Every other rejection names
+    ``section.key``, except two: a value that conflicts with another key of
+    its section (``patch_size`` does not divide ``image_size``) is named
+    bare after that key, which leads as ``section.other``, and a task value
+    that contradicts the backbone names both sections."""
 
     def test_unmutated_config_trains(self, tmp_path) -> None:
         path = tmp_path / "config.json"
@@ -197,6 +199,15 @@ class TestConfigMutations:
         elif mutation not in ("removed", "+1", "-1") and _json_kind(mutation) != _json_kind(old):
             assert rc == cli.EXIT_CONFIG
             assert f"{section}.{key} must be" in err.getvalue(), err.getvalue()
+        if rc == cli.EXIT_CONFIG and mutation != "unknown":
+            message = err.getvalue()
+            if "do not match backbone" in message:
+                assert section in ("task", "backbone") and message.startswith("config error: task ")
+                assert key in ("classes", "image_size", "channels"), message
+            else:
+                assert f"{section}.{key}" in message or (
+                    message.startswith(f"config error: {section}.") and f" {key} " in message
+                ), message
 
 
 @pytest.fixture(scope="module")

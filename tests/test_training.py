@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import math
 
@@ -232,7 +233,7 @@ class TestTrain:
         monkeypatch.setattr(model, "forward_tokens",
                             lambda *args: recorded.append(None) or real_tokens(*args))
         monkeypatch.setattr(Tape, "replay",
-                            lambda tape, start: replays.append(None) or real_replay(tape, start))
+                            lambda tape: replays.append(None) or real_replay(tape))
         monkeypatch.setattr(model, "forward", None)
         backbone = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                         layers=3, heads=2, classes=4)
@@ -300,7 +301,8 @@ class TestTrain:
 
 class TestRunState:
     """``train`` builds its state once per run: one dropout draw per epoch,
-    one tape whose leaves every step reuses and one flat trainable buffer."""
+    one recording per batch size that every later step of that size
+    replays, and one flat trainable buffer."""
 
     TASK = SyntheticTask(classes=4, image_size=8, channels=1, noise_sigma=0.3,
                          train_count=30, eval_count=8)
@@ -336,9 +338,13 @@ class TestRunState:
         result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
         assert self.digest(result, weights, bank) == self.DIGEST
 
-    def test_records_again_at_each_batch_size_change(self, monkeypatch) -> None:
-        """Batches of 8, 8, 8, 6, 8 and 8 record at steps 0, 3 and 4 and
-        replay the other three, with the known-answer bits."""
+    # the same digest over a 50-epoch run (200 steps, each epoch ending on a
+    # batch of 6), computed with a new recording at every batch-size change
+    LONG_DIGEST = "ae8b1bc3280ca68dc93ec20e0495ecdc9963434675dec5e6b5130911950201cd"
+
+    def spy_recordings(self, monkeypatch):
+        """Lists that collect the batch size of each recording and one entry
+        per replay."""
         recorded, replays = [], []
         real_tokens, real_replay = model.forward_tokens, Tape.replay
 
@@ -346,16 +352,27 @@ class TestRunState:
             recorded.append(x_emb.value.shape[0])
             return real_tokens(ops, cfg, v, x_emb, *args)
 
-        def replay(tape, start):
-            replays.append(start)
-            return real_replay(tape, start)
-
         monkeypatch.setattr(model, "forward_tokens", record)
-        monkeypatch.setattr(Tape, "replay", replay)
+        monkeypatch.setattr(Tape, "replay", lambda tape: replays.append(None) or real_replay(tape))
+        return recorded, replays
+
+    def test_records_once_per_batch_size(self, monkeypatch) -> None:
+        """Batches of 8, 8, 8, 6, 8 and 8 record at steps 0 and 3 and replay
+        the other four, with the known-answer bits."""
+        recorded, replays = self.spy_recordings(monkeypatch)
         weights, bank, data = self.setup_run()
         result = train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
-        assert recorded == [8, 6, 8] and len(replays) == 3
+        assert recorded == [8, 6] and len(replays) == 4
         assert self.digest(result, weights, bank) == self.DIGEST
+
+    def test_long_run_records_twice(self, monkeypatch) -> None:
+        """50 epochs of 30 images in batches of 8 record twice in 200 steps,
+        with the bits of a run that records again at every size change."""
+        recorded, replays = self.spy_recordings(monkeypatch)
+        weights, bank, data = self.setup_run()
+        result = train(TOY, weights, bank, data, dataclasses.replace(self.CFG, epochs=50))
+        assert result.steps == 200 and recorded == [8, 6] and len(replays) == 198
+        assert self.digest(result, weights, bank) == self.LONG_DIGEST
 
     def test_rng_state_matches_per_step_draws(self, monkeypatch) -> None:
         """One mask draw per epoch leaves the stream where a permutation per
@@ -410,8 +427,9 @@ class TestRunState:
         assert not all(np.array_equal(got[name], before[name]) for name in want)
 
     def test_leaves_alias_the_optimizer_buffer(self, monkeypatch) -> None:
-        """Every step's parameter leaves are views of the buffer AdamW
-        updates, so no leaf can be a stale copy of a trainable."""
+        """Every step's parameter leaves, on the tape of its batch size, are
+        views of the buffer AdamW updates, so no leaf can be a stale copy of
+        a trainable."""
         tapes, buffers = [], []
         real_backward, real_step = training.backward, AdamW.step
 
@@ -430,9 +448,11 @@ class TestRunState:
         monkeypatch.setattr(AdamW, "step", keep_buffer)
         weights, bank, data = self.setup_run()
         train(TOY, weights, bank, data, self.CFG, max_steps=self.STEPS)
-        assert len(buffers) == self.STEPS
-        assert all(t is tapes[0] for t in tapes) and all(b is buffers[0] for b in buffers)
-        assert len(tapes[0]._params) == len(self.trainables(weights, bank))
+        assert len(buffers) == self.STEPS and all(b is buffers[0] for b in buffers)
+        full, short = tapes[0], tapes[3]  # batches of 8, 8, 8, 6, 8 and 8
+        assert short is not full and tapes == [full, full, full, short, full, full]
+        count = len(self.trainables(weights, bank))
+        assert len(full._params) == len(short._params) == count
 
 
 class TestEvaluate:
