@@ -25,6 +25,8 @@ _KNOBS = {
     "attn_matrices": ("lora",),
     "operations": ("ssf",),
 }
+# knob -> its `arclab count` flag, named after its symbol (D', m, w, o)
+KNOB_FLAGS = {"bottleneck": "Dprime", "prompts": "m", "attn_matrices": "w", "operations": "o"}
 
 DEFAULT_BACKBONES = (("ViT-B", 768, 12), ("ViT-L", 1024, 24), ("ViT-H", 1280, 32))
 
@@ -48,14 +50,14 @@ class MethodSpec:
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         for knob, needed_by in _KNOBS.items():
-            value = getattr(self, knob)
+            value, name = getattr(self, knob), f"knob {knob!r} (--{KNOB_FLAGS[knob]})"
             if self.method in needed_by:
                 if value is None:
-                    raise ConfigError(f"method {self.method!r} needs knob {knob!r}")
+                    raise ConfigError(f"method {self.method!r} needs {name}")
                 if value < 1:
-                    raise ConfigError(f"knob {knob!r} must be >= 1, got {value}")
+                    raise ConfigError(f"{name} must be >= 1, got {value}")
             elif value is not None:
-                raise ConfigError(f"method {self.method!r} does not take knob {knob!r}")
+                raise ConfigError(f"method {self.method!r} does not take {name}")
 
 
 def _check_dims(d: int, layers: int) -> None:
@@ -135,7 +137,8 @@ class ScalingRow:
 def scaling_table(spec: MethodSpec, layer_range=None, backbones=None,
                   embed_dim: int | None = None) -> list[ScalingRow]:
     """Counts over a range of depths (fixed D) or a list of backbone shapes;
-    rejects an empty range and a bottleneck or rank wider than a row's D."""
+    rejects an empty range, a row whose D or L is not positive, and then a
+    bottleneck or rank wider than a row's D."""
     if (layer_range is None) == (backbones is None):
         raise ConfigError("pass exactly one of layer_range or backbones")
     if layer_range is not None:
@@ -146,6 +149,7 @@ def scaling_table(spec: MethodSpec, layer_range=None, backbones=None,
         backbones = [(f"L={layers}", embed_dim, layers) for layers in layer_range]
     rows = []
     for label, d, layers in backbones:
+        _check_dims(d, layers)
         if spec.bottleneck is not None and spec.bottleneck > d:
             raise ConfigError(f"bottleneck {spec.bottleneck} exceeds embed_dim {d}")
         rows.append(ScalingRow(label, d, layers, count_finetune(spec, d, layers),

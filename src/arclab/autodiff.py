@@ -13,17 +13,18 @@ the forward had. Coarse primitives cover whole model blocks: ``attention``
 is one multi-head attention core and ``arc_adapter`` one re-composed
 adapter site, each with a hand-written vjp.
 
-A :class:`Tape` records primitive applications in topological order; each
-node keeps its forward value, its primitive, its parents' ids and their
-needs-grad flags, its static (non-operand) arguments and the forward's
-residual, and reads its operand values from its parents. The tape-free
-:class:`Eager` backend calls the same forwards directly and drops the
-residuals, so a recorded forward is bitwise identical to an unrecorded one
-by construction. A recording can be replayed: :meth:`Tape.replay` re-runs
-the recorded forwards over the current contents of the leaves, so a loop
-whose graph stays the same records once and refills its leaves in place (a
-training run keeps one tape per batch size and replays it at every later
-step of that size).
+A :class:`Tape` records primitive applications in topological order as
+:class:`Var` nodes. A node is also the handle model code holds: it keeps
+its forward value, its primitive, its parent nodes and their needs-grad
+flags, its static (non-operand) arguments and the forward's residual, and
+reads its operand values from its parents. The tape-free :class:`Eager`
+backend calls the same forwards directly and drops the residuals, so a
+recorded forward is bitwise identical to an unrecorded one by
+construction. A recording can be replayed: :meth:`Tape.replay` re-runs
+each node's forward in place over the current contents of the leaves, so a
+loop whose graph stays the same records once and refills its leaves in
+place (a training run keeps one tape per batch size and replays it at
+every later step of that size).
 A parameter is a single leaf node: reusing it at many graph sites (shared
 projections, a tied down-projection in both adapter slots) or broadcasting
 it over a batch accumulates every contribution into one gradient.
@@ -289,61 +290,59 @@ PRIMITIVES: dict[str, Primitive] = {
 }
 
 
-class Var(NamedTuple):
-    """Handle to one tape node."""
+class Var:
+    """One tape node, which is also the handle model code holds to it.
 
-    tape: "Tape"
-    idx: int
+    A node belongs to the tape whose ``_nodes[idx]`` it is; it holds no
+    reference back to that tape, so the graph stays acyclic. A leaf has no
+    ``prim``; every other node's forward ran on its ``parents``' values.
+    """
 
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape._nodes[self.idx].value
+    __slots__ = ("idx", "value", "needs_grad", "parents", "needs", "prim", "static", "res")
 
-    @property
-    def shape(self):
-        return self.value.shape
+    def __init__(self, idx: int, value, parents: tuple = (), prim: Primitive | None = None,
+                 static: tuple = (), needs_grad: bool = False):
+        self.idx = idx
+        self.value = value
+        self.parents = parents  # operand nodes
+        self.needs = tuple(p.needs_grad for p in parents)  # each parent's flag when recorded
+        self.needs_grad = needs_grad or any(self.needs)  # a parameter, or computed from one
+        self.prim = prim
+        self.static = static  # the forward's non-operand arguments
+        self.res = None  # what the vjp reuses from the forward (None when it needs no gradient)
 
-
-class _Node(NamedTuple):
-    value: np.ndarray
-    needs_grad: bool  # a trainable parameter, or computed from one
-    parents: tuple[int, ...] = ()  # operand node ids
-    needs: tuple[bool, ...] = ()  # each parent's needs_grad when this node was recorded
-    prim: Primitive | None = None  # None for leaves
-    static: tuple = ()  # the forward's non-operand arguments
-    res: object = None  # what the vjp reuses from the forward (None when it needs no gradient)
-
-    def run(self, nodes: list["_Node"]) -> "_Node":
-        """This node with the value of its forward over its parents' current values."""
+    def run(self) -> None:
+        """Set this node's value and residual to its forward over its parents' current values."""
         prim = self.prim
-        value = res = prim.forward(*[nodes[p].value for p in self.parents], *self.static)
+        value = res = prim.forward(*[p.value for p in self.parents], *self.static)
         if prim.saves:
             value, res = value
-        return _Node(value, self.needs_grad, self.parents, self.needs, prim, self.static,
-                     res if self.needs_grad else None)
+        self.value = value
+        self.res = res if self.needs_grad else None
 
 
 class Tape:
     """Record of a forward computation plus a parameter registry.
 
     Every entry of :data:`PRIMITIVES` is a method taking :class:`Var`
-    operands and returning a :class:`Var`. A :meth:`parameter` is a named
-    trainable leaf; a frozen tensor enters as a :meth:`constant`. A leaf
-    holds its array without a copy when the array is contiguous float64,
-    so a loop can record once over its leaves, update their arrays in place
-    and :meth:`replay` the recording.
+    operands and returning the :class:`Var` node it records. A
+    :meth:`parameter` is a named trainable leaf; a frozen tensor enters as
+    a :meth:`constant`. A leaf holds its array without a copy when the array
+    is contiguous float64, so a loop can record once over its leaves, update
+    their arrays in place and :meth:`replay` the recording, which updates
+    every node in place.
     """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
-        self._params: dict[str, int] = {}  # name -> leaf index
+        self._nodes: list[Var] = []
+        self._params: dict[str, Var] = {}  # name -> leaf node
 
     def __len__(self) -> int:
         return len(self._nodes)
 
     def replay(self) -> None:
-        """Re-run every recorded node, in id order, over the current contents
-        of the leaves; the leaves themselves are kept.
+        """Re-run every recorded node, in id order and in place, over the
+        current contents of the leaves; every node object is kept.
 
         A replayed node calls the forward it recorded, on its parents' new
         values and its own static arguments, so it gives the bits a fresh
@@ -352,31 +351,26 @@ class Tape:
         is the one recorded, each node's needs-grad flags included: a
         forward whose path depends on the values must be recorded again.
         """
-        nodes = self._nodes
-        for idx, node in enumerate(nodes):
+        for node in self._nodes:
             if node.prim is not None:
-                nodes[idx] = node.run(nodes)
+                node.run()
 
     def parameter(self, name: str, value: np.ndarray) -> Var:
         if name in self._params:
             raise GraphError(f"parameter {name!r} registered twice")
-        var = self._leaf(value, True)
-        self._params[name] = var.idx
+        self._params[name] = var = self._leaf(value, True)
         return var
 
     def constant(self, value) -> Var:
         return self._leaf(value, False)
 
     def _leaf(self, value, needs_grad: bool) -> Var:
-        self._nodes.append(_Node(_as_array(value), needs_grad))
-        return Var(self, len(self._nodes) - 1)
+        var = Var(len(self._nodes), _as_array(value), needs_grad=needs_grad)
+        self._nodes.append(var)
+        return var
 
-    def _check(self, operands):
-        for p in operands:
-            if not isinstance(p, Var) or p.tape is not self:
-                raise GraphError(
-                    "operand is not a node of this tape; wrap arrays via constant()/parameter()"
-                )
+    def _owns(self, v) -> bool:
+        return isinstance(v, Var) and v.idx < len(self._nodes) and self._nodes[v.idx] is v
 
 
 class Eager:
@@ -389,12 +383,13 @@ class Eager:
 def _recorder(name: str, prim: Primitive):
     def record(self: Tape, *args) -> Var:
         operands = args if prim.operands is None else args[: prim.operands]
-        self._check(operands)
-        nodes = self._nodes
-        parents = tuple(v.idx for v in operands)
-        needs = tuple(nodes[p].needs_grad for p in parents)
-        nodes.append(_Node(None, any(needs), parents, needs, prim, args[len(operands):]).run(nodes))
-        return Var(self, len(nodes) - 1)
+        if not all(map(self._owns, operands)):
+            raise GraphError("operand is not a node of this tape; "
+                             "wrap arrays via constant()/parameter()")
+        node = Var(len(self._nodes), None, operands, prim, args[len(operands):])
+        node.run()
+        self._nodes.append(node)
+        return node
 
     record.__name__ = name
     record.__doc__ = prim.forward.__doc__
@@ -431,20 +426,20 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
     a gradient (the flags fixed when the node was recorded), so it can skip
     the others.
     """
-    if out.tape is not tape:
+    if not tape._owns(out):
         raise GraphError("output node does not belong to this tape")
     if out.value.shape != (1, 1):
         raise GraphError(f"backward needs a scalar output, got shape {out.value.shape}")
     nodes = tape._nodes
-    grads: dict[int, np.ndarray] = {out.idx: np.ones((1, 1))}
+    grads: dict[Var, np.ndarray] = {out: np.ones((1, 1))}
     for idx in range(out.idx, -1, -1):
         node = nodes[idx]
         if node.prim is None or not node.needs_grad:
             continue
-        g = grads.pop(idx, None)
+        g = grads.pop(node, None)
         if g is None:
             continue
-        inputs = [nodes[parent].value for parent in node.parents]
+        inputs = [p.value for p in node.parents]
         for parent, need, pg in zip(node.parents, node.needs,
                                     node.prim.vjp(g, node.res, node.needs, *inputs, *node.static)):
             if not need:
@@ -454,8 +449,8 @@ def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:
                 grads[parent] = grads[parent] + pg
             else:
                 grads[parent] = pg
-    return {name: grads[idx] if idx in grads else np.zeros(nodes[idx].value.shape)
-            for name, idx in tape._params.items()}
+    return {name: grads[v] if v in grads else np.zeros(v.value.shape)
+            for name, v in tape._params.items()}
 
 
 @dataclass

@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import types
 import typing
@@ -111,8 +112,9 @@ def _build_section(name: str, cls, data, defaults: dict):
                    for key, value in data.items()})
     try:
         return cls(**merged)
-    except ConfigError as exc:  # the class's message starts with the key it rejects
-        raise ConfigError(f"{name}.{exc}") from None
+    except ConfigError as exc:  # each key of the section the message names becomes section.key
+        pattern = rf"""('[^']*'|"[^"]*")|\b({'|'.join(hints)})\b"""  # a quoted value stays as it is
+        raise ConfigError(re.sub(pattern, lambda m: m[1] or f"{name}.{m[2]}", str(exc))) from None
 
 
 def load_run_config(path) -> RunConfig:
@@ -255,8 +257,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
-    spec = accounting.MethodSpec(args.method, bottleneck=args.Dprime, prompts=args.m,
-                                 attn_matrices=args.w, operations=args.o)
+    spec = accounting.MethodSpec(args.method,
+                                 **{knob: getattr(args, knob) for knob in accounting.KNOB_FLAGS})
     if args.sweep == "layers":
         rows = accounting.scaling_table(spec, layer_range=range(1, args.L + 1),
                                         embed_dim=args.D)
@@ -334,10 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=accounting.METHODS)
     p.add_argument("--D", type=int, default=768)
     p.add_argument("--L", type=int, default=12)
-    p.add_argument("--Dprime", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--o", type=int, default=None)
+    for knob, flag in accounting.KNOB_FLAGS.items():
+        p.add_argument(f"--{flag}", dest=knob, type=int, default=None)
     p.add_argument("--sweep", choices=("layers", "backbones"), default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_count)

@@ -34,7 +34,7 @@ class TestRecordForward:
         tape = Tape()
         x = tape.parameter("x", np.array([[3.0]]))
         out = tape.matmul(x, x)
-        assert out.tape is tape
+        assert tape._nodes[out.idx] is out and out.parents == (x, x)
         assert float(out.value[0, 0]) == 9.0
 
     def test_matches_kernel_bitwise(self) -> None:
@@ -53,6 +53,13 @@ class TestRecordForward:
         x = other.constant(np.eye(2))
         with pytest.raises(GraphError):
             tape.gelu(x)
+        # a foreign node whose id the tape also holds
+        tape.constant(np.eye(2))
+        assert x.idx < len(tape)
+        with pytest.raises(GraphError):
+            tape.gelu(x)
+        with pytest.raises(GraphError):
+            tape.add(tape._nodes[0], x)
 
     def test_rejects_raw_array_operand(self) -> None:
         tape = Tape()
@@ -138,8 +145,7 @@ class TestReplay:
         self._record(tape, weights, bank, *self._draw(Rng(3), 2, bank))
         nodes = tape._nodes
         recorded = [node.needs for node in nodes]
-        assert all(node.needs == tuple(nodes[p].needs_grad for p in node.parents)
-                   for node in nodes)
+        assert all(node.needs == tuple(p.needs_grad for p in node.parents) for node in nodes)
         assert {flag for needs in recorded for flag in needs} == {False, True}
         tape.replay()
         assert [node.needs for node in tape._nodes] == recorded
@@ -154,6 +160,23 @@ class TestReplay:
         tape.replay()
         assert tape._nodes[x.idx].value is leaf and len(tape) == 3
         assert out.value[0, 0] == 15.0 and backward(tape, out)["x"][0, 0] == 3.0
+
+    def test_keeps_every_node_object(self) -> None:
+        """A replay updates each node in place: the tape holds the same node
+        objects, which are the handles the recording returned, with new
+        values."""
+        tape = Tape()
+        x = tape.parameter("x", np.array([[2.0, -1.0]]))
+        w = tape.constant(np.array([[1.0], [3.0]]))
+        prod = tape.matmul(x, w)
+        handles = [x, w, prod, tape.gelu(prod)]
+        assert all(tape._nodes[h.idx] is h for h in handles) and len(tape) == 4
+        before = [h.value for h in handles]
+        x.value[...] = [[4.0, 1.0]]
+        tape.replay()
+        assert len(tape) == 4 and all(tape._nodes[h.idx] is h for h in handles)
+        assert x.value is before[0] and prod.value[0, 0] == 7.0
+        assert prod.value is not before[2] and handles[3].value is not before[3]
 
 
 class TestBackward:
@@ -235,6 +258,21 @@ class TestBackward:
         x = tape.parameter("x", np.eye(2))
         with pytest.raises(GraphError):
             backward(tape, x)
+
+    def test_foreign_output_rejected(self) -> None:
+        """An output recorded on another tape is rejected, also when this
+        tape holds a node of the same id."""
+        tape, other = Tape(), Tape()
+        x = other.parameter("x", np.array([[2.0]]))
+        out = other.mean(other.matmul(x, x))
+        with pytest.raises(GraphError, match="does not belong"):
+            backward(tape, out)
+        y = tape.parameter("x", np.array([[2.0]]))
+        tape.mean(tape.matmul(y, y))
+        assert len(tape) == len(other) and tape._nodes[out.idx] is not out
+        with pytest.raises(GraphError, match="does not belong"):
+            backward(tape, out)
+        assert backward(other, out)["x"][0, 0] == 4.0
 
     def test_broadcast_bias_grad_sums_rows(self) -> None:
         x = np.ones((3, 2))
@@ -393,20 +431,20 @@ class TestNeedsGrad:
         b = tape.parameter("b", np.ones((1, 5)))
         out = tape.linear(x, w, b)
         seen = []
-        node = tape._nodes[out.idx]
+        vjp = out.prim.vjp
 
         def spy(g, value, needs, *inputs):
             seen.append(needs)
-            return node.prim.vjp(g, value, needs, *inputs)
+            return vjp(g, value, needs, *inputs)
 
-        assert node.needs == (False, False, True)
-        tape._nodes[out.idx] = node._replace(prim=node.prim._replace(vjp=spy))
+        assert out.needs == (False, False, True)
+        out.prim = out.prim._replace(vjp=spy)
         loss = tape.mean(out)
         grads = backward(tape, loss)
         assert seen == [(False, False, True)]
         assert np.allclose(grads["b"], 0.2, rtol=0, atol=1e-15)
         # the flags come from the node as recorded, not from its parents now
-        tape._nodes[out.idx] = tape._nodes[out.idx]._replace(needs=(False, True, True))
+        out.needs = (False, True, True)
         backward(tape, loss)
         assert seen[-1] == (False, True, True)
 
@@ -479,13 +517,13 @@ class TestGradcheck:
             y = tape.arc_adapter(tape.constant(x), p["down"], p["coef"], p["bias"], p["down"],
                                  None, True)
             z = tape.gelu(y)
-            node = {"arc_adapter": y, "gelu": z}[planted].idx
-            prim = tape._nodes[node].prim
+            node = {"arc_adapter": y, "gelu": z}[planted]
+            vjp = node.prim.vjp
 
             def scaled(*args):
-                return tuple(None if g is None else g * scale for g in prim.vjp(*args))
+                return tuple(None if g is None else g * scale for g in vjp(*args))
 
-            tape._nodes[node] = tape._nodes[node]._replace(prim=prim._replace(vjp=scaled))
+            node.prim = node.prim._replace(vjp=scaled)
             return tape.mean(z)
 
         assert gradcheck(build, params).passed

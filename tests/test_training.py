@@ -439,7 +439,7 @@ class TestRunState:
 
         def keep_buffer(self, flat, grad, lr_t):
             buffers.append(flat)
-            leaves = [tapes[-1]._nodes[idx].value for idx in tapes[-1]._params.values()]
+            leaves = [leaf.value for leaf in tapes[-1]._params.values()]
             assert all(np.shares_memory(leaf, flat) for leaf in leaves)
             real_step(self, flat, grad, lr_t)
             assert np.array_equal(np.concatenate(leaves, axis=None), flat)
