@@ -32,13 +32,14 @@ it over a batch accumulates every contribution into one gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import kernel
-from .errors import GraphError, ShapeError
+from .errors import ConfigError, GraphError, ShapeError
 
 
 def _as_array(value) -> np.ndarray:
@@ -494,8 +495,13 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
     (:meth:`Tape.replay`), so the graph ``build`` records must not depend on
     the values. The relative error per entry uses denominator
     max(|analytic|, |numeric|, 1e-8). A parameter the loss never touches
-    has an exact zero gradient (see :func:`backward`).
+    has an exact zero gradient (see :func:`backward`). Raises ConfigError
+    unless ``h`` and ``tol`` are finite and > 0: an infinite tol passes any
+    gradient, and a NaN or negative one fails every gradient.
     """
+    for name, value in (("h", h), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value!r}")
     work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     tape = Tape()
     out = build(tape, work)

@@ -287,6 +287,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):  # fail before the backbone is drawn
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     cfg = load_run_config(args.config)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))

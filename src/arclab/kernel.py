@@ -13,7 +13,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, xlogy
 
 from .errors import NumericalError, ShapeError
 
@@ -244,12 +244,15 @@ class Rng:
     The integer and uniform draws (``u64``, ``uniform``, ``uniforms``,
     ``randint``, ``permutation``) are pure 64-bit integer arithmetic, so for
     a given seed they are identical across platforms and runs. ``normal``
-    and ``normals`` also call the C library's ``log`` and ``cos`` through
-    :mod:`math`, once per element in both, so they are identical wherever
-    those agree. numpy's SIMD ``np.log`` is not used: it can differ from
-    libm in the last bit. A bulk draw of n values returns the values of n
-    scalar draws and leaves the same state. Single-owner: never share an
-    instance between concurrent consumers.
+    and ``normals`` also call the C library's ``log`` and ``cos``, once per
+    element in both, so they are identical wherever those agree. ``normal``
+    reaches both through :mod:`math`; ``normals`` takes ``cos`` through
+    :mod:`math` and ``log`` through ``scipy.special.xlogy(1.0, y)``, which
+    computes ``1.0 * log(y)`` with the C library's ``log``, and a product
+    by 1.0 is exact. numpy's SIMD ``np.log`` and ``np.cos`` are not
+    used: they can differ from libm in the last bit. A bulk draw of n
+    values returns the values of n scalar draws and leaves the same state.
+    Single-owner: never share an instance between concurrent consumers.
     """
 
     def __init__(self, seed: int):
@@ -327,11 +330,16 @@ class Rng:
         return out.reshape(shape)
 
     def normals(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Array of ``normal() * scale`` draws, in stream order."""
+        """Array of ``normal() * scale`` draws, in stream order.
+
+        The log is one compiled call to the C library's ``log``
+        (``xlogy(1.0, y)``); the cos stays a :mod:`math` map, as no compiled
+        route to libm's ``cos`` is at hand.
+        """
         out = np.empty(int(np.prod(shape)))
         for start in range(0, out.size, _BLOCK):
             u = self._unit(2 * min(_BLOCK, out.size - start))
-            log_u1 = np.fromiter(map(math.log, memoryview(1.0 - u[0::2])), np.float64)
+            log_u1 = xlogy(1.0, 1.0 - u[0::2])
             cos_u2 = np.fromiter(map(math.cos, memoryview(2.0 * math.pi * u[1::2])), np.float64)
             out[start:start + _BLOCK] = np.sqrt(-2.0 * log_u1) * cos_u2 * scale
         return out.reshape(shape)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from scipy.special import erf
 from arclab import model
 from arclab.adapters import ArcConfig, dropout_masks, init_adapters
 from arclab.autodiff import PRIMITIVES, Eager, GradCheckReport, Tape, backward, gradcheck
-from arclab.errors import GraphError, ShapeError
+from arclab.errors import ConfigError, GraphError, ShapeError
 from arclab.kernel import Rng
 
 
@@ -502,6 +504,15 @@ class TestGradcheck:
         report = gradcheck(build, {"x": np.array([[1.5]]), "unused": np.ones((2, 2))})
         assert report.passed
         assert report.errors["unused"] == 0.0
+
+    @pytest.mark.parametrize("name", ["h", "tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_bad_h_or_tol(self, name, value) -> None:
+        def build(tape, values):
+            raise AssertionError("gradcheck built a graph for a bad argument")
+
+        with pytest.raises(ConfigError, match=f"gradcheck {name} must be finite and > 0"):
+            gradcheck(build, {"x": np.ones((1, 1))}, **{name: value})
 
     @pytest.mark.parametrize("planted", ["arc_adapter", "gelu"])
     def test_planted_wrong_vjp_fails(self, planted) -> None:

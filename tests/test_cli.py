@@ -596,6 +596,16 @@ class TestCommands:
         assert rc == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_gradcheck_bad_tol_exit_2(self, tmp_path, capsys, tol) -> None:
+        """An infinite tol would pass any gradient and a NaN or negative one
+        fail every gradient, so each is a config error naming --tol."""
+        config = write_config(tmp_path)
+        rc = cli.main(["gradcheck", "--config", str(config), "--tol", tol])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert "--tol must be finite and > 0" in err and "gradcheck" not in out
+
     def test_numerical_abort_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path, train={"lr": 1e18, "epochs": 30,
                                                "warmup_epochs": 0})

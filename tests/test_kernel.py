@@ -438,3 +438,51 @@ class TestRngBulkMatchesScalar:
                 got, want = np.array(bulk.u64()), np.array(scalar.u64())
             assert got.tobytes() == want.tobytes(), kind
         assert bulk._s == scalar._s
+
+    def test_normals_across_a_block_from_a_used_state(self) -> None:
+        """A bulk draw one value past a block, from a state that earlier
+        draws have moved, still equals the scalar loop."""
+        bulk, scalar = Rng(77), Rng(77)
+        bulk.uniforms(3)
+        for _ in range(3):
+            scalar.uniform()
+        n = kernel._BLOCK + 1
+        got = bulk.normals(n, 0.5)
+        want = np.array([scalar.normal() * 0.5 for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+
+
+def _normals_of_units(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``Rng.normals`` over the given uniforms: pair i is (u1[i], u2[i])."""
+    units = np.empty(2 * u1.size)
+    units[0::2], units[1::2] = u1, u2
+    rng = Rng(0)
+    rng._unit = lambda n: units[:n].copy()
+    return rng.normals(u1.size)
+
+
+class TestNormalsLogRoute:
+    """``normals`` takes Box-Muller's log through ``xlogy(1.0, y)``, one
+    compiled call to the C library's ``log``. It must give the bits of
+    ``math.log`` at every y = 1 - uniform(), the grid 1 - k * 2**-53 for
+    0 <= k < 2**53, where numpy's SIMD ``np.log`` may not."""
+
+    @staticmethod
+    def check(u1: np.ndarray) -> None:
+        y = 1.0 - u1
+        want = np.array([math.log(v) for v in y], dtype=np.float64)
+        assert kernel.xlogy(1.0, y).tobytes() == want.tobytes()
+        u2 = u1[::-1].copy()
+        scalar = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
+                           for a, b in zip(y, u2)], dtype=np.float64)
+        assert _normals_of_units(u1, u2).tobytes() == scalar.tobytes()
+
+    def test_edges(self) -> None:
+        # y = 1.0, 1 - 2**-53, 2**-53 and 0.5
+        self.check(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 0.5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+    def test_grid(self, ks) -> None:
+        self.check(np.array(ks, dtype=np.float64) * 2.0**-53)

@@ -370,6 +370,14 @@ class TestKnownAnswers:
         assert _sha256([rec.loss for rec in result.curve]) == (
             "8b25851b0066ba308c07d733bd7aec803eb749b69f9e2e116d4b1fb0207a9ec9")
 
+    def test_deploy_shaped_backbone(self) -> None:
+        """The bench's deploy backbone: 76 weight matrices, about 2.4M
+        normals drawn in one fixed order. No BLAS is involved."""
+        cfg = model.BackboneConfig(image_size=32, patch_size=8, channels=1, embed_dim=128,
+                                   layers=12, heads=4, classes=10)
+        assert model.checksum(model.init_backbone(cfg, Rng(0))) == (
+            "5332ee5e933f70a1d01ca6f37f2033733e2b102bfc744b1b672592afb2843ae9")
+
 
 class TestWeights:
     def test_validate_accepts_init(self) -> None:
