@@ -246,6 +246,8 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:  # fail before either checkpoint is read
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg, config_path = _sidecar_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     fused, _ = _load_checkpoint(cfg, config_path, args.fused, fused=True)

@@ -8,17 +8,21 @@ every image and head at once. It is written against a backend object
 for plain evaluation); both run the forwards of the one primitive table in
 :mod:`arclab.autodiff`, so the recorded and unrecorded paths compute the
 same values. Weights are named tensors; the mapping passed to ``forward``
-resolves each name to a backend value.
+resolves each name to a backend value. :func:`eager_logits` is the
+evaluation entry point: it runs a batch as two concurrent Eager halves.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adapters
+from .autodiff import Eager
 from .errors import ConfigError, ShapeError
 from .kernel import Rng
 
@@ -244,3 +248,30 @@ def forward(ops, cfg: BackboneConfig, v, images, bank=None, masks=None):
         bank.check_depth(cfg.layers)
     x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg)))
     return forward_tokens(ops, cfg, v, x_emb, bank, masks)
+
+
+def eager_logits(cfg: BackboneConfig, values, images, bank=None) -> np.ndarray:
+    """Eval-mode logits (B x classes) of an image stack, as two concurrent halves.
+
+    The first ceil(B/2) images run through :func:`forward` on an
+    :class:`~arclab.autodiff.Eager` backend on the calling thread while the
+    rest run on one worker thread, and the two logit blocks are concatenated
+    in order; numpy, BLAS and scipy release the GIL, so the halves share two
+    cores. A batch of at most one image runs as one forward on the calling
+    thread. The split never depends on the machine, so the result is the
+    two half-batch forwards concatenated, bit for bit. That can differ from
+    one whole-batch forward in the last place, as a row's logits already
+    depend on how many rows share its GEMMs. The worker runs in a copy of
+    the caller's context, so a caller's ``np.errstate`` holds in both
+    halves. An exception in either half reaches the caller once the worker
+    has finished.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim != 4 or len(images) <= 1:  # one piece; forward rejects a bad shape
+        return forward(Eager(), cfg, values, images, bank)
+    half = (len(images) + 1) // 2
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rest = pool.submit(contextvars.copy_context().run,
+                           forward, Eager(), cfg, values, images[half:], bank)
+        first = forward(Eager(), cfg, values, images[:half], bank)
+        return np.concatenate([first, rest.result()])

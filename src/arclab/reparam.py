@@ -18,7 +18,6 @@ from . import model
 from .adapters import AdapterBank, composite_matrix, group_of
 from .errors import ConfigError, NumericalError
 from .kernel import Rng
-from .autodiff import Eager
 
 # weight names each site folds into, and on which side of the matrix
 _SITE_TARGETS = {
@@ -81,17 +80,19 @@ def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: dict[str, np.
     """Max absolute logit deviation between the adapted-unfused forward and
     the plain forward over the ``fused`` tensors, across random images.
 
-    Raises NumericalError naming the first adapter tensor that holds a NaN
-    or inf, before any forward runs."""
+    Each side runs through :func:`model.eager_logits`, so the trials run as
+    two concurrent halves. Both sides split the same way, so the deviation
+    compares logits that went through the same GEMM shapes. Raises
+    NumericalError naming the first adapter tensor that holds a NaN or inf,
+    before any forward runs."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     check_finite(bank)
     rng = rng or Rng(0)
     values = dict(weights)
     values.update(bank.tensors)
-    ops = Eager()
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
-    adapted = model.forward(ops, backbone_cfg, values, images, bank=bank)
-    plain = model.forward(ops, backbone_cfg, fused, images)
+    adapted = model.eager_logits(backbone_cfg, values, images, bank=bank)
+    plain = model.eager_logits(backbone_cfg, fused, images)
     return float(np.abs(adapted - plain).max())

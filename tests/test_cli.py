@@ -606,6 +606,23 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert "--tol must be finite and > 0" in err and "gradcheck" not in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_verify_bad_trials_exit_2_before_loading(self, tmp_path, capsys, monkeypatch,
+                                                     trials) -> None:
+        """A trial count below one is a config error naming --trials, raised
+        before either checkpoint is read."""
+        def no_loads(*args, **kwargs):
+            raise AssertionError("verify read a checkpoint")
+
+        monkeypatch.setattr(cli, "_load_checkpoint", no_loads)
+        monkeypatch.setattr(cli.checkpoint, "load", no_loads)
+        missing = str(tmp_path / "missing.arcl")
+        rc = cli.main(["verify", "--checkpoint", missing, "--fused", missing,
+                       "--trials", trials])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert f"--trials must be >= 1, got {trials}" in err and out == ""
+
     def test_numerical_abort_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path, train={"lr": 1e18, "epochs": 30,
                                                "warmup_epochs": 0})

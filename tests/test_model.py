@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from arclab import adapters, model, training
 from arclab.autodiff import Eager, Tape, backward
-from arclab.errors import ConfigError, ShapeError
+from arclab.errors import ConfigError, NumericalError, ShapeError
 from arclab.kernel import Rng, gelu, layernorm, softmax_rows
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -325,6 +326,90 @@ class TestBankDepth:
             values = {name: backend.constant(arr) for name, arr in values.items()}
         with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
             model.forward(backend, TOY, values, Rng(2).normals((1, 8, 8, 1)), bank=bank)
+
+
+class TestEagerLogits:
+    """The eval-mode forward as two concurrent half-batch forwards."""
+
+    ARC = adapters.ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.0)
+    BANK = adapters.init_adapters(ARC, TOY, Rng(51))
+
+    def _setup(self, with_bank: bool):
+        values = toy_weights()
+        if not with_bank:
+            return values, None
+        r = Rng(52)
+        values.update({n: r.normals(a.shape, 0.3) for n, a in self.BANK.tensors.items()})
+        return values, self.BANK
+
+    @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
+    @pytest.mark.parametrize("batch", [1, 2, 5, 32])
+    def test_equals_concatenated_halves(self, batch, with_bank) -> None:
+        values, bank = self._setup(with_bank)
+        images = Rng(53).normals((batch, 8, 8, 1))
+        got = model.eager_logits(TOY, values, images, bank=bank)
+        half = (batch + 1) // 2
+        parts = [model.forward(Eager(), TOY, values, part, bank=bank)
+                 for part in (images[:half], images[half:]) if len(part)]
+        assert np.array_equal(got, np.concatenate(parts))
+        whole = model.forward(Eager(), TOY, values, images, bank=bank)
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("batch, halves", [(1, [1]), (2, [1, 1]), (5, [3, 2])])
+    def test_second_half_runs_on_a_worker_thread(self, monkeypatch, batch, halves) -> None:
+        """Each half goes through ``model.forward``; the first ceil(B/2)
+        images on the calling thread, the rest on another one."""
+        calls = []
+        real = model.forward
+
+        def forward(ops, cfg, values, images, bank=None):
+            calls.append((threading.get_ident(), len(images)))
+            return real(ops, cfg, values, images, bank)
+
+        monkeypatch.setattr(model, "forward", forward)
+        model.eager_logits(TOY, toy_weights(), Rng(54).normals((batch, 8, 8, 1)))
+        sizes = dict(calls)  # thread -> images it ran
+        assert len(sizes) == len(calls) == len(halves)
+        assert sizes.pop(threading.get_ident()) == halves[0]
+        assert list(sizes.values()) == halves[1:]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_caller_errstate_holds_in_both_halves(self) -> None:
+        """Squares of 1e200 overflow in the layernorm of every image; the
+        caller's errstate silences that on the worker thread too."""
+        images = np.full((4, 8, 8, 1), 1e200)
+        with np.errstate(all="ignore"):
+            got = model.eager_logits(TOY, toy_weights(), images)
+        assert got.shape == (4, TOY.classes)
+        with pytest.raises(RuntimeWarning):
+            model.forward(Eager(), TOY, toy_weights(), images[2:])
+
+    def test_other_depth_raises_once_and_leaves_no_thread(self) -> None:
+        other = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
+                                     layers=3, heads=2, classes=4)
+        bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=4), other, Rng(1))
+        values = toy_weights()
+        values.update(bank.tensors)
+        before = threading.active_count()
+        with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
+            model.eager_logits(TOY, values, Rng(2).normals((4, 8, 8, 1)), bank=bank)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_error_in_either_half_reaches_caller(self, monkeypatch, failing) -> None:
+        caller = threading.get_ident()
+        real = model.forward
+
+        def forward(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise NumericalError(f"{failing} half failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", forward)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match=f"{failing} half failed"):
+            model.eager_logits(TOY, toy_weights(), Rng(2).normals((4, 8, 8, 1)))
+        assert threading.active_count() == before
 
 
 def _sha256(a) -> str:
