@@ -1,11 +1,13 @@
 """Reverse-mode differentiation over batched dense arrays.
 
-Every primitive is one entry of :data:`PRIMITIVES`: a forward over float64
-arrays with any number of leading batch axes, broadcast by numpy's rules,
-and a vector-Jacobian product that maps the output gradient back to each
-operand's own shape, summing over the axes the forward broadcast. The model
-runs on (B, T, D) token tensors, with attention heads as one more batch
-axis, (B, H, T, d_h), so one node covers a whole batch.
+The table :data:`PRIMITIVES` holds exactly the primitives the model
+records. Each entry is a forward over float64 arrays with any number of
+leading batch axes, broadcast by numpy's rules, and a vector-Jacobian
+product that maps the output gradient back to each operand's own shape,
+summing over the axes the forward broadcast. Each takes a fixed number of
+operands; any further arguments are static. The model runs on (B, T, D)
+token tensors, with attention heads as one more batch axis, (B, H, T,
+d_h), so one node covers a whole batch.
 
 A forward may also return intermediates its vjp reuses (a residual, as in
 a JAX ``custom_vjp`` fwd/bwd pair), so the backward pass recomputes nothing
@@ -111,8 +113,9 @@ def _layernorm_vjp(g, saved, needs, a, gamma, beta, eps):
     return gx, dgamma, dbeta
 
 
-def _softmax_vjp(g, out, needs, a):
-    return ((g - (g * out).sum(axis=-1, keepdims=True)) * out,)
+def _softmax_grad(g, probs):
+    """The gradient of softmax's input, given ``g`` on its output ``probs``."""
+    return (g - (g * probs).sum(axis=-1, keepdims=True)) * probs
 
 
 def _gelu_vjp(g, cdf, needs, a):
@@ -127,16 +130,16 @@ def _gelu_vjp(g, cdf, needs, a):
     return (g * slope,)
 
 
-def _concat_tokens(*parts):
-    """Join token blocks (..., T_i, D) along the token axis, broadcasting batch axes."""
-    lead = np.broadcast_shapes(*(p.shape[:-2] for p in parts))
-    return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in parts], axis=-2)
+def _concat_tokens(a, b):
+    """Join token blocks (..., T_a, D) and (..., T_b, D) along the token axis,
+    broadcasting batch axes."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in (a, b)], axis=-2)
 
 
-def _concat_tokens_vjp(g, out, needs, *parts):
-    bounds = np.cumsum([p.shape[-2] for p in parts])[:-1]
-    pieces = np.split(g, bounds, axis=-2)
-    return tuple(_unbroadcast(piece, p.shape) for piece, p in zip(pieces, parts))
+def _concat_tokens_vjp(g, out, needs, a, b):
+    split = a.shape[-2]
+    return _unbroadcast(g[..., :split, :], a.shape), _unbroadcast(g[..., split:, :], b.shape)
 
 
 def _slice_tokens(a, index):
@@ -188,8 +191,7 @@ def _attention_vjp(g, saved, needs, q, k, v, heads, scale):
     if needs[2]:
         gv = _merge_heads(_swap(probs) @ gh)
     if needs[0] or needs[1]:
-        (gscores,) = _softmax_vjp(gh @ _swap(vh), probs, None, None)
-        gscores = gscores * scale
+        gscores = _softmax_grad(gh @ _swap(vh), probs) * scale
         if needs[0]:
             gq = _merge_heads(gscores @ _swap(kt))
         if needs[1]:
@@ -264,13 +266,12 @@ class Primitive(NamedTuple):
     one gradient per operand, where ``res`` is ``saved`` (or the value, for
     a forward that saves nothing) and ``needs`` holds one flag per operand;
     an operand flagged False may get None instead of a gradient nobody
-    reads. ``operands`` is the number of leading differentiable arguments
-    (None: all of them).
+    reads. ``operands`` is the number of leading differentiable arguments.
     """
 
     forward: Callable
     vjp: Callable
-    operands: int | None
+    operands: int
     saves: bool = False
 
 
@@ -279,14 +280,11 @@ PRIMITIVES: dict[str, Primitive] = {
     "linear": Primitive(kernel.linear, _linear_vjp, 3),
     "add": Primitive(_add, _add_vjp, 2),
     "layernorm": Primitive(kernel.layernorm_parts, _layernorm_vjp, 3, saves=True),
-    "softmax_rows": Primitive(kernel.softmax_rows, _softmax_vjp, 1),
     "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True),
     "attention": Primitive(_attention, _attention_vjp, 3, saves=True),
     "arc_adapter": Primitive(_arc_adapter, _arc_adapter_vjp, 5, saves=True),
-    "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, None),
+    "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, 2),
     "slice_tokens": Primitive(_slice_tokens, _slice_tokens_vjp, 1),
-    "mean": Primitive(lambda a: np.array([[a.mean()]]),
-                      lambda g, out, needs, a: (np.full(a.shape, g[0, 0] / a.size),), 1),
     "cross_entropy": Primitive(_cross_entropy, _cross_entropy_vjp, 1),
 }
 
@@ -383,11 +381,11 @@ class Eager:
 
 def _recorder(name: str, prim: Primitive):
     def record(self: Tape, *args) -> Var:
-        operands = args if prim.operands is None else args[: prim.operands]
+        operands = args[:prim.operands]
         if not all(map(self._owns, operands)):
             raise GraphError("operand is not a node of this tape; "
                              "wrap arrays via constant()/parameter()")
-        node = Var(len(self._nodes), None, operands, prim, args[len(operands):])
+        node = Var(len(self._nodes), None, operands, prim, args[prim.operands:])
         node.run()
         self._nodes.append(node)
         return node

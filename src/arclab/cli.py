@@ -6,7 +6,9 @@ typo can never silently fall back to a default. Every command echoes the
 fully-defaulted effective config it ran with.
 
 Exit codes: 0 success, 1 a verification failed, 2 configuration error
-(an unreadable config or checkpoint path included), 3 numerical abort.
+(an unreadable config or checkpoint path included, and a run whose arrays
+do not fit in memory, reported as ``out of memory: ...``), 3 numerical
+abort.
 """
 
 from __future__ import annotations
@@ -367,6 +369,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingAborted, NumericalError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

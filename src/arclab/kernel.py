@@ -3,7 +3,9 @@
 Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
 products and row-wise maps act on the last one or two axes and treat any
 leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
-is a pure function of its inputs and keeps finite inputs finite.
+is a pure function of its inputs and keeps finite inputs finite. LayerNorm
+and GELU come only in their ``_parts`` form, which returns the value with
+the intermediates its vector-Jacobian product reuses.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 """
 
@@ -19,14 +21,6 @@ from .errors import NumericalError, ShapeError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 row-major array, rejecting other ranks."""
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
-    return a
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,13 +72,9 @@ def row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def layernorm(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Normalization over the last axis with population variance, then affine gamma/beta."""
-    return layernorm_parts(a, gamma, beta, eps)[0]
-
-
 def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
-    """:func:`layernorm` and its intermediates: (out, (a - mean, sqrt(var + eps)))."""
+    """Normalization over the last axis with population variance, then affine
+    gamma/beta, and its intermediates: (out, (a - mean, sqrt(var + eps)))."""
     g = np.asarray(gamma, dtype=np.float64).reshape(-1)
     b = np.asarray(beta, dtype=np.float64).reshape(-1)
     if g.size != a.shape[-1] or b.size != a.shape[-1]:
@@ -103,13 +93,9 @@ def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     return out, (centered, std)
 
 
-def gelu(a: np.ndarray) -> np.ndarray:
-    """Exact GELU x*Phi(x) via the error function (no tanh approximation)."""
-    return gelu_parts(a)[0]
-
-
 def gelu_parts(a: np.ndarray):
-    """:func:`gelu` and its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf)."""
+    """Exact GELU x*Phi(x) via the error function (no tanh approximation), and
+    its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf)."""
     cdf = a * INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
@@ -146,7 +132,9 @@ def svd(a: np.ndarray):
     LAPACK would turn into NaN singular values, and when LAPACK does not
     converge.
     """
-    a = as_matrix(a)
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
     if min(a.shape) < 1:
         raise ShapeError(f"svd needs a non-empty matrix, got {a.shape}")
     if not np.isfinite(a).all():

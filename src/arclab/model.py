@@ -236,18 +236,15 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, bank=None, masks=None):
     return ops.linear(cls, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, bank=None, masks=None):
-    """Logits (B x classes) for a (B, H, W, C) image stack; ``bank`` wires
-    its adapters in, reading their tensors from ``v`` by name, and raises
-    ConfigError if it was built for another depth. ``masks`` holds the
-    batch's adapter dropout masks by (layer, site), B rows each, as
-    :func:`adapters.dropout_masks` draws them: given masks, the pass is a
-    training forward; without them it is the deterministic evaluation
-    forward. The forward itself draws nothing."""
+def forward(ops, cfg: BackboneConfig, v, images, bank=None):
+    """Eval-mode logits (B x classes) for a (B, H, W, C) image stack: the
+    deterministic forward, with no adapter dropout. ``bank`` wires its
+    adapters in, reading their tensors from ``v`` by name, and raises
+    ConfigError if it was built for another depth."""
     if bank is not None:
         bank.check_depth(cfg.layers)
     x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg)))
-    return forward_tokens(ops, cfg, v, x_emb, bank, masks)
+    return forward_tokens(ops, cfg, v, x_emb, bank)
 
 
 def eager_logits(cfg: BackboneConfig, values, images, bank=None) -> np.ndarray:

@@ -149,7 +149,10 @@ class StepRecord:
 @dataclass
 class TrainResult:
     curve: list[StepRecord] = field(default_factory=list)
-    steps: int = 0
+
+    @property
+    def steps(self) -> int:
+        return len(self.curve)
 
     @property
     def final_loss(self) -> float:
@@ -169,18 +172,19 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     cut into patches once. After each epoch's permutation, one
     :func:`adapters.dropout_masks` draw covers the images of the steps that
     epoch runs. The run keeps one recording per batch size (the full size
-    and the size of a short last batch). The first step of a size builds a
-    :class:`Tape` whose leaves are the frozen tensors as constants and the
-    trainables as parameters over views of the flat buffer, copies its
-    patches, labels and per-site dropout masks into new buffers and records
-    the forward over a constant on the patches buffer, with the masks and
-    labels as static arguments. Every later step of that size refills the
-    buffers in place and replays that recording (:meth:`Tape.replay`);
-    ``model.forward`` itself never runs. The stream is read in the order of
-    a draw per step, every update is elementwise, and a replay runs the
-    recorded forwards, so the losses and values are the same bits as with
-    a fresh tape, a draw and an optimizer step per tensor each step. The
-    caller's arrays get the final values when training stops.
+    and the size of a short last batch). A size gets its own buffers for
+    the patches, labels and per-site dropout masks of a batch, and every
+    step fills its size's buffers in place. The first step of a size then
+    builds a :class:`Tape` whose leaves are the frozen tensors as constants
+    and the trainables as parameters over views of the flat buffer, and
+    records the forward over a constant on the patches buffer, with the
+    masks and labels as static arguments. Every later step of that size
+    replays that recording (:meth:`Tape.replay`); ``model.forward`` itself
+    never runs. The stream is read in the order of a draw per step, every
+    update is elementwise, and a replay runs the recorded forwards, so the
+    losses and values are the same bits as with a fresh tape, a draw and
+    an optimizer step per tensor each step. The caller's arrays get the
+    final values when training stops.
     """
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
@@ -205,7 +209,8 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
-    recordings = {}  # batch size -> its tape, patches, labels, masks, logits and loss
+    buffers = {}  # batch size -> its patches, labels and masks, refilled every step
+    recordings = {}  # batch size -> its tape, logits and loss, over that size's buffers
     try:
         # A permutation follows every full epoch, the one that ends the run
         # included, so the stream ends where per-step draws leave it.
@@ -219,17 +224,21 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
-                if idx.size in recordings:  # refill this size's buffers in place and replay
-                    tape, patches, labels, step_masks, logits, loss_node = recordings[idx.size]
-                    np.take(all_patches, idx, axis=0, out=patches)
-                    np.take(data.train_labels, idx, out=labels)
-                    for key, m in (step_masks or {}).items():
-                        m[...] = masks[key][rows]
-                    tape.replay()
-                else:  # record this size's step over new buffers holding the batch
-                    patches, labels = all_patches[idx], data.train_labels[idx]
-                    step_masks = None if masks is None else {
-                        key: m[rows].copy() for key, m in masks.items()}
+                size = idx.size
+                if size not in buffers:
+                    buffers[size] = (np.empty((size,) + all_patches.shape[1:]),
+                                     np.empty(size, data.train_labels.dtype),
+                                     None if masks is None else {
+                                         key: np.empty((size,) + m.shape[1:], m.dtype)
+                                         for key, m in masks.items()})
+                patches, labels, step_masks = buffers[size]
+                np.take(all_patches, idx, axis=0, out=patches)
+                np.take(data.train_labels, idx, out=labels)
+                for key, m in (step_masks or {}).items():
+                    m[...] = masks[key][rows]
+                if size in recordings:
+                    recordings[size][0].replay()
+                else:  # the first step of this size records over its buffers
                     tape = Tape()
                     values = {name: tape.constant(arr)
                               for name, arr in weights.items() if name not in views}
@@ -238,7 +247,8 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                     logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
                                                   step_masks)
                     loss_node = tape.cross_entropy(logits, labels)
-                    recordings[idx.size] = tape, patches, labels, step_masks, logits, loss_node
+                    recordings[size] = tape, logits, loss_node
+                tape, logits, loss_node = recordings[size]
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):
                     raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)
@@ -249,7 +259,6 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 opt.step(flat, grad, lr_t)
                 result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
                 step += 1
-                result.steps = step
             if runs < batches_per_epoch:
                 break
     finally:

@@ -255,7 +255,8 @@ class TestDropout:
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
         masks = adapters.dropout_masks(bank, imgs.shape[0], TOY.tokens + 1, Rng(0))
-        a = model.forward(Eager(), TOY, values, imgs, bank=bank, masks=masks)
+        x_emb = model.patch_embed(Eager(), TOY, values, model.extract_patches(imgs, TOY))
+        a = model.forward_tokens(Eager(), TOY, values, x_emb, bank, masks)
         b = model.forward(Eager(), TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 

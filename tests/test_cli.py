@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import cli
+from arclab import cli, model
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
 
@@ -418,6 +418,22 @@ class TestCommands:
         assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
         assert "eval_count must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch) -> None:
+        """An allocation that fails is a config error with numpy's message,
+        which names the size, not a traceback."""
+        message = ("Unable to allocate 11.6 PiB for an array with shape "
+                   "(40000000, 40000000) and data type float64")
+
+        def too_big(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(model, "init_backbone", too_big)
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)),
+                       "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG == 2
+        assert err == f"out of memory: {message}\n" and "Traceback" not in err
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

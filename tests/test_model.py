@@ -10,7 +10,7 @@ import pytest
 from arclab import adapters, model, training
 from arclab.autodiff import Eager, Tape, backward
 from arclab.errors import ConfigError, NumericalError, ShapeError
-from arclab.kernel import Rng, gelu, layernorm, softmax_rows
+from arclab.kernel import Rng, gelu_parts, layernorm_parts, softmax_rows
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                            layers=2, heads=2, classes=4)
@@ -30,7 +30,7 @@ def reference_forward(cfg, w, image):
             patches[pr * grid + pc] = block.reshape(-1)
     x = np.vstack([w["cls"], patches @ w["patch.weight"] + w["patch.bias"]]) + w["pos"]
     for l in range(1, cfg.layers + 1):
-        z = layernorm(x, w[f"enc.{l}.ln1.gamma"], w[f"enc.{l}.ln1.beta"], cfg.ln_eps)
+        z = layernorm_parts(x, w[f"enc.{l}.ln1.gamma"], w[f"enc.{l}.ln1.beta"], cfg.ln_eps)[0]
         q = z @ w[f"enc.{l}.attn.wq"] + w[f"enc.{l}.attn.bq"]
         k = z @ w[f"enc.{l}.attn.wk"] + w[f"enc.{l}.attn.bk"]
         v = z @ w[f"enc.{l}.attn.wv"] + w[f"enc.{l}.attn.bv"]
@@ -40,10 +40,10 @@ def reference_forward(cfg, w, image):
             qh, kh, vh = (m[:, h * dh:(h + 1) * dh] for m in (q, k, v))
             heads.append(softmax_rows(qh @ kh.T / np.sqrt(dh)) @ vh)
         x = x + (np.hstack(heads) @ w[f"enc.{l}.attn.wo"] + w[f"enc.{l}.attn.bo"])
-        z = layernorm(x, w[f"enc.{l}.ln2.gamma"], w[f"enc.{l}.ln2.beta"], cfg.ln_eps)
-        x = x + (gelu(z @ w[f"enc.{l}.ffn.w1"] + w[f"enc.{l}.ffn.b1"]) @ w[f"enc.{l}.ffn.w2"]
-                 + w[f"enc.{l}.ffn.b2"])
-    cls = layernorm(x[0:1], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)
+        z = layernorm_parts(x, w[f"enc.{l}.ln2.gamma"], w[f"enc.{l}.ln2.beta"], cfg.ln_eps)[0]
+        hidden = gelu_parts(z @ w[f"enc.{l}.ffn.w1"] + w[f"enc.{l}.ffn.b1"])[0]
+        x = x + (hidden @ w[f"enc.{l}.ffn.w2"] + w[f"enc.{l}.ffn.b2"])
+    cls = layernorm_parts(x[0:1], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)[0]
     return cls @ w["head.weight"] + w["head.bias"]
 
 
@@ -160,14 +160,14 @@ class TestFfn:
         w["enc.1.ffn.b1"] = r.normals((1, TOY.hidden_dim))
         w["enc.1.ffn.b2"] = r.normals((1, 16))
         out = model.ffn(Eager(), TOY, w, np.zeros((1, 3, 16)), 1)
-        want = gelu(w["enc.1.ffn.b1"]) @ w["enc.1.ffn.w2"] + w["enc.1.ffn.b2"]
+        want = gelu_parts(w["enc.1.ffn.b1"])[0] @ w["enc.1.ffn.w2"] + w["enc.1.ffn.b2"]
         assert np.abs(out - np.repeat(want, 3, axis=0)).max() <= 1e-15
 
     def test_against_kernel_composition(self) -> None:
         w = toy_weights()
         x = Rng(15).normals((1, 5, 16))
         out = model.ffn(Eager(), TOY, w, x, 2)
-        want = gelu(x @ w["enc.2.ffn.w1"] + w["enc.2.ffn.b1"]) @ w["enc.2.ffn.w2"] \
+        want = gelu_parts(x @ w["enc.2.ffn.w1"] + w["enc.2.ffn.b1"])[0] @ w["enc.2.ffn.w2"] \
             + w["enc.2.ffn.b2"]
         assert np.abs(out - want).max() <= 1e-15
 
@@ -197,7 +197,7 @@ class TestForward:
         img = Rng(19).normals((1, 8, 8, 1))
         got = model.forward(Eager(), cfg, w, img)
         x_emb = model.patch_embed(Eager(), cfg, w, model.extract_patches(img, cfg))
-        cls = layernorm(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)
+        cls = layernorm_parts(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], cfg.ln_eps)[0]
         assert np.array_equal(got, cls @ w["head.weight"] + w["head.bias"])
 
     def test_zero_blocks_preserve_residual_stream(self) -> None:
@@ -208,7 +208,7 @@ class TestForward:
         img = Rng(20).normals((1, 8, 8, 1))
         got = model.forward(Eager(), TOY, w, img)
         x_emb = model.patch_embed(Eager(), TOY, w, model.extract_patches(img, TOY))
-        cls = layernorm(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], TOY.ln_eps)
+        cls = layernorm_parts(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], TOY.ln_eps)[0]
         want = cls @ w["head.weight"] + w["head.bias"]
         assert np.array_equal(got, want)
 

@@ -10,7 +10,7 @@ import pytest
 
 from arclab import model, training
 from arclab.adapters import ArcConfig, init_adapters
-from arclab.autodiff import Tape
+from arclab.autodiff import PRIMITIVES, Tape
 from arclab.errors import ConfigError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
@@ -425,6 +425,21 @@ class TestRunState:
         got = self.trainables(weights, bank)
         assert all(np.array_equal(got[name], want[name]) for name in want)
         assert not all(np.array_equal(got[name], before[name]) for name in want)
+
+    def test_steps_record_every_primitive(self, monkeypatch) -> None:
+        """A step with a bottleneck bank and one with a full_rank bank
+        record, between them, every primitive of the table."""
+        tapes = []
+        real_backward = training.backward
+        monkeypatch.setattr(training, "backward",
+                            lambda tape, out: tapes.append(tape) or real_backward(tape, out))
+        weights, _, data = self.setup_run()
+        for variant in ("bottleneck", "full_rank"):
+            bank = init_adapters(ArcConfig(bottleneck=4, variant=variant), TOY, Rng(52))
+            train(TOY, weights, bank, data, self.CFG, max_steps=1)
+        assert len(tapes) == 2
+        recorded = {node.prim for tape in tapes for node in tape._nodes if node.prim is not None}
+        assert recorded == set(PRIMITIVES.values())
 
     def test_leaves_alias_the_optimizer_buffer(self, monkeypatch) -> None:
         """Every step's parameter leaves, on the tape of its batch size, are
