@@ -212,7 +212,6 @@ def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool):
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     out_dir = Path(args.out or cfg.out_dir or "runs/latest")
-    _echo_config(cfg, out_dir)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     data = training.make_task(cfg.task, Rng(cfg.seed + 1))
@@ -223,6 +222,7 @@ def cmd_train(args) -> int:
         raise NumericalError("frozen backbone changed during training")
     tensors = dict(weights)
     tensors.update(bank.tensors)
+    _echo_config(cfg, out_dir)  # the output directory appears only once training has succeeded
     checkpoint.save(out_dir / "checkpoint.arcl", tensors, cfg.digest())
     training.write_loss_csv(result.curve, out_dir / "loss.csv")
     train_loss, train_acc = training.evaluate(

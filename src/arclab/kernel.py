@@ -150,11 +150,19 @@ _MASK64 = (1 << 64) - 1
 # Bulk draws of fewer words than this come from the scalar generator, which
 # is faster there than starting the numpy lanes.
 _SCALAR_WORDS = 256
-# Values per step of a bulk draw. It bounds a draw's temporaries to about
-# 1 MB and the jumps a draw needs to 2**14 words, so at most 15 tables.
-_BLOCK = 1 << 14
+# Words per column chunk of a bulk draw. A chunk of normals holds about 20
+# bytes of temporaries a word, so this bounds them to about 0.6 MB, or to
+# two columns of lanes when the lanes are wider than that.
+_BLOCK = 1 << 15
+# Lane starts per jump in a bulk draw. Jumping a state takes about 2.5 KB of
+# temporaries, so this bounds them to about 0.6 MB however many lanes a
+# draw has.
+_JUMP_STATES = 256
 # Offset in a jump table of the low nibble of each of the 32 state bytes.
 _LOW_NIBBLES = np.arange(0, 1024, 32)
+# uint64 shift counts and multipliers of xoshiro256**, made once: building a
+# numpy scalar costs more than a ufunc call over a few hundred lanes.
+_U5, _U7, _U9, _U11, _U17, _U19, _U45, _U57 = (np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57))
 
 
 def _splitmix64(state: int):
@@ -169,20 +177,51 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-def _lane_step(s: list) -> np.ndarray:
-    """One xoshiro256** step of every lane at once. ``s`` holds the four state
-    words as uint64 arrays and is updated in place; returns the output words."""
-    s0, s1, s2, s3 = s
-    x = s1 * np.uint64(5)
-    result = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-    t = s1 << np.uint64(17)
+def _lane_advance(s0, s1, s2, s3, s1_next, tmp) -> None:
+    """One xoshiro256** state step of every lane, on uint64 arrays in place.
+
+    ``s0``, ``s2`` and ``s3`` are updated, the new ``s1`` is written to
+    ``s1_next`` and ``s1`` is left as it was: the step's output word is a
+    function of ``s1`` alone (:func:`_lane_output`). ``tmp`` is scratch.
+    """
+    np.left_shift(s1, _U17, out=tmp)
     s2 ^= s0
     s3 ^= s1
-    s1 ^= s2
+    np.bitwise_xor(s1, s2, out=s1_next)
     s0 ^= s3
-    s2 ^= t
-    s[3] = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-    return result
+    s2 ^= tmp
+    np.right_shift(s3, _U19, out=tmp)
+    s3 <<= _U45
+    s3 |= tmp
+
+
+def _lane_output(s1: np.ndarray) -> None:
+    """Turn the ``s1`` state words into the output words of their steps, in place."""
+    s1 *= _U5
+    high = s1 >> _U57
+    s1 <<= _U7
+    s1 |= high
+    s1 *= _U9
+
+
+def _lane_grid(n: int) -> tuple[int, int]:
+    """(lanes, length) of a bulk draw of ``n`` words: lane i holds words
+    [i*length, (i+1)*length) and the last lane may run past word n.
+
+    ``length`` is 2**j, about sqrt(n)/4, and even, so a Box-Muller pair
+    never straddles two lanes. Below :data:`_SCALAR_WORDS` the draw is one
+    lane of ``n`` words from the scalar generator.
+    """
+    if n < _SCALAR_WORDS:
+        return 1, n
+    length = 1 << (n.bit_length() // 2 - 2)
+    return -(-n // length), length
+
+
+def _chunk_columns(lanes: int, length: int) -> int:
+    """Columns of the lane grid per chunk: about :data:`_BLOCK` words, an
+    even number, at least two and at most ``length``."""
+    return min(length, max(2, _BLOCK // lanes & ~1))
 
 
 def _jump_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -211,9 +250,10 @@ def _jump(k: int) -> np.ndarray:
     units = np.where(bit // 64 == np.arange(4), np.uint64(1) << (bit % 64).astype(np.uint64),
                      np.uint64(0))
     if k == 0:
-        lanes = [np.ascontiguousarray(w) for w in units.T]
-        _lane_step(lanes)
-        images = np.stack(lanes, axis=1)
+        s0, s1, s2, s3 = (np.ascontiguousarray(w) for w in units.T)
+        s1_next, tmp = np.empty_like(s1), np.empty_like(s1)
+        _lane_advance(s0, s1, s2, s3, s1_next, tmp)
+        images = np.stack([s0, s1_next, s2, s3], axis=1)
     else:
         half = _jump(k - 1)
         images = _jump_apply(half, _jump_apply(half, units))
@@ -234,13 +274,16 @@ class Rng:
     a given seed they are identical across platforms and runs. ``normal``
     and ``normals`` also call the C library's ``log`` and ``cos``, once per
     element in both, so they are identical wherever those agree. ``normal``
-    reaches both through :mod:`math`; ``normals`` takes ``cos`` through
-    :mod:`math` and ``log`` through ``scipy.special.xlogy(1.0, y)``, which
-    computes ``1.0 * log(y)`` with the C library's ``log``, and a product
-    by 1.0 is exact. numpy's SIMD ``np.log`` and ``np.cos`` are not
-    used: they can differ from libm in the last bit. A bulk draw of n
-    values returns the values of n scalar draws and leaves the same state.
-    Single-owner: never share an instance between concurrent consumers.
+    reaches both through :mod:`math`. ``normals`` takes ``log`` through
+    ``scipy.special.xlogy(1.0, y)``, which computes ``1.0 * log(y)`` with
+    the C library's ``log``, and ``cos`` through numpy's complex ``np.cos``
+    of ``x + 0j``, which calls the C library's ``ccos``; glibc's ``ccos``
+    returns ``cosh(0) * cos(x)`` for a real argument, exactly ``cos(x)``. A
+    product by 1.0 is exact. numpy's SIMD ``np.log`` and float64 ``np.cos``
+    are not used: they can differ from libm in the last bit. A bulk draw
+    of n values returns the values of n scalar draws and leaves the same
+    state. Single-owner: never share an instance between concurrent
+    consumers.
     """
 
     def __init__(self, seed: int):
@@ -262,35 +305,48 @@ class Rng:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def _u64s(self, n: int) -> np.ndarray:
-        """The next ``n`` words of :meth:`u64` as a uint64 array.
+    def _word_chunks(self, n: int, lanes: int, length: int):
+        """The next ``n`` words of :meth:`u64` on the :func:`_lane_grid`
+        ``(lanes, length)``, yielded as ``(t, words)``: columns t to t+c of
+        the grid as a time-major (c, lanes) uint64 array, which the caller
+        may overwrite.
 
-        The stream is cut into lanes of B = 2**j words, B about sqrt(n)/4.
-        Lane i starts i*B words ahead, reached by jumps of 2**k words
-        (xoshiro256** is linear over GF(2)), and all lanes step together.
-        The state left is the last lane's after the n-th word.
+        Lane i starts i*length words ahead, reached by jumps of 2**k words
+        (xoshiro256** is linear over GF(2)); the jumps are made once per
+        draw, then all lanes step together, :func:`_chunk_columns` columns
+        per chunk. The state left is the last lane's after the n-th word.
         """
         if n < _SCALAR_WORDS:
-            return np.array([self.u64() for _ in range(n)], dtype=np.uint64)
-        j = n.bit_length() // 2 - 2
-        length = 1 << j
-        lanes = -(-n // length)
+            if n:
+                yield 0, np.array([self.u64() for _ in range(n)], dtype=np.uint64)[:, None]
+            return
+        j = length.bit_length() - 1
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
         filled = 1
-        while filled < lanes:  # lane filled + i starts filled*B = 2**j words after lane i
+        while filled < lanes:  # lane filled + i starts filled*length = 2**j words after lane i
             take = min(filled, lanes - filled)
-            starts[filled:filled + take] = _jump_apply(_jump(j), starts[:take])
+            for i in range(0, take, _JUMP_STATES):
+                stop = min(take, i + _JUMP_STATES)
+                starts[filled + i:filled + stop] = _jump_apply(_jump(j), starts[i:stop])
             filled += take
             j += 1
-        state = [np.ascontiguousarray(w) for w in starts.T]
-        words = np.empty((lanes, length), dtype=np.uint64)
+        s0, s2, s3 = (np.ascontiguousarray(starts[:, i]) for i in (0, 2, 3))
+        columns = _chunk_columns(lanes, length)
+        rows = np.empty((columns + 1, lanes), dtype=np.uint64)  # s1 before each step, and after the last
+        rows[columns] = starts[:, 1]
+        tmp = np.empty(lanes, dtype=np.uint64)
         last = n - (lanes - 1) * length
-        for t in range(length):
-            words[:, t] = _lane_step(state)
-            if t + 1 == last:
-                self._s = [int(w[-1]) for w in state]
-        return words.reshape(-1)[:n]
+        for t in range(0, length, columns):
+            rows[0] = rows[columns]
+            width = min(columns, length - t)
+            for k in range(width):
+                _lane_advance(s0, rows[k], s2, s3, rows[k + 1], tmp)
+                if t + k + 1 == last:
+                    self._s = [int(s0[-1]), int(rows[k + 1, -1]), int(s2[-1]), int(s3[-1])]
+            words = rows[:width]
+            _lane_output(words)
+            yield t, words
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
@@ -302,35 +358,42 @@ class Rng:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def _unit(self, n: int) -> np.ndarray:
-        """The next ``n`` values of :meth:`uniform` as a float64 array."""
-        words = self._u64s(n)
-        words >>= np.uint64(11)
-        unit = words.astype(np.float64)
-        unit *= 2.0**-53
-        return unit
-
     def uniforms(self, shape) -> np.ndarray:
         """Array of :meth:`uniform` draws, in stream order."""
-        out = np.empty(int(np.prod(shape)))
-        for start in range(0, out.size, _BLOCK):
-            out[start:start + _BLOCK] = self._unit(min(_BLOCK, out.size - start))
-        return out.reshape(shape)
+        n = int(np.prod(shape))
+        lanes, length = _lane_grid(n)
+        out = np.empty(lanes * length).reshape(lanes, length)  # a failed allocation names the count
+        for t, words in self._word_chunks(n, lanes, length):
+            words >>= _U11
+            np.multiply(words.T, 2.0**-53, out=out[:, t:t + words.shape[0]])
+        return out.reshape(-1)[:n].reshape(shape)
 
     def normals(self, shape, scale: float = 1.0) -> np.ndarray:
         """Array of ``normal() * scale`` draws, in stream order.
 
-        The log is one compiled call to the C library's ``log``
-        (``xlogy(1.0, y)``); the cos stays a :mod:`math` map, as no compiled
-        route to libm's ``cos`` is at hand.
+        Each Box-Muller pair is two successive words of one lane. The log
+        is one compiled call to the C library's ``log`` (``xlogy(1.0, y)``)
+        and the cos one to its ``ccos`` (``np.cos`` of ``x + 0j``).
         """
-        out = np.empty(int(np.prod(shape)))
-        for start in range(0, out.size, _BLOCK):
-            u = self._unit(2 * min(_BLOCK, out.size - start))
-            log_u1 = xlogy(1.0, 1.0 - u[0::2])
-            cos_u2 = np.fromiter(map(math.cos, memoryview(2.0 * math.pi * u[1::2])), np.float64)
-            out[start:start + _BLOCK] = np.sqrt(-2.0 * log_u1) * cos_u2 * scale
-        return out.reshape(shape)
+        n = int(np.prod(shape))
+        lanes, length = _lane_grid(2 * n)
+        out = np.empty(lanes * length // 2).reshape(lanes, -1)
+        for t, words in self._word_chunks(2 * n, lanes, length):
+            words >>= _U11
+            value = words[0::2] * 2.0**-53
+            np.subtract(1.0, value, out=value)
+            xlogy(1.0, value, out=value)
+            value *= -2.0
+            np.sqrt(value, out=value)
+            angle = np.empty(value.shape, dtype=np.complex128)
+            x = angle.real
+            np.multiply(words[1::2], 2.0**-53, out=x)
+            x *= 2.0 * math.pi
+            angle.imag = 0.0
+            value *= np.cos(angle, out=angle).real
+            value *= scale
+            out[:, t // 2:t // 2 + value.shape[0]] = value.T
+        return out.reshape(-1)[:n].reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling."""

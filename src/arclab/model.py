@@ -118,18 +118,34 @@ def weight_shapes(cfg: BackboneConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+def _drawn(name: str) -> bool:
+    """Whether :func:`init_backbone` draws the tensor ``name``: LayerNorm
+    gains start at one and biases (beta, bias, bq/bk/bv/bo, b1/b2) at zero."""
+    leaf = name.rsplit(".", 1)[-1]
+    return leaf != "gamma" and not leaf.startswith("b")
+
+
 def init_backbone(cfg: BackboneConfig, rng: Rng, scale: float = 0.02) -> dict[str, np.ndarray]:
     """Random stand-in for a pretrained backbone: N(0, scale^2) weights,
-    zero biases, unit LayerNorm gains."""
+    zero biases, unit LayerNorm gains.
+
+    The drawn weights come from one ``rng.normals`` call, in
+    :func:`weight_shapes` order, and each is a reshaped view of its slice
+    of that one buffer. The stream, and so every bit, is that of one draw
+    per weight in turn.
+    """
+    shapes = weight_shapes(cfg)
+    buffer = rng.normals(sum(r * c for name, (r, c) in shapes.items() if _drawn(name)), scale)
     weights: dict[str, np.ndarray] = {}
-    for name, shape in weight_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "gamma":
-            weights[name] = np.ones(shape)
-        elif leaf.startswith("b"):  # beta, bias, bq/bk/bv/bo, b1/b2
-            weights[name] = np.zeros(shape)
+    start = 0
+    for name, (rows, cols) in shapes.items():
+        if _drawn(name):
+            weights[name] = buffer[start:start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        elif name.endswith(".gamma"):
+            weights[name] = np.ones((rows, cols))
         else:
-            weights[name] = rng.normals(shape, scale)
+            weights[name] = np.zeros((rows, cols))
     return weights
 
 

@@ -429,11 +429,12 @@ class TestCommands:
             raise MemoryError(message)
 
         monkeypatch.setattr(model, "init_backbone", too_big)
-        rc = cli.main(["train", "--config", str(write_config(tmp_path)),
-                       "--out", str(tmp_path / "run")])
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_CONFIG == 2
         assert err == f"out of memory: {message}\n" and "Traceback" not in err
+        assert not out.exists()
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -412,6 +412,14 @@ _CALLS = st.one_of(
 )
 
 
+def _check_chunked(words: int) -> None:
+    """A bulk draw of this many words steps its lanes in several column
+    chunks and ends on a short last lane."""
+    lanes, length = kernel._lane_grid(words)
+    assert length > kernel._chunk_columns(lanes, length)
+    assert words < lanes * length
+
+
 class TestRngBulkMatchesScalar:
     """Bulk draws equal the scalar reference loop bit for bit and leave the
     state that the same number of scalar draws leaves."""
@@ -439,25 +447,70 @@ class TestRngBulkMatchesScalar:
 
     def test_normals_across_a_block_from_a_used_state(self) -> None:
         """A bulk draw one value past a block, from a state that earlier
-        draws have moved, still equals the scalar loop."""
+        draws have moved, still equals the scalar loop. Its words span
+        several column chunks, and its last lane is short."""
         bulk, scalar = Rng(77), Rng(77)
         bulk.uniforms(3)
         for _ in range(3):
             scalar.uniform()
         n = kernel._BLOCK + 1
+        _check_chunked(2 * n)
         got = bulk.normals(n, 0.5)
         want = np.array([scalar.normal() * 0.5 for _ in range(n)], dtype=np.float64)
         assert got.tobytes() == want.tobytes()
         assert bulk._s == scalar._s
 
 
+class TestRngChunks:
+    """Bulk draws whose lanes step in several column chunks, with a short
+    last lane, equal the scalar loop and leave its state."""
+
+    @pytest.mark.parametrize("block, n", [(64, 257), (64, 1001), (64, 4099),
+                                          (1000, 4099), (1000, 9999)])
+    def test_small_blocks(self, monkeypatch, block: int, n: int) -> None:
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        _check_chunked(n)
+        _check_chunked(2 * n)
+        bulk, scalar = Rng(n), Rng(n)
+        got = bulk.uniforms(n)
+        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+        got = bulk.normals(n, 0.25)
+        want = np.array([scalar.normal() * 0.25 for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+
+    def test_uniforms_past_three_blocks(self) -> None:
+        """An odd draw at the real block size."""
+        n = 3 * kernel._BLOCK + 12345
+        _check_chunked(n)
+        bulk, scalar = Rng(5), Rng(5)
+        got = bulk.uniforms(n)
+        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+
+
 def _normals_of_units(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """``Rng.normals`` over the given uniforms: pair i is (u1[i], u2[i])."""
+    """``Rng.normals`` over the given uniforms: pair i is (u1[i], u2[i]).
+
+    The draw is small enough to take its words from :meth:`Rng.u64`, which
+    is patched to return ``k << 11`` for each uniform ``k * 2**-53``; the
+    words then go through all of ``normals``' arithmetic."""
     units = np.empty(2 * u1.size)
     units[0::2], units[1::2] = u1, u2
+    assert units.size < kernel._SCALAR_WORDS
+    words = iter([int(k) << 11 for k in (units * 2.0**53).astype(np.uint64)])
     rng = Rng(0)
-    rng._unit = lambda n: units[:n].copy()
+    rng.u64 = lambda: next(words)
     return rng.normals(u1.size)
+
+
+def _scalar_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """``Rng.normal``'s formula over the same pairs, through :mod:`math`."""
+    return np.array([math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)
+                     for a, b in zip(u1, u2)], dtype=np.float64)
 
 
 class TestNormalsLogRoute:
@@ -472,13 +525,36 @@ class TestNormalsLogRoute:
         want = np.array([math.log(v) for v in y], dtype=np.float64)
         assert kernel.xlogy(1.0, y).tobytes() == want.tobytes()
         u2 = u1[::-1].copy()
-        scalar = np.array([math.sqrt(-2.0 * math.log(a)) * math.cos(2.0 * math.pi * b)
-                           for a, b in zip(y, u2)], dtype=np.float64)
-        assert _normals_of_units(u1, u2).tobytes() == scalar.tobytes()
+        assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
 
     def test_edges(self) -> None:
         # y = 1.0, 1 - 2**-53, 2**-53 and 0.5
         self.check(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53, 0.5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
+    def test_grid(self, ks) -> None:
+        self.check(np.array(ks, dtype=np.float64) * 2.0**-53)
+
+
+class TestNormalsCosRoute:
+    """``normals`` takes Box-Muller's cos as ``np.cos(x + 0j).real``, one
+    compiled call to the C library's ``ccos``, which for a real argument is
+    ``cosh(0) * cos(x)``. It must give the bits of ``math.cos(2 * pi * u)``
+    at every uniform u on the grid k * 2**-53, where numpy's SIMD float64
+    ``np.cos`` may not."""
+
+    @staticmethod
+    def check(u2: np.ndarray) -> None:
+        x = 2.0 * math.pi * u2
+        want = np.array([math.cos(v) for v in x], dtype=np.float64)
+        assert np.cos(x.astype(np.complex128)).real.tobytes() == want.tobytes()
+        u1 = u2[::-1].copy()
+        assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
+
+    def test_edges(self) -> None:
+        # cos = 1 at both ends, and the quarter turns, where cos crosses 0 or is -1
+        self.check(np.array([0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]))
 
     @settings(max_examples=200, deadline=None)
     @given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))

@@ -465,6 +465,24 @@ class TestKnownAnswers:
 
 
 class TestWeights:
+    def test_init_is_one_draw_per_weight_in_turn(self) -> None:
+        """The one-buffer draw equals the per-matrix loop, tensor by tensor,
+        and leaves the state that loop leaves."""
+        drawn, rng = Rng(7), Rng(7)
+        weights = model.init_backbone(TOY, drawn)
+        assert list(weights) == list(model.weight_shapes(TOY))
+        for name, shape in model.weight_shapes(TOY).items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf == "gamma":
+                want = np.ones(shape)
+            elif leaf.startswith("b"):
+                want = np.zeros(shape)
+            else:
+                want = rng.normals(shape, 0.02)
+            assert weights[name].shape == shape, name
+            assert weights[name].tobytes() == want.tobytes(), name
+        assert drawn._s == rng._s
+
     def test_validate_accepts_init(self) -> None:
         model.validate_weights(TOY, toy_weights())
 
