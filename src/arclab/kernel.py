@@ -5,14 +5,18 @@ products and row-wise maps act on the last one or two axes and treat any
 leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
 is a pure function of its inputs and keeps finite inputs finite. LayerNorm
 and GELU come only in their ``_parts`` form, which returns the value with
-the intermediates its vector-Jacobian product reuses.
+the intermediates its vector-Jacobian product reuses. :func:`run_both`
+runs two pieces of work on two cores, where the process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf, xlogy
@@ -150,10 +154,16 @@ _MASK64 = (1 << 64) - 1
 # Bulk draws of fewer words than this come from the scalar generator, which
 # is faster there than starting the numpy lanes.
 _SCALAR_WORDS = 256
-# Words per column chunk of a bulk draw. A chunk of normals holds about 20
-# bytes of temporaries a word, so this bounds them to about 0.6 MB, or to
+# Words per column chunk of a bulk draw, or of each half of its lanes when
+# it steps two at once. A chunk of normals holds about 20 bytes of
+# temporaries a word, so this bounds them to about 0.6 MB a half, or to
 # two columns of lanes when the lanes are wider than that.
 _BLOCK = 1 << 15
+# Lanes of a bulk draw from which it steps as two halves at once
+# (:func:`run_both`). Split on two cores, draws of 512 and 1,024 lanes read
+# slower (4.1 -> 4.3 ms, 7.6-11 -> 11-12 ms) and one of 2,048 lanes no
+# faster (25 ms); one of 4,621 lanes went 78-80 -> 55 ms.
+_SPLIT_LANES = 4096
 # Lane starts per jump in a bulk draw. Jumping a state takes about 2.5 KB of
 # temporaries, so this bounds them to about 0.6 MB however many lanes a
 # draw has.
@@ -266,6 +276,118 @@ def _jump(k: int) -> np.ndarray:
     return table
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def run_both(first, second):
+    """``(first(), second())``, the two calls made at once where the process
+    may run on more than one CPU.
+
+    ``first`` runs on the calling thread and ``second`` on one worker
+    thread, in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in both; numpy, BLAS and scipy release the GIL,
+    so the two share two cores. An exception in either reaches the caller
+    once both have finished, and no thread is left running. On one CPU
+    both run on the calling thread, in turn, and no worker starts.
+    """
+    if _cpus() < 2:
+        return first(), second()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        rest = pool.submit(contextvars.copy_context().run, second)
+        return first(), rest.result()
+
+
+def _lane_starts(state, lanes: int, length: int) -> np.ndarray:
+    """The (lanes, 4) uint64 states at which the lanes of a bulk draw from
+    ``state`` start: lane i starts i*length words ahead, reached by jumps of
+    2**k words (xoshiro256** is linear over GF(2)), made
+    :data:`_JUMP_STATES` states at a time."""
+    j = length.bit_length() - 1
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
+    filled = 1
+    while filled < lanes:  # lane filled + i starts filled*length = 2**j words after lane i
+        take = min(filled, lanes - filled)
+        for i in range(0, take, _JUMP_STATES):
+            stop = min(take, i + _JUMP_STATES)
+            starts[filled + i:filled + stop] = _jump_apply(_jump(j), starts[i:stop])
+        filled += take
+        j += 1
+    return starts
+
+
+def _step_lanes(starts: np.ndarray, length: int, last: int, out: np.ndarray, writer) -> list[int]:
+    """Step the lanes that start at the (m, 4) uint64 ``starts`` through
+    ``length`` words each, all lanes together, and hand the words to
+    ``writer(out, columns)(t, words)``: columns t to t+c of the lanes, c at
+    most ``columns`` (:func:`_chunk_columns` of m lanes), as a time-major
+    (c, m) uint64 array that the writer may overwrite. ``out`` holds the m
+    lanes' rows of the draw's output. Returns the state of the last lane
+    after its ``last``-th word."""
+    lanes = len(starts)
+    s0, s2, s3 = (np.ascontiguousarray(starts[:, i]) for i in (0, 2, 3))
+    columns = _chunk_columns(lanes, length)
+    write = writer(out, columns)
+    rows = np.empty((columns + 1, lanes), dtype=np.uint64)  # s1 before each step, and after the last
+    rows[columns] = starts[:, 1]
+    tmp = np.empty(lanes, dtype=np.uint64)
+    for t in range(0, length, columns):
+        rows[0] = rows[columns]
+        width = min(columns, length - t)
+        for k in range(width):
+            _lane_advance(s0, rows[k], s2, s3, rows[k + 1], tmp)
+            if t + k + 1 == last:
+                state = [int(s0[-1]), int(rows[k + 1, -1]), int(s2[-1]), int(s3[-1])]
+        words = rows[:width]
+        _lane_output(words)
+        write(t, words)
+    return state
+
+
+def _uniform_writer(out: np.ndarray, columns: int):
+    """Chunk writer (see :func:`_step_lanes`) of :meth:`Rng.uniform` draws
+    into the lane rows ``out``."""
+    def write(t, words):
+        words >>= _U11
+        np.multiply(words.T, 2.0**-53, out=out[:, t:t + len(words)])
+    return write
+
+
+def _normal_writer(scale: float, out: np.ndarray, columns: int):
+    """Chunk writer (see :func:`_step_lanes`) of ``Rng.normal() * scale``
+    draws into the lane rows ``out``, with its buffers made once.
+
+    Each Box-Muller pair is two successive words of one lane. The log is
+    one compiled call to the C library's ``log`` (``xlogy(1.0, y)``) and
+    the cos one to its ``ccos`` (``np.cos`` of ``x + 0j``).
+    """
+    values = np.empty((columns // 2, len(out)))
+    angles = np.empty(values.shape, dtype=np.complex128)
+
+    def write(t, words):
+        words >>= _U11
+        pairs = len(words) // 2
+        value, angle = values[:pairs], angles[:pairs]
+        np.multiply(words[0::2], 2.0**-53, out=value)
+        np.subtract(1.0, value, out=value)
+        xlogy(1.0, value, out=value)
+        value *= -2.0
+        np.sqrt(value, out=value)
+        x = angle.real
+        np.multiply(words[1::2], 2.0**-53, out=x)
+        x *= 2.0 * math.pi
+        angle.imag = 0.0
+        value *= np.cos(angle, out=angle).real
+        value *= scale
+        out[:, t // 2:t // 2 + pairs] = value.T
+    return write
+
+
 class Rng:
     """Deterministic xoshiro256** stream, state seeded through splitmix64.
 
@@ -283,7 +405,9 @@ class Rng:
     are not used: they can differ from libm in the last bit. A bulk draw
     of n values returns the values of n scalar draws and leaves the same
     state. Single-owner: never share an instance between concurrent
-    consumers.
+    consumers. A bulk draw of many lanes may step half of them on one
+    internal worker thread (:meth:`_fill`), which has ended by the time
+    the draw returns.
     """
 
     def __init__(self, seed: int):
@@ -305,48 +429,35 @@ class Rng:
         s[3] = _rotl(s[3], 45)
         return result
 
-    def _word_chunks(self, n: int, lanes: int, length: int):
-        """The next ``n`` words of :meth:`u64` on the :func:`_lane_grid`
-        ``(lanes, length)``, yielded as ``(t, words)``: columns t to t+c of
-        the grid as a time-major (c, lanes) uint64 array, which the caller
-        may overwrite.
+    def _fill(self, n: int, length: int, out: np.ndarray, writer) -> None:
+        """Write the next ``n`` words of :meth:`u64`, on the :func:`_lane_grid`
+        of ``len(out)`` lanes of ``length`` words, into the draw's output
+        ``out`` (one row a lane) through ``writer`` (see :func:`_step_lanes`).
 
-        Lane i starts i*length words ahead, reached by jumps of 2**k words
-        (xoshiro256** is linear over GF(2)); the jumps are made once per
-        draw, then all lanes step together, :func:`_chunk_columns` columns
-        per chunk. The state left is the last lane's after the n-th word.
+        The lane starts are made once per draw. A grid of at least
+        :data:`_SPLIT_LANES` lanes steps as two halves of lanes at once
+        (:func:`run_both`): the lower on the calling thread, the upper on a
+        worker. Each half sizes its chunks from its own lane count. The
+        state left is the last lane's after the n-th word, which the upper
+        half alone sets.
         """
         if n < _SCALAR_WORDS:
             if n:
-                yield 0, np.array([self.u64() for _ in range(n)], dtype=np.uint64)[:, None]
+                writer(out, n)(0, np.array([self.u64() for _ in range(n)], dtype=np.uint64)[:, None])
             return
-        j = length.bit_length() - 1
-        starts = np.empty((lanes, 4), dtype=np.uint64)
-        starts[0] = self._s
-        filled = 1
-        while filled < lanes:  # lane filled + i starts filled*length = 2**j words after lane i
-            take = min(filled, lanes - filled)
-            for i in range(0, take, _JUMP_STATES):
-                stop = min(take, i + _JUMP_STATES)
-                starts[filled + i:filled + stop] = _jump_apply(_jump(j), starts[i:stop])
-            filled += take
-            j += 1
-        s0, s2, s3 = (np.ascontiguousarray(starts[:, i]) for i in (0, 2, 3))
-        columns = _chunk_columns(lanes, length)
-        rows = np.empty((columns + 1, lanes), dtype=np.uint64)  # s1 before each step, and after the last
-        rows[columns] = starts[:, 1]
-        tmp = np.empty(lanes, dtype=np.uint64)
+        lanes = len(out)
+        starts = _lane_starts(self._s, lanes, length)
         last = n - (lanes - 1) * length
-        for t in range(0, length, columns):
-            rows[0] = rows[columns]
-            width = min(columns, length - t)
-            for k in range(width):
-                _lane_advance(s0, rows[k], s2, s3, rows[k + 1], tmp)
-                if t + k + 1 == last:
-                    self._s = [int(s0[-1]), int(rows[k + 1, -1]), int(s2[-1]), int(s3[-1])]
-            words = rows[:width]
-            _lane_output(words)
-            yield t, words
+
+        def step(lo: int, hi: int) -> list[int]:
+            return _step_lanes(starts[lo:hi], length, last, out[lo:hi], writer)
+
+        if lanes < _SPLIT_LANES:
+            self._s = step(0, lanes)
+        else:
+            half = (lanes + 1) // 2
+            self._s = run_both(functools.partial(step, 0, half),
+                               functools.partial(step, half, lanes))[1]
 
     def uniform(self) -> float:
         """Uniform draw in [0, 1) with 53 bits of precision."""
@@ -363,36 +474,16 @@ class Rng:
         n = int(np.prod(shape))
         lanes, length = _lane_grid(n)
         out = np.empty(lanes * length).reshape(lanes, length)  # a failed allocation names the count
-        for t, words in self._word_chunks(n, lanes, length):
-            words >>= _U11
-            np.multiply(words.T, 2.0**-53, out=out[:, t:t + words.shape[0]])
+        self._fill(n, length, out, _uniform_writer)
         return out.reshape(-1)[:n].reshape(shape)
 
     def normals(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Array of ``normal() * scale`` draws, in stream order.
-
-        Each Box-Muller pair is two successive words of one lane. The log
-        is one compiled call to the C library's ``log`` (``xlogy(1.0, y)``)
-        and the cos one to its ``ccos`` (``np.cos`` of ``x + 0j``).
-        """
+        """Array of ``normal() * scale`` draws, in stream order (see
+        :func:`_normal_writer`)."""
         n = int(np.prod(shape))
         lanes, length = _lane_grid(2 * n)
         out = np.empty(lanes * length // 2).reshape(lanes, -1)
-        for t, words in self._word_chunks(2 * n, lanes, length):
-            words >>= _U11
-            value = words[0::2] * 2.0**-53
-            np.subtract(1.0, value, out=value)
-            xlogy(1.0, value, out=value)
-            value *= -2.0
-            np.sqrt(value, out=value)
-            angle = np.empty(value.shape, dtype=np.complex128)
-            x = angle.real
-            np.multiply(words[1::2], 2.0**-53, out=x)
-            x *= 2.0 * math.pi
-            angle.imag = 0.0
-            value *= np.cos(angle, out=angle).real
-            value *= scale
-            out[:, t // 2:t // 2 + value.shape[0]] = value.T
+        self._fill(2 * n, length, out, functools.partial(_normal_writer, scale))
         return out.reshape(-1)[:n].reshape(shape)
 
     def randint(self, n: int) -> int:

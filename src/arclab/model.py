@@ -14,9 +14,8 @@ evaluation entry point: it runs a batch as two concurrent Eager halves.
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from . import adapters
 from .autodiff import Eager
 from .errors import ConfigError, ShapeError
-from .kernel import Rng
+from .kernel import Rng, run_both
 
 HEAD_NAMES = ("head.weight", "head.bias")
 
@@ -268,23 +267,20 @@ def eager_logits(cfg: BackboneConfig, values, images, bank=None) -> np.ndarray:
 
     The first ceil(B/2) images run through :func:`forward` on an
     :class:`~arclab.autodiff.Eager` backend on the calling thread while the
-    rest run on one worker thread, and the two logit blocks are concatenated
-    in order; numpy, BLAS and scipy release the GIL, so the halves share two
-    cores. A batch of at most one image runs as one forward on the calling
-    thread. The split never depends on the machine, so the result is the
-    two half-batch forwards concatenated, bit for bit. That can differ from
-    one whole-batch forward in the last place, as a row's logits already
-    depend on how many rows share its GEMMs. The worker runs in a copy of
-    the caller's context, so a caller's ``np.errstate`` holds in both
-    halves. An exception in either half reaches the caller once the worker
-    has finished.
+    rest run on one worker thread (:func:`~arclab.kernel.run_both`), and the
+    two logit blocks are concatenated in order. A batch of at most one
+    image runs as one forward on the calling thread, and on one CPU the two
+    halves run there in turn. The split never depends on the machine, so
+    the result is the two half-batch forwards concatenated, bit for bit.
+    That can differ from one whole-batch forward in the last place, as a
+    row's logits already depend on how many rows share its GEMMs. A
+    caller's ``np.errstate`` holds in both halves, and an exception in
+    either reaches the caller once both have finished.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) <= 1:  # one piece; forward rejects a bad shape
         return forward(Eager(), cfg, values, images, bank)
     half = (len(images) + 1) // 2
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        rest = pool.submit(contextvars.copy_context().run,
-                           forward, Eager(), cfg, values, images[half:], bank)
-        first = forward(Eager(), cfg, values, images[:half], bank)
-        return np.concatenate([first, rest.result()])
+    first, rest = run_both(functools.partial(forward, Eager(), cfg, values, images[:half], bank),
+                           functools.partial(forward, Eager(), cfg, values, images[half:], bank))
+    return np.concatenate([first, rest])

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -490,6 +492,140 @@ class TestRngChunks:
         want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
         assert got.tobytes() == want.tobytes()
         assert bulk._s == scalar._s
+
+
+class TestRngSplit:
+    """Draws of at least ``_SPLIT_LANES`` lanes step as two halves of lanes
+    at once. With the threshold patched low and ``_BLOCK`` small, they
+    still equal the scalar loop and leave its state."""
+
+    # uniforms(n) draws n words and normals(n) 2n; lanes (words):
+    # 257: 65 (257) and 65 (514), each with a short last lane;
+    # 512: 64 and 128, whole lanes; 1001: 126 and 251; 4099: 257 and 257
+    SIZES = [257, 512, 1001, 4099]
+
+    @pytest.fixture(autouse=True)
+    def small(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_SPLIT_LANES", 32)
+
+    @staticmethod
+    def record_steps(monkeypatch) -> list:
+        """Patch ``kernel._step_lanes`` to record (thread, lanes) of each call."""
+        calls = []
+        real = kernel._step_lanes
+
+        def step(starts, *args):
+            calls.append((threading.get_ident(), len(starts)))
+            return real(starts, *args)
+
+        monkeypatch.setattr(kernel, "_step_lanes", step)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block", [64, 1024])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_scalar_loop(self, monkeypatch, pin_cpus, cpus: int, block: int, n: int) -> None:
+        """From a used state. With a ``_BLOCK`` of 1024 the two halves of
+        257 lanes step in chunks of different widths (6 and 8 columns)."""
+        pin_cpus(cpus)
+        monkeypatch.setattr(kernel, "_BLOCK", block)
+        calls = self.record_steps(monkeypatch)
+        bulk, scalar = Rng(n), Rng(n)
+        bulk.uniforms(3)
+        for _ in range(3):
+            scalar.uniform()
+        got = bulk.uniforms(n)
+        want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+        got = bulk.normals(n, 0.25)
+        want = np.array([scalar.normal() * 0.25 for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+        lanes = [kernel._lane_grid(words)[0] for words in (n, 2 * n)]
+        lower, upper = [(m + 1) // 2 for m in lanes], [m // 2 for m in lanes]
+        mine = [size for thread, size in calls if thread == threading.get_ident()]
+        others = [size for thread, size in calls if thread != threading.get_ident()]
+        if cpus == 1:
+            assert mine == [lower[0], upper[0], lower[1], upper[1]] and others == []
+        else:
+            assert mine == lower and others == upper
+
+    @pytest.mark.parametrize("threshold, pieces", [(65, [33, 32]), (66, [65])])
+    def test_split_starts_at_threshold(self, monkeypatch, pin_cpus, threshold, pieces) -> None:
+        """257 uniforms are 65 lanes: split at a threshold of 65, not at 66.
+        The lower half steps on the calling thread, the upper on another."""
+        pin_cpus(2)
+        monkeypatch.setattr(kernel, "_SPLIT_LANES", threshold)
+        calls = self.record_steps(monkeypatch)
+        bulk, scalar = Rng(9), Rng(9)
+        got = bulk.uniforms(257)
+        want = np.array([scalar.uniform() for _ in range(257)], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+        assert bulk._s == scalar._s
+        mine = [size for thread, size in calls if thread == threading.get_ident()]
+        assert mine + [size for thread, size in calls if thread != threading.get_ident()] == pieces
+        assert mine == pieces[:1]
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_error_in_either_half_reaches_caller(self, monkeypatch, pin_cpus, failing) -> None:
+        pin_cpus(2)
+        caller = threading.get_ident()
+        real = kernel._step_lanes
+
+        def step(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise NumericalError(f"{failing} half failed")
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_step_lanes", step)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match=f"{failing} half failed"):
+            Rng(1).normals(257)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("draw", ["uniforms", "normals"])
+    def test_out_of_memory_before_any_jump_or_thread(self, monkeypatch, pin_cpus, draw) -> None:
+        """An output too large to allocate fails first: no lane start is
+        made and no thread starts."""
+        pin_cpus(2)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        monkeypatch.setattr(kernel, "_lane_starts", lambda *args: started.append("lane starts"))
+
+        def empty(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np, "empty", empty)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            getattr(Rng(1), draw)(4099)
+        assert started == []
+
+
+class TestRunBoth:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_results_in_order_and_threads(self, monkeypatch, pin_cpus, cpus: int) -> None:
+        """On one CPU both calls run on the calling thread and no thread starts."""
+        pin_cpus(cpus)
+        started = []
+        real = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        first, second = kernel.run_both(threading.get_ident, threading.get_ident)
+        assert first == threading.get_ident()
+        assert len(started) == cpus - 1
+        assert second == (started[0].ident if started else first)
+
+    def test_cpu_count_without_affinity(self, monkeypatch) -> None:
+        """Where ``os.sched_getaffinity`` is missing, ``os.cpu_count`` decides."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert kernel.run_both(threading.get_ident, threading.get_ident) == (
+            threading.get_ident(), threading.get_ident())
 
 
 def _normals_of_units(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

@@ -356,9 +356,11 @@ class TestEagerLogits:
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("batch, halves", [(1, [1]), (2, [1, 1]), (5, [3, 2])])
-    def test_second_half_runs_on_a_worker_thread(self, monkeypatch, batch, halves) -> None:
+    def test_second_half_runs_on_a_worker_thread(self, monkeypatch, pin_cpus, batch,
+                                                 halves) -> None:
         """Each half goes through ``model.forward``; the first ceil(B/2)
         images on the calling thread, the rest on another one."""
+        pin_cpus(2)
         calls = []
         real = model.forward
 
@@ -373,10 +375,33 @@ class TestEagerLogits:
         assert sizes.pop(threading.get_ident()) == halves[0]
         assert list(sizes.values()) == halves[1:]
 
+    def test_one_cpu_runs_both_halves_inline(self, monkeypatch, pin_cpus) -> None:
+        """On one CPU the same two halves run on the calling thread, in
+        turn, and no thread starts; the logits are the two-CPU logits."""
+        values, bank = self._setup(with_bank=True)
+        images = Rng(55).normals((5, 8, 8, 1))
+        pin_cpus(2)
+        want = model.eager_logits(TOY, values, images, bank=bank)
+        pin_cpus(1)
+        calls, started = [], []
+        real = model.forward
+
+        def forward(ops, cfg, values, images, bank=None):
+            calls.append((threading.get_ident(), len(images)))
+            return real(ops, cfg, values, images, bank)
+
+        monkeypatch.setattr(model, "forward", forward)
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        got = model.eager_logits(TOY, values, images, bank=bank)
+        assert got.tobytes() == want.tobytes()
+        assert calls == [(threading.get_ident(), 3), (threading.get_ident(), 2)]
+        assert started == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_caller_errstate_holds_in_both_halves(self) -> None:
+    def test_caller_errstate_holds_in_both_halves(self, pin_cpus) -> None:
         """Squares of 1e200 overflow in the layernorm of every image; the
         caller's errstate silences that on the worker thread too."""
+        pin_cpus(2)
         images = np.full((4, 8, 8, 1), 1e200)
         with np.errstate(all="ignore"):
             got = model.eager_logits(TOY, toy_weights(), images)
@@ -396,7 +421,8 @@ class TestEagerLogits:
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
-    def test_error_in_either_half_reaches_caller(self, monkeypatch, failing) -> None:
+    def test_error_in_either_half_reaches_caller(self, monkeypatch, pin_cpus, failing) -> None:
+        pin_cpus(2)
         caller = threading.get_ident()
         real = model.forward
 
