@@ -237,24 +237,37 @@ def cmd_train(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    """Fold ``--checkpoint``'s bank into the backbone tensors just loaded
+    from it, which no one else holds, and save them as the fused file: one
+    weight set in memory, and the checkpoint on disk is only read."""
     cfg, config_path = _sidecar_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
-    fused = reparam.fuse(weights, bank, cfg.backbone)
+    sites = reparam.fold(weights, bank, cfg.backbone)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    checkpoint.save(out, fused.tensors, cfg.digest(), fused=True)
-    print(f"fused {fused.sites_fused} adapter sites into {out}")
+    checkpoint.save(out, weights, cfg.digest(), fused=True)
+    print(f"fused {sites} adapter sites into {out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    """Compare ``--checkpoint`` run adapted with ``--fused`` run plain.
+
+    One checkpoint is held at a time (:func:`reparam.verify_fusion`): the
+    unfused file is read, checked and run, and dropped before the fused
+    file is read. So the errors come in reading order: a bad ``--trials``
+    (exit 2) before either file, then any fault of the unfused file or its
+    bank (exit 2, or 3 for a non-finite adapter tensor) before the fused
+    file is opened, then any fault of the fused file (exit 2).
+    """
     if args.trials < 1:  # fail before either checkpoint is read
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg, config_path = _sidecar_config(args)
-    weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
-    fused, _ = _load_checkpoint(cfg, config_path, args.fused, fused=True)
-    deviation = reparam.verify_fusion(weights, bank, cfg.backbone, fused,
-                                      trials=args.trials, rng=Rng(args.seed))
+    deviation = reparam.verify_fusion(
+        cfg.backbone,
+        lambda: _load_checkpoint(cfg, config_path, args.checkpoint, fused=False),
+        lambda: _load_checkpoint(cfg, config_path, args.fused, fused=True)[0],
+        trials=args.trials, rng=Rng(args.seed))
     passed = deviation <= 1e-10
     print(f"max_logit_deviation {deviation:.6e}  {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_FAILED

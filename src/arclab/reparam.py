@@ -6,6 +6,12 @@ linear map (after_* sites). An adapter is the affine map
 ``x -> x (P + I) + 1 b^T``, so it folds into the adjacent matrix on the
 matching side, leaving a network that runs the plain forward path with
 zero extra inference cost.
+
+:func:`fold` is the one fold: it writes each folded product into the
+storage of the tensor it replaces, so folding a weight set holds no
+second one. :func:`fuse` folds into copies and leaves its input as it
+was. :func:`verify_fusion` is the one deviation check, and it loads the
+unfused and the fused weight sets one at a time.
 """
 
 from __future__ import annotations
@@ -43,19 +49,23 @@ def check_finite(bank: AdapterBank) -> None:
             raise NumericalError(f"adapter tensor {name!r} holds non-finite values")
 
 
-def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
-    """Fold the bank into a copy of ``weights``.
+def fold(weights, bank: AdapterBank, backbone_cfg) -> int:
+    """Fold the bank into ``weights`` in place; return the number of sites folded.
 
-    before_* sites left-multiply the downstream matrices by (P + I) and add
-    ``b W`` to their biases; after_* sites right-multiply the upstream
-    matrix and map its bias through the adapter. A bank whose P and b are
-    exactly zero leaves the weights bitwise untouched. Raises
+    before_* sites add ``b W`` to the downstream biases, then left-multiply
+    the downstream matrices by (P + I); after_* sites right-multiply the
+    upstream matrix, then map its bias through the adapter. The q, k and v
+    maps of a site share one (P + I). Each product is computed whole and
+    then written into the storage of the array it replaces, so the arrays
+    in ``weights`` must be writeable, and at most one product is alive
+    beside them. A site whose P and b are exactly zero is skipped, so an
+    identity bank leaves the weights bitwise untouched. Raises
     NumericalError naming the first adapter tensor that holds a NaN or inf,
-    and ConfigError if the bank was built for another depth.
+    and ConfigError if the bank was built for another depth, before any
+    array is written.
     """
     check_finite(bank)
     bank.check_depth(backbone_cfg.layers)
-    fused = {name: arr.copy() for name, arr in weights.items()}
     sites = 0
     for layer, site in bank.sites:
         p, b = composite_matrix(bank, group_of(site), layer)
@@ -64,29 +74,45 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
         sites += 1
         m = p + np.eye(p.shape[0])
         for w_name, b_name in _SITE_TARGETS[site]:
-            wk = f"enc.{layer}.{w_name}"
-            bk = f"enc.{layer}.{b_name}"
+            w = weights[f"enc.{layer}.{w_name}"]
+            bias = weights[f"enc.{layer}.{b_name}"]
             if site.startswith("before"):
-                fused[bk] = fused[bk] + b @ fused[wk]
-                fused[wk] = m @ fused[wk]
+                bias[...] = bias + b @ w
+                w[...] = m @ w
             else:
-                fused[wk] = fused[wk] @ m
-                fused[bk] = fused[bk] @ m + b
-    return FusedWeights(tensors=fused, sites_fused=sites)
+                w[...] = w @ m
+                bias[...] = bias @ m + b
+    return sites
 
 
-def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: dict[str, np.ndarray],
-                  trials: int = 32, rng: Rng | None = None) -> float:
+def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
+    """Fold the bank into a copy of ``weights`` (see :func:`fold`).
+
+    Every returned tensor is a new array, and ``weights`` is left as it
+    was. Raises as :func:`fold` does.
+    """
+    fused = {name: arr.copy() for name, arr in weights.items()}
+    return FusedWeights(tensors=fused, sites_fused=fold(fused, bank, backbone_cfg))
+
+
+def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int = 32,
+                  rng: Rng | None = None) -> float:
     """Max absolute logit deviation between the adapted-unfused forward and
-    the plain forward over the ``fused`` tensors, across random images.
+    the plain forward over the fused tensors, across random images.
 
-    Each side runs through :func:`model.eager_logits`, so the trials run as
-    two concurrent halves. Both sides split the same way, so the deviation
-    compares logits that went through the same GEMM shapes. Raises
-    NumericalError naming the first adapter tensor that holds a NaN or inf,
-    before any forward runs."""
+    This routine never holds both weight sets at once. ``load_adapted()``
+    returns ``(weights, bank)``; the adapted side runs over them and drops
+    them, and only then does ``load_fused()`` return the fused tensors for
+    the plain side. Each side runs through :func:`model.eager_logits`, so
+    the trials run as two concurrent halves. Both sides split the same
+    way, so the deviation compares logits that went through the same GEMM
+    shapes. Raises ConfigError for ``trials`` below 1 before either loader
+    is called, and NumericalError naming the first adapter tensor that
+    holds a NaN or inf before any forward runs and before ``load_fused``
+    is called."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    weights, bank = load_adapted()
     check_finite(bank)
     rng = rng or Rng(0)
     values = dict(weights)
@@ -94,5 +120,6 @@ def verify_fusion(weights, bank: AdapterBank, backbone_cfg, fused: dict[str, np.
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
     adapted = model.eager_logits(backbone_cfg, values, images, bank=bank)
-    plain = model.eager_logits(backbone_cfg, fused, images)
+    del weights, values, bank  # drop the adapted weight set before the fused one is loaded
+    plain = model.eager_logits(backbone_cfg, load_fused(), images)
     return float(np.abs(adapted - plain).max())

@@ -45,7 +45,8 @@ def test_01_fusion_equivalence() -> None:
         bank = _randomized_bank(cfg, seed)
         seed += 11
         fused = reparam.fuse(weights, bank, TOY)
-        deviation = reparam.verify_fusion(weights, bank, TOY, fused.tensors, trials=32, rng=Rng(5))
+        deviation = reparam.verify_fusion(TOY, lambda: (weights, bank), lambda: fused.tensors,
+                                          trials=32, rng=Rng(5))
         assert deviation <= 1e-10, (site, sharing, deviation)
         worst = max(worst, deviation)
         checked += 1

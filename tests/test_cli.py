@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import cli, model
+from arclab import cli, model, reparam
+from arclab.adapters import AdapterBank
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
+from arclab.kernel import Rng
 
 
 def write_config(tmp_path, **overrides):
@@ -293,6 +297,27 @@ class TestCheckpointInputs:
         assert rc == cli.EXIT_CONFIG
         assert str(path) in err and "unexpected ['arc.ffn.1.bias'" in err
 
+    @pytest.mark.parametrize("fault", ["foreign digest", "no fused flag", "missing"])
+    def test_verify_non_finite_bank_wins_over_bad_fused_file(self, trained_run, tmp_path, capsys,
+                                                             fault) -> None:
+        """verify checks the unfused checkpoint, bank included, before it
+        opens the fused file: a non-finite bank exits 3 whatever is wrong
+        with the fused file."""
+        header, tensors = load(trained_run / "checkpoint.arcl")
+        tensors["arc.ffn.1.bias"][0, 0] = np.inf
+        ckpt = tmp_path / "checkpoint.arcl"
+        save(ckpt, tensors, header.config_digest)
+        bad = {"foreign digest": tmp_path / "foreign.arcl", "no fused flag": ckpt,
+               "missing": tmp_path / "missing.arcl"}[fault]
+        if fault == "foreign digest":
+            save(bad, load(trained_run / "fused.arcl")[1], b"\x01" * 32, fused=True)
+        rc = cli.main(["verify", "--checkpoint", str(ckpt), "--fused", str(bad),
+                       "--config", str(trained_run / "config.json")])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert "'arc.ffn.1.bias'" in err and "non-finite" in err and str(bad) not in err
+        assert "max_logit_deviation" not in out
+
     @pytest.mark.parametrize("command", ["fuse", "verify --checkpoint", "verify --fused",
                                          "spectrum"])
     @pytest.mark.parametrize("fault", ["missing", "empty", "truncated", "foreign"])
@@ -471,6 +496,70 @@ class TestCommands:
                          "--out", str(fused_path)]) == 0
         assert cli.main(["verify", "--checkpoint", str(run_dir / "checkpoint.arcl"),
                          "--fused", str(fused_path), "--trials", "4"]) == 0
+
+    def test_fuse_folds_the_tensors_it_loaded(self, trained_run, tmp_path, monkeypatch) -> None:
+        """fuse saves the arrays it loaded, folded in place, so it holds no
+        second weight set, and it never writes through to the checkpoint."""
+        ckpt = trained_run / "checkpoint.arcl"
+        blob = ckpt.read_bytes()
+        cfg = cli.load_run_config(trained_run / "config.json")
+        _, tensors = load(ckpt)
+        bank = AdapterBank(cfg.arc, cfg.backbone,
+                           {n: a for n, a in tensors.items() if n.startswith("arc.")})
+        weights = {n: a for n, a in tensors.items() if not n.startswith("arc.")}
+        want = model.checksum(reparam.fuse(weights, bank, cfg.backbone).tensors)
+        buffers, saved = [], []
+        real_load, real_save = cli.checkpoint.load, cli.checkpoint.save
+
+        def tracked_load(path):
+            header, loaded = real_load(path)
+            buffers.append(next(iter(loaded.values())).base)
+            return header, loaded
+
+        def tracked_save(path, tensors, *args, **kwargs):
+            saved.append(dict(tensors))
+            return real_save(path, tensors, *args, **kwargs)
+
+        monkeypatch.setattr(cli.checkpoint, "load", tracked_load)
+        monkeypatch.setattr(cli.checkpoint, "save", tracked_save)
+        out = tmp_path / "fused.arcl"
+        assert cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+        [buffer], [written] = buffers, saved
+        assert set(written) == set(model.weight_shapes(cfg.backbone))
+        assert all(np.shares_memory(arr, buffer) for arr in written.values())
+        assert ckpt.read_bytes() == blob
+        assert model.checksum(load(out)[1]) == want
+
+    def test_verify_holds_one_checkpoint_at_a_time(self, trained_run, capsys, monkeypatch) -> None:
+        """verify drops the unfused checkpoint before it reads the fused one,
+        and prints the deviation of the two sides run with both in memory."""
+        ckpt, fused = trained_run / "checkpoint.arcl", trained_run / "fused.arcl"
+        cfg = cli.load_run_config(trained_run / "config.json")
+        _, tensors = load(ckpt)
+        bank = AdapterBank(cfg.arc, cfg.backbone,
+                           {n: a for n, a in tensors.items() if n.startswith("arc.")})
+        side = cfg.backbone.image_size
+        images = Rng(5).normals((32, side, side, cfg.backbone.channels))
+        adapted = model.eager_logits(cfg.backbone, tensors, images, bank=bank)
+        plain = model.eager_logits(cfg.backbone, load(fused)[1], images)
+        want = f"max_logit_deviation {np.abs(adapted - plain).max():.6e}  PASS"
+        buffers = []
+        real_load = cli.checkpoint.load
+
+        def tracked_load(path):
+            if buffers:
+                gc.collect()
+                assert buffers[-1]() is None, "the unfused checkpoint is still held"
+            header, loaded = real_load(path)
+            buffers.append(weakref.ref(next(iter(loaded.values())).base))
+            return header, loaded
+
+        monkeypatch.setattr(cli.checkpoint, "load", tracked_load)
+        capsys.readouterr()
+        rc = cli.main(["verify", "--checkpoint", str(ckpt), "--fused", str(fused),
+                       "--trials", "32", "--seed", "5"])
+        assert rc == cli.EXIT_OK and len(buffers) == 2
+        assert capsys.readouterr().out == want + "\n"
 
     def test_verify_detects_corruption(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-
 import numpy as np
 import pytest
 
@@ -73,6 +72,35 @@ class TestFuse:
         assert np.abs(fused.tensors["enc.1.attn.wo"] - w["enc.1.attn.wo"] @ m).max() <= 1e-15
         assert np.abs(fused.tensors["enc.1.attn.bo"] - (w["enc.1.attn.bo"] @ m + b)).max() <= 1e-15
 
+    @pytest.mark.parametrize("kind", ["random", "identity"])
+    def test_returns_arrays_independent_of_input(self, kind) -> None:
+        w = model.init_backbone(TOY, Rng(11))
+        bank = (randomized_bank(ArcConfig(bottleneck=4), 12) if kind == "random"
+                else init_adapters(ArcConfig(bottleneck=4), TOY, Rng(12)))
+        before = model.checksum(w)
+        fused = reparam.fuse(w, bank, TOY)
+        assert fused.sites_fused == (0 if kind == "identity" else len(bank.sites))
+        assert not any(np.shares_memory(t, a) for t in fused.tensors.values() for a in w.values())
+        assert model.checksum(w) == before
+
+    def test_fold_writes_into_the_given_arrays(self) -> None:
+        w = model.init_backbone(TOY, Rng(11))
+        bank = randomized_bank(ArcConfig(bottleneck=4), 12)
+        want = reparam.fuse(w, bank, TOY)
+        arrays = dict(w)
+        assert reparam.fold(w, bank, TOY) == want.sites_fused
+        assert all(w[name] is arr for name, arr in arrays.items())
+        assert model.checksum(w) == model.checksum(want.tensors)
+
+    def test_fold_writes_nothing_for_a_non_finite_bank(self) -> None:
+        w = model.init_backbone(TOY, Rng(11))
+        bank = randomized_bank(ArcConfig(bottleneck=4), 12)
+        bank.tensors["arc.ffn.3.bias"][0, 0] = np.nan
+        before = model.checksum(w)
+        with pytest.raises(NumericalError, match="'arc.ffn.3.bias'"):
+            reparam.fold(w, bank, TOY)
+        assert model.checksum(w) == before
+
     def test_shapes_unchanged(self) -> None:
         w = model.init_backbone(TOY, Rng(9))
         bank = randomized_bank(ArcConfig(bottleneck=4), 10)
@@ -86,13 +114,15 @@ class TestVerifyFusion:
         w = model.init_backbone(TOY, Rng(13))
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(14))
         fused = reparam.fuse(w, bank, TOY)
-        assert reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=4, rng=Rng(0)) == 0.0
+        assert reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                     trials=4, rng=Rng(0)) == 0.0
 
     def test_random_bank_fuses_exactly(self) -> None:
         w = model.init_backbone(TOY, Rng(15))
         bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 16)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=32, rng=Rng(1))
+        dev = reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                    trials=32, rng=Rng(1))
         assert dev <= 1e-10
 
     def test_corrupted_fused_weight_detected(self) -> None:
@@ -100,15 +130,27 @@ class TestVerifyFusion:
         bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 18)
         fused = reparam.fuse(w, bank, TOY)
         fused.tensors["enc.2.ffn.w2"][0, 0] += 1e-3
-        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=16, rng=Rng(2))
+        dev = reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                    trials=16, rng=Rng(2))
         assert dev > 1e-5
+
+    def test_non_finite_bank_stops_before_the_fused_load(self) -> None:
+        w = model.init_backbone(TOY, Rng(15))
+        bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 16)
+        bank.tensors["arc.mha.2.coef"][0, 0] = np.inf
+
+        def no_fused_load():
+            raise AssertionError("fused side loaded")
+
+        with pytest.raises(NumericalError, match="'arc.mha.2.coef'"):
+            reparam.verify_fusion(TOY, lambda: (w, bank), no_fused_load, trials=4)
 
     def test_trials_validated(self) -> None:
         w = model.init_backbone(TOY, Rng(19))
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(20))
         fused = reparam.fuse(w, bank, TOY)
         with pytest.raises(ConfigError):
-            reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=0)
+            reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors, trials=0)
 
 
 class TestFullGrid:
@@ -121,7 +163,8 @@ class TestFullGrid:
             bank = randomized_bank(cfg, seed)
             seed += 7
             fused = reparam.fuse(w, bank, TOY)
-            dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=8, rng=Rng(3))
+            dev = reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                        trials=8, rng=Rng(3))
             assert dev <= 1e-10, (site, sharing, dev)
 
     def test_full_rank_variant_fuses(self) -> None:
@@ -132,7 +175,8 @@ class TestFullGrid:
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.1)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=8, rng=Rng(4))
+        dev = reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                    trials=8, rng=Rng(4))
         assert dev <= 1e-10
 
     def test_trained_style_combined_positions(self) -> None:
@@ -141,6 +185,7 @@ class TestFullGrid:
                         insertion_layers=(1, 3), dropout_rate=0.0)
         bank = randomized_bank(cfg, 26)
         fused = reparam.fuse(w, bank, TOY)
-        dev = reparam.verify_fusion(w, bank, TOY, fused.tensors, trials=16, rng=Rng(5))
+        dev = reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors,
+                                    trials=16, rng=Rng(5))
         assert dev <= 1e-10
         assert fused.sites_fused == 4
