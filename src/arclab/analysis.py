@@ -11,6 +11,7 @@ left to whatever consumes the CSVs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +67,8 @@ class SpectrumReport:
 
 def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
              layer: int = 0, group: str = "mha") -> SpectrumReport:
-    """Decompose a square delta matrix and histogram its singular values.
+    """Histogram the singular values of a square delta matrix, taken by
+    LAPACK's values-only route (no singular vectors are built).
 
     Bins are fixed-width over [0, s_max] unless ``value_range`` overrides;
     a zero matrix gets a unit-width range so conservation still holds.
@@ -76,7 +78,7 @@ def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     try:
-        _, s, _ = svd(delta)
+        _, s, _ = svd(delta, compute_uv=False)
     except NumericalError as exc:
         raise NumericalError(f"layer {layer} group {group} matrix: {exc}") from None
     if value_range is None:
@@ -105,23 +107,26 @@ def sweep_summary(reports: list[SpectrumReport]) -> dict:
 
 
 def write_spectrum_csvs(reports: list[SpectrumReport], out_dir) -> list[Path]:
-    """One bin_lo,bin_hi,count file per (layer, group) plus a summary file."""
+    """One bin_lo,bin_hi,count file per (layer, group) plus a summary file.
+
+    Each file is rendered whole and written once, with ``csv.writer``'s
+    bytes: CRLF line ends, edges as ``.17g``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for r in reports:
+        edges = r.bin_edges.tolist()
+        rows = "".join(f"{lo:.17g},{hi:.17g},{count}\r\n"
+                       for lo, hi, count in zip(edges, edges[1:], r.bin_counts.tolist()))
         path = out / f"spectrum_layer{r.layer}_{r.group}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for i, count in enumerate(r.bin_counts):
-                writer.writerow([f"{r.bin_edges[i]:.17g}", f"{r.bin_edges[i + 1]:.17g}", int(count)])
+        path.write_text("bin_lo,bin_hi,count\r\n" + rows, newline="")
         paths.append(path)
+    text = io.StringIO()  # csv.writer quotes a group name that needs it
+    writer = csv.writer(text)
+    writer.writerow(["layer", "group", "effective_rank", "energy_top10"])
+    writer.writerows([r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"] for r in reports)
     summary = out / "spectrum_summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "group", "effective_rank", "energy_top10"])
-        for r in reports:
-            writer.writerow([r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"])
+    summary.write_text(text.getvalue(), newline="")
     paths.append(summary)
     return paths

@@ -336,9 +336,6 @@ class Tape:
         self._nodes: list[Var] = []
         self._params: dict[str, Var] = {}  # name -> leaf node
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     def replay(self) -> None:
         """Re-run every recorded node, in id order and in place, over the
         current contents of the leaves; every node object is kept.

@@ -189,21 +189,23 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
             tensors: dict[str, np.ndarray] = {}
             while reader.offset < reader.size:
                 record_at = reader.offset
+                # a record head in three reads: name length; name and rank; dims
                 name_len = reader.u32("tensor name length")
                 if name_len == 0 or name_len > _MAX_NAME:
                     raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
+                encoded, ndim = struct.unpack(
+                    f"<{name_len}sI", reader.take(name_len + 4, "tensor name and rank"))
                 try:
-                    name = reader.take(name_len, "tensor name").decode()
+                    name = encoded.decode()
                 except UnicodeDecodeError as exc:
                     raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
                 if name in tensors:
                     raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
-                ndim = reader.u32("tensor rank")
                 if ndim > _MAX_NDIM:
                     raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
-                dims = [reader.u32(f"dim {i} of {name!r}") for i in range(ndim)]
-                if any(d == 0 for d in dims):
-                    raise CheckpointError(f"zero-sized dim in {name!r}: {dims}", offset=record_at)
+                dims = struct.unpack(f"<{ndim}I", reader.take(4 * ndim, f"dims of {name!r}"))
+                if 0 in dims:
+                    raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=record_at)
                 count = math.prod(dims)
                 payload = reader.take_floats(buffer, used, count, f"payload of {name!r}")
                 used += count

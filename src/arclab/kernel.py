@@ -124,11 +124,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
-def svd(a: np.ndarray):
+def svd(a: np.ndarray, compute_uv: bool = True):
     """Thin SVD by LAPACK (``np.linalg.svd``).
 
     Returns (U, s, V) with a ~= U @ diag(s) @ V.T, s sorted descending and
     non-negative, and U (m x k), V (n x k) orthonormal, k = min(m, n).
+    With ``compute_uv=False`` it returns (None, s, None) from LAPACK's
+    values-only route, two to three times faster; that route is another
+    algorithm, so its s differs from the full route's by rounding (within
+    about 1e-14 * s_max).
     LAPACK bidiagonalises, so values far below s_max carry absolute, not
     relative, accuracy, where one-sided Jacobi would do better (Demmel &
     Veselic, 1992); spectra count only values above 1% of s_max, so that
@@ -144,6 +148,8 @@ def svd(a: np.ndarray):
     if not np.isfinite(a).all():
         raise NumericalError(f"svd input of shape {a.shape} holds non-finite values")
     try:
+        if not compute_uv:
+            return None, np.linalg.svd(a, compute_uv=False), None
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"svd of a {a.shape} matrix did not converge: {exc}") from None

@@ -218,3 +218,35 @@ class TestCsvEmission:
             rows = list(csv.reader(fh))
         assert rows[0] == ["layer", "group", "effective_rank", "energy_top10"]
         assert len(rows) == 5
+
+    def test_bytes_match_csv_writer(self, tmp_path) -> None:
+        """Each file holds exactly what ``csv.writer`` writes for the same rows."""
+        rng = np.random.default_rng(11)
+        reports = [
+            spectrum(rng.normal(size=(16, 16)), bins=50, layer=1, group="mha"),
+            spectrum(planted_matrix(rng, 12, (4.0, 1e-9)), bins=7, layer=1, group="ffn"),
+            spectrum(np.zeros((6, 6)), bins=3, layer=2, group="mha"),
+            spectrum(1e-300 * rng.normal(size=(5, 5)), bins=4, layer=2, group="ffn"),
+            spectrum(np.diag([3.0, 2.0, 1.0]), bins=3, value_range=(0.0, 3.0), layer=3,
+                     group='odd, "quoted"'),
+        ]
+        paths = analysis.write_spectrum_csvs(reports, tmp_path)
+        want_dir = tmp_path / "want"
+        want_dir.mkdir()
+        for r in reports:
+            with open(want_dir / f"spectrum_layer{r.layer}_{r.group}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["bin_lo", "bin_hi", "count"])
+                for i, count in enumerate(r.bin_counts):
+                    writer.writerow([f"{r.bin_edges[i]:.17g}", f"{r.bin_edges[i + 1]:.17g}",
+                                     int(count)])
+        with open(want_dir / "spectrum_summary.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["layer", "group", "effective_rank", "energy_top10"])
+            for r in reports:
+                writer.writerow([r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"])
+        assert [p.name for p in paths] == [f"spectrum_layer{r.layer}_{r.group}.csv"
+                                           for r in reports] + ["spectrum_summary.csv"]
+        for path in paths:
+            assert path.read_bytes() == (want_dir / path.name).read_bytes(), path.name
+        assert b'"odd, ""quoted"""' in paths[-1].read_bytes()

@@ -322,6 +322,45 @@ class TestDamagedFiles:
         except CheckpointError:
             pass
 
+    def test_every_cut(self, valid_file, tmp_path) -> None:
+        """A cut at a record boundary loads the records before it; any other
+        cut raises naming the path and an offset inside the cut record."""
+        path, blob, tensors, ends = valid_file
+        starts = [0] + ends  # the 41-byte file header, then each record
+        damaged = tmp_path / "cut.arcl"
+        for cut in range(len(blob) + 1):
+            damaged.write_bytes(blob[:cut])
+            if cut in ends:
+                _, loaded = load(damaged)
+                assert list(loaded) == sorted(tensors)[: ends.index(cut)], cut
+                continue
+            with pytest.raises(CheckpointError) as info:
+                load(damaged)
+            k = max(i for i, start in enumerate(starts) if start <= cut)
+            assert str(info.value).startswith(f"{damaged}: truncated while reading "), cut
+            assert starts[k] <= info.value.offset <= cut < starts[k + 1], cut
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=st.integers(0, 2), at=st.integers(0, 63), data=st.binary(min_size=1, max_size=8))
+    def test_overwritten_record_head(self, valid_file, record, at, data) -> None:
+        """Any bytes written over a record head load or raise CheckpointError."""
+        path, blob, tensors, ends = valid_file
+        t = tensors[sorted(tensors)[record]]
+        head = 8 + len(sorted(tensors)[record]) + 4 * t.ndim
+        start = ends[record] + at % head
+        data = data[: ends[record] + head - start]  # the head's bytes only
+        damaged = bytearray(blob)
+        damaged[start : start + len(data)] = data
+        assert len(damaged) == len(blob)
+        written = path.with_name("head.arcl")
+        written.write_bytes(bytes(damaged))
+        try:
+            _, loaded = load(written)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{written}: ") and exc.offset is not None
+            return
+        assert sum(8 * a.size for a in loaded.values()) <= len(damaged)
+
 
 class TestDigest:
     def test_canonicalization(self) -> None:

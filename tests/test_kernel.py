@@ -160,20 +160,26 @@ class TestSvd:
         a[3, 5] = bad
         with pytest.raises(NumericalError, match="non-finite"):
             svd(a)
+        with pytest.raises(NumericalError, match="non-finite"):
+            svd(a, compute_uv=False)
 
     def test_lapack_failure_becomes_numerical_error(self, monkeypatch) -> None:
-        def failing_svd(a, full_matrices=True):
+        def failing_svd(a, full_matrices=True, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         with pytest.raises(NumericalError, match="did not converge"):
             svd(np.eye(3))
+        with pytest.raises(NumericalError, match="did not converge"):
+            svd(np.eye(3), compute_uv=False)
 
     @pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 2, 2)), np.zeros((0, 3)),
                                    np.zeros((3, 0))])
     def test_rejects_non_matrix_or_empty(self, a: np.ndarray) -> None:
         with pytest.raises(ShapeError):
             svd(a)
+        with pytest.raises(ShapeError):
+            svd(a, compute_uv=False)
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 40), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
@@ -198,6 +204,49 @@ class TestSvd:
         assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-10
         assert np.all(np.diff(s) <= 0)
         assert np.all(s >= 0)
+
+
+class TestSvdValuesOnly:
+    """``svd(a, compute_uv=False)``: LAPACK's values-only route, checked
+    against the full route's singular values."""
+
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        u, s, v = svd(a, compute_uv=False)
+        assert u is None and v is None
+        _, want, _ = svd(a)
+        assert s.shape == want.shape == (min(a.shape),)
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        assert np.abs(s - want).max() <= 1e-14 * want[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 64), n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["dense", "low_rank"]))
+    def test_matches_full_route(self, m: int, n: int, seed: int, kind: str) -> None:
+        rng = np.random.default_rng(seed)
+        if kind == "low_rank":
+            r = int(rng.integers(1, min(m, n) + 1))
+            a = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        else:
+            a = rng.normal(size=(m, n))
+        self._check(a)
+
+    @pytest.mark.parametrize("n, rank", [(8, 1), (32, 8), (64, 8), (64, 64)])
+    def test_planted_spectrum(self, n: int, rank: int) -> None:
+        rng = np.random.default_rng(n + rank)
+        u = np.linalg.qr(rng.normal(size=(n, rank)))[0]
+        v = np.linalg.qr(rng.normal(size=(n, rank)))[0]
+        sigmas = np.geomspace(4.0, 0.5, rank)
+        a = (u * sigmas) @ v.T
+        self._check(a)
+        _, s, _ = svd(a, compute_uv=False)
+        assert np.abs(s[:rank] - sigmas).max() <= 1e-12
+        assert np.abs(s[rank:]).max(initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (3, 4), (6, 6)])
+    def test_zero_matrix(self, shape) -> None:
+        _, s, _ = svd(np.zeros(shape), compute_uv=False)
+        assert np.array_equal(s, np.zeros(min(shape)))
 
 
 class TestSoftmaxRows:
