@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -102,13 +103,20 @@ def _is_a(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+@functools.cache
+def _field_types(cls) -> dict:
+    """The resolved field types of a config dataclass, read once per class:
+    with postponed annotations each read compiles every annotation string."""
+    return typing.get_type_hints(cls)
+
+
 def _build_section(name: str, cls, data, defaults: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section {name!r} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     merged = dict(defaults)
     merged.update({key: _check_value(f"{name}.{key}", hints[key], value)
                    for key, value in data.items()})

@@ -8,6 +8,20 @@ and GELU come only in their ``_parts`` form, which returns the value with
 the intermediates its vector-Jacobian product reuses. :func:`run_both`
 runs two pieces of work on two cores, where the process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
+
+numpy is the only dependency. Two places need the C library's ``log`` or
+``exp`` bit for bit, where numpy's SIMD float64 loops (AVX-512F ``log``
+and ``exp`` on x86-64) can differ from it in the last place: Box-Muller's
+log in :meth:`Rng.normals`, and the exp of :func:`erf` for |x| > 1. Both
+call the ufunc with exactly one operand a reversed 1-D view (``[::-1]``).
+numpy (up to 2.4 at least) has no SIMD loop for a negative stride and
+runs its scalar loop, which calls the C library's function once per
+element. If both operands are reversed, numpy flips them to a forward pass
+and takes the SIMD loop again; a 2-D view with only its inner axis
+reversed can take it too. A numpy that vectorised negative strides would
+end both routes; the tests of the log route against ``math.log``, of
+:func:`erf` against ``scipy.special.erf`` and the known-answer digests of
+the draws would then fail.
 """
 
 from __future__ import annotations
@@ -19,7 +33,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import erf, xlogy
 
 from .errors import NumericalError, ShapeError
 
@@ -97,10 +110,105 @@ def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     return out, (centered, std)
 
 
+# cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and 1 - erfc(|x|)
+# past that, with erfc(a) = exp(-a^2) P(a) / Q(a) below 8; U and Q lead with
+# an implied 1.
+_ERF_T = tuple(map(np.float64, (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4)))
+_ERF_U = tuple(map(np.float64, (
+    3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4)))
+_ERFC_P = tuple(map(np.float64, (
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)))
+_ERFC_Q = tuple(map(np.float64, (
+    1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2)))
+# From |x| = 5.92 erfc(|x|) is below half an ulp of 1 and erf reads +-1, so
+# cephes' other erfc branches (R/S from 8, 0 once a^2 > log(DBL_MAX)) never
+# show: |x| is clipped here, which also keeps a^2 and P(a) finite.
+_ERF_CLIP = np.float64(8.0)
+# Values per block of erf: its three block-sized buffers stay in cache.
+# Blocks of 16,384 values and one block for the whole array read slower.
+_ERF_BLOCK = 1 << 15
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """cephes ``polevl``: coef[0] x^N + ... + coef[N] by Horner, into ``out``."""
+    np.multiply(x, coef[0], out=out)
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """cephes ``p1evl``: x^N + coef[0] x^(N-1) + ... + coef[N-1], into ``out``."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """cephes erf of a 1-D ``x`` whose every entry has |x| > 1:
+    1 - erfc(|x|), with the sign of x."""
+    a = np.minimum(np.abs(x), _ERF_CLIP)
+    scale = np.exp(np.negative(a * a)[::-1])[::-1]  # the C library's exp (module docstring)
+    scale *= _polevl(a, _ERFC_P, np.empty_like(a))
+    scale /= _p1evl(a, _ERFC_Q, np.empty_like(a))
+    return np.copysign(1.0 - scale, x)
+
+
+def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function of a C-contiguous float64 array, elementwise, as
+    cephes computes it (``ndtr.c``, the route of ``scipy.special.erf``).
+
+    The |x| <= 1 branch is IEEE products, sums and one quotient in cephes'
+    order, so its bits hold on every platform; that branch is odd, so it
+    needs no sign handling. The |x| > 1 branch is gathered from each block
+    only where it occurs and adds the C library's ``exp``; it equals
+    cephes wherever the two share a C library. NaN stays NaN and +-inf
+    give +-1, with no floating-point warning. ``out`` may be ``x``.
+    """
+    if out is None:
+        out = np.empty(x.shape)
+    elif not (x.flags.c_contiguous and out.flags.c_contiguous):
+        raise ShapeError("erf writes into out only when x and out are C-contiguous")
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    buffers = np.empty((3, min(flat.size, _ERF_BLOCK)))
+    for i in range(0, flat.size, _ERF_BLOCK):
+        block = flat[i:i + _ERF_BLOCK]
+        square, p, q = buffers[:, :block.size]
+        np.abs(block, out=square)
+        tail = None
+        if np.fmax.reduce(square) > 1.0:  # fmax skips NaN
+            tail = np.flatnonzero(square > 1.0)
+            tail_x = block[tail]
+            block = block.copy()
+            block[tail] = 0.0
+        np.multiply(block, block, out=square)
+        _polevl(square, _ERF_T, p)
+        _p1evl(square, _ERF_U, q)
+        p *= block
+        np.divide(p, q, out=flat_out[i:i + _ERF_BLOCK])
+        if tail is not None:
+            flat_out[i + tail] = _erf_tail(tail_x)
+    return out
+
+
 def gelu_parts(a: np.ndarray):
     """Exact GELU x*Phi(x) via the error function (no tanh approximation), and
-    its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf)."""
-    cdf = a * INV_SQRT2
+    its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf).
+
+    The erf is :func:`erf`, cephes' in numpy: IEEE arithmetic alone where
+    |x / sqrt(2)| <= 1, and the C library's ``exp`` past that."""
+    cdf = np.multiply(a, INV_SQRT2, order="C")
     erf(cdf, out=cdf)
     cdf += 1.0
     out = a * 0.5
@@ -296,10 +404,10 @@ def run_both(first, second):
 
     ``first`` runs on the calling thread and ``second`` on one worker
     thread, in a copy of the caller's context, so a caller's
-    ``np.errstate`` holds in both; numpy, BLAS and scipy release the GIL,
-    so the two share two cores. An exception in either reaches the caller
-    once both have finished, and no thread is left running. On one CPU
-    both run on the calling thread, in turn, and no worker starts.
+    ``np.errstate`` holds in both; numpy's ufunc loops and BLAS release
+    the GIL, so the two share two cores. An exception in either reaches
+    the caller once both have finished, and no thread is left running. On
+    one CPU both run on the calling thread, in turn, and no worker starts.
     """
     if _cpus() < 2:
         return first(), second()
@@ -364,15 +472,27 @@ def _uniform_writer(out: np.ndarray, columns: int):
     return write
 
 
+def _log1m(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``log(1 - u)`` of a 1-D ``u``, written over ``u``, with the C
+    library's ``log``: ``1 - u`` goes into a reversed view of the 1-D
+    ``scratch`` (at least ``u.size`` values) and ``np.log`` reads it from
+    there, which takes numpy's scalar loop (module docstring)."""
+    y = scratch[:u.size][::-1]
+    np.subtract(1.0, u, out=y)
+    return np.log(y, out=u)
+
+
 def _normal_writer(scale: float, out: np.ndarray, columns: int):
     """Chunk writer (see :func:`_step_lanes`) of ``Rng.normal() * scale``
     draws into the lane rows ``out``, with its buffers made once.
 
     Each Box-Muller pair is two successive words of one lane. The log is
-    one compiled call to the C library's ``log`` (``xlogy(1.0, y)``) and
-    the cos one to its ``ccos`` (``np.cos`` of ``x + 0j``).
+    the C library's ``log`` through numpy's scalar loop (:func:`_log1m`,
+    over a second buffer the size of one chunk) and the cos its ``ccos``
+    (``np.cos`` of ``x + 0j``). A writer serves one thread.
     """
     values = np.empty((columns // 2, len(out)))
+    scratch = np.empty(values.size)
     angles = np.empty(values.shape, dtype=np.complex128)
 
     def write(t, words):
@@ -380,8 +500,7 @@ def _normal_writer(scale: float, out: np.ndarray, columns: int):
         pairs = len(words) // 2
         value, angle = values[:pairs], angles[:pairs]
         np.multiply(words[0::2], 2.0**-53, out=value)
-        np.subtract(1.0, value, out=value)
-        xlogy(1.0, value, out=value)
+        _log1m(value.reshape(-1), scratch)
         value *= -2.0
         np.sqrt(value, out=value)
         x = angle.real
@@ -403,17 +522,17 @@ class Rng:
     and ``normals`` also call the C library's ``log`` and ``cos``, once per
     element in both, so they are identical wherever those agree. ``normal``
     reaches both through :mod:`math`. ``normals`` takes ``log`` through
-    ``scipy.special.xlogy(1.0, y)``, which computes ``1.0 * log(y)`` with
-    the C library's ``log``, and ``cos`` through numpy's complex ``np.cos``
-    of ``x + 0j``, which calls the C library's ``ccos``; glibc's ``ccos``
-    returns ``cosh(0) * cos(x)`` for a real argument, exactly ``cos(x)``. A
-    product by 1.0 is exact. numpy's SIMD ``np.log`` and float64 ``np.cos``
-    are not used: they can differ from libm in the last bit. A bulk draw
-    of n values returns the values of n scalar draws and leaves the same
-    state. Single-owner: never share an instance between concurrent
-    consumers. A bulk draw of many lanes may step half of them on one
-    internal worker thread (:meth:`_fill`), which has ended by the time
-    the draw returns.
+    numpy's scalar float64 ``np.log`` loop, reached by reading a reversed
+    1-D view (see the module docstring), and ``cos`` through numpy's
+    complex ``np.cos`` of ``x + 0j``, which calls the C library's ``ccos``;
+    glibc's ``ccos`` returns ``cosh(0) * cos(x)`` for a real argument,
+    exactly ``cos(x)``. numpy's SIMD ``np.log`` over contiguous float64 and
+    its float64 ``np.cos`` are not used: they can differ from libm in the
+    last bit. A bulk draw of n values returns the values of n scalar draws
+    and leaves the same state. Single-owner: never share an instance
+    between concurrent consumers. A bulk draw of many lanes may step half
+    of them on one internal worker thread (:meth:`_fill`), which has ended
+    by the time the draw returns.
     """
 
     def __init__(self, seed: int):

@@ -5,6 +5,9 @@ import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -767,3 +770,40 @@ class TestCommands:
         assert (first / "checkpoint.arcl").read_bytes() == \
             (second / "checkpoint.arcl").read_bytes()
         assert (first / "loss.csv").read_text() == (second / "loss.csv").read_text()
+
+
+# Blocks every import of scipy, imports each arclab module, runs the four
+# file commands and prints their exit codes and the scipy modules loaded.
+_WITHOUT_SCIPY = """
+import importlib, json, pkgutil, sys
+sys.modules["scipy"] = None  # an import of scipy or a submodule raises ImportError
+import arclab
+for found in pkgutil.iter_modules(arclab.__path__):
+    importlib.import_module("arclab." + found.name)
+from arclab import cli
+config, run = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["train", "--config", config, "--out", run],
+    ["fuse", "--checkpoint", run + "/checkpoint.arcl", "--out", run + "/fused.arcl"],
+    ["verify", "--checkpoint", run + "/checkpoint.arcl", "--fused", run + "/fused.arcl",
+     "--trials", "4"],
+    ["spectrum", "--checkpoint", run + "/checkpoint.arcl", "--out", run + "/spectra"],
+)]
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.startswith("scipy") and module is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_runs_without_scipy(tmp_path) -> None:
+    """numpy is arclab's only dependency: with scipy unimportable, every
+    module imports and train, fuse, verify and spectrum exit 0."""
+    config = write_config(tmp_path, train={"epochs": 1, "warmup_epochs": 1})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", _WITHOUT_SCIPY,
+                           str(config), str(tmp_path / "run")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}

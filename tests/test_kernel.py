@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as scipy_erf  # the oracle: cephes' erf, compiled
 
 from arclab import kernel
 from arclab.autodiff import PRIMITIVES
@@ -96,7 +97,8 @@ class TestLinear:
 class TestKernelsKeepInputs:
     """The in-place kernels write only into arrays they allocated."""
 
-    @pytest.mark.parametrize("name", ["linear", "softmax_rows", "gelu_parts", "layernorm_parts"])
+    @pytest.mark.parametrize("name", ["linear", "softmax_rows", "gelu_parts", "layernorm_parts",
+                                      "erf"])
     def test_inputs_unmodified(self, name: str) -> None:
         rng = np.random.default_rng(11)
         x = _rand(rng, 2, 3, 4)
@@ -332,6 +334,79 @@ class TestGelu:
         _, cdf = prim.forward(x)
         (grad,) = prim.vjp(np.ones_like(x), cdf, (True,), x)
         assert np.abs(fd - grad).max() <= 1e-9
+
+
+def _same_values(got: np.ndarray, want: np.ndarray) -> bool:
+    """Same shape and bits, where a NaN matches any NaN (its payload is not pinned)."""
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    return got.shape == want.shape and bool(same.all())
+
+
+_ONE_UP, _EIGHT_DOWN = math.nextafter(1.0, 2.0), math.nextafter(8.0, 0.0)
+# each branch's ends, where erfc reads 0 (a^2 > MAXLOG from 26.64), squares
+# that overflow, subnormals and the specials
+ERF_EDGES = [0.0, 1.0, _ONE_UP, math.nextafter(1.0, 0.0), 5.9, 6.0, 8.0, _EIGHT_DOWN,
+             math.nextafter(8.0, 9.0), 26.6, 26.64, 26.65, 27.0, 27.3, 1e154, 1.4e154, 1e300,
+             1e308, math.inf, 5e-324, 2.0**-1030, 2.2250738585072014e-308, math.nan]
+
+
+@pytest.mark.filterwarnings("error")
+class TestErf:
+    """``kernel.erf`` is cephes' erf in numpy: bit for bit
+    ``scipy.special.erf``, with no floating-point warning."""
+
+    @staticmethod
+    def check(x) -> None:
+        x = np.asarray(x, dtype=np.float64)
+        assert _same_values(kernel.erf(x), scipy_erf(x))
+
+    def test_edges(self) -> None:
+        self.check(ERF_EDGES + [-v for v in ERF_EDGES])
+        for v in ERF_EDGES:  # alone, so a block holds one branch only
+            self.check([v])
+            self.check([-v])
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(st.floats() | st.floats(-9.0, 9.0), min_size=1, max_size=64))
+    def test_any_float(self, values) -> None:
+        """Any float64, with extra weight where both branches give values
+        other than +-1."""
+        self.check(values)
+
+    @pytest.mark.parametrize("n", [32767, 32768, 32769])
+    def test_block_edges(self, n: int) -> None:
+        """Around one block of :data:`kernel._ERF_BLOCK` values, with
+        entries of |x| > 1 on both sides of the block boundary, and with none."""
+        assert kernel._ERF_BLOCK == 32768
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        self.check(x)
+        for i, v in zip([0, 32766, 32767, 32768, n - 1], [3.0, -_ONE_UP, 30.0, -1.5, _EIGHT_DOWN]):
+            x[min(i, n - 1)] = v
+        self.check(x)
+
+    def test_mixed_arrays(self) -> None:
+        """Some entries past |x| = 1 among many within, in several blocks
+        and in a 3-D shape."""
+        rng = np.random.default_rng(4)
+        self.check(rng.normal(0.0, 3.0, (3, 170, 257)))
+        x = rng.uniform(-1.0, 1.0, 100_003)
+        x[rng.integers(0, x.size, 40)] = rng.normal(0.0, 10.0, 40)
+        self.check(x)
+        self.check(np.linspace(-30.0, 30.0, 300_001))
+
+    def test_out_may_be_input(self) -> None:
+        x = np.random.default_rng(5).normal(0.0, 2.0, (4, 50_000))
+        want = scipy_erf(x)
+        assert kernel.erf(x, out=x) is x
+        assert _same_values(x, want)
+
+    def test_shapes(self) -> None:
+        x = np.random.default_rng(6).normal(0.0, 2.0, (5, 7))
+        self.check(x.T)  # strided input, read through a copy
+        self.check(np.float64(0.5))
+        assert kernel.erf(np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            kernel.erf(x, out=np.empty((7, 5)).T)
 
 
 class TestCrossEntropy:
@@ -699,16 +774,16 @@ def _scalar_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 
 
 class TestNormalsLogRoute:
-    """``normals`` takes Box-Muller's log through ``xlogy(1.0, y)``, one
-    compiled call to the C library's ``log``. It must give the bits of
-    ``math.log`` at every y = 1 - uniform(), the grid 1 - k * 2**-53 for
-    0 <= k < 2**53, where numpy's SIMD ``np.log`` may not."""
+    """``normals`` takes Box-Muller's log through ``_log1m``: ``np.log``
+    reads 1 - u through a reversed 1-D view, which runs numpy's scalar loop
+    and so the C library's ``log``. It must give the bits of ``math.log``
+    at every y = 1 - uniform(), the grid 1 - k * 2**-53 for 0 <= k < 2**53,
+    where numpy's SIMD ``np.log`` may not."""
 
     @staticmethod
     def check(u1: np.ndarray) -> None:
-        y = 1.0 - u1
-        want = np.array([math.log(v) for v in y], dtype=np.float64)
-        assert kernel.xlogy(1.0, y).tobytes() == want.tobytes()
+        want = np.array([math.log(1.0 - v) for v in u1], dtype=np.float64)
+        assert kernel._log1m(u1.copy(), np.empty(u1.size)).tobytes() == want.tobytes()
         u2 = u1[::-1].copy()
         assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
 
@@ -720,6 +795,22 @@ class TestNormalsLogRoute:
     @given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
     def test_grid(self, ks) -> None:
         self.check(np.array(ks, dtype=np.float64) * 2.0**-53)
+
+    def test_not_the_contiguous_log(self) -> None:
+        """Where numpy's ``np.log`` over a contiguous array differs from
+        ``math.log`` on this CPU (its SIMD loop, where it has one), the
+        route still gives ``math.log``'s bits, and so do ``normals``."""
+        ks = np.concatenate([np.arange(1 << 20),
+                             np.random.default_rng(0).integers(0, 2**53, 1 << 18)])
+        u = ks.astype(np.float64) * 2.0**-53
+        want = np.array([math.log(v) for v in (1.0 - u).tolist()], dtype=np.float64)
+        assert kernel._log1m(u.copy(), np.empty(u.size)).tobytes() == want.tobytes()
+        differs = np.flatnonzero(np.log(1.0 - u) != want)
+        if not differs.size:
+            pytest.skip("contiguous np.log equals math.log on this grid and CPU")
+        u1 = u[differs[:100]]
+        u2 = u1[::-1].copy()
+        assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
 
 
 class TestNormalsCosRoute:
