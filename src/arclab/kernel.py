@@ -181,22 +181,24 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     elif not (x.flags.c_contiguous and out.flags.c_contiguous):
         raise ShapeError("erf writes into out only when x and out are C-contiguous")
     flat, flat_out = x.reshape(-1), out.reshape(-1)
-    buffers = np.empty((3, min(flat.size, _ERF_BLOCK)))
+    size = min(flat.size, _ERF_BLOCK)
+    square, p, q = np.empty(size), np.empty(size), np.empty(size)
     for i in range(0, flat.size, _ERF_BLOCK):
         block = flat[i:i + _ERF_BLOCK]
-        square, p, q = buffers[:, :block.size]
-        np.abs(block, out=square)
+        if block.size < size:  # the last block
+            square, p, q = square[:block.size], p[:block.size], q[:block.size]
+        np.abs(block, square)
         tail = None
         if np.fmax.reduce(square) > 1.0:  # fmax skips NaN
             tail = np.flatnonzero(square > 1.0)
             tail_x = block[tail]
             block = block.copy()
             block[tail] = 0.0
-        np.multiply(block, block, out=square)
+        np.multiply(block, block, square)
         _polevl(square, _ERF_T, p)
         _p1evl(square, _ERF_U, q)
         p *= block
-        np.divide(p, q, out=flat_out[i:i + _ERF_BLOCK])
+        np.divide(p, q, flat_out[i:i + _ERF_BLOCK])
         if tail is not None:
             flat_out[i + tail] = _erf_tail(tail_x)
     return out
