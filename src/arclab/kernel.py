@@ -9,19 +9,19 @@ the intermediates its vector-Jacobian product reuses. :func:`run_both`
 runs two pieces of work on two cores, where the process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 
-numpy is the only dependency. Two places need the C library's ``log`` or
-``exp`` bit for bit, where numpy's SIMD float64 loops (AVX-512F ``log``
-and ``exp`` on x86-64) can differ from it in the last place: Box-Muller's
-log in :meth:`Rng.normals`, and the exp of :func:`erf` for |x| > 1. Both
-call the ufunc with exactly one operand a reversed 1-D view (``[::-1]``).
-numpy (up to 2.4 at least) has no SIMD loop for a negative stride and
-runs its scalar loop, which calls the C library's function once per
-element. If both operands are reversed, numpy flips them to a forward pass
-and takes the SIMD loop again; a 2-D view with only its inner axis
-reversed can take it too. A numpy that vectorised negative strides would
-end both routes; the tests of the log route against ``math.log``, of
-:func:`erf` against ``scipy.special.erf`` and the known-answer digests of
-the draws would then fail.
+numpy is the only dependency. Three places need the C library's ``log``,
+``cos`` or ``exp`` bit for bit, where numpy's SIMD float64 loops (such as
+AVX-512F ``log`` and ``exp`` on x86-64) can differ from it in the last
+place: Box-Muller's log and cos in :meth:`Rng.normals`, and the exp of
+:func:`erf` for |x| > 1. Each calls the ufunc with exactly one operand a
+reversed 1-D view (``[::-1]``). numpy (up to 2.4 at least) has no SIMD
+loop for a negative stride and runs its scalar loop, which calls the C
+library's function once per element. If both operands are reversed, numpy
+flips them to a forward pass and takes the SIMD loop again; a 2-D view
+with only its inner axis reversed can take it too. A numpy that vectorised
+negative strides would end these routes; the tests of the log and cos
+routes against :mod:`math`, of :func:`erf` against ``scipy.special.erf``
+and the known-answer digests of the draws would then fail.
 """
 
 from __future__ import annotations
@@ -271,9 +271,11 @@ _MASK64 = (1 << 64) - 1
 # is faster there than starting the numpy lanes.
 _SCALAR_WORDS = 256
 # Words per column chunk of a bulk draw, or of each half of its lanes when
-# it steps two at once. A chunk of normals holds about 20 bytes of
-# temporaries a word, so this bounds them to about 0.6 MB a half, or to
-# two columns of lanes when the lanes are wider than that.
+# it steps two at once, above a floor of 16 columns (:func:`_chunk_columns`).
+# A chunk of normals holds 16 bytes of temporaries a word, so they stay
+# within max(2**15, 16 * lanes) words: 0.5 MB a half, or 256 bytes a lane.
+# A block of 2**17 words widens the chunks too, but its temporaries lift
+# the peak RSS of the spectrum workload (ROADMAP, dead ends).
 _BLOCK = 1 << 15
 # Lanes of a bulk draw from which it steps as two halves at once
 # (:func:`run_both`). Split on two cores, draws of 512 and 1,024 lanes read
@@ -346,8 +348,10 @@ def _lane_grid(n: int) -> tuple[int, int]:
 
 def _chunk_columns(lanes: int, length: int) -> int:
     """Columns of the lane grid per chunk: about :data:`_BLOCK` words, an
-    even number, at least two and at most ``length``."""
-    return min(length, max(2, _BLOCK // lanes & ~1))
+    even number, at most ``length`` and otherwise at least 16, so that a
+    chunk of normals writes eight values, one 64-byte cache line, into each
+    lane row of the output."""
+    return min(length, max(16, _BLOCK // lanes & ~1))
 
 
 def _jump_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -484,32 +488,42 @@ def _log1m(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.log(y, out=u)
 
 
+def _cos2pi(words: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``cos(2 pi u)`` of the uniforms ``u = words * 2**-53`` of the 53-bit
+    ``words`` (any shape, n of them), into the 1-D ``out`` in the words' C
+    order, with the C library's ``cos``: 2 pi u goes into a reversed view
+    of the 1-D ``scratch`` (at least n values) and ``np.cos`` reads it from
+    there, which takes numpy's scalar loop (module docstring)."""
+    x = scratch[:out.size][::-1]
+    np.multiply(words, 2.0**-53, out=x.reshape(words.shape))
+    x *= 2.0 * math.pi
+    return np.cos(x, out=out)
+
+
 def _normal_writer(scale: float, out: np.ndarray, columns: int):
     """Chunk writer (see :func:`_step_lanes`) of ``Rng.normal() * scale``
     draws into the lane rows ``out``, with its buffers made once.
 
-    Each Box-Muller pair is two successive words of one lane. The log is
-    the C library's ``log`` through numpy's scalar loop (:func:`_log1m`,
-    over a second buffer the size of one chunk) and the cos its ``ccos``
-    (``np.cos`` of ``x + 0j``). A writer serves one thread.
+    Each Box-Muller pair is two successive words of one lane. The log and
+    the cos are the C library's through numpy's scalar loop
+    (:func:`_log1m` and :func:`_cos2pi`, over a second buffer the size of
+    one chunk's pairs). The cosines are written over the chunk's words,
+    once both words of every pair have been read. A writer serves one
+    thread.
     """
     values = np.empty((columns // 2, len(out)))
     scratch = np.empty(values.size)
-    angles = np.empty(values.shape, dtype=np.complex128)
 
     def write(t, words):
         words >>= _U11
         pairs = len(words) // 2
-        value, angle = values[:pairs], angles[:pairs]
+        value = values[:pairs]
         np.multiply(words[0::2], 2.0**-53, out=value)
         _log1m(value.reshape(-1), scratch)
         value *= -2.0
         np.sqrt(value, out=value)
-        x = angle.real
-        np.multiply(words[1::2], 2.0**-53, out=x)
-        x *= 2.0 * math.pi
-        angle.imag = 0.0
-        value *= np.cos(angle, out=angle).real
+        cosines = _cos2pi(words[1::2], scratch, words.reshape(-1).view(np.float64)[:value.size])
+        value *= cosines.reshape(value.shape)
         value *= scale
         out[:, t // 2:t // 2 + pairs] = value.T
     return write
@@ -523,18 +537,15 @@ class Rng:
     a given seed they are identical across platforms and runs. ``normal``
     and ``normals`` also call the C library's ``log`` and ``cos``, once per
     element in both, so they are identical wherever those agree. ``normal``
-    reaches both through :mod:`math`. ``normals`` takes ``log`` through
-    numpy's scalar float64 ``np.log`` loop, reached by reading a reversed
-    1-D view (see the module docstring), and ``cos`` through numpy's
-    complex ``np.cos`` of ``x + 0j``, which calls the C library's ``ccos``;
-    glibc's ``ccos`` returns ``cosh(0) * cos(x)`` for a real argument,
-    exactly ``cos(x)``. numpy's SIMD ``np.log`` over contiguous float64 and
-    its float64 ``np.cos`` are not used: they can differ from libm in the
-    last bit. A bulk draw of n values returns the values of n scalar draws
-    and leaves the same state. Single-owner: never share an instance
-    between concurrent consumers. A bulk draw of many lanes may step half
-    of them on one internal worker thread (:meth:`_fill`), which has ended
-    by the time the draw returns.
+    reaches both through :mod:`math`. ``normals`` takes both through
+    numpy's scalar float64 ``np.log`` and ``np.cos`` loops, reached by
+    reading a reversed 1-D view (see the module docstring). numpy's SIMD
+    loops over contiguous float64, where it has them, are not used: they
+    can differ from libm in the last bit. A bulk draw of n values returns
+    the values of n scalar draws and leaves the same state. Single-owner:
+    never share an instance between concurrent consumers. A bulk draw of
+    many lanes may step half of them on one internal worker thread
+    (:meth:`_fill`), which has ended by the time the draw returns.
     """
 
     def __init__(self, seed: int):

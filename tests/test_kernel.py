@@ -591,8 +591,11 @@ class TestRngChunks:
     """Bulk draws whose lanes step in several column chunks, with a short
     last lane, equal the scalar loop and leave its state."""
 
-    @pytest.mark.parametrize("block, n", [(64, 257), (64, 1001), (64, 4099),
-                                          (1000, 4099), (1000, 9999)])
+    # lanes of at least 32 words, so that chunks of the 16-column floor step
+    # each lane in two or four; a block of 6000 chunks the 257 lanes of
+    # uniforms(8195) at 22 columns, above the floor
+    @pytest.mark.parametrize("block, n", [(64, 8195), (64, 40001), (64, 16411),
+                                          (6000, 8195), (1000, 9999)])
     def test_small_blocks(self, monkeypatch, block: int, n: int) -> None:
         monkeypatch.setattr(kernel, "_BLOCK", block)
         _check_chunked(n)
@@ -606,6 +609,40 @@ class TestRngChunks:
         want = np.array([scalar.normal() * 0.25 for _ in range(n)], dtype=np.float64)
         assert got.tobytes() == want.tobytes()
         assert bulk._s == scalar._s
+
+    @settings(max_examples=200, deadline=None)
+    @given(lanes=st.integers(1, 1 << 20), log_length=st.integers(1, 12),
+           block=st.sampled_from([64, 1000, 1 << 15, 1 << 17]))
+    def test_columns_floor(self, lanes: int, log_length: int, block: int) -> None:
+        """Even, within [min(16, length), length], and about the block:
+        a chunk holds at most max(block, 16 * lanes) words."""
+        length = 1 << log_length
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_BLOCK", block)
+            columns = kernel._chunk_columns(lanes, length)
+        assert columns % 2 == 0
+        assert min(16, length) <= columns <= length
+        assert columns * lanes <= max(block, 16 * lanes)
+
+    def test_normals_at_the_real_constants(self, monkeypatch, pin_cpus) -> None:
+        """A draw at the module's own ``_BLOCK`` and ``_SPLIT_LANES``, the
+        size of one backbone matrix set: 591,488 normals are 4,621 lanes of
+        256 words, stepped as two halves in 16-column chunks. It equals the
+        scalar loop and leaves its state, on two CPUs and on one."""
+        n = 591_488
+        lanes, length = kernel._lane_grid(2 * n)
+        assert (lanes, length) == (4621, 256) and lanes >= kernel._SPLIT_LANES
+        halves = [(lanes + 1) // 2, lanes // 2]
+        assert [kernel._chunk_columns(m, length) for m in halves] == [16, 16]
+        calls = TestRngSplit.record_steps(monkeypatch)
+        scalar = Rng(591)
+        want = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+        for cpus in (2, 1):
+            pin_cpus(cpus)
+            bulk = Rng(591)
+            assert bulk.normals(n).tobytes() == want.tobytes(), cpus
+            assert bulk._s == scalar._s
+        assert sorted(size for _, size in calls) == sorted(halves + halves)
 
     def test_uniforms_past_three_blocks(self) -> None:
         """An odd draw at the real block size."""
@@ -623,10 +660,12 @@ class TestRngSplit:
     at once. With the threshold patched low and ``_BLOCK`` small, they
     still equal the scalar loop and leave its state."""
 
-    # uniforms(n) draws n words and normals(n) 2n; lanes (words):
-    # 257: 65 (257) and 65 (514), each with a short last lane;
-    # 512: 64 and 128, whole lanes; 1001: 126 and 251; 4099: 257 and 257
-    SIZES = [257, 512, 1001, 4099]
+    # uniforms(n) draws n words and normals(n) 2n; lanes of words (columns
+    # a chunk): 257: 65 of 4 (4) and 65 of 8 (8), each with a short last
+    # lane; 512: 64 and 128 of 8, whole lanes; 1001: 126 and 251 of 8;
+    # 4099: 257 of 16 (16) and 257 of 32 (16, or 18 and 20 at a block of
+    # 2560); 8195: 257 of 32 (16, or 18 and 20) and 513 of 32 (16)
+    SIZES = [257, 512, 1001, 4099, 8195]
 
     @pytest.fixture(autouse=True)
     def small(self, monkeypatch):
@@ -646,11 +685,12 @@ class TestRngSplit:
         return calls
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("block", [64, 1024])
+    @pytest.mark.parametrize("block", [64, 1024, 2560])
     @pytest.mark.parametrize("n", SIZES)
     def test_equals_scalar_loop(self, monkeypatch, pin_cpus, cpus: int, block: int, n: int) -> None:
-        """From a used state. With a ``_BLOCK`` of 1024 the two halves of
-        257 lanes step in chunks of different widths (6 and 8 columns)."""
+        """From a used state. With a ``_BLOCK`` of 2560 the two halves of
+        257 lanes of 32 words step in chunks of different widths (18 and 20
+        columns)."""
         pin_cpus(cpus)
         monkeypatch.setattr(kernel, "_BLOCK", block)
         calls = self.record_steps(monkeypatch)
@@ -814,17 +854,18 @@ class TestNormalsLogRoute:
 
 
 class TestNormalsCosRoute:
-    """``normals`` takes Box-Muller's cos as ``np.cos(x + 0j).real``, one
-    compiled call to the C library's ``ccos``, which for a real argument is
-    ``cosh(0) * cos(x)``. It must give the bits of ``math.cos(2 * pi * u)``
-    at every uniform u on the grid k * 2**-53, where numpy's SIMD float64
-    ``np.cos`` may not."""
+    """``normals`` takes Box-Muller's cos through ``_cos2pi``: ``np.cos``
+    reads 2 pi u through a reversed 1-D view, which runs numpy's scalar
+    loop and so the C library's ``cos``. It must give the bits of
+    ``math.cos(2 * pi * u)`` at every uniform u on the grid k * 2**-53,
+    where numpy's SIMD float64 ``np.cos`` may not."""
 
     @staticmethod
     def check(u2: np.ndarray) -> None:
-        x = 2.0 * math.pi * u2
-        want = np.array([math.cos(v) for v in x], dtype=np.float64)
-        assert np.cos(x.astype(np.complex128)).real.tobytes() == want.tobytes()
+        want = np.array([math.cos(2.0 * math.pi * v) for v in u2], dtype=np.float64)
+        words = (u2 * 2.0**53).astype(np.uint64)
+        got = kernel._cos2pi(words, np.empty(u2.size), np.empty(u2.size))
+        assert got.tobytes() == want.tobytes()
         u1 = u2[::-1].copy()
         assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
 
@@ -836,3 +877,24 @@ class TestNormalsCosRoute:
     @given(ks=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=64))
     def test_grid(self, ks) -> None:
         self.check(np.array(ks, dtype=np.float64) * 2.0**-53)
+
+    def test_not_the_contiguous_cos(self) -> None:
+        """Where numpy's ``np.cos`` over a contiguous array differs from
+        ``math.cos`` on this CPU (its SIMD loop, where it has one), the
+        route still gives ``math.cos``'s bits, and so do ``normals``. The
+        words come as the normals writer passes them: every other row of a
+        chunk."""
+        ks = np.concatenate([np.arange(1 << 20),
+                             np.random.default_rng(0).integers(0, 2**53, 1 << 18)])
+        chunk = np.zeros((2 * ks.size // 1024, 1024), dtype=np.uint64)
+        chunk[1::2] = ks.reshape(-1, 1024)
+        x = ks.astype(np.float64) * 2.0**-53 * (2.0 * math.pi)
+        want = np.array([math.cos(v) for v in x.tolist()], dtype=np.float64)
+        got = kernel._cos2pi(chunk[1::2], np.empty(ks.size), np.empty(ks.size))
+        assert got.tobytes() == want.tobytes()
+        differs = np.flatnonzero(np.cos(x) != want)
+        if not differs.size:
+            pytest.skip("contiguous np.cos equals math.cos on this grid and CPU")
+        u2 = ks[differs[:100]].astype(np.float64) * 2.0**-53
+        u1 = u2[::-1].copy()
+        assert _normals_of_units(u1, u2).tobytes() == _scalar_normals(u1, u2).tobytes()
