@@ -1,11 +1,10 @@
 """Closed-form trainable-parameter counts for adapter-style tuning methods.
 
 Counts cover the adaptation parameters only; classification-head
-parameters vary per task and are reported separately via
-:func:`head_count`. The re-composing adapter's fine-tuning cost is
-``2 (D D' + (D' + D) L)``: the projection term is paid once, so the
-marginal cost of one more layer is ``2 (D' + D)`` rather than growing
-with the projection size.
+parameters vary per task and are left out. The re-composing adapter's
+fine-tuning cost is ``2 (D D' + (D' + D) L)``: the projection term is paid
+once, so the marginal cost of one more layer is ``2 (D' + D)`` rather than
+growing with the projection size.
 """
 
 from __future__ import annotations
@@ -93,13 +92,6 @@ def count_inference(spec: MethodSpec, d: int, layers: int) -> int:
     return count_finetune(spec, d, layers)
 
 
-def head_count(d: int, classes: int) -> int:
-    """Task-head parameters: D x K weights plus K biases."""
-    if d < 1 or classes < 1:
-        raise ConfigError(f"D and classes must be positive, got {d}, {classes}")
-    return d * classes + classes
-
-
 def count_arc_config(config: ArcConfig, d: int, layers: int) -> int:
     """Closed-form count for an arbitrary adapter configuration.
 
@@ -134,19 +126,10 @@ class ScalingRow:
     inference: int
 
 
-def scaling_table(spec: MethodSpec, layer_range=None, backbones=None,
-                  embed_dim: int | None = None) -> list[ScalingRow]:
-    """Counts over a range of depths (fixed D) or a list of backbone shapes;
-    rejects an empty range, a row whose D or L is not positive, and then a
-    bottleneck or rank wider than a row's D."""
-    if (layer_range is None) == (backbones is None):
-        raise ConfigError("pass exactly one of layer_range or backbones")
-    if layer_range is not None:
-        if embed_dim is None:
-            raise ConfigError("layer sweep needs embed_dim")
-        if not layer_range:
-            raise ConfigError(f"layer sweep needs at least one depth L >= 1, got {layer_range}")
-        backbones = [(f"L={layers}", embed_dim, layers) for layers in layer_range]
+def scaling_table(spec: MethodSpec, backbones) -> list[ScalingRow]:
+    """Counts for each (label, D, L) row of ``backbones``; rejects a row
+    whose D or L is not positive, and then a bottleneck or rank wider than
+    a row's D."""
     rows = []
     for label, d, layers in backbones:
         _check_dims(d, layers)
@@ -157,21 +140,22 @@ def scaling_table(spec: MethodSpec, layer_range=None, backbones=None,
     return rows
 
 
-def format_rows(rows: list[ScalingRow], method: str) -> str:
-    """Aligned text table with a fixed column order."""
-    header = ("method", "label", "D", "L", "finetune", "inference")
-    table = [header] + [
-        (method, r.label, str(r.embed_dim), str(r.layers), str(r.finetune), str(r.inference))
+def _table(rows: list[ScalingRow], method: str) -> list[list[str]]:
+    """Header and cells of the count table, in its fixed column order."""
+    return [["method", "label", "D", "L", "finetune", "inference"]] + [
+        [method, r.label, str(r.embed_dim), str(r.layers), str(r.finetune), str(r.inference)]
         for r in rows
     ]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
+
+
+def format_rows(rows: list[ScalingRow], method: str) -> str:
+    """Aligned text table."""
+    table = _table(rows, method)
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                      for row in table)
 
 
 def write_rows_csv(rows: list[ScalingRow], method: str, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "label", "D", "L", "finetune", "inference"])
-        for r in rows:
-            writer.writerow([method, r.label, r.embed_dim, r.layers, r.finetune, r.inference])
+        csv.writer(fh).writerows(_table(rows, method))

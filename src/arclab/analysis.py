@@ -40,38 +40,30 @@ class SpectrumReport:
     bin_edges: np.ndarray
     bin_counts: np.ndarray
 
-    def effective_rank_at(self, tau: float) -> int:
-        """Number of singular values exceeding tau * s_max."""
-        if self.singular_values.size == 0:
-            return 0
-        s_max = float(self.singular_values[0])
-        return int((self.singular_values > tau * s_max).sum())
+    @property
+    def effective_rank(self) -> int:
+        """Number of singular values exceeding DEFAULT_RANK_THRESHOLD * s_max."""
+        s = self.singular_values
+        return int((s > DEFAULT_RANK_THRESHOLD * float(s[0])).sum())
 
-    def energy_top_fraction(self, fraction: float = 0.10) -> float:
-        """Share of squared-singular-value energy in the top ``fraction``."""
+    @property
+    def energy_top10(self) -> float:
+        """Share of squared-singular-value energy in the top tenth of the values."""
         s = self.singular_values
         total = float((s * s).sum())
         if total == 0.0:
             return 0.0
-        k = max(1, math.ceil(fraction * s.size))
+        k = max(1, math.ceil(0.10 * s.size))
         return float((s[:k] * s[:k]).sum()) / total
 
-    @property
-    def effective_rank(self) -> int:
-        return self.effective_rank_at(DEFAULT_RANK_THRESHOLD)
 
-    @property
-    def energy_top10(self) -> float:
-        return self.energy_top_fraction(0.10)
-
-
-def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
+def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS,
              layer: int = 0, group: str = "mha") -> SpectrumReport:
     """Histogram the singular values of a square delta matrix, taken by
     LAPACK's values-only route (no singular vectors are built).
 
-    Bins are fixed-width over [0, s_max] unless ``value_range`` overrides;
-    a zero matrix gets a unit-width range so conservation still holds.
+    Bins are fixed-width over [0, s_max]; a zero matrix gets the range
+    [0, 1] so conservation still holds.
     """
     if delta.ndim != 2 or delta.shape[0] != delta.shape[1]:
         raise ShapeError(f"spectrum expects a square matrix, got {delta.shape}")
@@ -81,10 +73,8 @@ def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS, value_range=None,
         _, s, _ = svd(delta, compute_uv=False)
     except NumericalError as exc:
         raise NumericalError(f"layer {layer} group {group} matrix: {exc}") from None
-    if value_range is None:
-        s_max = float(s[0]) if s.size else 0.0
-        value_range = (0.0, s_max if s_max > 0.0 else 1.0)
-    counts, edges = np.histogram(s, bins=bins, range=value_range)
+    s_max = float(s[0])
+    counts, edges = np.histogram(s, bins=bins, range=(0.0, s_max if s_max > 0.0 else 1.0))
     return SpectrumReport(layer=layer, group=group, singular_values=s,
                           bin_edges=edges, bin_counts=counts)
 
@@ -94,16 +84,6 @@ def rank_sweep(bank: AdapterBank, bins: int = DEFAULT_BINS) -> list[SpectrumRepo
     (see :func:`adapters.composite_matrix`)."""
     return [spectrum(composite_matrix(bank, group, layer)[0], bins=bins, layer=layer, group=group)
             for layer in bank.layers for group in bank.config.groups]
-
-
-def sweep_summary(reports: list[SpectrumReport]) -> dict:
-    """Aggregate row: median effective rank at the default threshold."""
-    ranks = [r.effective_rank for r in reports]
-    return {
-        "reports": len(reports),
-        "median_effective_rank": float(np.median(ranks)) if ranks else 0.0,
-        "max_effective_rank": max(ranks, default=0),
-    }
 
 
 def write_spectrum_csvs(reports: list[SpectrumReport], out_dir) -> list[Path]:

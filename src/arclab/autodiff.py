@@ -455,7 +455,6 @@ class GradCheckReport:
 
     errors: dict[str, float]
     tol: float
-    h: float
 
     @property
     def max_rel_err(self) -> float:
@@ -475,12 +474,13 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float = 1e-5) -> GradCheckReport:
+def gradcheck(build, params: dict[str, np.ndarray], tol: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients against finite differences.
 
     Each numeric derivative is the Richardson extrapolation
-    (4 D(h/2) - D(h)) / 3 of two central differences D: its O(h^4) error
-    lets h be large enough that rounding in the loss stays far below tol.
+    (4 D(h/2) - D(h)) / 3 of two central differences D with h = 1e-3: its
+    O(h^4) error lets h be large enough that rounding in the loss stays far
+    below tol.
 
     ``build(tape, values)`` must register every entry of ``values`` via
     ``tape.parameter(name, values[name])``, pass every other tensor as a
@@ -491,12 +491,12 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
     the values. The relative error per entry uses denominator
     max(|analytic|, |numeric|, 1e-8). A parameter the loss never touches
     has an exact zero gradient (see :func:`backward`). Raises ConfigError
-    unless ``h`` and ``tol`` are finite and > 0: an infinite tol passes any
-    gradient, and a NaN or negative one fails every gradient.
+    unless ``tol`` is finite and > 0: an infinite tol passes any gradient,
+    and a NaN or negative one fails every gradient.
     """
-    for name, value in (("h", h), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"gradcheck {name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"gradcheck tol must be finite and > 0, got {tol!r}")
+    h = 1e-3
     work = {name: np.array(value, dtype=np.float64, order="C") for name, value in params.items()}
     tape = Tape()
     out = build(tape, work)
@@ -523,4 +523,4 @@ def gradcheck(build, params: dict[str, np.ndarray], h: float = 1e-3, tol: float 
             num.reshape(-1)[i] = (4.0 * slopes[1] - slopes[0]) / 3.0
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-8)
         errors[name] = float((np.abs(ana - num) / denom).max()) if base.size else 0.0
-    return GradCheckReport(errors=errors, tol=tol, h=h)
+    return GradCheckReport(errors=errors, tol=tol)

@@ -18,6 +18,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 import types
@@ -247,11 +248,16 @@ def cmd_train(args) -> int:
 def cmd_fuse(args) -> int:
     """Fold ``--checkpoint``'s bank into the backbone tensors just loaded
     from it, which no one else holds, and save them as the fused file: one
-    weight set in memory, and the checkpoint on disk is only read."""
+    weight set in memory, and the checkpoint on disk is only read. An
+    ``--out`` that is the checkpoint file itself, by any path, is a config
+    error raised before anything is written."""
     cfg, config_path = _sidecar_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
-    sites = reparam.fold(weights, bank, cfg.backbone)
     out = Path(args.out)
+    if out.exists() and os.path.samefile(out, args.checkpoint):
+        raise ConfigError(f"--out {out} is the --checkpoint file {args.checkpoint}: "
+                          "fuse would overwrite the adapters it reads")
+    sites = reparam.fold(weights, bank, cfg.backbone)
     out.parent.mkdir(parents=True, exist_ok=True)
     checkpoint.save(out, weights, cfg.digest(), fused=True)
     print(f"fused {sites} adapter sites into {out}")
@@ -284,14 +290,22 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     spec = accounting.MethodSpec(args.method,
                                  **{knob: getattr(args, knob) for knob in accounting.KNOB_FLAGS})
-    if args.sweep == "layers":
-        rows = accounting.scaling_table(spec, layer_range=range(1, args.L + 1),
-                                        embed_dim=args.D)
-    elif args.sweep == "backbones":
-        rows = accounting.scaling_table(spec, backbones=accounting.DEFAULT_BACKBONES)
+    if args.sweep == "backbones":
+        given = [f"--{flag}" for flag in ("D", "L") if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"--sweep backbones takes its D and L from each backbone; "
+                              f"drop {' and '.join(given)}")
+        backbones = accounting.DEFAULT_BACKBONES
     else:
-        rows = accounting.scaling_table(
-            spec, backbones=[(f"D={args.D}", args.D, args.L)])
+        d = 768 if args.D is None else args.D
+        layers = 12 if args.L is None else args.L
+        if args.sweep == "layers":
+            if layers < 1:
+                raise ConfigError(f"--sweep layers needs --L >= 1, got {layers}")
+            backbones = [(f"L={n}", d, n) for n in range(1, layers + 1)]
+        else:
+            backbones = [(f"D={d}", d, layers)]
+    rows = accounting.scaling_table(spec, backbones)
     print(accounting.format_rows(rows, args.method))
     if args.csv:
         accounting.write_rows_csv(rows, args.method, args.csv)
@@ -304,9 +318,8 @@ def cmd_spectrum(args) -> int:
     _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     reports = analysis.rank_sweep(bank, bins=args.bins)
     paths = analysis.write_spectrum_csvs(reports, args.out)
-    summary = analysis.sweep_summary(reports)
-    print(f"analyzed {summary['reports']} matrices  "
-          f"median_effective_rank {summary['median_effective_rank']:.6g}")
+    median_rank = np.median([r.effective_rank for r in reports])
+    print(f"analyzed {len(reports)} matrices  median_effective_rank {median_rank:.6g}")
     print(f"wrote {len(paths)} files under {args.out}")
     return EXIT_OK
 
@@ -361,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="closed-form parameter counts")
     p.add_argument("--method", required=True, choices=accounting.METHODS)
-    p.add_argument("--D", type=int, default=768)
-    p.add_argument("--L", type=int, default=12)
+    p.add_argument("--D", type=int, default=None, help="embedding width (default: 768)")
+    p.add_argument("--L", type=int, default=None, help="encoder depth (default: 12)")
     for knob, flag in accounting.KNOB_FLAGS.items():
         p.add_argument(f"--{flag}", dest=knob, type=int, default=None)
     p.add_argument("--sweep", choices=("layers", "backbones"), default=None)

@@ -124,8 +124,8 @@ def _drawn(name: str) -> bool:
     return leaf != "gamma" and not leaf.startswith("b")
 
 
-def init_backbone(cfg: BackboneConfig, rng: Rng, scale: float = 0.02) -> dict[str, np.ndarray]:
-    """Random stand-in for a pretrained backbone: N(0, scale^2) weights,
+def init_backbone(cfg: BackboneConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """Random stand-in for a pretrained backbone: N(0, 0.02^2) weights,
     zero biases, unit LayerNorm gains.
 
     The drawn weights come from one ``rng.normals`` call, in
@@ -134,7 +134,7 @@ def init_backbone(cfg: BackboneConfig, rng: Rng, scale: float = 0.02) -> dict[st
     per weight in turn.
     """
     shapes = weight_shapes(cfg)
-    buffer = rng.normals(sum(r * c for name, (r, c) in shapes.items() if _drawn(name)), scale)
+    buffer = rng.normals(sum(r * c for name, (r, c) in shapes.items() if _drawn(name)), 0.02)
     weights: dict[str, np.ndarray] = {}
     start = 0
     for name, (rows, cols) in shapes.items():
@@ -159,12 +159,10 @@ def validate_weights(cfg: BackboneConfig, weights) -> None:
             raise ShapeError(f"{name}: expected shape {shape}, got {weights[name].shape}")
 
 
-def checksum(weights, exclude_head: bool = False) -> str:
+def checksum(weights) -> str:
     """SHA-256 over names, shapes and raw little-endian bytes of the tensors."""
     h = hashlib.sha256()
     for name in sorted(weights):
-        if exclude_head and name in HEAD_NAMES:
-            continue
         arr = np.ascontiguousarray(weights[name], dtype=np.float64)
         h.update(name.encode())
         h.update(repr(arr.shape).encode())
@@ -175,7 +173,7 @@ def checksum(weights, exclude_head: bool = False) -> str:
 def frozen_checksum(weights) -> str:
     """Checksum of everything that must stay bit-identical during training
     (all backbone tensors except the classification head)."""
-    return checksum(weights, exclude_head=True)
+    return checksum({name: arr for name, arr in weights.items() if name not in HEAD_NAMES})
 
 
 def extract_patches(images: np.ndarray, cfg: BackboneConfig) -> np.ndarray:

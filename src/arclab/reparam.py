@@ -95,8 +95,7 @@ def fuse(weights, bank: AdapterBank, backbone_cfg) -> FusedWeights:
     return FusedWeights(tensors=fused, sites_fused=fold(fused, bank, backbone_cfg))
 
 
-def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int = 32,
-                  rng: Rng | None = None) -> float:
+def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int, rng: Rng) -> float:
     """Max absolute logit deviation between the adapted-unfused forward and
     the plain forward over the fused tensors, across random images.
 
@@ -114,7 +113,6 @@ def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int = 32,
         raise ConfigError(f"trials must be >= 1, got {trials}")
     weights, bank = load_adapted()
     check_finite(bank)
-    rng = rng or Rng(0)
     values = dict(weights)
     values.update(bank.tensors)
     side = backbone_cfg.image_size

@@ -7,7 +7,7 @@ import pytest
 
 from arclab import analysis, model
 from arclab.adapters import ArcConfig, init_adapters
-from arclab.analysis import SpectrumReport, rank_sweep, spectrum, sweep_summary
+from arclab.analysis import DEFAULT_RANK_THRESHOLD, rank_sweep, spectrum
 from arclab.errors import ConfigError, ShapeError
 from arclab.kernel import Rng
 
@@ -37,7 +37,7 @@ class TestSpectrum:
         delta = np.zeros((8, 8))
         delta[0, 0] = 5.0
         report = spectrum(delta, bins=10)
-        assert report.effective_rank_at(0.01) == 1
+        assert report.effective_rank == 1
         assert report.bin_counts[-1] == 1  # the spike lands in the top bin
         assert report.bin_counts.sum() == 8
 
@@ -47,7 +47,7 @@ class TestSpectrum:
         report = spectrum(delta)
         assert np.abs(report.singular_values[:3] - np.array([4.0, 2.0, 1.0])).max() <= 1e-8
         assert np.abs(report.singular_values[3:]).max() <= 1e-8
-        assert report.effective_rank_at(0.01) == 3
+        assert report.effective_rank == 3
 
     def test_zero_matrix(self) -> None:
         report = spectrum(np.zeros((6, 6)))
@@ -55,6 +55,7 @@ class TestSpectrum:
         assert report.effective_rank == 0
         assert report.energy_top10 == 0.0
         assert report.bin_counts.sum() == 6
+        assert report.bin_edges[[0, -1]].tolist() == [0.0, 1.0]
 
     def test_histogram_conservation_random(self) -> None:
         rng = np.random.default_rng(1)
@@ -66,21 +67,27 @@ class TestSpectrum:
             assert np.all(np.diff(report.bin_edges) > 0)
 
     def test_effective_rank_monotone_in_tau(self) -> None:
+        """The count of singular values above tau * s_max falls as tau grows,
+        and effective_rank is that count at the default threshold."""
         rng = np.random.default_rng(2)
         report = spectrum(rng.normal(size=(10, 10)))
-        taus = np.linspace(0.0, 1.0, 25)
-        ranks = [report.effective_rank_at(t) for t in taus]
+        s = report.singular_values
+        taus = sorted({*np.linspace(0.0, 1.0, 25).tolist(), DEFAULT_RANK_THRESHOLD})
+        ranks = [int((s > t * s[0]).sum()) for t in taus]
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+        assert report.effective_rank == ranks[taus.index(DEFAULT_RANK_THRESHOLD)]
 
     def test_energy_fraction_bounds(self) -> None:
         rng = np.random.default_rng(3)
         report = spectrum(rng.normal(size=(10, 10)))
         assert 0.0 < report.energy_top10 <= 1.0
-        assert report.energy_top_fraction(1.0) == pytest.approx(1.0)
+        s = report.singular_values  # the top tenth of 10 values is the first
+        assert report.energy_top10 == pytest.approx(s[0] ** 2 / (s * s).sum())
 
-    def test_custom_range(self) -> None:
+    def test_bins_span_zero_to_top_value(self) -> None:
         delta = np.diag([3.0, 2.0, 1.0])
-        report = spectrum(delta, bins=3, value_range=(0.0, 3.0))
+        report = spectrum(delta, bins=3)
+        assert report.bin_edges.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert report.bin_counts.tolist() == [0, 1, 2]  # [0,1), [1,2), [2,3]
 
     def test_rejects_non_square(self) -> None:
@@ -128,8 +135,6 @@ class TestRankSweep:
     def test_untrained_bank_all_zero_rank(self) -> None:
         reports = rank_sweep(self._full_rank_bank())
         assert all(r.effective_rank == 0 for r in reports)
-        summary = sweep_summary(reports)
-        assert summary["median_effective_rank"] == 0.0
 
     def test_report_per_layer_and_group(self) -> None:
         reports = rank_sweep(self._full_rank_bank())
@@ -156,7 +161,8 @@ class TestRankSweep:
         ]
         for r in reports:
             assert r.singular_values.size == 16
-            assert r.effective_rank_at(1e-10) == 4
+            s = r.singular_values
+            assert int((s > 1e-10 * s[0]).sum()) == 4
 
     def test_planted_low_rank_deltas_detected(self) -> None:
         bank = self._full_rank_bank()
@@ -165,7 +171,6 @@ class TestRankSweep:
             bank.tensors[name] = planted_matrix(rng, 16, (3.0, 1.5))
         reports = rank_sweep(bank)
         assert all(r.effective_rank == 2 for r in reports)
-        assert sweep_summary(reports)["median_effective_rank"] == 2.0
 
 
 class TestTrainedSpectrum:
@@ -190,11 +195,12 @@ class TestTrainedSpectrum:
         assert len(reports) == 2 * TOY.layers
         for r in reports:
             assert r.bin_counts.sum() == 16
-            ranks = [r.effective_rank_at(t) for t in (0.0, 0.01, 0.1, 0.5, 1.0)]
+            s = r.singular_values
+            ranks = [int((s > t * s[0]).sum()) for t in (0.0, 0.01, 0.1, 0.5, 1.0)]
             assert all(a >= b for a, b in zip(ranks, ranks[1:]))
-        summary = sweep_summary(reports)
+            assert r.effective_rank == ranks[1]
         print(f"trained full-rank deltas: median effective rank "
-              f"{summary['median_effective_rank']:.1f} of {TOY.embed_dim} "
+              f"{np.median([r.effective_rank for r in reports]):.1f} of {TOY.embed_dim} "
               f"(reported, not asserted)")
 
 
@@ -227,8 +233,7 @@ class TestCsvEmission:
             spectrum(planted_matrix(rng, 12, (4.0, 1e-9)), bins=7, layer=1, group="ffn"),
             spectrum(np.zeros((6, 6)), bins=3, layer=2, group="mha"),
             spectrum(1e-300 * rng.normal(size=(5, 5)), bins=4, layer=2, group="ffn"),
-            spectrum(np.diag([3.0, 2.0, 1.0]), bins=3, value_range=(0.0, 3.0), layer=3,
-                     group='odd, "quoted"'),
+            spectrum(np.diag([3.0, 2.0, 1.0]), bins=3, layer=3, group='odd, "quoted"'),
         ]
         paths = analysis.write_spectrum_csvs(reports, tmp_path)
         want_dir = tmp_path / "want"

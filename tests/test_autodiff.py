@@ -521,7 +521,7 @@ class TestGradcheck:
         assert report.passed
         assert report.errors["unused"] == 0.0
 
-    @pytest.mark.parametrize("name", ["h", "tol"])
+    @pytest.mark.parametrize("name", ["tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
     def test_rejects_bad_h_or_tol(self, name, value) -> None:
         def build(tape, values):
@@ -559,7 +559,7 @@ class TestGradcheck:
         assert 5e-5 < report.max_rel_err < 2e-4, report.summary()
 
     def test_report_summary_mentions_failures(self) -> None:
-        report = GradCheckReport(errors={"w": 1.0}, tol=1e-5, h=1e-5)
+        report = GradCheckReport(errors={"w": 1.0}, tol=1e-5)
         assert not report.passed
         assert "FAIL" in report.summary()
 

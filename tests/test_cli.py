@@ -369,6 +369,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "96432" in out
+        assert cli.main(["count", "--method", "arc", "--Dprime", "50"]) == 0
+        assert capsys.readouterr().out == out  # --D and --L default to 768 and 12
 
     def test_count_sweep_csv(self, tmp_path, capsys) -> None:
         csv_path = tmp_path / "t.csv"
@@ -388,7 +390,8 @@ class TestCommands:
          "bottleneck 50 exceeds embed_dim 16"),
         (["--method", "lora", "--w", "2", "--Dprime", "1000", "--sweep", "backbones"],
          "bottleneck 1000 exceeds embed_dim 768"),
-        (["--method", "arc", "--Dprime", "4", "--L", "0", "--sweep", "layers"], "depth L"),
+        (["--method", "arc", "--Dprime", "4", "--L", "0", "--sweep", "layers"],
+         "--sweep layers needs --L >= 1, got 0"),
         (["--method", "arc", "--Dprime", "4", "--L", "0"], "L=0"),
         (["--method", "ssf", "--o", "2", "--Dprime", "4"],
          "does not take knob 'bottleneck' (--Dprime)"),
@@ -401,9 +404,15 @@ class TestCommands:
         (["--method", "vpt_deep"], "method 'vpt_deep' needs knob 'prompts' (--m)"),
         (["--method", "ssf"], "method 'ssf' needs knob 'operations' (--o)"),
         (["--method", "arc", "--Dprime", "0"], "knob 'bottleneck' (--Dprime) must be >= 1"),
+        (["--method", "arc", "--Dprime", "4", "--sweep", "backbones", "--D", "16"],
+         "--sweep backbones takes its D and L from each backbone; drop --D"),
+        (["--method", "arc", "--Dprime", "4", "--sweep", "backbones", "--L", "2"],
+         "--sweep backbones takes its D and L from each backbone; drop --L"),
+        (["--method", "arc", "--Dprime", "4", "--sweep", "backbones", "--D", "768", "--L", "12"],
+         "drop --D and --L"),
     ], ids=["arc", "arc_att", "adapter-layers", "lora-backbones", "layers-L0", "L0",
             "ssf-Dprime", "D0", "D-5", "layers-D0", "arc-no-Dprime", "lora-no-w", "vpt-no-m",
-            "ssf-no-o", "Dprime0"])
+            "ssf-no-o", "Dprime0", "backbones-D", "backbones-L", "backbones-D-L"])
     def test_count_rejects_exit_2(self, tmp_path, capsys, argv, message) -> None:
         csv_path = tmp_path / "t.csv"
         rc = cli.main(["count", *argv, "--csv", str(csv_path)])
@@ -411,6 +420,17 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert message in err and out == ""
         assert not csv_path.exists()
+
+    def test_count_layer_sweep_csv(self, tmp_path, capsys) -> None:
+        """--sweep layers counts every depth from 1 to --L at width --D."""
+        csv_path = tmp_path / "t.csv"
+        rc = cli.main(["count", "--method", "arc", "--Dprime", "8", "--D", "64", "--L", "3",
+                       "--sweep", "layers", "--csv", str(csv_path)])
+        assert rc == 0
+        assert csv_path.read_text().splitlines() == [
+            "method,label,D,L,finetune,inference",
+            *(f"arc,L={n},64,{n},{2 * (64 * 8 + (8 + 64) * n)},0" for n in (1, 2, 3)),
+        ]
 
     def test_count_bottleneck_equal_to_embedding(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc", "--D", "16", "--L", "3", "--Dprime", "16"])
@@ -597,11 +617,17 @@ class TestCommands:
         run_dir = tmp_path / "run"
         assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
         out_dir = tmp_path / "spec"
+        capsys.readouterr()
         rc = cli.main(["spectrum", "--checkpoint", str(run_dir / "checkpoint.arcl"),
                        "--bins", "10", "--out", str(out_dir)])
         assert rc == 0
-        assert (out_dir / "spectrum_summary.csv").exists()
         assert (out_dir / "spectrum_layer1_mha.csv").exists()
+        with open(out_dir / "spectrum_summary.csv", newline="") as fh:
+            ranks = [int(row["effective_rank"]) for row in csv.DictReader(fh)]
+        assert capsys.readouterr().out.splitlines() == [  # the summary line reads the CSV's ranks
+            f"analyzed 4 matrices  median_effective_rank {np.median(ranks):.6g}",
+            f"wrote 5 files under {out_dir}",
+        ]
 
     def test_spectrum_of_bottleneck_bank(self, tmp_path, capsys) -> None:
         """A bottleneck bank's re-composed matrices have rank at most D' = 4."""
@@ -633,6 +659,30 @@ class TestCommands:
         assert "layer 2 group mha" in err and "non-finite" in err
         assert "DLASCL" not in err
         assert not (out_dir / "spectrum_summary.csv").exists()
+
+    @pytest.mark.parametrize("route", ["same path", "symlink", "hard link"])
+    def test_fuse_out_naming_the_checkpoint_exit_2(self, trained_run, tmp_path, capsys,
+                                                   route) -> None:
+        """An --out that is the checkpoint file would replace the trained bank
+        with the fused weights: fuse exits 2 naming both flags, writing nothing."""
+        ckpt = tmp_path / "checkpoint.arcl"
+        ckpt.write_bytes((trained_run / "checkpoint.arcl").read_bytes())
+        blob = ckpt.read_bytes()
+        out = tmp_path / "out.arcl"
+        if route == "same path":
+            out = ckpt
+        elif route == "symlink":
+            out.symlink_to(ckpt)
+        else:
+            os.link(ckpt, out)
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(out),
+                       "--config", str(trained_run / "config.json")])
+        out_text, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert "--out" in err and "--checkpoint" in err and out_text == ""
+        assert ckpt.read_bytes() == blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted({"checkpoint.arcl", out.name})
 
     def test_fuse_non_finite_adapter_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -143,14 +143,15 @@ class TestVerifyFusion:
             raise AssertionError("fused side loaded")
 
         with pytest.raises(NumericalError, match="'arc.mha.2.coef'"):
-            reparam.verify_fusion(TOY, lambda: (w, bank), no_fused_load, trials=4)
+            reparam.verify_fusion(TOY, lambda: (w, bank), no_fused_load, trials=4, rng=Rng(0))
 
     def test_trials_validated(self) -> None:
         w = model.init_backbone(TOY, Rng(19))
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(20))
         fused = reparam.fuse(w, bank, TOY)
         with pytest.raises(ConfigError):
-            reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors, trials=0)
+            reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors, trials=0,
+                                  rng=Rng(0))
 
 
 class TestFullGrid:
