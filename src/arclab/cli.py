@@ -170,6 +170,8 @@ def load_run_config(path) -> RunConfig:
                                       for key in ("classes", "image_size", "channels")}
         sections[name] = _build_section(name, cls, doc.get(name, {}), section_defaults[name])
     seed = _check_value("io.seed", int, io.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"io.seed must be >= 0, got {seed}")
     out_dir = _check_value("io.out_dir", str | None, io.get("out_dir"))
     cfg = RunConfig(seed=seed, out_dir=out_dir, **sections)
     if cfg.task.image_size != cfg.backbone.image_size or cfg.task.channels != cfg.backbone.channels:
@@ -306,9 +308,10 @@ def cmd_count(args) -> int:
         else:
             backbones = [(f"D={d}", d, layers)]
     rows = accounting.scaling_table(spec, backbones)
+    if args.csv:  # before any output, so a failed write prints nothing
+        accounting.write_rows_csv(rows, args.method, args.csv)
     print(accounting.format_rows(rows, args.method))
     if args.csv:
-        accounting.write_rows_csv(rows, args.method, args.csv)
         print(f"wrote {args.csv}")
     return EXIT_OK
 
@@ -347,6 +350,17 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's PCG64 takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arclab",
                                      description="adapter re-composition laboratory")
@@ -368,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--fused", required=True)
     p.add_argument("--trials", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_verify)
 

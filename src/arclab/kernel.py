@@ -9,25 +9,22 @@ the intermediates its vector-Jacobian product reuses. :func:`run_both`
 runs two pieces of work on two cores, where the process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 
-numpy is the only dependency. Three places need the C library's ``log``,
-``cos`` or ``exp`` bit for bit, where numpy's SIMD float64 loops (such as
-AVX-512F ``log`` and ``exp`` on x86-64) can differ from it in the last
-place: Box-Muller's log and cos in :meth:`Rng.normals`, and the exp of
-:func:`erf` for |x| > 1. Each calls the ufunc with exactly one operand a
-reversed 1-D view (``[::-1]``). numpy (up to 2.4 at least) has no SIMD
-loop for a negative stride and runs its scalar loop, which calls the C
-library's function once per element. If both operands are reversed, numpy
-flips them to a forward pass and takes the SIMD loop again; a 2-D view
-with only its inner axis reversed can take it too. A numpy that vectorised
-negative strides would end these routes; the tests of the log and cos
-routes against :mod:`math`, of :func:`erf` against ``scipy.special.erf``
-and the known-answer digests of the draws would then fail.
+numpy is the only dependency. The exp of :func:`erf` for |x| > 1 needs
+the C library's ``exp`` bit for bit, where numpy's SIMD float64 loops (such
+as AVX-512F ``exp`` on x86-64) can differ from it in the last place. It
+calls ``np.exp`` with its operand a reversed 1-D view (``[::-1]``). numpy
+(up to 2.4 at least) has no SIMD loop for a negative stride and runs its
+scalar loop, which calls the C library's function once per element. If
+both operands are reversed, numpy flips them to a forward pass and takes
+the SIMD loop again; a 2-D view with only its inner axis reversed can take
+it too. A numpy that vectorised negative strides would end this route; the
+tests of :func:`erf` against ``scipy.special.erf`` would then fail.
+:class:`Rng` draws from numpy's ``Generator``.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -266,136 +263,6 @@ def svd(a: np.ndarray, compute_uv: bool = True):
     return u, s, vt.T
 
 
-_MASK64 = (1 << 64) - 1
-# Bulk draws of fewer words than this come from the scalar generator, which
-# is faster there than starting the numpy lanes.
-_SCALAR_WORDS = 256
-# Words per column chunk of a bulk draw, or of each half of its lanes when
-# it steps two at once, above a floor of 16 columns (:func:`_chunk_columns`).
-# A chunk of normals holds 16 bytes of temporaries a word, so they stay
-# within max(2**15, 16 * lanes) words: 0.5 MB a half, or 256 bytes a lane.
-# A block of 2**17 words widens the chunks too, but its temporaries lift
-# the peak RSS of the spectrum workload (ROADMAP, dead ends).
-_BLOCK = 1 << 15
-# Lanes of a bulk draw from which it steps as two halves at once
-# (:func:`run_both`). Split on two cores, draws of 512 and 1,024 lanes read
-# slower (4.1 -> 4.3 ms, 7.6-11 -> 11-12 ms) and one of 2,048 lanes no
-# faster (25 ms); one of 4,621 lanes went 78-80 -> 55 ms.
-_SPLIT_LANES = 4096
-# Lane starts per jump in a bulk draw. Jumping a state takes about 2.5 KB of
-# temporaries, so this bounds them to about 0.6 MB however many lanes a
-# draw has.
-_JUMP_STATES = 256
-# Offset in a jump table of the low nibble of each of the 32 state bytes.
-_LOW_NIBBLES = np.arange(0, 1024, 32)
-# uint64 shift counts and multipliers of xoshiro256**, made once: building a
-# numpy scalar costs more than a ufunc call over a few hundred lanes.
-_U5, _U7, _U9, _U11, _U17, _U19, _U45, _U57 = (np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57))
-
-
-def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-def _lane_advance(s0, s1, s2, s3, s1_next, tmp) -> None:
-    """One xoshiro256** state step of every lane, on uint64 arrays in place.
-
-    ``s0``, ``s2`` and ``s3`` are updated, the new ``s1`` is written to
-    ``s1_next`` and ``s1`` is left as it was: the step's output word is a
-    function of ``s1`` alone (:func:`_lane_output`). ``tmp`` is scratch.
-    """
-    np.left_shift(s1, _U17, out=tmp)
-    s2 ^= s0
-    s3 ^= s1
-    np.bitwise_xor(s1, s2, out=s1_next)
-    s0 ^= s3
-    s2 ^= tmp
-    np.right_shift(s3, _U19, out=tmp)
-    s3 <<= _U45
-    s3 |= tmp
-
-
-def _lane_output(s1: np.ndarray) -> None:
-    """Turn the ``s1`` state words into the output words of their steps, in place."""
-    s1 *= _U5
-    high = s1 >> _U57
-    s1 <<= _U7
-    s1 |= high
-    s1 *= _U9
-
-
-def _lane_grid(n: int) -> tuple[int, int]:
-    """(lanes, length) of a bulk draw of ``n`` words: lane i holds words
-    [i*length, (i+1)*length) and the last lane may run past word n.
-
-    ``length`` is 2**j, about sqrt(n)/4, and even, so a Box-Muller pair
-    never straddles two lanes. Below :data:`_SCALAR_WORDS` the draw is one
-    lane of ``n`` words from the scalar generator.
-    """
-    if n < _SCALAR_WORDS:
-        return 1, n
-    length = 1 << (n.bit_length() // 2 - 2)
-    return -(-n // length), length
-
-
-def _chunk_columns(lanes: int, length: int) -> int:
-    """Columns of the lane grid per chunk: about :data:`_BLOCK` words, an
-    even number, at most ``length`` and otherwise at least 16, so that a
-    chunk of normals writes eight values, one 64-byte cache line, into each
-    lane row of the output."""
-    return min(length, max(16, _BLOCK // lanes & ~1))
-
-
-def _jump_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Images of the (m, 4) uint64 ``states`` under the map whose
-    :func:`_jump` table is ``table``: the XOR of one entry per state nibble."""
-    state_bytes = states.astype("<u8", copy=False).view(np.uint8).reshape(-1, 32)
-    low = table.take(((state_bytes & 15) + _LOW_NIBBLES).reshape(-1), axis=0)
-    high = table.take(((state_bytes >> 4) + _LOW_NIBBLES + 16).reshape(-1), axis=0)
-    low ^= high
-    picked = low.reshape(-1, 32, 4)
-    while picked.shape[1] > 1:  # XOR the 32 byte picks together, halving each pass
-        half = picked.shape[1] // 2
-        picked[:, :half] ^= picked[:, half:]
-        picked = picked[:, :half]
-    return picked[:, 0]
-
-
-@functools.cache
-def _jump(k: int) -> np.ndarray:
-    """The map that advances the stream by 2**k words, as a read-only (1024, 4)
-    uint64 lookup table (32 KiB). xoshiro256** is linear over GF(2), so the
-    map is the XOR of the images of the state's set bits; entry 16*c + v is
-    the image of a state whose only set bits are value v in nibble c (bits
-    4c to 4c+3 of the state, counted from bit 0 of word 0)."""
-    bit = np.arange(256)[:, None]
-    units = np.where(bit // 64 == np.arange(4), np.uint64(1) << (bit % 64).astype(np.uint64),
-                     np.uint64(0))
-    if k == 0:
-        s0, s1, s2, s3 = (np.ascontiguousarray(w) for w in units.T)
-        s1_next, tmp = np.empty_like(s1), np.empty_like(s1)
-        _lane_advance(s0, s1, s2, s3, s1_next, tmp)
-        images = np.stack([s0, s1_next, s2, s3], axis=1)
-    else:
-        half = _jump(k - 1)
-        images = _jump_apply(half, _jump_apply(half, units))
-    table = np.zeros((64, 1, 4), dtype=np.uint64)
-    by_nibble = images.reshape(64, 4, 4)
-    for b in range(4):
-        table = np.concatenate([table, table ^ by_nibble[:, b:b + 1]], axis=1)
-    table = table.reshape(1024, 4)
-    table.setflags(write=False)
-    return table
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -422,222 +289,32 @@ def run_both(first, second):
         return first(), rest.result()
 
 
-def _lane_starts(state, lanes: int, length: int) -> np.ndarray:
-    """The (lanes, 4) uint64 states at which the lanes of a bulk draw from
-    ``state`` start: lane i starts i*length words ahead, reached by jumps of
-    2**k words (xoshiro256** is linear over GF(2)), made
-    :data:`_JUMP_STATES` states at a time."""
-    j = length.bit_length() - 1
-    starts = np.empty((lanes, 4), dtype=np.uint64)
-    starts[0] = state
-    filled = 1
-    while filled < lanes:  # lane filled + i starts filled*length = 2**j words after lane i
-        take = min(filled, lanes - filled)
-        for i in range(0, take, _JUMP_STATES):
-            stop = min(take, i + _JUMP_STATES)
-            starts[filled + i:filled + stop] = _jump_apply(_jump(j), starts[i:stop])
-        filled += take
-        j += 1
-    return starts
-
-
-def _step_lanes(starts: np.ndarray, length: int, last: int, out: np.ndarray, writer) -> list[int]:
-    """Step the lanes that start at the (m, 4) uint64 ``starts`` through
-    ``length`` words each, all lanes together, and hand the words to
-    ``writer(out, columns)(t, words)``: columns t to t+c of the lanes, c at
-    most ``columns`` (:func:`_chunk_columns` of m lanes), as a time-major
-    (c, m) uint64 array that the writer may overwrite. ``out`` holds the m
-    lanes' rows of the draw's output. Returns the state of the last lane
-    after its ``last``-th word."""
-    lanes = len(starts)
-    s0, s2, s3 = (np.ascontiguousarray(starts[:, i]) for i in (0, 2, 3))
-    columns = _chunk_columns(lanes, length)
-    write = writer(out, columns)
-    rows = np.empty((columns + 1, lanes), dtype=np.uint64)  # s1 before each step, and after the last
-    rows[columns] = starts[:, 1]
-    tmp = np.empty(lanes, dtype=np.uint64)
-    for t in range(0, length, columns):
-        rows[0] = rows[columns]
-        width = min(columns, length - t)
-        for k in range(width):
-            _lane_advance(s0, rows[k], s2, s3, rows[k + 1], tmp)
-            if t + k + 1 == last:
-                state = [int(s0[-1]), int(rows[k + 1, -1]), int(s2[-1]), int(s3[-1])]
-        words = rows[:width]
-        _lane_output(words)
-        write(t, words)
-    return state
-
-
-def _uniform_writer(out: np.ndarray, columns: int):
-    """Chunk writer (see :func:`_step_lanes`) of :meth:`Rng.uniform` draws
-    into the lane rows ``out``."""
-    def write(t, words):
-        words >>= _U11
-        np.multiply(words.T, 2.0**-53, out=out[:, t:t + len(words)])
-    return write
-
-
-def _log1m(u: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``log(1 - u)`` of a 1-D ``u``, written over ``u``, with the C
-    library's ``log``: ``1 - u`` goes into a reversed view of the 1-D
-    ``scratch`` (at least ``u.size`` values) and ``np.log`` reads it from
-    there, which takes numpy's scalar loop (module docstring)."""
-    y = scratch[:u.size][::-1]
-    np.subtract(1.0, u, out=y)
-    return np.log(y, out=u)
-
-
-def _cos2pi(words: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``cos(2 pi u)`` of the uniforms ``u = words * 2**-53`` of the 53-bit
-    ``words`` (any shape, n of them), into the 1-D ``out`` in the words' C
-    order, with the C library's ``cos``: 2 pi u goes into a reversed view
-    of the 1-D ``scratch`` (at least n values) and ``np.cos`` reads it from
-    there, which takes numpy's scalar loop (module docstring)."""
-    x = scratch[:out.size][::-1]
-    np.multiply(words, 2.0**-53, out=x.reshape(words.shape))
-    x *= 2.0 * math.pi
-    return np.cos(x, out=out)
-
-
-def _normal_writer(scale: float, out: np.ndarray, columns: int):
-    """Chunk writer (see :func:`_step_lanes`) of ``Rng.normal() * scale``
-    draws into the lane rows ``out``, with its buffers made once.
-
-    Each Box-Muller pair is two successive words of one lane. The log and
-    the cos are the C library's through numpy's scalar loop
-    (:func:`_log1m` and :func:`_cos2pi`, over a second buffer the size of
-    one chunk's pairs). The cosines are written over the chunk's words,
-    once both words of every pair have been read. A writer serves one
-    thread.
-    """
-    values = np.empty((columns // 2, len(out)))
-    scratch = np.empty(values.size)
-
-    def write(t, words):
-        words >>= _U11
-        pairs = len(words) // 2
-        value = values[:pairs]
-        np.multiply(words[0::2], 2.0**-53, out=value)
-        _log1m(value.reshape(-1), scratch)
-        value *= -2.0
-        np.sqrt(value, out=value)
-        cosines = _cos2pi(words[1::2], scratch, words.reshape(-1).view(np.float64)[:value.size])
-        value *= cosines.reshape(value.shape)
-        value *= scale
-        out[:, t // 2:t // 2 + pairs] = value.T
-    return write
-
-
 class Rng:
-    """Deterministic xoshiro256** stream, state seeded through splitmix64.
+    """numpy's ``Generator(PCG64(seed))`` behind the three draws the program makes.
 
-    The integer and uniform draws (``u64``, ``uniform``, ``uniforms``,
-    ``randint``, ``permutation``) are pure 64-bit integer arithmetic, so for
-    a given seed they are identical across platforms and runs. ``normal``
-    and ``normals`` also call the C library's ``log`` and ``cos``, once per
-    element in both, so they are identical wherever those agree. ``normal``
-    reaches both through :mod:`math`. ``normals`` takes both through
-    numpy's scalar float64 ``np.log`` and ``np.cos`` loops, reached by
-    reading a reversed 1-D view (see the module docstring). numpy's SIMD
-    loops over contiguous float64, where it has them, are not used: they
-    can differ from libm in the last bit. A bulk draw of n values returns
-    the values of n scalar draws and leaves the same state. Single-owner:
-    never share an instance between concurrent consumers. A bulk draw of
-    many lanes may step half of them on one internal worker thread
-    (:meth:`_fill`), which has ended by the time the draw returns.
+    The seed is a non-negative integer; PCG64 takes it through numpy's
+    ``SeedSequence``. A draw of n values equals the same n values drawn in
+    pieces, in stream order, and leaves the same generator state. The bits
+    depend on numpy's ``Generator`` methods, which NEP 19 lets a numpy
+    feature release change (the bit generator's own stream stays fixed);
+    the pinned digests of the tests would then fail. A draw starts no
+    thread. Single-owner: never share an instance between concurrent
+    consumers.
     """
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        self._s = []
-        for _ in range(4):
-            state, word = _splitmix64(state)
-            self._s.append(word)
-
-    def u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
-
-    def _fill(self, n: int, length: int, out: np.ndarray, writer) -> None:
-        """Write the next ``n`` words of :meth:`u64`, on the :func:`_lane_grid`
-        of ``len(out)`` lanes of ``length`` words, into the draw's output
-        ``out`` (one row a lane) through ``writer`` (see :func:`_step_lanes`).
-
-        The lane starts are made once per draw. A grid of at least
-        :data:`_SPLIT_LANES` lanes steps as two halves of lanes at once
-        (:func:`run_both`): the lower on the calling thread, the upper on a
-        worker. Each half sizes its chunks from its own lane count. The
-        state left is the last lane's after the n-th word, which the upper
-        half alone sets.
-        """
-        if n < _SCALAR_WORDS:
-            if n:
-                writer(out, n)(0, np.array([self.u64() for _ in range(n)], dtype=np.uint64)[:, None])
-            return
-        lanes = len(out)
-        starts = _lane_starts(self._s, lanes, length)
-        last = n - (lanes - 1) * length
-
-        def step(lo: int, hi: int) -> list[int]:
-            return _step_lanes(starts[lo:hi], length, last, out[lo:hi], writer)
-
-        if lanes < _SPLIT_LANES:
-            self._s = step(0, lanes)
-        else:
-            half = (lanes + 1) // 2
-            self._s = run_both(functools.partial(step, 0, half),
-                               functools.partial(step, half, lanes))[1]
-
-    def uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; consumes exactly two uniforms."""
-        u1 = 1.0 - self.uniform()  # in (0, 1], keeps the log finite
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def uniforms(self, shape) -> np.ndarray:
-        """Array of :meth:`uniform` draws, in stream order."""
-        n = int(np.prod(shape))
-        lanes, length = _lane_grid(n)
-        out = np.empty(lanes * length).reshape(lanes, length)  # a failed allocation names the count
-        self._fill(n, length, out, _uniform_writer)
-        return out.reshape(-1)[:n].reshape(shape)
+        self.generator = np.random.Generator(np.random.PCG64(seed))
 
     def normals(self, shape, scale: float = 1.0) -> np.ndarray:
-        """Array of ``normal() * scale`` draws, in stream order (see
-        :func:`_normal_writer`)."""
-        n = int(np.prod(shape))
-        lanes, length = _lane_grid(2 * n)
-        out = np.empty(lanes * length // 2).reshape(lanes, -1)
-        self._fill(2 * n, length, out, functools.partial(_normal_writer, scale))
-        return out.reshape(-1)[:n].reshape(shape)
+        """Standard normals times ``scale``, as a float64 array of ``shape``."""
+        out = self.generator.standard_normal(shape)
+        out *= scale
+        return out
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("randint needs n >= 1")
-        limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
-        while True:
-            x = self.u64()
-            if x < limit:
-                return x % n
+    def uniforms(self, shape) -> np.ndarray:
+        """Uniforms in [0, 1), as a float64 array of ``shape``."""
+        return self.generator.random(shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n)."""
-        out = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+        """A uniformly random permutation of range(n)."""
+        return self.generator.permutation(n)

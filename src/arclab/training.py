@@ -50,6 +50,8 @@ class TrainConfig:
             raise ConfigError(f"schedule must be 'cosine' or 'constant', got {self.schedule!r}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ class TestRoundTrip:
         blob = path.read_bytes()
         assert len(blob) == 818
         assert hashlib.sha256(blob).hexdigest() == \
-            "a17dcb1f2a8d3d26d18d8ff98ae242faa2c1ded0e40b84fc019d7ac82ce62af1"
+            "300e541e9033fff5c6ea900e01238cc980d94f64e0f797ffd3efb49bf4463fb2"
         _, loaded = load(path)
         assert loaded["scalar"].shape == (1,)  # a 0-d tensor is stored as shape (1,)
 

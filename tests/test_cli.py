@@ -165,6 +165,17 @@ class TestRunConfig:
         assert rc == cli.EXIT_CONFIG
         assert "number -1e400, which overflows a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["io", "train"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, section) -> None:
+        """numpy's PCG64 takes non-negative seeds only: seed 0 loads, and -1
+        is a config error naming its key, raised before anything is drawn."""
+        cli.load_run_config(write_config(tmp_path, **{section: {"seed": 0}}))
+        path = write_config(tmp_path, **{section: {"seed": -1}})
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {section}.seed must be >= 0, got -1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_digest_stable_under_out_dir(self, tmp_path) -> None:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
@@ -431,6 +442,15 @@ class TestCommands:
             "method,label,D,L,finetune,inference",
             *(f"arc,L={n},64,{n},{2 * (64 * 8 + (8 + 64) * n)},0" for n in (1, 2, 3)),
         ]
+
+    def test_count_csv_write_failure_prints_nothing(self, tmp_path, capsys) -> None:
+        """The CSV is written before the table is printed, so a --csv that
+        cannot be written (here a directory) exits 2 with nothing on stdout."""
+        rc = cli.main(["count", "--method", "arc", "--Dprime", "4", "--sweep", "layers",
+                       "--L", "3", "--csv", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert out == "" and err.startswith("config error: ")
 
     def test_count_bottleneck_equal_to_embedding(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc", "--D", "16", "--L", "3", "--Dprime", "16"])
@@ -781,6 +801,20 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert rc == cli.EXIT_CONFIG
         assert f"--trials must be >= 1, got {trials}" in err and out == ""
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_verify_bad_seed_rejected_by_the_parser(self, tmp_path, capsys, monkeypatch,
+                                                    seed) -> None:
+        """numpy's PCG64 takes non-negative seeds only: the parser exits 2
+        naming --seed, before either checkpoint is read."""
+        monkeypatch.setattr(cli.checkpoint, "load", None)
+        missing = str(tmp_path / "missing.arcl")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--checkpoint", missing, "--fused", missing, "--seed", seed])
+        out, err = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in err
+        assert out == ""
 
     def test_numerical_abort_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path, train={"lr": 1e18, "epochs": 30,
