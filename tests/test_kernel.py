@@ -622,6 +622,73 @@ class TestRngBulkMatchesScalar:
         assert _state(bulk) == _state(scalar)
 
 
+class TestRngChunks:
+    """Only the number of values drawn moves the stream, not the shape they
+    are drawn in."""
+
+    @pytest.mark.parametrize("block, n", [(64, 8195), (64, 40001), (64, 16411),
+                                          (6000, 8195), (1000, 9999)])
+    def test_small_blocks(self, block: int, n: int) -> None:
+        """n values drawn as rows of ``block`` values, then the rest, equal
+        the flat draw of n values and leave its state."""
+        flat, rows = Rng(n), Rng(n)
+        for draw, args in (("uniforms", ()), ("normals", (0.25,))):
+            want = getattr(flat, draw)(n, *args)
+            got = np.concatenate([getattr(rows, draw)((n // block, block), *args).ravel(),
+                                  getattr(rows, draw)(n % block, *args)])
+            assert got.tobytes() == want.tobytes(), draw
+            assert _state(rows) == _state(flat), draw
+
+
+class TestRngSplit:
+    """A draw split into pieces equals one draw, on one CPU or two, and no
+    draw starts a thread."""
+
+    SIZES = [257, 512, 1001, 4099, 8195]
+
+    @staticmethod
+    def record_starts(monkeypatch) -> list:
+        """Patch ``threading.Thread.start`` to record each thread it would start."""
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        return started
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("block", [64, 1024, 2560])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_equals_scalar_loop(self, monkeypatch, pin_cpus, cpus: int, block: int, n: int) -> None:
+        """From a used state, n uniforms and then n normals drawn at once
+        equal the same values drawn one at a time and in pieces of
+        ``block``, and all three leave the same state."""
+        pin_cpus(cpus)
+        started = self.record_starts(monkeypatch)
+        bulk, scalar, pieces = Rng(n), Rng(n), Rng(n)
+        for rng in (bulk, scalar, pieces):
+            rng.uniforms(3)
+        got = bulk.uniforms(n)
+        assert got.tobytes() == _in_pieces(scalar.uniforms, n, 1).tobytes()
+        assert got.tobytes() == _in_pieces(pieces.uniforms, n, block).tobytes()
+        got = bulk.normals(n, 0.25)
+        assert got.tobytes() == _in_pieces(scalar.normals, n, 1, 0.25).tobytes()
+        assert got.tobytes() == _in_pieces(pieces.normals, n, block, 0.25).tobytes()
+        assert _state(bulk) == _state(scalar) == _state(pieces)
+        assert started == []
+
+    @pytest.mark.parametrize("draw", ["uniforms", "normals"])
+    def test_out_of_memory_before_any_jump_or_thread(self, monkeypatch, pin_cpus, draw) -> None:
+        """An output too large to allocate (2**45 float64 values, 256 TiB)
+        fails first: the stream does not move and no thread starts."""
+        pin_cpus(2)
+        started = self.record_starts(monkeypatch)
+        rng = Rng(1)
+        before = _state(rng)
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            getattr(rng, draw)((1 << 45,))
+        assert _state(rng) == before
+        assert started == []
+        assert getattr(rng, draw)(4).tobytes() == getattr(Rng(1), draw)(4).tobytes()
+
+
 class TestRunBoth:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_results_in_order_and_threads(self, monkeypatch, pin_cpus, cpus: int) -> None:
