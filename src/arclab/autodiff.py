@@ -225,24 +225,20 @@ def _arc_adapter(x, up, coef, bias, down, mask, tied):
 
 def _arc_adapter_vjp(g, saved, needs, x, up, coef, bias, down, mask, tied):
     pre, hidden, w_up = saved
-    gx = gup = gcoef = gbias = gdown = None
-    if needs[1]:
-        gup = _rows(hidden).T @ _rows(g)
-        if tied:
-            gup = _swap(gup)
-    if needs[3]:
-        gbias = _rows(g).sum(axis=0).reshape(bias.shape)
-    if needs[0] or needs[2] or needs[4]:
-        ghidden = g @ _swap(w_up)
+    inner = needs[0] or needs[2] or needs[4]
+    ghidden, gup, gbias = _linear_vjp(g, None, (inner, needs[1], needs[3]), hidden, w_up, bias)
+    if needs[1] and tied:
+        gup = _swap(gup)
+    gx = gcoef = gdown = None
+    if inner:
         if mask is not None:
             ghidden *= mask
         if needs[2]:
             gcoef = (ghidden * pre).reshape(-1, pre.shape[-1]).sum(axis=0).reshape(coef.shape)
         gpre = ghidden * coef.reshape(-1)
+        gx, gdown = _matmul_vjp(gpre, None, (needs[0], needs[4]), x, down)
         if needs[0]:
-            gx = g + gpre @ _swap(down)
-        if needs[4]:
-            gdown = _rows(x).T @ _rows(gpre)
+            gx += g
     return gx, gup, gcoef, gbias, gdown
 
 

@@ -40,17 +40,35 @@ EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+
+@dataclasses.dataclass(frozen=True)
+class IoConfig:
+    """The run's seed and its default output directory."""
+
+    seed: int = 0
+    out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.out_dir == "":
+            raise ConfigError("out_dir must be a non-empty path or null")
+
+
 _SECTIONS = {
     "backbone": BackboneConfig,
     "arc": ArcConfig,
     "train": TrainConfig,
     "task": SyntheticTask,
+    "io": IoConfig,
 }
 
-_BACKBONE_DEFAULTS = dict(image_size=8, patch_size=4, channels=1, embed_dim=16,
-                          layers=3, heads=2, classes=4)
-_TRAIN_DEFAULTS = dict(lr=0.01, epochs=25, batch_size=8, warmup_epochs=2)
-_ARC_DEFAULTS = dict(bottleneck=4)  # ArcConfig's 50 is the ViT-B value; it overflows embed_dim 16
+_DEFAULTS = {  # over the dataclass defaults; the task takes its shape from the backbone
+    "backbone": dict(image_size=8, patch_size=4, channels=1, embed_dim=16, layers=3, heads=2,
+                     classes=4),
+    "arc": dict(bottleneck=4),  # ArcConfig's 50 is the ViT-B value; it overflows embed_dim 16
+    "train": dict(lr=0.01, epochs=25, batch_size=8, warmup_epochs=2),
+}
 
 
 @dataclasses.dataclass
@@ -59,17 +77,18 @@ class RunConfig:
     arc: ArcConfig
     train: TrainConfig
     task: SyntheticTask
-    seed: int
-    out_dir: str | None
+    io: IoConfig
+
+    @property
+    def seed(self) -> int:
+        return self.io.seed
 
     def as_dict(self) -> dict:
-        doc = {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
-        doc["io"] = {"seed": self.seed, "out_dir": self.out_dir}
-        return doc
+        return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
 
     def digest(self) -> bytes:
         doc = self.as_dict()
-        doc["io"] = {"seed": self.seed, "out_dir": None}  # out_dir is not identity
+        doc["io"]["out_dir"] = None  # out_dir is not identity
         return checkpoint.config_digest(doc)
 
 
@@ -138,42 +157,38 @@ def load_run_config(path) -> RunConfig:
             raise ConfigError(f"config {path} holds the number {text}, which overflows a float")
         return value
 
+    def unique_keys(pairs: list) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"config {path} repeats the key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float)
+            doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
+                            object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(doc) - (set(_SECTIONS) | {"io"}))
+    unknown = sorted(set(doc) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown section {unknown[0]!r}")
-    io = doc.get("io", {})
-    if not isinstance(io, dict):
-        raise ConfigError(f"section 'io' must be a JSON object, got {io!r}")
-    io_unknown = sorted(set(io) - {"seed", "out_dir"})
-    if io_unknown:
-        raise ConfigError(f"unknown key {io_unknown[0]!r} in section 'io'")
-    train_defaults = dict(_TRAIN_DEFAULTS)
-    train = doc.get("train")
-    if isinstance(train, dict) and _is_a(train.get("epochs"), int):
-        # a defaulted warmup never outlasts a shorter run
-        train_defaults["warmup_epochs"] = min(train_defaults["warmup_epochs"], train["epochs"])
     sections = {}
-    section_defaults = {"backbone": _BACKBONE_DEFAULTS, "train": train_defaults,
-                        "arc": _ARC_DEFAULTS}
     for name, cls in _SECTIONS.items():
+        data, defaults = doc.get(name, {}), dict(_DEFAULTS.get(name, {}))
+        if name == "train" and isinstance(data, dict) and _is_a(data.get("epochs"), int):
+            # a defaulted warmup never outlasts a shorter run
+            defaults["warmup_epochs"] = min(defaults["warmup_epochs"], data["epochs"])
         if name == "task":  # built after the backbone, whose input and head it defaults to
-            section_defaults[name] = {key: getattr(sections["backbone"], key)
-                                      for key in ("classes", "image_size", "channels")}
-        sections[name] = _build_section(name, cls, doc.get(name, {}), section_defaults[name])
-    seed = _check_value("io.seed", int, io.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"io.seed must be >= 0, got {seed}")
-    out_dir = _check_value("io.out_dir", str | None, io.get("out_dir"))
-    cfg = RunConfig(seed=seed, out_dir=out_dir, **sections)
+            defaults = {key: getattr(sections["backbone"], key)
+                        for key in ("classes", "image_size", "channels")}
+        sections[name] = _build_section(name, cls, data, defaults)
+    cfg = RunConfig(**sections)
     if cfg.task.image_size != cfg.backbone.image_size or cfg.task.channels != cfg.backbone.channels:
         raise ConfigError(
             f"task images {cfg.task.image_size}x{cfg.task.image_size}x{cfg.task.channels} "
@@ -221,8 +236,10 @@ def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool):
 
 
 def cmd_train(args) -> int:
+    if args.out == "":  # fail before the config is read
+        raise ConfigError("--out must be a non-empty path")
     cfg = load_run_config(args.config)
-    out_dir = Path(args.out or cfg.out_dir or "runs/latest")
+    out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     data = training.make_task(cfg.task, Rng(cfg.seed + 1))
@@ -231,15 +248,14 @@ def cmd_train(args) -> int:
     after = model.frozen_checksum(weights)
     if before != after:  # pragma: no cover - would be a trainer bug
         raise NumericalError("frozen backbone changed during training")
-    tensors = dict(weights)
-    tensors.update(bank.tensors)
-    _echo_config(cfg, out_dir)  # the output directory appears only once training has succeeded
-    checkpoint.save(out_dir / "checkpoint.arcl", tensors, cfg.digest())
-    training.write_loss_csv(result.curve, out_dir / "loss.csv")
     train_loss, train_acc = training.evaluate(
         cfg.backbone, weights, bank, data.train_images, data.train_labels)
     eval_loss, eval_acc = training.evaluate(
         cfg.backbone, weights, bank, data.eval_images, data.eval_labels)
+    # the output directory appears only once training and evaluation have succeeded
+    _echo_config(cfg, out_dir)
+    checkpoint.save(out_dir / "checkpoint.arcl", {**weights, **bank.tensors}, cfg.digest())
+    training.write_loss_csv(result.curve, out_dir / "loss.csv")
     print(f"steps {result.steps}  final_loss {result.final_loss:.6g}")
     print(f"train_loss {train_loss:.6g}  train_acc {train_acc:.4f}")
     print(f"eval_loss {eval_loss:.6g}  eval_acc {eval_acc:.4f}")

@@ -260,11 +260,13 @@ def forward(ops, cfg: BackboneConfig, v, images, bank=None):
     return forward_tokens(ops, cfg, v, x_emb, bank)
 
 
-def eager_logits(cfg: BackboneConfig, values, images, bank=None) -> np.ndarray:
+def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:
     """Eval-mode logits (B x classes) of an image stack, as two concurrent halves.
 
-    The first ceil(B/2) images run through :func:`forward` on an
-    :class:`~arclab.autodiff.Eager` backend on the calling thread while the
+    The backbone tensors come from ``weights`` and the adapter tensors from
+    ``bank``, whose tensors take the place of any of the same name in
+    ``weights``. The first ceil(B/2) images run through :func:`forward` on
+    an :class:`~arclab.autodiff.Eager` backend on the calling thread while the
     rest run on one worker thread (:func:`~arclab.kernel.run_both`), and the
     two logit blocks are concatenated in order. A batch of at most one
     image runs as one forward on the calling thread, and on one CPU the two
@@ -275,6 +277,7 @@ def eager_logits(cfg: BackboneConfig, values, images, bank=None) -> np.ndarray:
     caller's ``np.errstate`` holds in both halves, and an exception in
     either reaches the caller once both have finished.
     """
+    values = weights if bank is None else {**weights, **bank.tensors}
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) <= 1:  # one piece; forward rejects a bad shape
         return forward(Eager(), cfg, values, images, bank)

@@ -100,12 +100,13 @@ def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int, rng: Rng)
     the plain forward over the fused tensors, across random images.
 
     This routine never holds both weight sets at once. ``load_adapted()``
-    returns ``(weights, bank)``; the adapted side runs over them and drops
-    them, and only then does ``load_fused()`` return the fused tensors for
-    the plain side. Each side runs through :func:`model.eager_logits`, so
-    the trials run as two concurrent halves. Both sides split the same
-    way, so the deviation compares logits that went through the same GEMM
-    shapes. Raises ConfigError for ``trials`` below 1 before either loader
+    returns ``(weights, bank)``; the adapted side passes both to
+    :func:`model.eager_logits`, which reads the adapter tensors from the
+    bank, and drops them. Only then does ``load_fused()`` return the fused
+    tensors for the plain side. Each side runs through
+    :func:`model.eager_logits`, so the trials run as two concurrent halves.
+    Both sides split the same way, so the deviation compares logits that
+    went through the same GEMM shapes. Raises ConfigError for ``trials`` below 1 before either loader
     is called, and NumericalError naming the first adapter tensor that
     holds a NaN or inf before any forward runs and before ``load_fused``
     is called."""
@@ -113,11 +114,9 @@ def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int, rng: Rng)
         raise ConfigError(f"trials must be >= 1, got {trials}")
     weights, bank = load_adapted()
     check_finite(bank)
-    values = dict(weights)
-    values.update(bank.tensors)
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
-    adapted = model.eager_logits(backbone_cfg, values, images, bank=bank)
-    del weights, values, bank  # drop the adapted weight set before the fused one is loaded
+    adapted = model.eager_logits(backbone_cfg, weights, images, bank=bank)
+    del weights, bank  # drop the adapted weight set before the fused one is loaded
     plain = model.eager_logits(backbone_cfg, load_fused(), images)
     return float(np.abs(adapted - plain).max())

@@ -272,15 +272,14 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
 def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
     """(mean loss, accuracy) of the eval-mode forward over a labeled set.
 
-    The logits come from :func:`model.eager_logits`: the first half of the
-    images runs on the calling thread and the rest on one worker thread at
-    the same time. They equal the two half-batch forwards concatenated, bit
-    for bit, and can differ from one whole-batch forward in the last place.
+    The logits come from :func:`model.eager_logits`, which reads the
+    backbone tensors from ``weights`` and the adapter tensors from ``bank``
+    (None: the plain backbone). The first half of the images runs on the
+    calling thread and the rest on one worker thread at the same time. They
+    equal the two half-batch forwards concatenated, bit for bit, and can
+    differ from one whole-batch forward in the last place.
     """
-    values = dict(weights)
-    if bank is not None:
-        values.update(bank.tensors)
-    logits = model.eager_logits(backbone_cfg, values, images, bank=bank)
+    logits = model.eager_logits(backbone_cfg, weights, images, bank=bank)
     labels = np.asarray(labels)
     loss = cross_entropy(logits, labels)
     accuracy = float((logits.argmax(axis=1) == labels).mean())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -441,6 +442,30 @@ class TestNeedsGrad:
         assert ga is None and np.array_equal(gw, full[1])
         ga, gw = matmul.vjp(g, prod, (True, False), x, w)
         assert gw is None and np.array_equal(ga, full[0])
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "mask"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_arc_adapter_needs_subsets(self, tied, masked) -> None:
+        """Over all 32 needs tuples the adapter's vjp returns None exactly
+        where a flag is False, and elsewhere the bits of the all-True call."""
+        rng = np.random.default_rng(8)
+        x, down = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 3))
+        up = down if tied else rng.normal(size=(3, 4))  # a tied adapter gets W_down twice
+        coef, bias = rng.normal(size=(1, 3)), rng.normal(size=(1, 4))
+        mask = (rng.random((2, 3, 3)) < 0.7) / 0.7 if masked else None
+        operands = (x, up, coef, bias, down)
+        adapter = PRIMITIVES["arc_adapter"]
+        out, saved = adapter.forward(*operands, mask, tied)
+        g = rng.normal(size=out.shape)
+        full = adapter.vjp(g, saved, (True,) * 5, *operands, mask, tied)
+        assert [grad.shape for grad in full] == [a.shape for a in operands]
+        for needs in itertools.product((False, True), repeat=5):
+            got = adapter.vjp(g, saved, needs, *operands, mask, tied)
+            for i, (need, grad, want) in enumerate(zip(needs, got, full)):
+                if need:
+                    assert grad.shape == want.shape and grad.tobytes() == want.tobytes(), (needs, i)
+                else:
+                    assert grad is None, (needs, i)
 
     def test_backward_passes_the_flags(self) -> None:
         tape = Tape()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import cli, model, reparam
+from arclab import cli, model, reparam, training
 from arclab.adapters import AdapterBank
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
@@ -180,6 +180,29 @@ class TestRunConfig:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
         assert a.digest() == b.digest()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"train": {"epochs": 1, "epochs": 2}}', "epochs"),
+        ('{"io": {"seed": 1}, "io": {"seed": 2}}', "io"),
+    ], ids=["key", "section"])
+    def test_repeated_key_exit_2(self, tmp_path, capsys, text, key) -> None:
+        """Python's json keeps the last of a repeated key; a config that
+        repeats one is rejected instead, naming the file and the key."""
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: config {path} repeats the key {key!r}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_out_dir_exit_2(self, tmp_path, capsys, monkeypatch) -> None:
+        """An empty io.out_dir is rejected, not read as "no directory"."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, io={"out_dir": ""})
+        assert cli.main(["train", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: io.out_dir must be a non-empty path or null\n")
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 def _json_kind(value) -> str:
@@ -502,6 +525,28 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_CONFIG == 2
         assert err == f"out of memory: {message}\n" and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_empty_out_exit_2(self, tmp_path, capsys, monkeypatch) -> None:
+        """``--out ""`` is rejected, not read as "use io.out_dir"."""
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, io={"out_dir": str(tmp_path / "elsewhere")})
+        assert cli.main(["train", "--config", str(path), "--out", ""]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --out must be a non-empty path\n"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_evaluation_out_of_memory_writes_nothing(self, tmp_path, capsys,
+                                                     monkeypatch) -> None:
+        """train evaluates before it writes: an evaluation that fails leaves
+        no run directory behind."""
+        def too_big(*args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(training, "evaluate", too_big)
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "out of memory: Unable to allocate\n"
         assert not out.exists()
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:

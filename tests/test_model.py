@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 import threading
@@ -339,8 +340,9 @@ class TestEagerLogits:
         if not with_bank:
             return values, None
         r = Rng(52)
-        values.update({n: r.normals(a.shape, 0.3) for n, a in self.BANK.tensors.items()})
-        return values, self.BANK
+        perturbed = {n: r.normals(a.shape, 0.3) for n, a in self.BANK.tensors.items()}
+        values.update(perturbed)
+        return values, dataclasses.replace(self.BANK, tensors=perturbed)
 
     @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
     @pytest.mark.parametrize("batch", [1, 2, 5, 32])
