@@ -17,9 +17,11 @@ the records before the cut.
 
 Both directions stream. :func:`save` writes each payload straight from its
 array into a temp file beside the target and renames it over the target, so
-it never holds a second copy of the weights. :func:`load` reads every payload
-into one float64 buffer sized from the file, so it never holds the file's
-bytes beside the arrays.
+it never holds a second copy of the weights. :func:`load` first reads and
+checks every record head, seeking past each payload, and then reads the
+payloads it was asked for into one float64 buffer sized for those payloads
+alone: it never holds the file's bytes beside the arrays, and a load that
+keeps only the adapter bank allocates the bank's bytes, not the backbone's.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import math
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +52,8 @@ class CheckpointHeader:
     version: int
     fused: bool
     config_digest: bytes
+    # the dims of every record in the file, in file order, whether its payload was read or not
+    shapes: dict[str, tuple[int, ...]] = field(default_factory=dict, compare=False)
 
 
 def config_digest(config: dict) -> bytes:
@@ -131,44 +136,52 @@ class _Reader:
         if self.offset + n > self.size:
             raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
 
-    def _advance(self, got: int, n: int, what: str) -> None:
-        if got != n:  # the file shrank after it was measured
-            raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
-        self.offset += n
-
     def take(self, n: int, what: str) -> bytes:
         self._check(n, what)
         out = self.fh.read(n)
-        self._advance(len(out), n, what)
+        if len(out) != n:  # the file shrank after it was measured
+            raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
+        self.offset += n
         return out
 
-    def take_floats(self, buffer: np.ndarray, start: int, count: int, what: str) -> np.ndarray:
-        """Read ``count`` float64 values into ``buffer[start:]`` and return that slice."""
-        self._check(8 * count, what)
-        out = buffer[start : start + count]
-        self._advance(self.fh.readinto(memoryview(out).cast("B")), 8 * count, what)
-        return out
+    def skip(self, n: int, what: str) -> int:
+        """Seek past ``n`` bytes that must all be in the file; return where they start."""
+        self._check(n, what)
+        start = self.offset
+        self.offset += n
+        self.fh.seek(self.offset)
+        return start
+
+    def read_floats(self, out: np.ndarray, start: int, what: str) -> None:
+        """Fill ``out`` with the float64 values at byte ``start``, which :meth:`skip` checked."""
+        self.fh.seek(start)
+        if self.fh.readinto(memoryview(out).cast("B")) != out.nbytes:  # the file shrank
+            raise CheckpointError(f"truncated while reading {what}", offset=start)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
-    """Parse and validate a checkpoint.
+def load(path, keep: Callable[[str], bool] | None = None
+         ) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
+    """Parse and validate a checkpoint; return its header and tensors.
 
-    Every field is checked and every returned record is complete; a
-    malformed or short record raises CheckpointError whose message starts
-    with ``path`` and gives the byte offset.
+    Every field of every record is checked, whether ``keep`` picks the
+    record or not, and every returned record is complete; a malformed or
+    short record raises CheckpointError whose message starts with ``path``
+    and gives the byte offset, the same error on every selection.
     Each length is checked against the file size before anything is
     allocated for it. The format has no tensor count, so a file cut exactly
     at a record boundary returns the records before the cut: callers that
-    need a full set check the names (``model.validate_weights``, the CLI's
-    adapter check).
+    need a full set check the names (``model.validate_shapes``, the CLI's
+    adapter check). The header's ``shapes`` lists every record's dims.
 
-    The payloads are read into one float64 buffer, sized from the file, and
-    each returned tensor is a writeable, C-contiguous view of its own slice
-    of it. A single tensor that is still referenced keeps the whole buffer
-    alive; copy it to keep it alone.
+    Only the records whose name ``keep`` accepts are returned (all of them
+    when ``keep`` is None); the payloads of the others are seeked past, not
+    read. The kept payloads are read into one float64 buffer sized for them
+    alone, and each returned tensor is a writeable, C-contiguous view of its
+    own slice of it. A single tensor that is still referenced keeps the
+    whole buffer alive; copy it to keep it alone.
     """
     try:
         with open(path, "rb") as fh:
@@ -183,10 +196,8 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
             if fused_byte not in (0, 1):
                 raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
             digest = reader.take(32, "config digest")
-            # every payload fits in what is left of the file
-            buffer = np.empty((reader.size - reader.offset) // 8, dtype="<f8")
-            used = 0
-            tensors: dict[str, np.ndarray] = {}
+            shapes: dict[str, tuple[int, ...]] = {}
+            kept = []  # (name, payload offset, value count) of each record to read
             while reader.offset < reader.size:
                 record_at = reader.offset
                 # a record head in three reads: name length; name and rank; dims
@@ -199,19 +210,29 @@ def load(path) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
                     name = encoded.decode()
                 except UnicodeDecodeError as exc:
                     raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
-                if name in tensors:
+                if name in shapes:
                     raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
                 if ndim > _MAX_NDIM:
                     raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
                 dims = struct.unpack(f"<{ndim}I", reader.take(4 * ndim, f"dims of {name!r}"))
                 if 0 in dims:
                     raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=record_at)
+                shapes[name] = dims
                 count = math.prod(dims)
-                payload = reader.take_floats(buffer, used, count, f"payload of {name!r}")
+                start = reader.skip(8 * count, f"payload of {name!r}")
+                if keep is None or keep(name):
+                    kept.append((name, start, count))
+            buffer = np.empty(sum(count for _, _, count in kept), dtype="<f8")
+            tensors: dict[str, np.ndarray] = {}
+            used = 0
+            for name, start, count in kept:
+                payload = buffer[used : used + count]
+                reader.read_floats(payload, start, f"payload of {name!r}")
                 used += count
-                tensors[name] = payload.reshape(dims)
+                tensors[name] = payload.reshape(shapes[name])
     except CheckpointError as exc:
         exc.args = (f"{path}: {exc}",)  # the byte offset, if any, stays in .offset
         raise
-    header = CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest)
+    header = CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest,
+                              shapes=shapes)
     return header, tensors

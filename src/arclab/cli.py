@@ -214,30 +214,35 @@ def _sidecar_config(args) -> tuple[RunConfig, Path]:
     return load_run_config(path), path
 
 
-def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool):
+def _is_adapter(name: str) -> bool:
+    return name.startswith("arc.")
+
+
+def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: bool = False):
     """``(weights, bank)`` of the checkpoint at ``path``, which must carry
     ``cfg``'s digest and the ``fused`` flag, in that order, and hold a full
-    backbone. An unfused checkpoint yields a bank of its ``arc.*`` tensors;
-    a fused one must hold none and yields None."""
-    header, tensors = checkpoint.load(path)
+    backbone, whose names and shapes are checked from the record heads. An
+    unfused checkpoint yields a bank of its ``arc.*`` tensors; a fused one
+    must hold none and yields None. With ``bank_only`` the backbone payloads
+    are not read, and ``weights`` is empty."""
+    header, tensors = checkpoint.load(path, keep=_is_adapter if bank_only else None)
     if header.config_digest != cfg.digest():
         raise CheckpointError(f"checkpoint {path} was not produced by config {config_path}")
     if header.fused != fused:
         raise ConfigError(f"checkpoint {path} "
                           f"{'does not carry' if fused else 'already carries'} the fused flag")
-    weights = {k: v for k, v in tensors.items() if fused or not k.startswith("arc.")}
+    weights = {k: v for k, v in tensors.items() if fused or not _is_adapter(k)}
     try:
-        model.validate_weights(cfg.backbone, weights)
+        model.validate_shapes(cfg.backbone, {k: dims for k, dims in header.shapes.items()
+                                             if fused or not _is_adapter(k)})
         bank = None if fused else AdapterBank(cfg.arc, cfg.backbone, {
-            k: v for k, v in tensors.items() if k.startswith("arc.")})
+            k: v for k, v in tensors.items() if _is_adapter(k)})
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {path}: {exc}") from None
     return weights, bank
 
 
 def cmd_train(args) -> int:
-    if args.out == "":  # fail before the config is read
-        raise ConfigError("--out must be a non-empty path")
     cfg = load_run_config(args.config)
     out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
@@ -333,8 +338,12 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    """Spectra of ``--checkpoint``'s adapter matrices. Only the bank's
+    payloads are read; the backbone is checked from its record heads."""
+    if args.bins < 1:  # fail before the config or checkpoint is read
+        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     cfg, config_path = _sidecar_config(args)
-    _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
+    _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False, bank_only=True)
     reports = analysis.rank_sweep(bank, bins=args.bins)
     paths = analysis.write_spectrum_csvs(reports, args.out)
     median_rank = np.median([r.effective_rank for r in reports])
@@ -430,6 +439,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("out", "csv"):  # an output path, checked before anything is read
+            if getattr(args, flag, None) == "":
+                raise ConfigError(f"--{flag} must be a non-empty path")
         return args.func(args)
     except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -148,15 +148,17 @@ def init_backbone(cfg: BackboneConfig, rng: Rng) -> dict[str, np.ndarray]:
     return weights
 
 
-def validate_weights(cfg: BackboneConfig, weights) -> None:
+def validate_shapes(cfg: BackboneConfig, shapes) -> None:
+    """Check a name -> shape map against :func:`weight_shapes`: the same
+    names, each with its shape."""
     expected = weight_shapes(cfg)
-    missing = sorted(set(expected) - set(weights))
-    extra = sorted(set(weights) - set(expected))
+    missing = sorted(set(expected) - set(shapes))
+    extra = sorted(set(shapes) - set(expected))
     if missing or extra:
         raise ShapeError(f"weight set mismatch: missing {missing}, unexpected {extra}")
     for name, shape in expected.items():
-        if weights[name].shape != shape:
-            raise ShapeError(f"{name}: expected shape {shape}, got {weights[name].shape}")
+        if shapes[name] != shape:
+            raise ShapeError(f"{name}: expected shape {shape}, got {shapes[name]}")
 
 
 def checksum(weights) -> str:

@@ -83,6 +83,22 @@ class TestRoundTrip:
         assert np.array_equal(loaded["beta.gamma"], tensors["beta.gamma"])
         assert np.array_equal(loaded["delta"], tensors["delta"])
 
+    def test_picked_records(self, tmp_path, tensors) -> None:
+        """``keep`` picks records by name: the header, and its shapes of
+        every record, are the whole load's, and the kept tensors share one
+        buffer of their own size."""
+        path = tmp_path / "ck.arcl"
+        save(path, tensors, config_digest({"a": 1}), fused=True)
+        whole_header, whole = load(path)
+        assert whole_header.shapes == {name: tensors[name].shape for name in sorted(tensors)}
+        for kept in ([], ["alpha"], ["alpha", "delta"], sorted(tensors)):
+            header, loaded = load(path, keep=kept.__contains__)
+            assert header == whole_header and header.shapes == whole_header.shapes
+            assert list(loaded) == kept
+            for name in kept:
+                assert loaded[name].tobytes() == tensors[name].tobytes()
+                assert loaded[name].base.size == sum(tensors[k].size for k in kept)
+
     def test_special_values_preserved(self, tmp_path) -> None:
         special = {"s": np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 2.0**-1074]])}
         path = tmp_path / "ck.arcl"
@@ -146,6 +162,8 @@ class TestRejection:
                          + record + record)
         with pytest.raises(CheckpointError, match="duplicate"):
             load(path)
+        with pytest.raises(CheckpointError, match="duplicate"):  # among records not read, too
+            load(path, keep=lambda name: False)
 
     def test_bad_fused_flag(self, tmp_path, tensors) -> None:
         path = tmp_path / "ck.arcl"
@@ -274,6 +292,26 @@ class TestSaveContract:
         assert load_peak <= path.stat().st_size + mib
         assert all(np.array_equal(loaded[k], tensors[k]) for k in tensors)
 
+    def test_picked_records_memory(self, tmp_path) -> None:
+        """Loading only the adapter bank of a checkpoint with a 16 MB backbone
+        allocates the bank's bytes, not the backbone's."""
+        gen = np.random.default_rng(1)
+        bank = {f"arc.{i}": gen.normal(size=(64, 50)) for i in range(3)}
+        tensors = {**bank, **{f"enc.{i}": gen.normal(size=(500, 500)) for i in range(8)}}
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        bank_bytes = sum(t.nbytes for t in bank.values())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            header, loaded = load(path, keep=lambda name: name.startswith("arc."))
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert load_peak < bank_bytes + 2**20
+        assert list(loaded) == sorted(bank) and len(header.shapes) == len(tensors)
+        assert all(loaded[k].tobytes() == bank[k].tobytes() for k in bank)
+
 
 @pytest.fixture(scope="module")
 def valid_file(tmp_path_factory):
@@ -289,8 +327,32 @@ def valid_file(tmp_path_factory):
     return path, path.read_bytes(), tensors, ends
 
 
+def _middle(name: str) -> bool:
+    return name == "bb"
+
+
+def _load_both(path):
+    """``load(path)``, checked against a load that keeps only the middle
+    record: both raise the same CheckpointError at the same offset, or both
+    return the same header and record shapes, and the middle record's bits."""
+    try:
+        header, tensors = load(path)
+    except CheckpointError as exc:
+        with pytest.raises(CheckpointError) as info:
+            load(path, keep=_middle)
+        assert (str(info.value), info.value.offset) == (str(exc), exc.offset)
+        raise
+    picked_header, picked = load(path, keep=_middle)
+    assert picked_header == header and picked_header.shapes == header.shapes
+    assert list(picked) == [name for name in tensors if _middle(name)]
+    for name, t in picked.items():
+        assert t.tobytes() == tensors[name].tobytes()
+    return header, tensors
+
+
 class TestDamagedFiles:
-    """A damaged file loads or raises CheckpointError: never another exception."""
+    """A damaged file loads or raises CheckpointError: never another
+    exception, and the same one when only the middle record is kept."""
 
     @settings(max_examples=150, deadline=None)
     @given(cut=st.integers(0, 400))
@@ -300,7 +362,7 @@ class TestDamagedFiles:
         damaged = path.with_name("cut.arcl")
         damaged.write_bytes(blob[:cut])
         try:
-            _, loaded = load(damaged)
+            _, loaded = _load_both(damaged)
         except CheckpointError as exc:
             assert cut not in ends and exc.offset is not None
             return
@@ -318,7 +380,7 @@ class TestDamagedFiles:
         flipped = path.with_name("flip.arcl")
         flipped.write_bytes(bytes(damaged))
         try:
-            load(flipped)
+            _load_both(flipped)
         except CheckpointError:
             pass
 
@@ -331,11 +393,11 @@ class TestDamagedFiles:
         for cut in range(len(blob) + 1):
             damaged.write_bytes(blob[:cut])
             if cut in ends:
-                _, loaded = load(damaged)
+                _, loaded = _load_both(damaged)
                 assert list(loaded) == sorted(tensors)[: ends.index(cut)], cut
                 continue
             with pytest.raises(CheckpointError) as info:
-                load(damaged)
+                _load_both(damaged)
             k = max(i for i, start in enumerate(starts) if start <= cut)
             assert str(info.value).startswith(f"{damaged}: truncated while reading "), cut
             assert starts[k] <= info.value.offset <= cut < starts[k + 1], cut
@@ -355,7 +417,7 @@ class TestDamagedFiles:
         written = path.with_name("head.arcl")
         written.write_bytes(bytes(damaged))
         try:
-            _, loaded = load(written)
+            _, loaded = _load_both(written)
         except CheckpointError as exc:
             assert str(exc).startswith(f"{written}: ") and exc.offset is not None
             return

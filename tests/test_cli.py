@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import cli, model, reparam, training
+from arclab import analysis, cli, model, reparam, training
 from arclab.adapters import AdapterBank
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
@@ -382,6 +382,58 @@ class TestCheckpointInputs:
         assert str(bad) in err, err
         assert not (tmp_path / "f.arcl").exists() and not (tmp_path / "s").exists()
 
+    def test_spectrum_reads_only_the_bank(self, trained_run, tmp_path, monkeypatch) -> None:
+        """spectrum loads the adapter tensors alone, and its CSVs are those of
+        a bank taken from the whole file."""
+        ckpt = trained_run / "checkpoint.arcl"
+        read = []
+
+        def recording_load(path, keep=None):
+            header, tensors = load(path, keep=keep)
+            read.extend(tensors)
+            return header, tensors
+
+        monkeypatch.setattr(cli.checkpoint, "load", recording_load)
+        assert cli.main(["spectrum", "--checkpoint", str(ckpt), "--out", str(tmp_path / "s")]) == 0
+        _, tensors = load(ckpt)
+        assert read == [name for name in tensors if name.startswith("arc.")] != []
+        cfg = cli.load_run_config(trained_run / "config.json")
+        bank = AdapterBank(cfg.arc, cfg.backbone,
+                           {k: v for k, v in tensors.items() if k.startswith("arc.")})
+        analysis.write_spectrum_csvs(analysis.rank_sweep(bank), tmp_path / "whole")
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "whole").iterdir())
+        for path in (tmp_path / "whole").iterdir():
+            assert (tmp_path / "s" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("fault", ["cut inside pos", "wrong shape", "missing tensor"])
+    def test_spectrum_checks_the_backbone_it_skips(self, trained_run, tmp_path, capsys,
+                                                   fault) -> None:
+        """The backbone payloads spectrum does not read are still checked from
+        their record heads: a cut inside one, or a backbone tensor of the
+        wrong shape or missing, exits 2 naming the file and writes nothing."""
+        header, tensors = load(trained_run / "checkpoint.arcl")
+        bad = tmp_path / "bad.arcl"
+        if fault == "cut inside pos":  # the last record, a backbone payload
+            assert list(tensors)[-1] == "pos"
+            blob = (trained_run / "checkpoint.arcl").read_bytes()
+            bad.write_bytes(blob[:-8])
+            message = "truncated while reading payload of 'pos'"
+        elif fault == "wrong shape":
+            tensors["pos"] = tensors["pos"][:-1]
+            save(bad, tensors, header.config_digest)
+            message = f"pos: expected shape {header.shapes['pos']}, got {tensors['pos'].shape}"
+        else:
+            del tensors["cls"]
+            save(bad, tensors, header.config_digest)
+            message = "missing ['cls']"
+        rc = cli.main(["spectrum", "--checkpoint", str(bad), "--out", str(tmp_path / "s"),
+                       "--config", str(trained_run / "config.json")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert str(bad) in err and message in err, err
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("fault", ["missing", "empty", "not UTF-8"])
     def test_unreadable_train_config_exit_2(self, tmp_path, capsys, fault) -> None:
         config = tmp_path / "config.json"
@@ -535,6 +587,41 @@ class TestCommands:
         assert capsys.readouterr().err == "config error: --out must be a non-empty path\n"
         assert sorted(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("command", ["spectrum", "fuse", "count"])
+    def test_empty_output_path_exit_2(self, trained_run, tmp_path, capsys, monkeypatch,
+                                      command) -> None:
+        """An empty output path is refused before anything is read, not taken
+        as the working directory (spectrum), its parent (fuse's temp file) or
+        no file at all (count)."""
+        def no_reads(*args, **kwargs):
+            raise AssertionError(f"{command} read its input")
+
+        monkeypatch.setattr(cli, "load_run_config", no_reads)
+        monkeypatch.setattr(cli.checkpoint, "load", no_reads)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        ckpt = str(trained_run / "checkpoint.arcl")
+        argv, flag = {
+            "spectrum": (["spectrum", "--checkpoint", ckpt, "--out", ""], "--out"),
+            "fuse": (["fuse", "--checkpoint", ckpt, "--out", ""], "--out"),
+            "count": (["count", "--method", "arc", "--Dprime", "4", "--csv", ""], "--csv"),
+        }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {flag} must be a non-empty path\n")
+        assert list(tmp_path.iterdir()) == [cwd] and list(cwd.iterdir()) == []
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_spectrum_bad_bins_exit_2_before_loading(self, tmp_path, capsys, bins) -> None:
+        """A bin count below one is a config error naming --bins, raised
+        before the config or the checkpoint is read."""
+        missing = tmp_path / "missing.arcl"
+        rc = cli.main(["spectrum", "--checkpoint", str(missing), "--bins", bins,
+                       "--out", str(tmp_path / "s")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: --bins must be >= 1, got {bins}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_evaluation_out_of_memory_writes_nothing(self, tmp_path, capsys,
                                                      monkeypatch) -> None:
         """train evaluates before it writes: an evaluation that fails leaves
@@ -599,8 +686,8 @@ class TestCommands:
         buffers, saved = [], []
         real_load, real_save = cli.checkpoint.load, cli.checkpoint.save
 
-        def tracked_load(path):
-            header, loaded = real_load(path)
+        def tracked_load(path, keep=None):
+            header, loaded = real_load(path, keep=keep)
             buffers.append(next(iter(loaded.values())).base)
             return header, loaded
 
@@ -634,11 +721,11 @@ class TestCommands:
         buffers = []
         real_load = cli.checkpoint.load
 
-        def tracked_load(path):
+        def tracked_load(path, keep=None):
             if buffers:
                 gc.collect()
                 assert buffers[-1]() is None, "the unfused checkpoint is still held"
-            header, loaded = real_load(path)
+            header, loaded = real_load(path, keep=keep)
             buffers.append(weakref.ref(next(iter(loaded.values())).base))
             return header, loaded
 
