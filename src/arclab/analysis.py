@@ -96,8 +96,8 @@ def write_spectrum_csvs(reports: list[SpectrumReport], out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for r in reports:
-        edges = r.bin_edges.tolist()
-        rows = "".join(f"{lo:.17g},{hi:.17g},{count}\r\n"
+        edges = [f"{edge:.17g}" for edge in r.bin_edges.tolist()]
+        rows = "".join(f"{lo},{hi},{count}\r\n"
                        for lo, hi, count in zip(edges, edges[1:], r.bin_counts.tolist()))
         path = out / f"spectrum_layer{r.layer}_{r.group}.csv"
         path.write_text("bin_lo,bin_hi,count\r\n" + rows, newline="")

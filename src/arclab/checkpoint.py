@@ -102,6 +102,8 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
     ``path`` has its target replaced. Each payload is written from its own
     array, copied only if it is not C-contiguous little-endian float64.
     """
+    if not isinstance(digest, (bytes, bytearray)):
+        raise CheckpointError(f"config digest must be bytes, got {type(digest).__name__}")
     if len(digest) != 32:
         raise CheckpointError(f"config digest must be 32 bytes, got {len(digest)}")
     for name in tensors:

@@ -386,7 +386,11 @@ def _seed(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``arclab`` parser, built once per process: ``parse_args`` keeps no
+    state on it, and usage errors and ``--help`` write to the ``sys.stderr``
+    and ``sys.stdout`` of the call."""
     parser = argparse.ArgumentParser(prog="arclab",
                                      description="adapter re-composition laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -436,8 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for flag in ("out", "csv"):  # an output path, checked before anything is read
             if getattr(args, flag, None) == "":

@@ -178,6 +178,25 @@ class TestRejection:
         with pytest.raises(CheckpointError):
             save(tmp_path / "ck.arcl", tensors, digest=b"short")
 
+    @pytest.mark.parametrize("digest, match", [
+        ("x" * 32, "config digest must be bytes, got str"),
+        (None, "config digest must be bytes, got NoneType"),
+        (b"x" * 31, "config digest must be 32 bytes, got 31"),
+    ], ids=["str", "none", "31-bytes"])
+    def test_bad_digest_rejected_before_any_file(self, tmp_path, tensors, monkeypatch,
+                                                 digest, match) -> None:
+        def no_open(*args, **kwargs):
+            raise AssertionError("save opened a file before checking the digest")
+
+        monkeypatch.setattr("arclab.checkpoint.open", no_open, raising=False)
+        with pytest.raises(CheckpointError, match=match):
+            save(tmp_path / "ck.arcl", tensors, digest=digest)
+        assert list(tmp_path.iterdir()) == []  # no checkpoint and no temp file
+
+    def test_bytearray_digest_accepted(self, tmp_path, tensors) -> None:
+        digest = bytearray(config_digest({"a": 1}))
+        save(tmp_path / "ck.arcl", tensors, digest=digest)
+        assert load(tmp_path / "ck.arcl")[0].config_digest == bytes(digest)
 
     @pytest.mark.parametrize("dims", [[2**32 - 1] * 8, [2**31, 2**31, 4], [3, 3]])
     def test_payload_length_checked_before_reading(self, tmp_path, dims) -> None:

@@ -794,6 +794,39 @@ class TestCommands:
             ranks = [int(row["effective_rank"]) for row in csv.DictReader(fh)]
         assert len(ranks) == 4 and all(1 <= rank <= 4 for rank in ranks), ranks
 
+    def test_cached_parser_carries_nothing_between_calls(self, trained_run, tmp_path,
+                                                         capsys) -> None:
+        """main parses with one parser per process: a call's options, usage
+        error or help screen leave nothing behind for the next call."""
+        assert cli.build_parser() is cli.build_parser()
+        ckpt = str(trained_run / "checkpoint.arcl")
+
+        def histogram_rows(out_dir) -> set[int]:
+            return {len(path.read_text().splitlines()) - 1
+                    for path in out_dir.glob("spectrum_layer*.csv")}
+
+        assert cli.main(["spectrum", "--checkpoint", ckpt, "--bins", "5",
+                         "--out", str(tmp_path / "five")]) == 0
+        assert histogram_rows(tmp_path / "five") == {5}
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--out", str(tmp_path / "unread")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "the following arguments are required: --checkpoint" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: arclab spectrum ")
+        assert cli.main(["spectrum", "--checkpoint", ckpt, "--out", str(tmp_path / "default")]) == 0
+        assert histogram_rows(tmp_path / "default") == {analysis.DEFAULT_BINS} == {50}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["default", "five"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:  # after a call that succeeded
+            cli.main(["verify", "--checkpoint", ckpt, "--fused", ckpt, "--seed", "-1"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert "argument --seed: must be a non-negative integer, got '-1'" in err and out == ""
+
     def test_spectrum_non_finite_delta_exit_3(self, tmp_path, capfd) -> None:
         config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
         run_dir = tmp_path / "run"
