@@ -78,9 +78,10 @@ def count_finetune(spec: MethodSpec, d: int, layers: int) -> int:
         return 2 * w * d * dp * layers
     if spec.method == "ssf":
         return 2 * o * d * layers
-    if spec.method == "arc":
-        return 2 * (d * dp + (dp + d) * layers)
-    return d * dp + (dp + d) * layers  # arc_att: attention side only
+    if spec.method == "arc":  # the default bank: 2 (D D' + (D' + D) L)
+        return count_arc_config(ArcConfig(bottleneck=dp), d, layers)
+    # arc_att, the default bank's attention side alone: D D' + (D' + D) L
+    return count_arc_config(ArcConfig(bottleneck=dp, positions=("before_mha",)), d, layers)
 
 
 def count_inference(spec: MethodSpec, d: int, layers: int) -> int:

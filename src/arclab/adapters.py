@@ -133,7 +133,8 @@ class AdapterBank:
     """Named trainable tensors of one adapter configuration on one backbone,
     and the wiring they give it: an adapter at each of ``config.positions``
     in each of ``layers``. Building one (``dataclasses.replace`` included)
-    raises ShapeError naming a missing, unexpected or misshapen tensor."""
+    raises ShapeError naming a missing, unexpected or misshapen tensor
+    (:func:`check_shapes`)."""
 
     config: ArcConfig
     backbone: BackboneConfig
@@ -141,15 +142,8 @@ class AdapterBank:
     layers: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        shapes = adapter_shapes(self.config, self.backbone)
-        missing = sorted(set(shapes) - set(self.tensors))
-        extra = sorted(set(self.tensors) - set(shapes))
-        if missing or extra:
-            raise ShapeError(f"adapter tensors mismatch: missing {missing}, unexpected {extra}")
-        for name, shape in shapes.items():
-            if self.tensors[name].shape != shape:
-                raise ShapeError(
-                    f"adapter tensor {name!r}: shape {self.tensors[name].shape}, expected {shape}")
+        check_shapes(adapter_shapes(self.config, self.backbone),
+                     {name: t.shape for name, t in self.tensors.items()})
         self.layers = resolved_layers(self.config, self.backbone.layers)
 
     @property
@@ -169,6 +163,20 @@ class AdapterBank:
     def trainable_count(self) -> int:
         """Census of trainable scalars; must equal the closed-form count."""
         return sum(t.size for t in self.tensors.values())
+
+
+def check_shapes(expected: dict, shapes: dict) -> None:
+    """Raise ShapeError unless the name -> shape map ``shapes`` holds the
+    names of the table ``expected``, no more and no fewer, each at its shape.
+    The one check of a tensor set: a bank's tensors and a checkpoint's
+    record heads."""
+    missing = sorted(set(expected) - set(shapes))
+    extra = sorted(set(shapes) - set(expected))
+    if missing or extra:
+        raise ShapeError(f"tensor set mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if shapes[name] != shape:
+            raise ShapeError(f"{name}: expected shape {shape}, got {shapes[name]}")
 
 
 def adapter_shapes(config: ArcConfig, backbone) -> dict[str, tuple[int, int]]:
@@ -216,18 +224,18 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
 
 
 def dropout_masks(bank: AdapterBank | None, batch: int, tokens: int, rng: Rng):
-    """One training batch's hidden-feature masks by (layer, site), drawn
-    from ``rng`` at the bank's ``dropout_rate``, or None when no site drops
-    anything (no draw is made then).
+    """One training batch's hidden-feature masks as one (batch, site, token,
+    D') array, its site axis in ``bank.sites`` order, drawn from ``rng`` at
+    the bank's ``dropout_rate``; or None when no site drops anything (no
+    draw is made then).
 
-    A single draw covers the batch in (image, layer, site) order, the order
-    in which one image at a time would consume the stream.
+    The single draw covers the batch in (image, layer, site) order, the
+    order in which one image at a time would consume the stream.
     """
     if bank is None or bank.config.variant == "full_rank" or bank.config.dropout_rate <= 0.0:
         return None
-    cfg, sites = bank.config, bank.sites
-    masks = dropout_mask(rng, (batch, len(sites), tokens, cfg.bottleneck), cfg.dropout_rate)
-    return {key: masks[:, i] for i, key in enumerate(sites)}
+    cfg = bank.config
+    return dropout_mask(rng, (batch, len(bank.sites), tokens, cfg.bottleneck), cfg.dropout_rate)
 
 
 def arc_forward(ops, bank: AdapterBank, layer: int, site: str, x, values, mask=None):
@@ -251,12 +259,13 @@ def arc_forward(ops, bank: AdapterBank, layer: int, site: str, x, values, mask=N
 def apply_site(ops, bank: AdapterBank | None, layer: int, site: str, x, values, masks=None):
     """Model-facing hook: identity when the bank has no adapter at the site.
 
-    ``masks``, if given, holds the batch's dropout masks by (layer, site).
+    ``masks``, if given, is the batch's :func:`dropout_masks` array; the
+    site gets ``masks[:, i]``, a view, where i is its place in ``bank.sites``.
     """
     if bank is None or layer not in bank.layers or site not in bank.config.positions:
         return x
     return arc_forward(ops, bank, layer, site, x, values,
-                       None if masks is None else masks[(layer, site)])
+                       None if masks is None else masks[:, bank.sites.index((layer, site))])
 
 
 def composite_matrix(bank: AdapterBank, group: str, layer: int):

@@ -175,8 +175,8 @@ def load(path, keep: Callable[[str], bool] | None = None
     Each length is checked against the file size before anything is
     allocated for it. The format has no tensor count, so a file cut exactly
     at a record boundary returns the records before the cut: callers that
-    need a full set check the names (``model.validate_shapes``, the CLI's
-    adapter check). The header's ``shapes`` lists every record's dims.
+    need a full set check the names (``adapters.check_shapes``, as the CLI
+    does). The header's ``shapes`` lists every record's dims.
 
     Only the records whose name ``keep`` accepts are returned (all of them
     when ``keep`` is None); the payloads of the others are seeked past, not

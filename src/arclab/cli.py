@@ -8,7 +8,8 @@ fully-defaulted effective config it ran with.
 Exit codes: 0 success, 1 a verification failed, 2 configuration error
 (an unreadable config or checkpoint path included, and a run whose arrays
 do not fit in memory, reported as ``out of memory: ...``), 3 numerical
-abort.
+abort, 141 (128 + SIGPIPE) a reader that closed stdout early, with nothing
+on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accounting, analysis, checkpoint, model, reparam, training
-from .adapters import AdapterBank, ArcConfig, init_adapters
+from .adapters import AdapterBank, ArcConfig, adapter_shapes, check_shapes, init_adapters
 from .autodiff import gradcheck
 from .errors import CheckpointError, ConfigError, NumericalError, ShapeError, TrainingAborted
 from .kernel import Rng
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 @dataclasses.dataclass(frozen=True)
@@ -220,26 +222,28 @@ def _is_adapter(name: str) -> bool:
 
 def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: bool = False):
     """``(weights, bank)`` of the checkpoint at ``path``, which must carry
-    ``cfg``'s digest and the ``fused`` flag, in that order, and hold a full
-    backbone, whose names and shapes are checked from the record heads. An
-    unfused checkpoint yields a bank of its ``arc.*`` tensors; a fused one
-    must hold none and yields None. With ``bank_only`` the backbone payloads
-    are not read, and ``weights`` is empty."""
+    ``cfg``'s digest and the ``fused`` flag, in that order. Its record heads
+    are checked in one :func:`adapters.check_shapes` against the backbone's
+    table plus, when unfused, the bank's: a fused checkpoint holds the
+    backbone alone and yields no bank, an unfused one yields a bank of its
+    ``arc.*`` tensors. With ``bank_only`` the backbone payloads are not
+    read, and ``weights`` is empty."""
     header, tensors = checkpoint.load(path, keep=_is_adapter if bank_only else None)
     if header.config_digest != cfg.digest():
         raise CheckpointError(f"checkpoint {path} was not produced by config {config_path}")
     if header.fused != fused:
         raise ConfigError(f"checkpoint {path} "
                           f"{'does not carry' if fused else 'already carries'} the fused flag")
-    weights = {k: v for k, v in tensors.items() if fused or not _is_adapter(k)}
+    expected = model.weight_shapes(cfg.backbone)
+    if not fused:
+        expected.update(adapter_shapes(cfg.arc, cfg.backbone))
     try:
-        model.validate_shapes(cfg.backbone, {k: dims for k, dims in header.shapes.items()
-                                             if fused or not _is_adapter(k)})
-        bank = None if fused else AdapterBank(cfg.arc, cfg.backbone, {
-            k: v for k, v in tensors.items() if _is_adapter(k)})
+        check_shapes(expected, header.shapes)
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {path}: {exc}") from None
-    return weights, bank
+    bank = None if fused else AdapterBank(cfg.arc, cfg.backbone, {
+        name: tensors.pop(name) for name in list(tensors) if _is_adapter(name)})
+    return tensors, bank
 
 
 def cmd_train(args) -> int:
@@ -445,7 +449,14 @@ def main(argv=None) -> int:
         for flag in ("out", "csv"):  # an output path, checked before anything is read
             if getattr(args, flag, None) == "":
                 raise ConfigError(f"--{flag} must be a non-empty path")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout: exit as SIGPIPE would, silently
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the final flush of stdout writes nowhere
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -148,19 +148,6 @@ def init_backbone(cfg: BackboneConfig, rng: Rng) -> dict[str, np.ndarray]:
     return weights
 
 
-def validate_shapes(cfg: BackboneConfig, shapes) -> None:
-    """Check a name -> shape map against :func:`weight_shapes`: the same
-    names, each with its shape."""
-    expected = weight_shapes(cfg)
-    missing = sorted(set(expected) - set(shapes))
-    extra = sorted(set(shapes) - set(expected))
-    if missing or extra:
-        raise ShapeError(f"weight set mismatch: missing {missing}, unexpected {extra}")
-    for name, shape in expected.items():
-        if shapes[name] != shape:
-            raise ShapeError(f"{name}: expected shape {shape}, got {shapes[name]}")
-
-
 def checksum(weights) -> str:
     """SHA-256 over names, shapes and raw little-endian bytes of the tensors."""
     h = hashlib.sha256()
@@ -230,9 +217,9 @@ def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
 def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, bank=None, masks=None):
     """Run the encoder stack and head on an embedded (B, T, D) token batch.
 
-    ``bank`` wires its adapters in at its (layer, site) pairs; ``masks``
-    holds the adapter dropout masks of this batch by (layer, site), or is
-    None for no dropout.
+    ``bank`` wires its adapters in at its (layer, site) pairs; ``masks`` is
+    this batch's :func:`adapters.dropout_masks` array, or None for no
+    dropout.
     """
     x = x_emb
     for layer in range(1, cfg.layers + 1):

@@ -173,15 +173,16 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     float64 buffer that AdamW updates as a single tensor. The images are
     cut into patches once. After each epoch's permutation, one
     :func:`adapters.dropout_masks` draw covers the images of the steps that
-    epoch runs. The run keeps one recording per batch size (the full size
-    and the size of a short last batch). A size gets its own buffers for
-    the patches, labels and per-site dropout masks of a batch, and every
-    step fills its size's buffers in place. The first step of a size then
-    builds a :class:`Tape` whose leaves are the frozen tensors as constants
-    and the trainables as parameters over views of the flat buffer, and
-    records the forward over a constant on the patches buffer, with the
-    masks and labels as static arguments. Every later step of that size
-    replays that recording (:meth:`Tape.replay`); ``model.forward`` itself
+    epoch runs. The run keeps one slot per batch size (the full size and
+    the size of a short last batch). The first step of a size copies its
+    batch's patches, labels and dropout masks (one array) into new buffers
+    and builds a :class:`Tape` whose leaves are the frozen tensors as
+    constants and the trainables as parameters over views of the flat
+    buffer. It records the forward over a constant on the patches buffer,
+    with the masks and labels as static arguments; the size's slot keeps
+    the buffers and the tape, logits and loss. Every later step of that
+    size refills the slot's buffers in place, the masks with one copy, and
+    replays the recording (:meth:`Tape.replay`); ``model.forward`` itself
     never runs. The stream is read in the order of a draw per step, every
     update is elementwise, and a replay runs the recorded forwards, so the
     losses and values are the same bits as with a fresh tape, a draw and
@@ -211,8 +212,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
-    buffers = {}  # batch size -> its patches, labels and masks, refilled every step
-    recordings = {}  # batch size -> its tape, logits and loss, over that size's buffers
+    slots = {}  # batch size -> (patches, labels, masks, tape, logits, loss) of that size
     try:
         # A permutation follows every full epoch, the one that ends the run
         # included, so the stream ends where per-step draws leave it.
@@ -226,31 +226,25 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
-                size = idx.size
-                if size not in buffers:
-                    buffers[size] = (np.empty((size,) + all_patches.shape[1:]),
-                                     np.empty(size, data.train_labels.dtype),
-                                     None if masks is None else {
-                                         key: np.empty((size,) + m.shape[1:], m.dtype)
-                                         for key, m in masks.items()})
-                patches, labels, step_masks = buffers[size]
-                np.take(all_patches, idx, axis=0, out=patches)
-                np.take(data.train_labels, idx, out=labels)
-                for key, m in (step_masks or {}).items():
-                    m[...] = masks[key][rows]
-                if size in recordings:
-                    recordings[size][0].replay()
-                else:  # the first step of this size records over its buffers
+                if idx.size in slots:  # refill this size's buffers in place and replay
+                    patches, labels, batch_masks, tape, logits, loss_node = slots[idx.size]
+                    np.take(all_patches, idx, axis=0, out=patches)
+                    np.take(data.train_labels, idx, out=labels)
+                    if batch_masks is not None:
+                        batch_masks[...] = masks[rows]
+                    tape.replay()
+                else:  # the first step of a size records over copies of its batch
+                    patches, labels = all_patches[idx], data.train_labels[idx]
+                    batch_masks = None if masks is None else masks[rows].copy()
                     tape = Tape()
                     values = {name: tape.constant(arr)
                               for name, arr in weights.items() if name not in views}
                     values.update({name: tape.parameter(name, view) for name, view in views.items()})
                     x_emb = model.patch_embed(tape, backbone_cfg, values, tape.constant(patches))
                     logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
-                                                  step_masks)
+                                                  batch_masks)
                     loss_node = tape.cross_entropy(logits, labels)
-                    recordings[size] = tape, logits, loss_node
-                tape, logits, loss_node = recordings[size]
+                    slots[idx.size] = patches, labels, batch_masks, tape, logits, loss_node
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):
                     raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)

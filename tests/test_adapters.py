@@ -10,7 +10,7 @@ import pytest
 from arclab import accounting, adapters, model
 from arclab.adapters import (AdapterBank, ArcConfig, adapter_shapes, arc_forward, dropout_mask,
                              init_adapters)
-from arclab.autodiff import Eager, gradcheck
+from arclab.autodiff import Eager, Tape, gradcheck
 from arclab.errors import ConfigError, ShapeError
 from arclab.kernel import Rng
 
@@ -244,9 +244,38 @@ class TestDropout:
         bank = init_adapters(cfg, TOY, Rng(1))
         masks = adapters.dropout_masks(bank, 3, 5, Rng(9))
         rng = Rng(9)
+        assert masks.shape == (3, len(bank.sites), 5, 4)
         for image in range(3):
-            for key in bank.sites:
-                assert np.array_equal(masks[key][image], dropout_mask(rng, (5, 4), 0.3)), key
+            for i, key in enumerate(bank.sites):
+                assert np.array_equal(masks[image, i], dropout_mask(rng, (5, 4), 0.3)), key
+
+    def test_each_site_gets_its_slice_of_the_masks(self, monkeypatch) -> None:
+        # a taped forward hands the adapter at (layer, site) the view masks[:, i],
+        # i its place in bank.sites: all four positions, a subset of the layers
+        backbone = dataclasses.replace(TOY, layers=3)
+        cfg = ArcConfig(bottleneck=4, positions=adapters.SITES, insertion_layers=(1, 3),
+                        dropout_rate=0.3)
+        bank = init_adapters(cfg, backbone, Rng(1))
+        masks = adapters.dropout_masks(bank, 2, backbone.tokens + 1, Rng(3))
+        seen = []
+        real = adapters.arc_forward
+
+        def spy(ops, bank, layer, site, x, values, mask=None):
+            seen.append(((layer, site), mask))
+            return real(ops, bank, layer, site, x, values, mask)
+
+        monkeypatch.setattr(adapters, "arc_forward", spy)
+        tape = Tape()
+        values = {n: tape.constant(a) for n, a in model.init_backbone(backbone, Rng(4)).items()}
+        values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
+        patches = model.extract_patches(Rng(2).normals((2, 8, 8, 1)), backbone)
+        x_emb = model.patch_embed(tape, backbone, values, tape.constant(patches))
+        model.forward_tokens(tape, backbone, values, x_emb, bank, masks)
+        assert [key for key, _ in seen] == list(bank.sites)
+        assert {layer for layer, _ in bank.sites} == {1, 3}
+        for key, mask in seen:
+            want = masks[:, bank.sites.index(key)]
+            assert np.array_equal(mask, want) and np.shares_memory(mask, want), key
 
     def test_train_rate_zero_equals_eval(self) -> None:
         cfg = ArcConfig(bottleneck=4, dropout_rate=0.0)
@@ -275,7 +304,7 @@ class TestBankChecksTensors:
     @pytest.mark.parametrize("fault, message", [
         ("missing", "missing ['arc.ffn.2.coef'], unexpected []"),
         ("extra", "missing [], unexpected ['arc.ffn.3.coef']"),
-        ("misshapen", "adapter tensor 'arc.ffn.2.coef': shape (1, 3), expected (1, 4)"),
+        ("misshapen", "arc.ffn.2.coef: expected shape (1, 4), got (1, 3)"),
     ])
     def test_wrong_tensor_is_shape_error(self, build, fault, message) -> None:
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(1))

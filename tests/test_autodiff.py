@@ -135,8 +135,7 @@ class TestReplay:
         # refill every leaf in place: inputs, masks, labels and trainables
         new_patches, new_masks, new_labels = self._draw(rng, batch, bank)
         patches[...] = new_patches
-        for key, m in masks.items():
-            m[...] = new_masks[key]
+        masks[...] = new_masks
         labels[...] = new_labels
         for name in model.HEAD_NAMES:
             weights[name] += rng.normals(weights[name].shape, 0.1)

@@ -527,6 +527,44 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert out == "" and err.startswith("config error: ")
 
+    @staticmethod
+    def _count_argv_env(*flags):
+        """``arclab count --method arc --Dprime 50`` plus ``flags`` as a fresh
+        process, and its environment, with stdout buffered as it is by default."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return [sys.executable, "-m", "arclab.cli", "count", "--method", "arc", "--Dprime", "50",
+                *flags], env
+
+    def test_count_into_a_closed_pipe_exits_141_silently(self) -> None:
+        """A reader that takes one line and closes the pipe (``| head -1``)
+        ends the command with 128 + SIGPIPE and nothing on stderr. The
+        table, about 200 KB, outgrows the 64 KiB pipe buffer, so the write
+        meets the closed pipe however the two processes are scheduled."""
+        argv, env = self._count_argv_env("--sweep", "layers", "--L", "5000")
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().split()[0] == b"method"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=300) == cli.EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    def test_count_into_a_pipe_closed_before_it_runs(self) -> None:
+        """Output small enough to sit in stdout's buffer until the end meets
+        a closed pipe at the command's own flush: 141 and a silent stderr,
+        not the interpreter's exit-time 120 and ``Exception ignored``."""
+        argv, env = self._count_argv_env()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  timeout=300)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
+
     def test_count_bottleneck_equal_to_embedding(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc", "--D", "16", "--L", "3", "--Dprime", "16"])
         assert rc == 0

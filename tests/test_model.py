@@ -512,17 +512,18 @@ class TestWeights:
         assert drawn.generator.bit_generator.state == rng.generator.bit_generator.state
 
     def test_validate_accepts_init(self) -> None:
-        model.validate_shapes(TOY, {name: w.shape for name, w in toy_weights().items()})
+        adapters.check_shapes(model.weight_shapes(TOY),
+                              {name: w.shape for name, w in toy_weights().items()})
 
     def test_validate_rejects_missing_and_wrong_shape(self) -> None:
         shapes = {name: w.shape for name, w in toy_weights().items()}
         del shapes["cls"]
         with pytest.raises(ShapeError, match="cls"):
-            model.validate_shapes(TOY, shapes)
+            adapters.check_shapes(model.weight_shapes(TOY), shapes)
         shapes = {name: w.shape for name, w in toy_weights().items()}
         shapes["pos"] = (2, 2)
         with pytest.raises(ShapeError, match=r"pos: expected shape \(5, 16\), got \(2, 2\)"):
-            model.validate_shapes(TOY, shapes)
+            adapters.check_shapes(model.weight_shapes(TOY), shapes)
 
     def test_checksum_sensitive_to_single_bit(self) -> None:
         w = toy_weights()
