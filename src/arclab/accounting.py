@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .adapters import ArcConfig, resolved_layers
+from .adapters import ArcConfig, layer_count
 from .errors import ConfigError
 
 METHODS = ("adapter", "vpt_shallow", "vpt_deep", "lora", "ssf", "arc", "arc_att")
@@ -101,7 +101,7 @@ def count_arc_config(config: ArcConfig, d: int, layers: int) -> int:
     vector and a D-dim bias. Must equal the bank census exactly.
     """
     _check_dims(d, layers)
-    n_ins = len(resolved_layers(config, layers))
+    n_ins = layer_count(config, layers)
     groups = len(config.groups)
     if config.variant == "full_rank":
         return groups * n_ins * d * d

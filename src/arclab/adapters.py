@@ -119,13 +119,23 @@ class ArcConfig:
                 self.coef_key(group, layer), self.bias_key(group, layer))
 
 
-def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
-    layers = config.insertion_layers or tuple(range(1, total_layers + 1))
-    if not layers:
+def layer_count(config: ArcConfig, total_layers: int) -> int:
+    """``len(resolved_layers(config, total_layers))``, with its checks, in
+    O(1): the default tuple of every layer is never built."""
+    layers = config.insertion_layers
+    count, last = (len(layers), layers[-1]) if layers else (total_layers, total_layers)
+    if count <= 0:
         raise ConfigError("backbone.layers is 0: no encoder layer takes an adapter")
-    if layers[-1] > total_layers:
+    if last > total_layers:
         raise ConfigError(f"arc.insertion_layers {layers} exceed backbone.layers {total_layers}")
-    return layers
+    return count
+
+
+def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
+    """The encoder layers that take an adapter, in order; ConfigError when
+    there are none or one lies past ``total_layers``."""
+    layer_count(config, total_layers)
+    return config.insertion_layers or tuple(range(1, total_layers + 1))
 
 
 @dataclass

@@ -263,12 +263,21 @@ class Primitive(NamedTuple):
     a forward that saves nothing) and ``needs`` holds one flag per operand;
     an operand flagged False may get None instead of a gradient nobody
     reads. ``operands`` is the number of leading differentiable arguments.
+    ``eager``, when set, is :class:`Eager`'s route in place of ``forward``:
+    the same value, bit for bit, with less memory, which may be written
+    into an operand (see :class:`Eager`).
     """
 
     forward: Callable
     vjp: Callable
     operands: int
     saves: bool = False
+    eager: Callable | None = None
+
+
+def _gelu_in_place(a):
+    """GELU written into ``a``, which it returns."""
+    return kernel.gelu(a, out=a)
 
 
 PRIMITIVES: dict[str, Primitive] = {
@@ -276,7 +285,7 @@ PRIMITIVES: dict[str, Primitive] = {
     "linear": Primitive(kernel.linear, _linear_vjp, 3),
     "add": Primitive(_add, _add_vjp, 2),
     "layernorm": Primitive(kernel.layernorm_parts, _layernorm_vjp, 3, saves=True),
-    "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True),
+    "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True, eager=_gelu_in_place),
     "attention": Primitive(_attention, _attention_vjp, 3, saves=True),
     "arc_adapter": Primitive(_arc_adapter, _arc_adapter_vjp, 5, saves=True),
     "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, 2),
@@ -367,7 +376,12 @@ class Tape:
 
 class Eager:
     """Tape-free backend: every entry of :data:`PRIMITIVES` is its forward on
-    plain arrays, returning the value alone."""
+    plain arrays, returning the value alone.
+
+    ``gelu`` takes its operand over: it writes the result into that array
+    and returns it, so a caller passes only an array nothing else reads, as
+    :func:`model.ffn` passes its fresh fc1 output. Every other entry leaves
+    its operands as they were."""
 
     constant = staticmethod(_as_array)
 
@@ -403,7 +417,7 @@ def _value_only(name: str, prim: Primitive):
 
 for _name, _prim in PRIMITIVES.items():
     setattr(Tape, _name, _recorder(_name, _prim))
-    setattr(Eager, _name, staticmethod(_value_only(_name, _prim)))
+    setattr(Eager, _name, staticmethod(_prim.eager or _value_only(_name, _prim)))
 
 
 def backward(tape: Tape, out: Var) -> dict[str, np.ndarray]:

@@ -18,10 +18,10 @@ the records before the cut.
 Both directions stream. :func:`save` writes each payload straight from its
 array into a temp file beside the target and renames it over the target, so
 it never holds a second copy of the weights. :func:`load` first reads and
-checks every record head, seeking past each payload, and then reads the
-payloads it was asked for into one float64 buffer sized for those payloads
-alone: it never holds the file's bytes beside the arrays, and a load that
-keeps only the adapter bank allocates the bank's bytes, not the backbone's.
+checks every record head, seeking past each payload, and then reads each
+payload it was asked for into an array of its own: it never holds the
+file's bytes beside the arrays, and a load that keeps only the adapter bank
+allocates the bank's bytes, not the backbone's.
 """
 
 from __future__ import annotations
@@ -180,10 +180,11 @@ def load(path, keep: Callable[[str], bool] | None = None
 
     Only the records whose name ``keep`` accepts are returned (all of them
     when ``keep`` is None); the payloads of the others are seeked past, not
-    read. The kept payloads are read into one float64 buffer sized for them
-    alone, and each returned tensor is a writeable, C-contiguous view of its
-    own slice of it. A single tensor that is still referenced keeps the
-    whole buffer alive; copy it to keep it alone.
+    read. Each kept payload is read into its own float64 array, writeable
+    and C-contiguous, that shares memory with no other returned tensor, so a
+    tensor still referenced keeps only its own bytes alive. Payload-sized
+    arrays, unlike one buffer for the whole file, fit into heap memory the
+    process has already freed.
     """
     try:
         with open(path, "rb") as fh:
@@ -199,7 +200,7 @@ def load(path, keep: Callable[[str], bool] | None = None
                 raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
             digest = reader.take(32, "config digest")
             shapes: dict[str, tuple[int, ...]] = {}
-            kept = []  # (name, payload offset, value count) of each record to read
+            kept = []  # (name, payload offset) of each record to read
             while reader.offset < reader.size:
                 record_at = reader.offset
                 # a record head in three reads: name length; name and rank; dims
@@ -220,18 +221,14 @@ def load(path, keep: Callable[[str], bool] | None = None
                 if 0 in dims:
                     raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=record_at)
                 shapes[name] = dims
-                count = math.prod(dims)
-                start = reader.skip(8 * count, f"payload of {name!r}")
+                start = reader.skip(8 * math.prod(dims), f"payload of {name!r}")
                 if keep is None or keep(name):
-                    kept.append((name, start, count))
-            buffer = np.empty(sum(count for _, _, count in kept), dtype="<f8")
+                    kept.append((name, start))
             tensors: dict[str, np.ndarray] = {}
-            used = 0
-            for name, start, count in kept:
-                payload = buffer[used : used + count]
+            for name, start in kept:
+                payload = np.empty(shapes[name], dtype="<f8")
                 reader.read_floats(payload, start, f"payload of {name!r}")
-                used += count
-                tensors[name] = payload.reshape(shapes[name])
+                tensors[name] = payload
     except CheckpointError as exc:
         exc.args = (f"{path}: {exc}",)  # the byte offset, if any, stays in .offset
         raise

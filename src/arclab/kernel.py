@@ -201,18 +201,41 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _gelu_into(a: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
+    """GELU of ``a`` into ``out``, and 1 + erf(a / sqrt(2)) into the
+    C-contiguous ``cdf``; ``out`` may be ``a``."""
+    np.multiply(a, INV_SQRT2, out=cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    np.multiply(a, 0.5, out=out)
+    out *= cdf
+
+
 def gelu_parts(a: np.ndarray):
     """Exact GELU x*Phi(x) via the error function (no tanh approximation), and
     its intermediate 1 + erf(x / sqrt(2)) = 2 Phi(x): (out, cdf).
 
     The erf is :func:`erf`, cephes' in numpy: IEEE arithmetic alone where
     |x / sqrt(2)| <= 1, and the C library's ``exp`` past that."""
-    cdf = np.multiply(a, INV_SQRT2, order="C")
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    out = a * 0.5
-    out *= cdf
+    out, cdf = np.empty(a.shape), np.empty(a.shape)
+    _gelu_into(a, cdf, out)
     return out, cdf
+
+
+def gelu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The value of :func:`gelu_parts` alone, bit for bit, computed in
+    blocks of :data:`_ERF_BLOCK` values with one block of cdf scratch.
+    ``out`` may be ``a``, which then holds the result."""
+    if out is None:
+        out = np.empty(a.shape)
+    elif not (a.flags.c_contiguous and out.flags.c_contiguous):
+        raise ShapeError("gelu writes into out only when a and out are C-contiguous")
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    cdf = np.empty(min(flat.size, _ERF_BLOCK))
+    for i in range(0, flat.size, _ERF_BLOCK):
+        block = flat[i:i + _ERF_BLOCK]
+        _gelu_into(block, cdf[:block.size], flat_out[i:i + _ERF_BLOCK])
+    return out
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -721,12 +721,12 @@ class TestCommands:
                            {n: a for n, a in tensors.items() if n.startswith("arc.")})
         weights = {n: a for n, a in tensors.items() if not n.startswith("arc.")}
         want = model.checksum(reparam.fuse(weights, bank, cfg.backbone).tensors)
-        buffers, saved = [], []
+        loads, saved = [], []
         real_load, real_save = cli.checkpoint.load, cli.checkpoint.save
 
         def tracked_load(path, keep=None):
             header, loaded = real_load(path, keep=keep)
-            buffers.append(next(iter(loaded.values())).base)
+            loads.append(dict(loaded))
             return header, loaded
 
         def tracked_save(path, tensors, *args, **kwargs):
@@ -737,9 +737,9 @@ class TestCommands:
         monkeypatch.setattr(cli.checkpoint, "save", tracked_save)
         out = tmp_path / "fused.arcl"
         assert cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(out)]) == 0
-        [buffer], [written] = buffers, saved
+        [loaded], [written] = loads, saved
         assert set(written) == set(model.weight_shapes(cfg.backbone))
-        assert all(np.shares_memory(arr, buffer) for arr in written.values())
+        assert all(arr is loaded[name] for name, arr in written.items())
         assert ckpt.read_bytes() == blob
         assert model.checksum(load(out)[1]) == want
 
@@ -756,22 +756,23 @@ class TestCommands:
         adapted = model.eager_logits(cfg.backbone, tensors, images, bank=bank)
         plain = model.eager_logits(cfg.backbone, load(fused)[1], images)
         want = f"max_logit_deviation {np.abs(adapted - plain).max():.6e}  PASS"
-        buffers = []
+        loads = []  # a weak reference to every tensor of each load
         real_load = cli.checkpoint.load
 
         def tracked_load(path, keep=None):
-            if buffers:
+            if loads:
                 gc.collect()
-                assert buffers[-1]() is None, "the unfused checkpoint is still held"
+                held = [name for name, ref in loads[-1].items() if ref() is not None]
+                assert not held, f"the unfused checkpoint's {held} are still held"
             header, loaded = real_load(path, keep=keep)
-            buffers.append(weakref.ref(next(iter(loaded.values())).base))
+            loads.append({name: weakref.ref(t) for name, t in loaded.items()})
             return header, loaded
 
         monkeypatch.setattr(cli.checkpoint, "load", tracked_load)
         capsys.readouterr()
         rc = cli.main(["verify", "--checkpoint", str(ckpt), "--fused", str(fused),
                        "--trials", "32", "--seed", "5"])
-        assert rc == cli.EXIT_OK and len(buffers) == 2
+        assert rc == cli.EXIT_OK and len(loads) == 2
         assert capsys.readouterr().out == want + "\n"
 
     def test_verify_detects_corruption(self, tmp_path, capsys) -> None:

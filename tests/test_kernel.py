@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf as scipy_erf  # the oracle: cephes' erf, compiled
 
 from arclab import kernel
-from arclab.autodiff import PRIMITIVES
+from arclab.autodiff import PRIMITIVES, Eager
 from arclab.errors import NumericalError, ShapeError
 from arclab.kernel import (
     Rng,
@@ -97,8 +97,8 @@ class TestLinear:
 class TestKernelsKeepInputs:
     """The in-place kernels write only into arrays they allocated."""
 
-    @pytest.mark.parametrize("name", ["linear", "softmax_rows", "gelu_parts", "layernorm_parts",
-                                      "erf"])
+    @pytest.mark.parametrize("name", ["linear", "softmax_rows", "gelu_parts", "gelu",
+                                      "layernorm_parts", "erf"])
     def test_inputs_unmodified(self, name: str) -> None:
         rng = np.random.default_rng(11)
         x = _rand(rng, 2, 3, 4)
@@ -314,6 +314,14 @@ class TestLayernorm:
         assert kernel.row_mean(a).tobytes() == a.mean(axis=-1, keepdims=True).tobytes()
 
 
+# erf's branch edge |x / sqrt(2)| = 1 from both sides, +-0, +-inf, NaN,
+# subnormals and the smallest normal, and two values in erf's |x| > 1 branch
+_SQRT2 = math.sqrt(2.0)
+GELU_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+                 -2.2250738585072014e-308, _SQRT2, -math.nextafter(_SQRT2, 2.0),
+                 math.nextafter(_SQRT2, 0.0), 8.5, -40.0]
+
+
 class TestGelu:
     def test_zero(self) -> None:
         assert gelu_parts(np.array([[0.0]]))[0][0, 0] == 0.0
@@ -334,6 +342,41 @@ class TestGelu:
         _, cdf = prim.forward(x)
         (grad,) = prim.vjp(np.ones_like(x), cdf, (True,), x)
         assert np.abs(fd - grad).max() <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.sampled_from([1, 32767, 32768, 32769, 139264]),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.5, 3.0, 30.0]),
+           specials=st.lists(st.tuples(st.integers(0, 139263), st.sampled_from(GELU_SPECIALS)),
+                             max_size=12))
+    def test_eager_route_is_gelu_parts(self, size, seed, scale, specials) -> None:
+        """Eager's in-place GELU is ``gelu_parts``' value bit for bit, NaN
+        positions included: sizes around one block of :data:`kernel._ERF_BLOCK`
+        values and the (16, 17, 512) fc1 output of a D=128 forward, both erf
+        branches (|x| = sqrt(2) is the edge), +-0, +-inf, NaN and subnormals."""
+        a = np.random.default_rng(seed).normal(0.0, scale, size)
+        for i, v in specials:
+            a[i % size] = v
+        if size == 139264:
+            a = a.reshape(16, 17, 512)
+        with np.errstate(invalid="ignore"):  # -inf * Phi(-inf) = -inf * 0
+            want = gelu_parts(a)[0]
+            got = Eager.gelu(a.copy())
+        assert _same_values(got, want)
+
+    def test_eager_route_writes_into_its_operand(self) -> None:
+        a = np.random.default_rng(2).normal(0.0, 2.0, (3, 5, 40_000))
+        want = gelu_parts(a)[0]
+        assert Eager.gelu(a) is a
+        assert _same_values(a, want)
+
+    def test_shapes(self) -> None:
+        x = np.random.default_rng(6).normal(0.0, 2.0, (5, 7))
+        assert _same_values(kernel.gelu(x.T), gelu_parts(x.T)[0])  # strided, read through a copy
+        assert kernel.gelu(np.empty((0, 3))).shape == (0, 3)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            kernel.gelu(x, out=np.empty((7, 5)).T)
+        with pytest.raises(ShapeError, match="C-contiguous"):
+            Eager.gelu(x.T)
 
 
 def _same_values(got: np.ndarray, want: np.ndarray) -> bool:

@@ -357,6 +357,18 @@ class TestEagerLogits:
         whole = model.forward(Eager(), TOY, values, images, bank=bank)
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
+    def test_inputs_unchanged(self, with_bank) -> None:
+        """Eager's GELU writes into its operand, the fc1 output that only
+        ``model.ffn`` holds: no weight, bank tensor or image changes."""
+        values, bank = self._setup(with_bank)
+        images = Rng(56).normals((5, 8, 8, 1), 30.0)
+        inputs = {**values, **(bank.tensors if bank else {}), "images": images}
+        before = {name: a.tobytes() for name, a in inputs.items()}
+        model.forward(Eager(), TOY, values, images, bank=bank)
+        model.eager_logits(TOY, values, images, bank=bank)
+        assert {name: a.tobytes() for name, a in inputs.items()} == before
+
     @pytest.mark.parametrize("batch, halves", [(1, [1]), (2, [1, 1]), (5, [3, 2])])
     def test_second_half_runs_on_a_worker_thread(self, monkeypatch, pin_cpus, batch,
                                                  halves) -> None:
