@@ -20,10 +20,15 @@ A :class:`Tape` records primitive applications in topological order as
 its forward value, its primitive, its parent nodes and their needs-grad
 flags, its static (non-operand) arguments and the forward's residual, and
 reads its operand values from its parents. The tape-free :class:`Eager`
-backend calls the same forwards directly and drops the residuals, so a
-recorded forward is bitwise identical to an unrecorded one by
-construction. A recording can be replayed: :meth:`Tape.replay` re-runs
-each node's forward in place over the current contents of the leaves, so a
+backend calls the same forwards directly and drops the residuals, except
+where a primitive names an ``eager`` route of its own: GELU's is
+:func:`kernel.gelu`, which writes into its operand and keeps no cdf. So a
+recorded forward is bitwise identical to an unrecorded one, by
+construction for every primitive but GELU, and for GELU as
+``test_kernel.py::TestGelu::test_eager_route_is_gelu_parts`` shows.
+
+A recording can be replayed: :meth:`Tape.replay` re-runs each node's
+forward in place over the current contents of the leaves, so a
 loop whose graph stays the same records once and refills its leaves in
 place (a training run keeps one tape per batch size and replays it at
 every later step of that size).

@@ -17,11 +17,11 @@ the records before the cut.
 
 Both directions stream. :func:`save` writes each payload straight from its
 array into a temp file beside the target and renames it over the target, so
-it never holds a second copy of the weights. :func:`load` first reads and
-checks every record head, seeking past each payload, and then reads each
-payload it was asked for into an array of its own: it never holds the
-file's bytes beside the arrays, and a load that keeps only the adapter bank
-allocates the bank's bytes, not the backbone's.
+it never holds a second copy of the weights. :func:`load` reads the file once,
+front to back: it checks each record head, then reads that record's payload
+into an array of its own if it was asked for, or seeks past it if not. It
+never holds the file's bytes beside the arrays, and a load that keeps only
+the adapter bank allocates the bank's bytes, not the backbone's.
 """
 
 from __future__ import annotations
@@ -127,38 +127,40 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
 
 
 class _Reader:
-    """Reads a checkpoint front to back, checking each read against the file size."""
+    """Reads a checkpoint once, front to back, checking each step against the file size."""
 
     def __init__(self, fh):
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
-    def _check(self, n: int, what: str) -> None:
-        if self.offset + n > self.size:
-            raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
-
-    def take(self, n: int, what: str) -> bytes:
-        self._check(n, what)
-        out = self.fh.read(n)
-        if len(out) != n:  # the file shrank after it was measured
-            raise CheckpointError(f"truncated while reading {what}", offset=self.offset)
-        self.offset += n
-        return out
-
-    def skip(self, n: int, what: str) -> int:
-        """Seek past ``n`` bytes that must all be in the file; return where they start."""
-        self._check(n, what)
+    def _advance(self, n: int, what: str) -> int:
+        """Move past the next ``n`` bytes, which must all be in the file; return where they start."""
         start = self.offset
+        if start + n > self.size:
+            raise CheckpointError(f"truncated while reading {what}", offset=start)
         self.offset += n
-        self.fh.seek(self.offset)
         return start
 
-    def read_floats(self, out: np.ndarray, start: int, what: str) -> None:
-        """Fill ``out`` with the float64 values at byte ``start``, which :meth:`skip` checked."""
-        self.fh.seek(start)
+    def take(self, n: int, what: str) -> bytes:
+        start = self._advance(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank after it was measured
+            raise CheckpointError(f"truncated while reading {what}", offset=start)
+        return out
+
+    def skip(self, n: int, what: str) -> None:
+        self._advance(n, what)
+        self.fh.seek(self.offset)
+
+    def read_floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """The next payload, of ``shape``, read into a float64 array of its own
+        once the bounds check has passed."""
+        start = self._advance(8 * math.prod(shape), what)
+        out = np.empty(shape, dtype="<f8")
         if self.fh.readinto(memoryview(out).cast("B")) != out.nbytes:  # the file shrank
             raise CheckpointError(f"truncated while reading {what}", offset=start)
+        return out
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -178,10 +180,16 @@ def load(path, keep: Callable[[str], bool] | None = None
     need a full set check the names (``adapters.check_shapes``, as the CLI
     does). The header's ``shapes`` lists every record's dims.
 
-    Only the records whose name ``keep`` accepts are returned (all of them
-    when ``keep`` is None); the payloads of the others are seeked past, not
-    read. Each kept payload is read into its own float64 array, writeable
-    and C-contiguous, that shares memory with no other returned tensor, so a
+    The file is read once, front to back, each byte at most once. Only the
+    records whose name ``keep`` accepts are returned (all of them when
+    ``keep`` is None); the payloads of the others are seeked past, not
+    read. A file damaged after some kept records is rejected once their
+    payloads have been read, with the same error and offset as when nothing
+    is kept, and those arrays are dropped: a failing load never holds more
+    than a successful load of the same file.
+
+    Each kept payload is read into its own float64 array, writeable and
+    C-contiguous, that shares memory with no other returned tensor, so a
     tensor still referenced keeps only its own bytes alive. Payload-sized
     arrays, unlike one buffer for the whole file, fit into heap memory the
     process has already freed.
@@ -200,7 +208,7 @@ def load(path, keep: Callable[[str], bool] | None = None
                 raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
             digest = reader.take(32, "config digest")
             shapes: dict[str, tuple[int, ...]] = {}
-            kept = []  # (name, payload offset) of each record to read
+            tensors: dict[str, np.ndarray] = {}
             while reader.offset < reader.size:
                 record_at = reader.offset
                 # a record head in three reads: name length; name and rank; dims
@@ -221,14 +229,10 @@ def load(path, keep: Callable[[str], bool] | None = None
                 if 0 in dims:
                     raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=record_at)
                 shapes[name] = dims
-                start = reader.skip(8 * math.prod(dims), f"payload of {name!r}")
                 if keep is None or keep(name):
-                    kept.append((name, start))
-            tensors: dict[str, np.ndarray] = {}
-            for name, start in kept:
-                payload = np.empty(shapes[name], dtype="<f8")
-                reader.read_floats(payload, start, f"payload of {name!r}")
-                tensors[name] = payload
+                    tensors[name] = reader.read_floats(dims, f"payload of {name!r}")
+                else:
+                    reader.skip(8 * math.prod(dims), f"payload of {name!r}")
     except CheckpointError as exc:
         exc.args = (f"{path}: {exc}",)  # the byte offset, if any, stays in .offset
         raise

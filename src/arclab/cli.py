@@ -6,8 +6,9 @@ typo can never silently fall back to a default. Every command echoes the
 fully-defaulted effective config it ran with.
 
 Exit codes: 0 success, 1 a verification failed, 2 configuration error
-(an unreadable config or checkpoint path included, and a run whose arrays
-do not fit in memory, reported as ``out of memory: ...``), 3 numerical
+(an unreadable config or checkpoint path included, a config nested too
+deeply to parse, and a run whose arrays do not fit in memory or have a
+size numpy refuses, reported as ``out of memory: ...``), 3 numerical
 abort, 141 (128 + SIGPIPE) a reader that closed stdout early, with nothing
 on stderr.
 """
@@ -175,6 +176,8 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError:  # the parser recurses once per nested array or object
+        raise ConfigError(f"config {path} nests arrays or objects too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     unknown = sorted(set(doc) - set(_SECTIONS))
@@ -209,11 +212,13 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(cfg.as_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _sidecar_config(args) -> tuple[RunConfig, Path]:
+def _run_config(args) -> tuple[RunConfig, Path]:
     """The run config ``--config`` names (default: config.json next to the
-    checkpoint), and its path."""
+    checkpoint), and its path. It is kept as ``args.run_config``, where
+    :func:`main` looks for the sizes the run was given."""
     path = Path(args.config) if args.config else Path(args.checkpoint).parent / "config.json"
-    return load_run_config(path), path
+    args.run_config = load_run_config(path)
+    return args.run_config, path
 
 
 def _is_adapter(name: str) -> bool:
@@ -247,7 +252,7 @@ def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: 
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config)
+    cfg, _ = _run_config(args)
     out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
@@ -278,7 +283,7 @@ def cmd_fuse(args) -> int:
     weight set in memory, and the checkpoint on disk is only read. An
     ``--out`` that is the checkpoint file itself, by any path, is a config
     error raised before anything is written."""
-    cfg, config_path = _sidecar_config(args)
+    cfg, config_path = _run_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     out = Path(args.out)
     if out.exists() and os.path.samefile(out, args.checkpoint):
@@ -303,7 +308,7 @@ def cmd_verify(args) -> int:
     """
     if args.trials < 1:  # fail before either checkpoint is read
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    cfg, config_path = _sidecar_config(args)
+    cfg, config_path = _run_config(args)
     deviation = reparam.verify_fusion(
         cfg.backbone,
         lambda: _load_checkpoint(cfg, config_path, args.checkpoint, fused=False),
@@ -346,7 +351,7 @@ def cmd_spectrum(args) -> int:
     payloads are read; the backbone is checked from its record heads."""
     if args.bins < 1:  # fail before the config or checkpoint is read
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
-    cfg, config_path = _sidecar_config(args)
+    cfg, config_path = _run_config(args)
     _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False, bank_only=True)
     reports = analysis.rank_sweep(bank, bins=args.bins)
     paths = analysis.write_spectrum_csvs(reports, args.out)
@@ -359,7 +364,7 @@ def cmd_spectrum(args) -> int:
 def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):  # fail before the backbone is drawn
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
-    cfg = load_run_config(args.config)
+    cfg, _ = _run_config(args)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     perturb = Rng(cfg.seed + 3)
@@ -377,6 +382,25 @@ def cmd_gradcheck(args) -> int:
     report = gradcheck(build, live, tol=args.tol)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FAILED
+
+
+# numpy's refusals of an array size it cannot represent, raised before it allocates
+_NUMPY_SIZE_REFUSALS = ("Maximum allowed dimension exceeded", "Maximum allowed size exceeded",
+                        "array is too big")
+
+
+def _largest_size(args) -> str:
+    """``--flag value`` or ``section.key value`` of the largest integer the
+    command was given, seeds aside: an array size numpy refuses grows from
+    the command's integers."""
+    given = {f"--{name}": value for name, value in vars(args).items()}
+    if hasattr(args, "run_config"):
+        given.update((f"{section}.{key}", value)
+                     for section, fields in args.run_config.as_dict().items()
+                     for key, value in fields.items())
+    sizes = [(value, name) for name, value in given.items()
+             if _is_a(value, int) and not name.endswith("seed")]
+    return "{1} {0}".format(*max(sizes)) if sizes else "its input"
 
 
 def _seed(text: str) -> int:
@@ -462,6 +486,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:  # numpy's message names the size it could not allocate
         print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:
+        if not str(exc).startswith(_NUMPY_SIZE_REFUSALS):
+            raise  # any other ValueError is a program bug, and keeps its traceback
+        print(f"out of memory: numpy cannot size an array grown from {_largest_size(args)}, "
+              f"the largest size given: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingAborted, NumericalError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

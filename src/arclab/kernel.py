@@ -3,10 +3,13 @@
 Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
 products and row-wise maps act on the last one or two axes and treat any
 leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
-is a pure function of its inputs and keeps finite inputs finite. LayerNorm
-and GELU come only in their ``_parts`` form, which returns the value with
-the intermediates its vector-Jacobian product reuses. :func:`run_both`
-runs two pieces of work on two cores, where the process has two.
+is a pure function of its inputs and keeps finite inputs finite, except
+that :func:`gelu` may write into its operand when asked to. LayerNorm and
+GELU come in a ``_parts`` form, which returns the value with the
+intermediates its vector-Jacobian product reuses; :func:`gelu` is the
+value of :func:`gelu_parts` alone, bit for bit, for the tape-free
+forward. :func:`run_both` runs two pieces of work on two cores, where the
+process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 
 numpy is the only dependency. The exp of :func:`erf` for |x| > 1 needs

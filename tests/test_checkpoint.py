@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arclab import checkpoint
 from arclab.checkpoint import MAGIC, VERSION, CheckpointHeader, config_digest, load, save
 from arclab.errors import CheckpointError
 from arclab.kernel import Rng
@@ -212,6 +213,117 @@ class TestRejection:
 
 def _listing(directory) -> list[str]:
     return sorted(p.name for p in directory.iterdir())
+
+
+class _SpyFile:
+    """The file :func:`load` opens, recording the byte span of each read and
+    the position before and after each seek. It offers only the methods it
+    records, so a read by any other route fails the test."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.reads: list[tuple[int, int]] = []
+        self.seeks: list[tuple[int, int]] = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.fh.close()
+
+    def fileno(self) -> int:
+        return self.fh.fileno()
+
+    def read(self, n: int) -> bytes:
+        start = self.fh.tell()
+        out = self.fh.read(n)
+        self.reads.append((start, start + len(out)))
+        return out
+
+    def readinto(self, buffer) -> int:
+        start = self.fh.tell()
+        n = self.fh.readinto(buffer)
+        self.reads.append((start, start + n))
+        return n
+
+    def seek(self, offset: int, whence: int = 0) -> int:
+        before = self.fh.tell()
+        after = self.fh.seek(offset, whence)
+        self.seeks.append((before, after))
+        return after
+
+
+def _merged(spans) -> list[tuple[int, int]]:
+    """``spans`` in order, each one that starts where the last stops joined to it."""
+    out: list[tuple[int, int]] = []
+    for start, stop in spans:
+        if out and out[-1][1] == start:
+            out[-1] = (out[-1][0], stop)
+        else:
+            out.append((start, stop))
+    return out
+
+
+class TestOnePass:
+    """:func:`load` reads a file once, front to back: the file header, then
+    each record head, then that record's payload or a seek past it."""
+
+    @pytest.fixture
+    def spied(self, tmp_path, monkeypatch):
+        """A checkpoint with a bank and a backbone, its tensors, and the
+        spies of the files :func:`load` opens."""
+        rng = Rng(3)
+        tensors = {"arc.down": rng.normals((16, 4)), "arc.up": rng.normals((4, 16)),
+                   "blocks.0.w": rng.normals((64, 64)), "cls": rng.normals((1, 16)),
+                   "pos": rng.normals((5, 16))}  # blocks.0.w is 32 KiB, past any read buffer
+        path = tmp_path / "ck.arcl"
+        save(path, tensors)
+        spies: list[_SpyFile] = []
+
+        def spy_open(*args, **kwargs):
+            spies.append(_SpyFile(open(*args, **kwargs)))
+            return spies[-1]
+
+        monkeypatch.setattr(checkpoint, "open", spy_open, raising=False)
+        return path, tensors, spies
+
+    @staticmethod
+    def _expected_reads(tensors, keep) -> list[tuple[int, int]]:
+        spans, at = [(0, 41)], 41  # magic, version, fused flag and digest
+        for name in sorted(tensors):
+            t = tensors[name]
+            head = 8 + len(name.encode()) + 4 * t.ndim
+            spans.append((at, at + head))
+            if keep is None or keep(name):
+                spans.append((at + head, at + head + t.nbytes))
+            at += head + t.nbytes
+        return _merged(spans)
+
+    def test_whole_load_reads_each_byte_once(self, spied) -> None:
+        path, tensors, spies = spied
+        _, loaded = load(path)
+        [spy] = spies
+        assert all(after >= before for before, after in spy.seeks), spy.seeks
+        assert spy.reads == sorted(spy.reads)
+        assert sum(stop - start for start, stop in spy.reads) == path.stat().st_size
+        assert _merged(spy.reads) == [(0, path.stat().st_size)]
+        assert all(loaded[name].tobytes() == t.tobytes() for name, t in tensors.items())
+
+    def test_bank_only_load_reads_heads_and_bank(self, spied) -> None:
+        """The bytes ``spectrum`` reads: the file header, every record head
+        and the bank's payloads, each once; the backbone payloads are
+        seeked past."""
+        path, tensors, spies = spied
+        keep = lambda n: n.startswith("arc.")  # noqa: E731 - the CLI's selection
+        _, loaded = load(path, keep=keep)
+        [spy] = spies
+        assert all(after >= before for before, after in spy.seeks), spy.seeks
+        assert spy.reads == sorted(spy.reads)
+        assert _merged(spy.reads) == self._expected_reads(tensors, keep)
+        heads = sum(8 + len(name) + 4 * t.ndim for name, t in tensors.items())
+        bank = sum(t.nbytes for name, t in tensors.items() if keep(name))
+        assert sum(stop - start for start, stop in spy.reads) == 41 + heads + bank
+        assert list(loaded) == ["arc.down", "arc.up"]
 
 
 class TestSaveContract:

@@ -1062,6 +1062,59 @@ class TestCommands:
 
 # Blocks every import of scipy, imports each arclab module, runs the four
 # file commands and prints their exit codes and the scipy modules loaded.
+class TestSizesNumpyRefuses:
+    """A size numpy refuses before it allocates anything, from a flag or a
+    config key, exits 2 with one out-of-memory line naming it; a config
+    nested past the parser's depth is a config error."""
+
+    HUGE = "1000000000000000000000000"  # 10**24, past numpy's largest array dimension
+
+    def _refused(self, capsys, argv, where: str) -> None:
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith(f"out of memory: numpy cannot size an array grown from {where}, ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_verify_trials(self, trained_run, capsys) -> None:
+        self._refused(capsys, ["verify", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                               "--fused", str(trained_run / "fused.arcl"), "--trials", self.HUGE],
+                      f"--trials {self.HUGE}")
+
+    def test_spectrum_bins(self, trained_run, tmp_path, capsys) -> None:
+        out = tmp_path / "spectra"
+        self._refused(capsys, ["spectrum", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                               "--bins", self.HUGE, "--out", str(out)], f"--bins {self.HUGE}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_embed_dim(self, tmp_path, capsys, command) -> None:
+        """D = 10**12 with one head: the backbone's one draw of about 12 D**2
+        values is a size numpy refuses."""
+        config = write_config(tmp_path, backbone={"embed_dim": 10**12, "heads": 1})
+        out = tmp_path / "run"
+        argv = ["train", "--config", str(config), "--out", str(out)] if command == "train" \
+            else ["gradcheck", "--config", str(config)]
+        self._refused(capsys, argv, "backbone.embed_dim 1000000000000")
+        assert not out.exists()
+
+    def test_other_value_errors_keep_their_traceback(self, tmp_path, monkeypatch) -> None:
+        def bug(*args):
+            raise ValueError("a program bug")
+
+        monkeypatch.setattr(model, "init_backbone", bug)
+        with pytest.raises(ValueError, match="a program bug"):
+            cli.main(["train", "--config", str(write_config(tmp_path)),
+                      "--out", str(tmp_path / "run")])
+
+    def test_deeply_nested_config(self, tmp_path, capsys) -> None:
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: config {path} nests arrays or objects too deeply to parse\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+
 _WITHOUT_SCIPY = """
 import importlib, json, pkgutil, sys
 sys.modules["scipy"] = None  # an import of scipy or a submodule raises ImportError
