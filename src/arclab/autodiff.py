@@ -26,6 +26,9 @@ where a primitive names an ``eager`` route of its own: GELU's is
 recorded forward is bitwise identical to an unrecorded one, by
 construction for every primitive but GELU, and for GELU as
 ``test_kernel.py::TestGelu::test_eager_route_is_gelu_parts`` shows.
+Every other in-place write lands in an array the forward allocated
+itself: ``attention`` runs its softmax over the scores it has just made
+and writes each head's probs @ V into its own columns of the result.
 
 A recording can be replayed: :meth:`Tape.replay` re-runs each node's
 forward in place over the current contents of the leaves, so a
@@ -176,8 +179,10 @@ def _attention(q, k, v, heads, scale):
     """Multi-head softmax(scale Q K^T) V over (..., T, D) projections.
 
     The width is column-partitioned into ``heads`` blocks, which become a
-    batch axis; the heads are merged back into a (..., T, D) result.
-    Saves the split heads, the contiguous K^T and the probabilities.
+    batch axis. The softmax runs in place over the scores, and each head's
+    probs @ V is written straight into its columns of the (..., T, D)
+    result, so the heads need no merge copy. Saves the split heads, the
+    contiguous K^T and the probabilities.
     """
     if not q.shape == k.shape == v.shape:
         raise ShapeError(f"attention needs equal q/k/v shapes, got {q.shape}, {k.shape}, {v.shape}")
@@ -185,8 +190,10 @@ def _attention(q, k, v, heads, scale):
     kt = np.ascontiguousarray(_swap(kh))
     probs = qh @ kt
     probs *= scale  # a product after Q K^T, not a scaled Q
-    probs = kernel.softmax_rows(probs)  # frees the scores before the next product
-    return _merge_heads(probs @ vh), (qh, kt, vh, probs)
+    kernel.softmax_rows(probs, out=probs)
+    out = np.empty(q.shape)
+    np.matmul(probs, vh, out=_split_heads(out, heads))
+    return out, (qh, kt, vh, probs)
 
 
 def _attention_vjp(g, saved, needs, q, k, v, heads, scale):
@@ -386,7 +393,11 @@ class Eager:
     ``gelu`` takes its operand over: it writes the result into that array
     and returns it, so a caller passes only an array nothing else reads, as
     :func:`model.ffn` passes its fresh fc1 output. Every other entry leaves
-    its operands as they were."""
+    its operands as they were; its in-place writes (``linear``'s bias,
+    ``layernorm``'s scaling, ``attention``'s softmax and head products) go
+    to arrays it allocated. Nothing is kept between calls, so an array
+    lives as long as its caller holds it: :func:`model.forward` holds each
+    activation only until its last reader has run."""
 
     constant = staticmethod(_as_array)
 

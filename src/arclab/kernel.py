@@ -4,7 +4,8 @@ Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
 products and row-wise maps act on the last one or two axes and treat any
 leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
 is a pure function of its inputs and keeps finite inputs finite, except
-that :func:`gelu` may write into its operand when asked to. LayerNorm and
+that :func:`erf`, :func:`gelu` and :func:`softmax_rows` write into an
+``out`` array when given one, which may be their operand. LayerNorm and
 GELU come in a ``_parts`` form, which returns the value with the
 intermediates its vector-Jacobian product reuses; :func:`gelu` is the
 value of :func:`gelu_parts` alone, bit for bit, for the tape-free
@@ -72,9 +73,10 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape[:-1] + (w.shape[1],))
 
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with per-row max subtraction for overflow safety."""
-    e = a - a.max(axis=-1, keepdims=True)
+def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis with per-row max subtraction for overflow
+    safety, into ``out`` when given; ``out`` may be ``a``."""
+    e = np.subtract(a, a.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -131,7 +133,7 @@ _ERFC_Q = tuple(map(np.float64, (
 # cephes' other erfc branches (R/S from 8, 0 once a^2 > log(DBL_MAX)) never
 # show: |x| is clipped here, which also keeps a^2 and P(a) finite.
 _ERF_CLIP = np.float64(8.0)
-# Values per block of erf: its three block-sized buffers stay in cache.
+# Values per block of erf: its two block-sized buffers stay in cache.
 # Blocks of 16,384 values and one block for the whole array read slower.
 _ERF_BLOCK = 1 << 15
 
@@ -174,7 +176,12 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     needs no sign handling. The |x| > 1 branch is gathered from each block
     only where it occurs and adds the C library's ``exp``; it equals
     cephes wherever the two share a C library. NaN stays NaN and +-inf
-    give +-1, with no floating-point warning. ``out`` may be ``x``.
+    give +-1, with no floating-point warning.
+
+    It runs in blocks of :data:`_ERF_BLOCK` values with two block buffers,
+    x^2 and x T(x^2). Once the second is formed x is not read again, so
+    U(x^2) is built in the block of ``out`` and the quotient written over
+    it. ``out`` may be ``x`` or an array disjoint from it.
     """
     if out is None:
         out = np.empty(x.shape)
@@ -182,11 +189,11 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise ShapeError("erf writes into out only when x and out are C-contiguous")
     flat, flat_out = x.reshape(-1), out.reshape(-1)
     size = min(flat.size, _ERF_BLOCK)
-    square, p, q = np.empty(size), np.empty(size), np.empty(size)
+    square, p = np.empty(size), np.empty(size)
     for i in range(0, flat.size, _ERF_BLOCK):
-        block = flat[i:i + _ERF_BLOCK]
+        block, q = flat[i:i + _ERF_BLOCK], flat_out[i:i + _ERF_BLOCK]
         if block.size < size:  # the last block
-            square, p, q = square[:block.size], p[:block.size], q[:block.size]
+            square, p = square[:block.size], p[:block.size]
         np.abs(block, square)
         tail = None
         if np.fmax.reduce(square) > 1.0:  # fmax skips NaN
@@ -196,11 +203,11 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             block[tail] = 0.0
         np.multiply(block, block, square)
         _polevl(square, _ERF_T, p)
+        p *= block  # the last read of x: U(x^2) may now overwrite it in out
         _p1evl(square, _ERF_U, q)
-        p *= block
-        np.divide(p, q, flat_out[i:i + _ERF_BLOCK])
+        np.divide(p, q, q)
         if tail is not None:
-            flat_out[i + tail] = _erf_tail(tail_x)
+            q[tail] = _erf_tail(tail_x)
     return out
 
 
@@ -248,10 +255,24 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer labels under row softmax."""
+    """Mean negative log-likelihood of integer labels under row softmax.
+
+    Raises ShapeError unless ``labels`` holds one integer class index in
+    [0, classes) per row of a non-empty (rows, classes) ``logits``; the
+    message names the first label that is not one.
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {logits.shape}")
+    if not labels.size:
+        raise ShapeError("cross_entropy needs at least one row, got an empty batch")
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(f"label {labels[0]} at index 0 is {labels.dtype}, not an integer "
+                         f"class index")
+    classes = logits.shape[-1]
+    if labels.min() < 0 or labels.max() >= classes:
+        i = int(np.flatnonzero((labels < 0) | (labels >= classes))[0])
+        raise ShapeError(f"label {labels[i]} at index {i} is not a class index in [0, {classes})")
     lse = logsumexp_rows(logits)[:, 0]
     picked = logits[np.arange(logits.shape[0]), labels]
     return float(np.mean(lse - picked))

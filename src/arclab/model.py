@@ -10,6 +10,13 @@ for plain evaluation); both run the forwards of the one primitive table in
 same values. Weights are named tensors; the mapping passed to ``forward``
 resolves each name to a backend value. :func:`eager_logits` is the
 evaluation entry point: it runs a batch as two concurrent Eager halves.
+
+No activation outlives its last reader: between residual adds only the
+(B, T, D) stream is bound, so on Eager numpy frees each block's
+LayerNorm output, adapter outputs and block output at its residual add.
+The arrays an Eager forward writes in place are its own: GELU overwrites
+the fc1 output, the attention softmax its scores, and each primitive its
+fresh result. No weight, bank tensor or image is written.
 """
 
 from __future__ import annotations
@@ -202,8 +209,9 @@ def mha(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     projection.
     """
     p = f"enc.{layer}.attn"
-    q, k, val = (ops.linear(x_norm, v[f"{p}.w{n}"], v[f"{p}.b{n}"]) for n in "qkv")
-    heads = ops.attention(q, k, val, cfg.heads, 1.0 / np.sqrt(cfg.head_dim))
+    # q, k and v live only as the arguments of this one call
+    heads = ops.attention(*(ops.linear(x_norm, v[f"{p}.w{n}"], v[f"{p}.b{n}"]) for n in "qkv"),
+                          cfg.heads, 1.0 / np.sqrt(cfg.head_dim))
     return ops.linear(heads, v[f"{p}.wo"], v[f"{p}.bo"])
 
 
@@ -214,25 +222,24 @@ def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     return ops.linear(hidden, v[f"{p}.w2"], v[f"{p}.b2"])
 
 
-def forward_tokens(ops, cfg: BackboneConfig, v, x_emb, bank=None, masks=None):
-    """Run the encoder stack and head on an embedded (B, T, D) token batch.
+def forward_tokens(ops, cfg: BackboneConfig, v, x, bank=None, masks=None):
+    """Run the encoder stack and head on an embedded (B, T, D) token batch ``x``.
 
     ``bank`` wires its adapters in at its (layer, site) pairs; ``masks`` is
     this batch's :func:`adapters.dropout_masks` array, or None for no
-    dropout.
+    dropout. Each block runs on a LayerNorm of the stream, between the
+    bank's adapters at its ``before_`` and ``after_`` sites, and is added
+    back into the stream.
     """
-    x = x_emb
     for layer in range(1, cfg.layers + 1):
-        z1 = ops.layernorm(x, v[f"enc.{layer}.ln1.gamma"], v[f"enc.{layer}.ln1.beta"], cfg.ln_eps)
-        z1 = adapters.apply_site(ops, bank, layer, "before_mha", z1, v, masks)
-        attn = mha(ops, cfg, v, z1, layer)
-        attn = adapters.apply_site(ops, bank, layer, "after_mha", attn, v, masks)
-        x = ops.add(x, attn)
-        z2 = ops.layernorm(x, v[f"enc.{layer}.ln2.gamma"], v[f"enc.{layer}.ln2.beta"], cfg.ln_eps)
-        z2 = adapters.apply_site(ops, bank, layer, "before_ffn", z2, v, masks)
-        mlp = ffn(ops, cfg, v, z2, layer)
-        mlp = adapters.apply_site(ops, bank, layer, "after_ffn", mlp, v, masks)
-        x = ops.add(x, mlp)
+        for norm, block, run in (("ln1", "mha", mha), ("ln2", "ffn", ffn)):
+            p = f"enc.{layer}.{norm}"
+            z = ops.layernorm(x, v[f"{p}.gamma"], v[f"{p}.beta"], cfg.ln_eps)
+            z = adapters.apply_site(ops, bank, layer, f"before_{block}", z, v, masks)
+            z = run(ops, cfg, v, z, layer)
+            z = adapters.apply_site(ops, bank, layer, f"after_{block}", z, v, masks)
+            x = ops.add(x, z)
+            del z  # only the stream outlives a residual add
     cls = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
                         cfg.ln_eps)
     return ops.linear(cls, v["head.weight"], v["head.bias"])
@@ -245,8 +252,11 @@ def forward(ops, cfg: BackboneConfig, v, images, bank=None):
     ConfigError if it was built for another depth."""
     if bank is not None:
         bank.check_depth(cfg.layers)
-    x_emb = patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg)))
-    return forward_tokens(ops, cfg, v, x_emb, bank)
+    # no name here holds the embedding, so the encoder frees it at layer 1's first
+    # residual add (from Python 3.11; 3.10 keeps a call's arguments until it returns)
+    return forward_tokens(ops, cfg, v,
+                          patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg))),
+                          bank)
 
 
 def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:

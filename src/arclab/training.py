@@ -271,7 +271,9 @@ def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
     (None: the plain backbone). The first half of the images runs on the
     calling thread and the rest on one worker thread at the same time. They
     equal the two half-batch forwards concatenated, bit for bit, and can
-    differ from one whole-batch forward in the last place.
+    differ from one whole-batch forward in the last place. An empty set,
+    or a label that is not an integer class index, raises ShapeError
+    (:func:`kernel.cross_entropy`).
     """
     logits = model.eager_logits(backbone_cfg, weights, images, bank=bank)
     labels = np.asarray(labels)

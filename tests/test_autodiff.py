@@ -17,12 +17,15 @@ from arclab.autodiff import (
     GradCheckReport,
     Primitive,
     Tape,
+    _attention,
+    _merge_heads,
     _recorder,
+    _split_heads,
     backward,
     gradcheck,
 )
 from arclab.errors import ConfigError, GraphError, ShapeError
-from arclab.kernel import Rng
+from arclab.kernel import Rng, softmax_rows
 
 # A scalarizing primitive the model never records, so it is not in the
 # table: the mean of every entry as a (1, 1) array, which backward takes.
@@ -89,6 +92,13 @@ class TestRecordForward:
         tape.parameter("w", np.eye(2))
         with pytest.raises(GraphError):
             tape.parameter("w", np.eye(2))
+
+    def test_cross_entropy_rejects_bad_labels(self, bad_labels) -> None:
+        labels, message = bad_labels
+        tape = Tape()
+        logits = tape.parameter("logits", np.zeros((len(labels), 3)))
+        with pytest.raises(ShapeError, match=message):
+            tape.cross_entropy(logits, labels)
 
 
 # the README demo's backbone and bank
@@ -794,3 +804,21 @@ class TestCoarseMatchesFine:
         assert set(grads) == set(want)
         for name, grad in grads.items():
             assert np.array_equal(grad, want[name]), name
+
+    @pytest.mark.parametrize("batch, tokens, width, heads",
+                             [(8, 5, 16, 2), (16, 17, 128, 4), (2, 197, 768, 12)],
+                             ids=["train", "deploy", "197_tokens"])
+    def test_attention_in_place(self, batch, tokens, width, heads) -> None:
+        """The softmax over the scores in place and each head's product
+        written into its columns of the result give the bits, and save the
+        probabilities, of the out-of-place route they replaced."""
+        r = Rng(batch)
+        q, k, v = (r.normals((batch, tokens, width)) for _ in range(3))
+        scale = 1.0 / np.sqrt(width // heads)
+        value, (_, _, _, probs) = _attention(q, k, v, heads, scale)
+        qh, kh, vh = (_split_heads(a, heads) for a in (q, k, v))
+        scores = qh @ np.ascontiguousarray(_swapped(kh))
+        scores *= scale
+        want_probs = softmax_rows(scores)
+        assert value.tobytes() == _merge_heads(want_probs @ vh).tobytes()
+        assert probs.tobytes() == want_probs.tobytes()

@@ -273,6 +273,16 @@ class TestSoftmaxRows:
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
         assert (out >= 0).all()
 
+    def test_out_may_be_input(self) -> None:
+        """In place over the operand gives the bits of the fresh result, and
+        a call without ``out`` leaves its operand as it was."""
+        a = np.random.default_rng(7).normal(0.0, 30.0, (3, 5, 197))
+        before = a.copy()
+        want = softmax_rows(a)
+        assert a.tobytes() == before.tobytes()
+        assert softmax_rows(a, out=a) is a
+        assert a.tobytes() == want.tobytes()
+
 
 class TestLayernorm:
     def test_constant_row_maps_to_beta(self) -> None:
@@ -427,6 +437,20 @@ class TestErf:
             x[min(i, n - 1)] = v
         self.check(x)
 
+    @pytest.mark.parametrize("n", [32767, 32768, 32769])
+    def test_out_disjoint(self, n: int) -> None:
+        """Into a separate NaN-filled ``out``, where U(x^2) is built before
+        the quotient is written over it, with entries of |x| > 1 on both
+        sides of a block edge: scipy's bits, and x as it was."""
+        x = np.random.default_rng(n + 1).uniform(-1.0, 1.0, n)
+        for i, v in zip([5, 32766, 32767, 32768, n - 1], [-2.5, 1.25, -_ONE_UP, 7.0, 4.0]):
+            x[min(i, n - 1)] = v
+        before = x.copy()
+        out = np.full(n, np.nan)
+        assert kernel.erf(x, out=out) is out
+        assert _same_values(out, scipy_erf(x))
+        assert x.tobytes() == before.tobytes()
+
     def test_mixed_arrays(self) -> None:
         """Some entries past |x| = 1 among many within, in several blocks
         and in a 3-D shape."""
@@ -461,6 +485,11 @@ class TestCrossEntropy:
         logits = np.array([[1.0, 2.0, 0.5]])
         want = math.log(np.exp([1.0, 2.0, 0.5]).sum()) - 2.0
         assert abs(cross_entropy(logits, np.array([1])) - want) <= 1e-12
+
+    def test_bad_labels(self, bad_labels) -> None:
+        labels, message = bad_labels
+        with pytest.raises(ShapeError, match=message):
+            cross_entropy(np.zeros((len(labels), 3)), labels)
 
 
 def _state(rng: Rng) -> dict:

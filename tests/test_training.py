@@ -11,7 +11,7 @@ import pytest
 from arclab import model, training
 from arclab.adapters import ArcConfig, init_adapters
 from arclab.autodiff import PRIMITIVES, Tape
-from arclab.errors import ConfigError, TrainingAborted
+from arclab.errors import ConfigError, ShapeError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
     AdamW,
@@ -483,6 +483,13 @@ class TestEvaluate:
         a = evaluate(TOY, weights, bank, data.eval_images, data.eval_labels)
         b = evaluate(TOY, weights, bank, data.eval_images, data.eval_labels)
         assert a == b
+
+    def test_rejects_bad_labels(self, bad_labels) -> None:
+        labels, message = bad_labels
+        cfg = dataclasses.replace(TOY, classes=3)
+        images = Rng(3).normals((len(labels), 8, 8, 1))
+        with pytest.raises(ShapeError, match=message):
+            evaluate(cfg, model.init_backbone(cfg, Rng(2)), None, images, labels)
 
 
 class TestLossCsv:
