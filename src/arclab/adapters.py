@@ -119,30 +119,26 @@ class ArcConfig:
                 self.coef_key(group, layer), self.bias_key(group, layer))
 
 
-def layer_count(config: ArcConfig, total_layers: int) -> int:
-    """``len(resolved_layers(config, total_layers))``, with its checks, in
-    O(1): the default tuple of every layer is never built."""
+def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...] | range:
+    """The encoder layers that take an adapter, in order:
+    ``config.insertion_layers``, or every layer as ``range(1, total_layers
+    + 1)``, whose length is O(1) at any depth. ConfigError when an
+    insertion layer lies past ``total_layers``."""
     layers = config.insertion_layers
-    count, last = (len(layers), layers[-1]) if layers else (total_layers, total_layers)
-    if count <= 0:
-        raise ConfigError("backbone.layers is 0: no encoder layer takes an adapter")
-    if last > total_layers:
+    if layers and layers[-1] > total_layers:
         raise ConfigError(f"arc.insertion_layers {layers} exceed backbone.layers {total_layers}")
-    return count
-
-
-def resolved_layers(config: ArcConfig, total_layers: int) -> tuple[int, ...]:
-    """The encoder layers that take an adapter, in order; ConfigError when
-    there are none or one lies past ``total_layers``."""
-    layer_count(config, total_layers)
-    return config.insertion_layers or tuple(range(1, total_layers + 1))
+    return layers or range(1, total_layers + 1)
 
 
 @dataclass
 class AdapterBank:
     """Named trainable tensors of one adapter configuration on one backbone,
-    and the wiring they give it: an adapter at each of ``config.positions``
-    in each of ``layers``. Building one (``dataclasses.replace`` included)
+    and the wiring they give it, decided once when the bank is built:
+    ``layers``, the encoder layers that take an adapter
+    (:func:`resolved_layers`), and ``sites``, the (layer, site) pairs with
+    an adapter, layer by layer, each layer's sites in ``SITES`` order.
+    ``sites`` is the one membership rule of :func:`apply_site` and
+    :func:`arc_forward`. Building one (``dataclasses.replace`` included)
     raises ShapeError naming a missing, unexpected or misshapen tensor
     (:func:`check_shapes`)."""
 
@@ -150,22 +146,18 @@ class AdapterBank:
     backbone: BackboneConfig
     tensors: dict[str, np.ndarray]
     layers: tuple[int, ...] = field(init=False)
+    sites: tuple[tuple[int, str], ...] = field(init=False)
 
     def __post_init__(self):
         check_shapes(adapter_shapes(self.config, self.backbone),
                      {name: t.shape for name, t in self.tensors.items()})
-        self.layers = resolved_layers(self.config, self.backbone.layers)
-
-    @property
-    def sites(self) -> tuple[tuple[int, str], ...]:
-        """The (layer, site) pairs with an adapter, layer by layer, each
-        layer's sites in ``SITES`` order."""
-        return tuple((layer, site) for layer in self.layers for site in self.config.positions)
+        self.layers = tuple(resolved_layers(self.config, self.backbone.layers))
+        self.sites = tuple(product(self.layers, self.config.positions))
 
     def check_depth(self, total_layers: int) -> None:
         """Raise ConfigError unless the bank was built for a backbone of
         ``total_layers`` encoder layers."""
-        want = resolved_layers(self.config, total_layers)
+        want = tuple(resolved_layers(self.config, total_layers))
         if self.layers != want:
             raise ConfigError(f"adapter bank covers layers {self.layers}, "
                               f"but a {total_layers}-layer backbone takes layers {want}")
@@ -257,7 +249,7 @@ def arc_forward(ops, bank: AdapterBank, layer: int, site: str, x, values, mask=N
     maps the tensor names to backend values.
     """
     cfg = bank.config
-    if layer not in bank.layers or site not in cfg.positions:
+    if (layer, site) not in bank.sites:
         raise ConfigError(f"no adapter registered at layer {layer}, site {site!r}")
     tensors = [values[name] for name in cfg.site_keys(group_of(site), layer)]
     if cfg.variant == "full_rank":
@@ -272,7 +264,7 @@ def apply_site(ops, bank: AdapterBank | None, layer: int, site: str, x, values, 
     ``masks``, if given, is the batch's :func:`dropout_masks` array; the
     site gets ``masks[:, i]``, a view, where i is its place in ``bank.sites``.
     """
-    if bank is None or layer not in bank.layers or site not in bank.config.positions:
+    if bank is None or (layer, site) not in bank.sites:
         return x
     return arc_forward(ops, bank, layer, site, x, values,
                        None if masks is None else masks[:, bank.sites.index((layer, site))])

@@ -48,13 +48,16 @@ class SpectrumReport:
 
     @property
     def energy_top10(self) -> float:
-        """Share of squared-singular-value energy in the top tenth of the values."""
+        """Share of squared-singular-value energy in the top tenth of the
+        values; 0.0 for a zero matrix. The values are scaled by the largest
+        before squaring, so the share is the same at any scale of float64:
+        squares of raw values overflow near 1e154 and underflow near 1e-154."""
         s = self.singular_values
-        total = float((s * s).sum())
-        if total == 0.0:
+        if s[0] == 0.0:
             return 0.0
+        r = s / s[0]
         k = max(1, math.ceil(0.10 * s.size))
-        return float((s[:k] * s[:k]).sum()) / total
+        return float((r[:k] * r[:k]).sum()) / float((r * r).sum())
 
 
 def spectrum(delta: np.ndarray, bins: int = DEFAULT_BINS,

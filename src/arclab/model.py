@@ -39,8 +39,8 @@ HEAD_NAMES = ("head.weight", "head.bias")
 class BackboneConfig:
     """Shape parameters of the backbone.
 
-    ``image_size`` is the side of the square input; ``layers`` may be zero
-    for the degenerate embed-then-classify model used in tests.
+    ``image_size`` is the side of the square input and ``layers`` the
+    number of encoder blocks; every size is a positive integer.
     """
 
     image_size: int
@@ -59,6 +59,7 @@ class BackboneConfig:
             "patch_size": self.patch_size,
             "channels": self.channels,
             "embed_dim": self.embed_dim,
+            "layers": self.layers,
             "heads": self.heads,
             "classes": self.classes,
             "mlp_ratio": self.mlp_ratio,
@@ -66,8 +67,6 @@ class BackboneConfig:
         for name, value in positive.items():
             if int(value) != value or value <= 0:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        if self.layers < 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

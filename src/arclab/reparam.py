@@ -106,17 +106,26 @@ def verify_fusion(backbone_cfg, load_adapted, load_fused, trials: int, rng: Rng)
     tensors for the plain side. Each side runs through
     :func:`model.eager_logits`, so the trials run as two concurrent halves.
     Both sides split the same way, so the deviation compares logits that
-    went through the same GEMM shapes. Raises ConfigError for ``trials`` below 1 before either loader
-    is called, and NumericalError naming the first adapter tensor that
-    holds a NaN or inf before any forward runs and before ``load_fused``
-    is called."""
+    went through the same GEMM shapes. Raises ConfigError for ``trials``
+    below 1 before either loader is called; NumericalError naming the
+    first adapter tensor that holds a NaN or inf before any forward runs
+    and before ``load_fused`` is called; and NumericalError naming the side
+    whose logits are not all finite, the adapted side's before
+    ``load_fused`` is called: a deviation of such logits says nothing
+    about the fold."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     weights, bank = load_adapted()
     check_finite(bank)
     side = backbone_cfg.image_size
     images = rng.normals((trials, side, side, backbone_cfg.channels))
-    adapted = model.eager_logits(backbone_cfg, weights, images, bank=bank)
+    adapted = _finite_logits("adapted", model.eager_logits(backbone_cfg, weights, images, bank=bank))
     del weights, bank  # drop the adapted weight set before the fused one is loaded
-    plain = model.eager_logits(backbone_cfg, load_fused(), images)
+    plain = _finite_logits("fused", model.eager_logits(backbone_cfg, load_fused(), images))
     return float(np.abs(adapted - plain).max())
+
+
+def _finite_logits(side: str, logits: np.ndarray) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise NumericalError(f"the {side} forward gave non-finite logits")
+    return logits

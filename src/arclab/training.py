@@ -169,6 +169,11 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     TrainingAborted on a non-finite loss; the trainable arrays then hold
     the values of the last completed step.
 
+    The run is ``cfg.epochs`` epochs of ceil(images / batch_size) steps,
+    cut after ``max_steps`` steps. It runs exactly the epochs its steps
+    reach, each opening with one permutation, so no draw follows the last
+    step; an empty train set runs no epoch.
+
     The run's state is built once. The trainables are copied into one flat
     float64 buffer that AdamW updates as a single tensor. The images are
     cut into patches once. After each epoch's permutation, one
@@ -214,13 +219,10 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     step = 0
     slots = {}  # batch size -> (patches, labels, masks, tape, logits, loss) of that size
     try:
-        # A permutation follows every full epoch, the one that ends the run
-        # included, so the stream ends where per-step draws leave it.
-        for _ in range(cfg.epochs):
+        # one pass per epoch the steps reach (none for an empty train set)
+        for _ in range(-(-total_steps // max(batches_per_epoch, 1))):
             order = rng.permutation(n)
             runs = min(batches_per_epoch, total_steps - step)
-            if runs <= 0:
-                break
             masks = dropout_masks(bank, min(n, runs * cfg.batch_size), tokens, rng)
             for b in range(runs):
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
@@ -255,8 +257,6 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 opt.step(flat, grad, lr_t)
                 result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
                 step += 1
-            if runs < batches_per_epoch:
-                break
     finally:
         for name, arr in trainable.items():
             arr[...] = views[name]

@@ -165,6 +165,13 @@ class TestArcConfigCount:
         assert count_arc_config(cfg, 768, 12) == \
             count_finetune(MethodSpec("arc", bottleneck=50), 768, 12)
 
+    def test_default_layers_counted_in_constant_time(self) -> None:
+        """A trillion layers take the closed form at once: the default layer
+        set is a range, whose length needs no tuple of 10**12 ints (8 TB)."""
+        layers = 10**12
+        assert count_arc_config(ArcConfig(bottleneck=50), 768, layers) == \
+            2 * (768 * 50 + (50 + 768) * layers)
+
     def test_attention_only_matches_arc_att(self) -> None:
         cfg = ArcConfig(bottleneck=50, positions=("before_mha",))
         assert count_arc_config(cfg, 768, 12) == \

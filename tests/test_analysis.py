@@ -84,6 +84,14 @@ class TestSpectrum:
         s = report.singular_values  # the top tenth of 10 values is the first
         assert report.energy_top10 == pytest.approx(s[0] ** 2 / (s * s).sum())
 
+    def test_energy_share_holds_at_both_ends_of_float64(self) -> None:
+        """Raw squares overflow at 1e300, turn subnormal at 1e-160 and vanish
+        at 1e-300; the share is the unit-scale share at every scale."""
+        a = np.random.default_rng(11).normal(size=(8, 8))
+        want = spectrum(a).energy_top10
+        for scale in (1e300, 1e-160, 1e-300):
+            assert spectrum(a * scale).energy_top10 == pytest.approx(want, rel=1e-12), scale
+
     def test_bins_span_zero_to_top_value(self) -> None:
         delta = np.diag([3.0, 2.0, 1.0])
         report = spectrum(delta, bins=3)

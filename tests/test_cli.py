@@ -176,6 +176,18 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"config error: {section}.seed must be >= 0, got -1\n"
         assert not (tmp_path / "run").exists()
 
+    def test_zero_layer_backbone_exit_2(self, tmp_path, capsys, monkeypatch) -> None:
+        """A backbone with no encoder layer is rejected as the config loads,
+        before any backbone is drawn."""
+        monkeypatch.setattr(model, "init_backbone", lambda *args: pytest.fail("backbone drawn"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"backbone": {"layers": 0}}))
+        rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: backbone.layers must be a positive integer, got 0\n")
+        assert not (tmp_path / "run").exists()
+
     def test_digest_stable_under_out_dir(self, tmp_path) -> None:
         a = cli.load_run_config(write_config(tmp_path))
         b = cli.load_run_config(write_config(tmp_path, io={"out_dir": "elsewhere"}))
@@ -940,6 +952,52 @@ class TestCommands:
         assert rc == cli.EXIT_NUMERICAL
         assert "'arc.ffn.1.bias'" in err and "non-finite" in err
         assert "RuntimeWarning" not in out + err and "max_logit_deviation" not in out
+
+    @staticmethod
+    def _set_coefficients(ckpt, value: float) -> None:
+        """Re-save the checkpoint with every ``arc.*.coef`` entry at ``value``."""
+        header, tensors = load(ckpt)
+        for name, arr in tensors.items():
+            if name.endswith(".coef"):
+                arr[...] = value
+        save(ckpt, tensors, header.config_digest)
+
+    def test_spectrum_energy_share_at_huge_coefficients(self, tmp_path) -> None:
+        """Coefficients of 1e300 give singular values whose squares overflow;
+        the energy shares are those of unit coefficients, finite and with
+        no numpy warning (which pyproject.toml makes an error)."""
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(write_config(tmp_path)),
+                         "--out", str(run_dir)]) == 0
+        shares = {}
+        for value in (1.0, 1e300):
+            self._set_coefficients(run_dir / "checkpoint.arcl", value)
+            out = tmp_path / f"spectra-{value}"
+            assert cli.main(["spectrum", "--checkpoint", str(run_dir / "checkpoint.arcl"),
+                             "--out", str(out)]) == 0
+            with open(out / "spectrum_summary.csv", newline="") as fh:
+                shares[value] = [float(row["energy_top10"]) for row in csv.DictReader(fh)]
+        assert len(shares[1.0]) == 4 and all(0.0 < share <= 1.0 for share in shares[1.0])
+        assert shares[1e300] == pytest.approx(shares[1.0], rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns as the forward overflows
+    def test_verify_overflowing_forward_exit_3(self, tmp_path, capsys) -> None:
+        """Coefficients of 1e300 fold (fuse exits 0) but overflow the adapted
+        forward: a numerical abort naming that side, not the FAIL of a NaN
+        deviation."""
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(write_config(tmp_path)),
+                         "--out", str(run_dir)]) == 0
+        ckpt, fused = run_dir / "checkpoint.arcl", tmp_path / "fused.arcl"
+        self._set_coefficients(ckpt, 1e300)
+        assert cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(fused)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["verify", "--checkpoint", str(ckpt), "--fused", str(fused),
+                       "--trials", "4"])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERICAL
+        assert err == "numerical abort: the adapted forward gave non-finite logits\n"
+        assert out == ""
 
     def test_fuse_checkpoint_cut_at_record_boundary_exit_2(self, tmp_path, capsys) -> None:
         """A file cut exactly before its last tensor record loads as a shorter

@@ -145,6 +145,28 @@ class TestVerifyFusion:
         with pytest.raises(NumericalError, match="'arc.mha.2.coef'"):
             reparam.verify_fusion(TOY, lambda: (w, bank), no_fused_load, trials=4, rng=Rng(0))
 
+    def test_non_finite_adapted_logits_stop_before_the_fused_load(self) -> None:
+        """An infinite head bias gives infinite logits (with no numpy
+        warning): the adapted side is named, and the fused side never loads."""
+        w = model.init_backbone(TOY, Rng(15))
+        bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 16)
+        w["head.bias"][0, 1] = np.inf
+
+        def no_fused_load():
+            raise AssertionError("fused side loaded")
+
+        with pytest.raises(NumericalError, match="^the adapted forward gave non-finite logits$"):
+            reparam.verify_fusion(TOY, lambda: (w, bank), no_fused_load, trials=4, rng=Rng(0))
+
+    def test_non_finite_fused_logits_named(self) -> None:
+        w = model.init_backbone(TOY, Rng(15))
+        bank = randomized_bank(ArcConfig(bottleneck=4, dropout_rate=0.0), 16)
+        fused = reparam.fuse(w, bank, TOY)
+        fused.tensors["head.bias"][0, 1] = -np.inf
+        with pytest.raises(NumericalError, match="^the fused forward gave non-finite logits$"):
+            reparam.verify_fusion(TOY, lambda: (w, bank), lambda: fused.tensors, trials=4,
+                                  rng=Rng(0))
+
     def test_trials_validated(self) -> None:
         w = model.init_backbone(TOY, Rng(19))
         bank = init_adapters(ArcConfig(bottleneck=4), TOY, Rng(20))

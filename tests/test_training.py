@@ -189,6 +189,16 @@ class TestTrain:
         assert result.steps == 7
         assert len(result.curve) == 7
 
+    def test_empty_train_set_runs_no_epoch(self) -> None:
+        """No image means no epoch and no step; the trainables keep their bits."""
+        weights, bank, data = fresh_setup()
+        data.train_images, data.train_labels = data.train_images[:0], data.train_labels[:0]
+        before = {name: arr.copy() for name, arr in {**weights, **bank.tensors}.items()}
+        result = train(TOY, weights, bank, data, TrainConfig(lr=0.01, epochs=3, batch_size=8))
+        assert result.steps == 0
+        assert all(np.array_equal(arr, before[name])
+                   for name, arr in {**weights, **bank.tensors}.items())
+
     def test_tape_size_independent_of_batch(self, monkeypatch) -> None:
         sizes = []
         real_backward = training.backward
@@ -377,7 +387,7 @@ class TestRunState:
     def test_rng_state_matches_per_step_draws(self, monkeypatch) -> None:
         """One mask draw per epoch leaves the stream where a permutation per
         epoch and a mask draw per step leave it, for a run cut mid-epoch and
-        one cut at an epoch's end (which still draws the next permutation)."""
+        one cut at an epoch's end (which draws no further permutation)."""
         made = []
 
         class RecordingRng(Rng):
@@ -390,7 +400,7 @@ class TestRunState:
 
         def per_step_draws(steps, per_image):
             want, step = Rng(self.CFG.seed), 0
-            for _ in range(self.CFG.epochs):
+            while step < steps:
                 want.permutation(n)
                 for start in range(0, n, batch):
                     if step == steps:
