@@ -10,9 +10,11 @@ growing with the projection size.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 from .adapters import ArcConfig, resolved_layers
+from .checkpoint import replace_file
 from .errors import ConfigError
 
 METHODS = ("adapter", "vpt_shallow", "vpt_deep", "lora", "ssf", "arc", "arc_att")
@@ -158,5 +160,10 @@ def format_rows(rows: list[ScalingRow], method: str) -> str:
 
 
 def write_rows_csv(rows: list[ScalingRow], method: str, path) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(_table(rows, method))
+    """The count table as CSV at ``path``, replaced atomically
+    (:func:`checkpoint.replace_file`): a failed write leaves an old file as it was."""
+    def write(fh) -> None:
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            csv.writer(text).writerows(_table(rows, method))
+
+    replace_file(path, write)

@@ -272,10 +272,12 @@ def apply_site(ops, bank: AdapterBank | None, layer: int, site: str, x, values, 
 
 def composite_matrix(bank: AdapterBank, group: str, layer: int):
     """(P, b) with P = W_down diag(c) W_up (or the full-rank delta) and the
-    per-layer bias row; the adapter map is x -> x (P + I) + 1 b^T."""
+    per-layer bias row; the adapter map is x -> x (P + I) + 1 b^T. The bias
+    row and a full-rank delta are the bank's own arrays, not copies, so a
+    caller reads them and never writes into them."""
     cfg = bank.config
     tensors = [bank.tensors[name] for name in cfg.site_keys(group, layer)]
     if cfg.variant == "full_rank":
-        return tensors[0].copy(), np.zeros((1, bank.backbone.embed_dim))
+        return tensors[0], np.zeros((1, bank.backbone.embed_dim))
     down, up, coef, bias = tensors
-    return (down * coef.reshape(-1)) @ (up.T if cfg.intra else up), bias.copy()
+    return (down * coef) @ (up.T if cfg.intra else up), bias

@@ -80,12 +80,9 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 def _matmul_vjp(g, out, needs, a, b):
-    ga = _unbroadcast(g @ _swap(b), a.shape) if needs[0] else None
-    if not needs[1]:
-        return ga, None
-    if b.ndim == 2:  # one weight for every row of the batch: a single GEMM over all rows
-        return ga, _rows(a).T @ _rows(g)
-    return ga, _unbroadcast(_swap(a) @ g, b.shape)
+    ga = g @ b.T if needs[0] else None
+    # one weight for every row of the batch: a single GEMM over all rows
+    return ga, (_rows(a).T @ _rows(g) if needs[1] else None)
 
 
 def _linear_vjp(g, out, needs, x, w, b):
@@ -110,7 +107,7 @@ def _layernorm_vjp(g, saved, needs, a, gamma, beta, eps):
     xhat = centered * inv_std
     gx = None
     if needs[0]:
-        gg = g * gamma.reshape(-1)
+        gg = g * gamma
         gx = inv_std * (
             gg
             - kernel.row_mean(gg)
@@ -219,10 +216,9 @@ def _arc_adapter(x, up, coef, bias, down, mask, tied):
     Saves x W_down, the masked hidden features and the W_up it multiplied.
     """
     pre = kernel.matmul(x, down)
-    row = coef.reshape(-1)
-    if row.shape[0] != pre.shape[-1]:
+    if coef.shape != (1, pre.shape[-1]):
         raise ShapeError(f"adapter coef {coef.shape} does not match bottleneck {pre.shape[-1]}")
-    hidden = pre * row
+    hidden = pre * coef
     if mask is not None:
         if mask.shape != hidden.shape:
             raise ShapeError(f"mask shape {mask.shape} does not match {hidden.shape}")
@@ -247,7 +243,7 @@ def _arc_adapter_vjp(g, saved, needs, x, up, coef, bias, down, mask, tied):
             ghidden *= mask
         if needs[2]:
             gcoef = (ghidden * pre).reshape(-1, pre.shape[-1]).sum(axis=0).reshape(coef.shape)
-        gpre = ghidden * coef.reshape(-1)
+        gpre = ghidden * coef
         gx, gdown = _matmul_vjp(gpre, None, (needs[0], needs[4]), x, down)
         if needs[0]:
             gx += g

@@ -36,6 +36,7 @@ import struct
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -87,19 +88,39 @@ def _record_head(name: str, tensor) -> tuple[bytes, np.ndarray]:
     return head, arr
 
 
+def replace_file(path, write: Callable[[BinaryIO], None]) -> None:
+    """Give ``path`` the bytes ``write(fh)`` writes into the binary file ``fh``, atomically.
+
+    ``fh`` is a hidden temp file beside the target, created exclusively,
+    which then replaces the target with ``os.replace``: a reader sees the
+    old file or the new one, never a mix, and a failed write (an exception
+    from ``write`` included) deletes the temp file and leaves the old file
+    as it was. There is no fsync, so the rename is atomic against other
+    processes, not durable across a power cut. The new file keeps the
+    permissions of the one it replaces, and a symlinked ``path`` has its
+    target replaced.
+    """
+    path = Path(os.path.realpath(path))  # through a symlink to its target, not over it
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> None:
-    """Write ``tensors`` to ``path`` atomically, one record at a time.
+    """Write ``tensors`` to ``path`` atomically (:func:`replace_file`), one
+    record at a time.
 
     Every record is checked before a byte is written, and a tensor the
     format cannot hold (a name that is not a nonempty str, an empty or
-    complex array, rank above 8) raises CheckpointError naming it. The
-    records go to a temp file in the target's directory, which then
-    replaces the target with ``os.replace``: a reader sees the old file or
-    the new one, never a mix, and a failed save deletes the temp file and
-    leaves the old file as it was. There is no fsync, so the rename is
-    atomic against other processes, not durable across a power cut. The
-    new file keeps the permissions of the one it replaces, and a symlinked
-    ``path`` has its target replaced. Each payload is written from its own
+    complex array, rank above 8) raises CheckpointError naming it. A failed
+    save leaves the old file as it was. Each payload is written from its own
     array, copied only if it is not C-contiguous little-endian float64.
     """
     if not isinstance(digest, (bytes, bytearray)):
@@ -110,20 +131,14 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
         if not isinstance(name, str):
             raise CheckpointError(f"tensor name {name!r} is not a str")
     records = [_record_head(name, tensors[name]) for name in sorted(tensors)]
-    path = Path(os.path.realpath(path))  # through a symlink to its target, not over it
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-            fh.write(struct.pack("<4sIB32s", MAGIC, VERSION, int(fused), digest))
-            for head, arr in records:
-                fh.write(head)
-                fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+    def write(fh) -> None:
+        fh.write(struct.pack("<4sIB32s", MAGIC, VERSION, int(fused), digest))
+        for head, arr in records:
+            fh.write(head)
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+
+    replace_file(path, write)
 
 
 class _Reader:

@@ -42,16 +42,14 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the last two axes, (..., m,k)·(..., k,n) -> (..., m,n);
-    leading (batch) axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs operands of rank >= 2, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    """Product of a batch and one 2-D weight, (..., m,k)·(k,n) -> (..., m,n):
+    every matrix of the batch is multiplied by the same weight."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs a batch of rank >= 2 and a 2-D weight, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    try:
-        return a @ b
-    except ValueError:
-        raise ShapeError(f"matmul batch axes do not broadcast: {a.shape} x {b.shape}") from None
+    return a @ b
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,13 +91,13 @@ def row_mean(a: np.ndarray) -> np.ndarray:
 
 def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6):
     """Normalization over the last axis with population variance, then affine
-    gamma/beta, and its intermediates: (out, (a - mean, sqrt(var + eps)))."""
-    g = np.asarray(gamma, dtype=np.float64).reshape(-1)
-    b = np.asarray(beta, dtype=np.float64).reshape(-1)
-    if g.size != a.shape[-1] or b.size != a.shape[-1]:
-        raise ShapeError(
-            f"layernorm scale/shift length {g.size}/{b.size} does not match row width {a.shape[-1]}"
-        )
+    gamma/beta, and its intermediates: (out, (a - mean, sqrt(var + eps))).
+
+    gamma and beta broadcast over the rows as given: a (1, D) row, as the
+    model stores them, or a (D,) vector."""
+    if gamma.size != a.shape[-1] or beta.size != a.shape[-1]:
+        raise ShapeError(f"layernorm scale/shift length {gamma.size}/{beta.size} "
+                         f"does not match row width {a.shape[-1]}")
     centered = a - row_mean(a)
     out = np.square(centered)
     std = row_mean(out)
@@ -107,8 +105,8 @@ def layernorm_parts(a: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: flo
     np.sqrt(std, out=std)
     # a division, not a product with 1/std: that would round differently
     np.divide(centered, std, out=out)
-    out *= g
-    out += b
+    out *= gamma
+    out += beta
     return out, (centered, std)
 
 

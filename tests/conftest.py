@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import os
 
+# arclab's own default (see arclab/__init__.py), set here since this file
+# imports numpy before any test imports arclab
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
 import numpy as np
 import pytest
 

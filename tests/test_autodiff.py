@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from arclab import model
+from arclab import kernel, model
 from arclab.adapters import ArcConfig, dropout_masks, init_adapters
 from arclab.autodiff import (
     PRIMITIVES,
@@ -99,6 +99,16 @@ class TestRecordForward:
         logits = tape.parameter("logits", np.zeros((len(labels), 3)))
         with pytest.raises(ShapeError, match=message):
             tape.cross_entropy(logits, labels)
+
+    def test_matmul_rejects_a_3d_weight(self) -> None:
+        """matmul multiplies a batch by one 2-D weight; a batch of weights
+        is a ShapeError naming both shapes, from the kernel and the tape."""
+        a, w = np.zeros((2, 3, 4)), np.zeros((2, 4, 5))
+        tape = Tape()
+        for product in (lambda: kernel.matmul(a, w),
+                        lambda: tape.matmul(tape.constant(a), tape.constant(w))):
+            with pytest.raises(ShapeError, match=r"\(2, 3, 4\) and \(2, 4, 5\)"):
+                product()
 
 
 # the README demo's backbone and bank
@@ -400,7 +410,7 @@ class TestPrimitiveGradients:
                 bottom = tape.slice_tokens(x, slice(2, 3))
                 # the constant block broadcasts the (3, 4) tokens to a batch of two
                 z = tape.concat_tokens(tape.constant(rng_z), tape.concat_tokens(bottom, top))
-                y = tape.matmul(z, z)  # batched (2, 4, 4) operands on both sides
+                y = tape.matmul(z, tape.constant(rng_w))  # (2, 4, 4) tokens times a 2-D weight
             else:  # cross_entropy
                 return tape.cross_entropy(x, np.array([1, 3, 0]))
             return mean(tape, tape.gelu(y))

@@ -539,6 +539,32 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
         assert out == "" and err.startswith("config error: ")
 
+    def test_count_csv_failed_write_keeps_the_old_file(self, tmp_path, capsys,
+                                                       monkeypatch) -> None:
+        """A CSV write that fails after its first row exits 2 with nothing on
+        stdout, leaves the old --csv byte for byte as it was and leaves no
+        temp file beside it."""
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_bytes(b"the,old,table\r\n")
+        real_writer = csv.writer
+
+        class FailAfterFirstRow:
+            def __init__(self, fh):
+                self.rows = real_writer(fh)
+
+            def writerows(self, rows):
+                self.rows.writerow(rows[0])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(csv, "writer", FailAfterFirstRow)
+        rc = cli.main(["count", "--method", "arc", "--Dprime", "4", "--sweep", "layers",
+                       "--L", "3", "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG
+        assert out == "" and "No space left on device" in err
+        assert csv_path.read_bytes() == b"the,old,table\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
     @staticmethod
     def _count_argv_env(*flags):
         """``arclab count --method arc --Dprime 50`` plus ``flags`` as a fresh

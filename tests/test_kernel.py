@@ -3,7 +3,10 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +315,15 @@ class TestLayernorm:
     def test_length_mismatch(self) -> None:
         with pytest.raises(ShapeError):
             layernorm_parts(np.zeros((2, 4)), np.ones(3), np.zeros(4), 1e-6)[0]
+
+    def test_vector_and_row_parameters_give_the_same_bits(self) -> None:
+        """gamma and beta broadcast as given: a (D,) vector and the (1, D)
+        row the model stores give the same value and intermediates."""
+        rng = np.random.default_rng(9)
+        a, gamma, beta = rng.normal(size=(2, 3, 4)), rng.normal(size=4), rng.normal(size=4)
+        vector = _arrays(layernorm_parts(a, gamma, beta, 1e-6))
+        row = _arrays(layernorm_parts(a, gamma.reshape(1, 4), beta.reshape(1, 4), 1e-6))
+        assert [(v.shape, v.tobytes()) for v in vector] == [(r.shape, r.tobytes()) for r in row]
 
 
     @settings(max_examples=100, deadline=None)
@@ -785,3 +797,38 @@ class TestRunBoth:
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert kernel.run_both(threading.get_ident, threading.get_ident) == (
             threading.get_ident(), threading.get_ident())
+
+
+# A GEMM whose bits depend on the BLAS thread count (OpenBLAS on two CPUs
+# splits it), run in a fresh process that imports arclab before numpy.
+_BLAS_GEMM = """
+import hashlib, os
+import arclab
+import numpy as np
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((1576, 768)), rng.standard_normal((1576, 50))
+print(os.environ["OPENBLAS_NUM_THREADS"], hashlib.sha256((a.T @ b).tobytes()).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    @staticmethod
+    def _gemm(**blas) -> list[str]:
+        """(OPENBLAS_NUM_THREADS, SHA-256 of the GEMM) from a fresh process
+        whose BLAS variables are only ``blas``."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _BLAS_GEMM], env={**env, **blas},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_import_defaults_blas_to_one_thread(self) -> None:
+        """With no BLAS variable set, importing arclab before numpy gives the
+        bits of a one-thread BLAS, whatever the CPU count."""
+        assert self._gemm() == self._gemm(OPENBLAS_NUM_THREADS="1")
+
+    def test_import_keeps_a_thread_count_given(self) -> None:
+        assert self._gemm(OPENBLAS_NUM_THREADS="2")[0] == "2"
