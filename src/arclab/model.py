@@ -10,6 +10,11 @@ for plain evaluation); both run the forwards of the one primitive table in
 same values. Weights are named tensors; the mapping passed to ``forward``
 resolves each name to a backend value. :func:`eager_logits` is the
 evaluation entry point: it runs a batch as two concurrent Eager halves.
+:func:`forward_tokens` is the one encoder-and-head forward, and it can
+start or stop at a cut, just before an adapter hook or the head, whose
+state is the residual stream and the pending block input: training runs
+everything before its first trainable once per run on Eager, and records
+from that cut on.
 
 No activation outlives its last reader: between residual adds only the
 (B, T, D) stream is bound, so on Eager numpy frees each block's
@@ -221,8 +226,31 @@ def ffn(ops, cfg: BackboneConfig, v, x_norm, layer: int):
     return ops.linear(hidden, v[f"{p}.w2"], v[f"{p}.b2"])
 
 
-def forward_tokens(ops, cfg: BackboneConfig, v, x, bank=None, masks=None):
-    """Run the encoder stack and head on an embedded (B, T, D) token batch ``x``.
+def site_cut(layer: int, site: str) -> int:
+    """The cut just before the adapter hook of ``site`` in encoder ``layer``."""
+    return len(adapters.SITES) * (layer - 1) + adapters.SITES.index(site)
+
+
+def head_cut(cfg: BackboneConfig) -> int:
+    """The cut just before the head: after the class token's final LayerNorm."""
+    return len(adapters.SITES) * cfg.layers
+
+
+def forward_tokens(ops, cfg: BackboneConfig, v, x, z=None, *, bank=None, masks=None,
+                   start=None, stop=None):
+    """Run the encoder stack and head from the cut ``start`` to the cut ``stop``.
+
+    A cut is a place in the forward just before a node that can read a
+    trainable: an adapter site's hook (:func:`site_cut`) or the head
+    (:func:`head_cut`). Sites are hooked in ``adapters.SITES`` order, so
+    cuts count up through the forward. The state at a site's cut is the
+    (B, T, D) residual stream ``x`` and the pending block input ``z``:
+    the LayerNorm output at a ``before_`` site, the block output at an
+    ``after_`` site. At the head cut it is ``x`` alone, the final LayerNorm
+    of the class token, (B, D). ``start=None`` starts from an embedded
+    (B, T, D) token batch ``x``; ``stop=None`` runs on to the logits, and
+    any other ``stop`` returns the state at that cut: (x, z), or (x,) at
+    the head.
 
     ``bank`` wires its adapters in at its (layer, site) pairs; ``masks`` is
     this batch's :func:`adapters.dropout_masks` array, or None for no
@@ -230,18 +258,31 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x, bank=None, masks=None):
     bank's adapters at its ``before_`` and ``after_`` sites, and is added
     back into the stream.
     """
+    begin = -1 if start is None else start
     for layer in range(1, cfg.layers + 1):
         for norm, block, run in (("ln1", "mha", mha), ("ln2", "ffn", ffn)):
-            p = f"enc.{layer}.{norm}"
-            z = ops.layernorm(x, v[f"{p}.gamma"], v[f"{p}.beta"], cfg.ln_eps)
-            z = adapters.apply_site(ops, bank, layer, f"before_{block}", z, v, masks)
-            z = run(ops, cfg, v, z, layer)
+            before = site_cut(layer, f"before_{block}")  # the after_ site's cut is before + 1
+            if begin > before + 1:
+                continue
+            if begin < before:
+                p = f"enc.{layer}.{norm}"
+                z = ops.layernorm(x, v[f"{p}.gamma"], v[f"{p}.beta"], cfg.ln_eps)
+            if stop == before:
+                return x, z
+            if begin <= before:
+                z = adapters.apply_site(ops, bank, layer, f"before_{block}", z, v, masks)
+                z = run(ops, cfg, v, z, layer)
+            if stop == before + 1:
+                return x, z
             z = adapters.apply_site(ops, bank, layer, f"after_{block}", z, v, masks)
             x = ops.add(x, z)
             del z  # only the stream outlives a residual add
-    cls = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
-                        cfg.ln_eps)
-    return ops.linear(cls, v["head.weight"], v["head.bias"])
+    if begin < head_cut(cfg):
+        x = ops.layernorm(ops.slice_tokens(x, 0), v["final_ln.gamma"], v["final_ln.beta"],
+                          cfg.ln_eps)
+    if stop == head_cut(cfg):
+        return (x,)
+    return ops.linear(x, v["head.weight"], v["head.bias"])
 
 
 def forward(ops, cfg: BackboneConfig, v, images, bank=None):
@@ -255,7 +296,7 @@ def forward(ops, cfg: BackboneConfig, v, images, bank=None):
     # residual add (from Python 3.11; 3.10 keeps a call's arguments until it returns)
     return forward_tokens(ops, cfg, v,
                           patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg))),
-                          bank)
+                          bank=bank)
 
 
 def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:

@@ -9,6 +9,7 @@ weight decay, linear warmup, and cosine (or constant) decay.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from . import model
 from .adapters import AdapterBank, dropout_masks
-from .autodiff import Tape, backward
+from .autodiff import Eager, Tape, backward
+from .checkpoint import replace_file
 from .errors import ConfigError, TrainingAborted
 from .kernel import Rng, cross_entropy
 
@@ -161,6 +163,43 @@ class TrainResult:
         return self.curve[-1].loss if self.curve else float("nan")
 
 
+class _Constants(dict):
+    """Name -> :class:`Tape` constant over the frozen tensor ``weights[name]``,
+    made when the recording first reads it, so a tape holds only the frozen
+    tensors its nodes read."""
+
+    def __init__(self, tape: Tape, weights):
+        super().__init__()
+        self.tape, self.weights = tape, weights
+
+    def __missing__(self, name):
+        self[name] = leaf = self.tape.constant(self.weights[name])
+        return leaf
+
+
+def frozen_prefix(backbone_cfg, weights, images, cut: int, chunk: int) -> list[np.ndarray]:
+    """The state at ``cut`` (:func:`model.forward_tokens`) of every image of
+    ``images``, from the patch embedding on, as one (n, ...) array per state
+    tensor: (x, z) at a site's cut, (x,) at the head cut.
+
+    It runs on :class:`~arclab.autodiff.Eager` over ``chunk`` images at a
+    time, in order, so each GEMM is as tall as a training step's, and only
+    one chunk's patches exist at once. An empty stack gives an empty list.
+    """
+    ops, buffers = Eager(), []
+    for first in range(0, len(images), chunk):
+        rows = slice(first, first + chunk)
+        patches = model.extract_patches(images[rows], backbone_cfg)
+        state = model.forward_tokens(ops, backbone_cfg, weights,
+                                     model.patch_embed(ops, backbone_cfg, weights, patches),
+                                     stop=cut)
+        if not buffers:
+            buffers = [np.empty((len(images), *part.shape[1:])) for part in state]
+        for buffer, part in zip(buffers, state):
+            buffer[rows] = part
+    return buffers
+
+
 def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
           cfg: TrainConfig, max_steps: int | None = None) -> TrainResult:
     """Fine-tune bank + head in place; the rest of the backbone is frozen.
@@ -175,24 +214,42 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     step; an empty train set runs no epoch.
 
     The run's state is built once. The trainables are copied into one flat
-    float64 buffer that AdamW updates as a single tensor. The images are
-    cut into patches once. After each epoch's permutation, one
-    :func:`adapters.dropout_masks` draw covers the images of the steps that
-    epoch runs. The run keeps one slot per batch size (the full size and
-    the size of a short last batch). The first step of a size copies its
-    batch's patches, labels and dropout masks (one array) into new buffers
-    and builds a :class:`Tape` whose leaves are the frozen tensors as
-    constants and the trainables as parameters over views of the flat
-    buffer. It records the forward over a constant on the patches buffer,
-    with the masks and labels as static arguments; the size's slot keeps
-    the buffers and the tape, logits and loss. Every later step of that
-    size refills the slot's buffers in place, the masks with one copy, and
-    replays the recording (:meth:`Tape.replay`); ``model.forward`` itself
-    never runs. The stream is read in the order of a draw per step, every
-    update is elementwise, and a replay runs the recorded forwards, so the
-    losses and values are the same bits as with a fresh tape, a draw and
-    an optimizer step per tensor each step. The caller's arrays get the
-    final values when training stops.
+    float64 buffer that AdamW updates as a single tensor. Everything the
+    forward computes before its first node that reads a trainable is a
+    fixed function of the image, so :func:`frozen_prefix` computes it once
+    per run, up to that cut: the bank's first site, or the head for a
+    probe. For the default bank that is the patch embedding, the class
+    token, the ``pos`` add and layer 1's LN1; for ``insertion_layers``
+    7..12, layers 1-6 and layer 7's LN1; for a probe, the whole encoder
+    and the class token's final LayerNorm. The run holds the state at the
+    cut for every image: two (n, T, D) float64 buffers, the stream and the
+    pending block input, or one (n, D) buffer at the head cut; no patch
+    buffer is kept. A memory estimate must count them: n * T * D * 16
+    bytes, 2.4 GB for 1,000 ViT-B images.
+
+    After each epoch's permutation, one :func:`adapters.dropout_masks` draw
+    covers the images of the steps that epoch runs. The run keeps one slot
+    per batch size (the full size and the size of a short last batch). The
+    first step of a size copies its batch's rows of the prefix buffers,
+    its labels and its dropout masks (one array) into new buffers and
+    builds a :class:`Tape` whose leaves are the trainables, as parameters
+    over views of the flat buffer, the batch's prefix state and the frozen
+    tensors the recording reads, as constants. It records the forward from
+    the cut (``model.forward_tokens(..., start=cut)``), with the masks and
+    labels as static arguments; the size's slot keeps the buffers and the
+    tape, logits and loss. Every later step of that size refills the
+    slot's buffers in place (``np.take`` from the prefix buffers, the
+    masks with one copy) and replays the recording (:meth:`Tape.replay`);
+    ``model.forward`` itself never runs, and neither replay nor
+    :func:`backward` touches a frozen node. The stream is read in the
+    order of a draw per step, every update is elementwise and a replay runs
+    the recorded forwards, so the losses and values are the same bits as
+    with a fresh tape of the whole forward, a draw and an optimizer step
+    per tensor each step, wherever a GEMM row's bits do not depend on how
+    many rows share the GEMM with it: the prefix chunks hold other images
+    than the steps' batches. ``TestFrozenPrefix`` checks that at the toy
+    shapes; the chunks are as tall as a step to keep the GEMMs' shapes.
+    The caller's arrays get the final values when training stops.
     """
     trainable: dict[str, np.ndarray] = {name: weights[name] for name in model.HEAD_NAMES}
     if bank is not None:
@@ -206,8 +263,10 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
         offset += arr.size
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
-    all_patches = model.extract_patches(data.train_images, backbone_cfg)
-    n = all_patches.shape[0]
+    # the forward's first node that reads a trainable: the bank's first site, or the head
+    cut = model.head_cut(backbone_cfg) if bank is None else model.site_cut(*bank.sites[0])
+    frozen = frozen_prefix(backbone_cfg, weights, data.train_images, cut, cfg.batch_size)
+    n = len(data.train_images)
     tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
@@ -217,7 +276,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     result = TrainResult()
     max_grad_seen = 0.0
     step = 0
-    slots = {}  # batch size -> (patches, labels, masks, tape, logits, loss) of that size
+    slots = {}  # batch size -> (state, labels, masks, tape, logits, loss) of that size
     try:
         # one pass per epoch the steps reach (none for an empty train set)
         for _ in range(-(-total_steps // max(batches_per_epoch, 1))):
@@ -229,24 +288,24 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 idx = order[rows]
                 lr_t = cfg.lr * schedule_scale(cfg, step, total_steps, warmup_steps)
                 if idx.size in slots:  # refill this size's buffers in place and replay
-                    patches, labels, batch_masks, tape, logits, loss_node = slots[idx.size]
-                    np.take(all_patches, idx, axis=0, out=patches)
+                    state, labels, batch_masks, tape, logits, loss_node = slots[idx.size]
+                    for part, batch_part in zip(frozen, state):
+                        np.take(part, idx, axis=0, out=batch_part)
                     np.take(data.train_labels, idx, out=labels)
                     if batch_masks is not None:
                         batch_masks[...] = masks[rows]
                     tape.replay()
                 else:  # the first step of a size records over copies of its batch
-                    patches, labels = all_patches[idx], data.train_labels[idx]
+                    state, labels = [part[idx] for part in frozen], data.train_labels[idx]
                     batch_masks = None if masks is None else masks[rows].copy()
                     tape = Tape()
-                    values = {name: tape.constant(arr)
-                              for name, arr in weights.items() if name not in views}
+                    values = _Constants(tape, weights)
                     values.update({name: tape.parameter(name, view) for name, view in views.items()})
-                    x_emb = model.patch_embed(tape, backbone_cfg, values, tape.constant(patches))
-                    logits = model.forward_tokens(tape, backbone_cfg, values, x_emb, bank,
-                                                  batch_masks)
+                    logits = model.forward_tokens(tape, backbone_cfg, values,
+                                                  *map(tape.constant, state), bank=bank,
+                                                  masks=batch_masks, start=cut)
                     loss_node = tape.cross_entropy(logits, labels)
-                    slots[idx.size] = patches, labels, batch_masks, tape, logits, loss_node
+                    slots[idx.size] = state, labels, batch_masks, tape, logits, loss_node
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):
                     raise TrainingAborted(step=step, lr=lr_t, max_grad=max_grad_seen)
@@ -283,8 +342,14 @@ def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
 
 
 def write_loss_csv(curve: list[StepRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss", "accuracy"])
-        for rec in curve:
-            writer.writerow([rec.step, f"{rec.lr:.12g}", f"{rec.loss:.12g}", f"{rec.accuracy:.6g}"])
+    """The loss curve as CSV at ``path``, replaced atomically
+    (:func:`checkpoint.replace_file`): a failed write leaves an old file as it was."""
+    def write(fh) -> None:
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            writer = csv.writer(text)
+            writer.writerow(["step", "lr", "loss", "accuracy"])
+            for rec in curve:
+                writer.writerow([rec.step, f"{rec.lr:.12g}", f"{rec.loss:.12g}",
+                                 f"{rec.accuracy:.6g}"])
+
+    replace_file(path, write)

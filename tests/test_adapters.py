@@ -270,7 +270,7 @@ class TestDropout:
         values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
         patches = model.extract_patches(Rng(2).normals((2, 8, 8, 1)), backbone)
         x_emb = model.patch_embed(tape, backbone, values, tape.constant(patches))
-        model.forward_tokens(tape, backbone, values, x_emb, bank, masks)
+        model.forward_tokens(tape, backbone, values, x_emb, bank=bank, masks=masks)
         assert [key for key, _ in seen] == list(bank.sites)
         assert {layer for layer, _ in bank.sites} == {1, 3}
         for key, mask in seen:
@@ -285,7 +285,7 @@ class TestDropout:
         imgs = Rng(8).normals((2, 8, 8, 1))
         masks = adapters.dropout_masks(bank, imgs.shape[0], TOY.tokens + 1, Rng(0))
         x_emb = model.patch_embed(Eager(), TOY, values, model.extract_patches(imgs, TOY))
-        a = model.forward_tokens(Eager(), TOY, values, x_emb, bank, masks)
+        a = model.forward_tokens(Eager(), TOY, values, x_emb, bank=bank, masks=masks)
         b = model.forward(Eager(), TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 

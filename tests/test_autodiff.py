@@ -130,7 +130,7 @@ class TestReplay:
         values.update({n: tape.parameter(n, weights[n]) for n in model.HEAD_NAMES})
         values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
         x_emb = model.patch_embed(tape, DEMO, values, tape.constant(patches))
-        logits = model.forward_tokens(tape, DEMO, values, x_emb, bank, masks)
+        logits = model.forward_tokens(tape, DEMO, values, x_emb, bank=bank, masks=masks)
         return tape.cross_entropy(logits, labels)
 
     @staticmethod

@@ -712,6 +712,35 @@ class TestCommands:
         assert capsys.readouterr().err == "out of memory: Unable to allocate\n"
         assert not out.exists()
 
+    def test_train_failed_loss_csv_keeps_the_old_file(self, tmp_path, capsys,
+                                                      monkeypatch) -> None:
+        """A loss.csv write that fails after its first row exits 2 with
+        nothing on stdout, leaves the old loss.csv byte for byte as it was
+        and leaves no temp file beside it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "loss.csv").write_bytes(b"the,old,curve\r\n")
+        real_writer = csv.writer
+
+        class FailAfterFirstRow:
+            def __init__(self, fh):
+                self.rows, self.written = real_writer(fh), 0
+
+            def writerow(self, row):
+                if self.written:
+                    raise OSError(28, "No space left on device")
+                self.written += 1
+                return self.rows.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FailAfterFirstRow)
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG == 2
+        assert stdout == "" and "No space left on device" in err
+        assert (out / "loss.csv").read_bytes() == b"the,old,curve\r\n"
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.arcl", "config.json",
+                                                         "loss.csv"]
+
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)
         run_dir = tmp_path / "run"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,35 @@ class TestVerdict:
 
     def test_ties_count_for_neither_side(self) -> None:
         assert pairs.verdict(BASE, BASE, "lower", 0.25)["wins"] == 0
+
+    def test_each_sides_maximum(self) -> None:
+        v = pairs.verdict(BASE, [b * 0.8 for b in BASE[:9]] + [1.5], "lower", 0.25)
+        assert (v["base_max"], v["change_max"]) == (1.03, 1.5)
+
+
+class TestSummary:
+    def test_table_prints_each_sides_maximum(self, tmp_path, capsys, monkeypatch) -> None:
+        """The summary row of a metric holds both medians, the base's
+        quartiles, then each side's maximum, the wins and the verdict."""
+        spec = [{"name": "cycle_s", "better": "lower", "bound": 0.25}]
+        trees = []
+        for name in ("a", "b"):
+            tree = TestArguments._tree(tmp_path / name)
+            (tree / "BENCHMARK.json").write_text(json.dumps({"end_to_end": spec}))
+            trees.append(str(tree))
+        values = {(trees[0], 1): 1.0, (trees[1], 1): 0.5, (trees[0], 2): 1.2,
+                  (trees[1], 2): 0.7}
+
+        def fake_run(tree, args, seed):
+            metrics = {"cycle_s": {"value": values[(str(tree), seed)]}}
+            return {"fingerprints": {}}, {"failed": 0, "attempted": 1, "metrics": metrics}
+
+        monkeypatch.setattr(pairs, "run", fake_run)
+        assert pairs.main(["--base", trees[0], "--change", trees[1], "--workload", "train",
+                           "--pairs", "2", "--seconds", "1"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[-2:]
+        assert "base max" in header and "change max" in header
+        assert row.split()[:7] == ["cycle_s", "1.1", "0.95-1.25", "0.6", "1.2", "0.7", "2/2"]
 
 
 class TestArguments:

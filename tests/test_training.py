@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from arclab import model, training
-from arclab.adapters import ArcConfig, init_adapters
-from arclab.autodiff import PRIMITIVES, Tape
+from arclab.adapters import ArcConfig, dropout_masks, init_adapters
+from arclab.autodiff import PRIMITIVES, Tape, backward
 from arclab.errors import ConfigError, ShapeError, TrainingAborted
 from arclab.kernel import Rng
 from arclab.training import (
@@ -215,9 +215,12 @@ class TestTrain:
         assert len(sizes) == 2 and sizes[0] == sizes[1]
 
     def test_readme_demo_tape_size(self, monkeypatch) -> None:
-        """The README demo step records 120 nodes: one linear node per
-        projection, FFN layer, patch embedding and head, one attention node
-        per layer and one arc_adapter node per adapter site."""
+        """The README demo step records 111 nodes: one linear node per
+        projection, FFN layer and head, one attention node per layer and one
+        arc_adapter node per adapter site. Its tape starts at layer 1's
+        before_mha cut, from two constants: the patch embedding, the class
+        token, the pos add and layer 1's LN1 ran once per run, so those 4
+        nodes and their 6 frozen tensors and patches are not on the tape."""
         sizes = []
         real_backward = training.backward
 
@@ -232,7 +235,7 @@ class TestTrain:
         task = SyntheticTask(classes=4, image_size=8, channels=1, train_count=32, eval_count=16)
         train(backbone, model.init_backbone(backbone, Rng(7)), bank, make_task(task, Rng(8)),
               TrainConfig(lr=0.01, epochs=1, batch_size=8, seed=3), max_steps=2)
-        assert sizes == [120, 120]
+        assert sizes == [111, 111]
 
     def test_readme_demo_records_once(self, monkeypatch) -> None:
         """50 steps of the README demo (32 images, batches of 8) record the
@@ -240,8 +243,13 @@ class TestTrain:
         never runs."""
         recorded, replays = [], []
         real_tokens, real_replay = model.forward_tokens, Tape.replay
-        monkeypatch.setattr(model, "forward_tokens",
-                            lambda *args: recorded.append(None) or real_tokens(*args))
+
+        def record(ops, *args, **kwargs):
+            if isinstance(ops, Tape):  # not the run's Eager frozen prefix
+                recorded.append(None)
+            return real_tokens(ops, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_tokens", record)
         monkeypatch.setattr(Tape, "replay",
                             lambda tape: replays.append(None) or real_replay(tape))
         monkeypatch.setattr(model, "forward", None)
@@ -358,9 +366,10 @@ class TestRunState:
         recorded, replays = [], []
         real_tokens, real_replay = model.forward_tokens, Tape.replay
 
-        def record(ops, cfg, v, x_emb, *args):
-            recorded.append(x_emb.value.shape[0])
-            return real_tokens(ops, cfg, v, x_emb, *args)
+        def record(ops, cfg, v, x, *args, **kwargs):
+            if isinstance(ops, Tape):  # not the run's Eager frozen prefix
+                recorded.append(x.value.shape[0])
+            return real_tokens(ops, cfg, v, x, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward_tokens", record)
         monkeypatch.setattr(Tape, "replay", lambda tape: replays.append(None) or real_replay(tape))
@@ -439,7 +448,10 @@ class TestRunState:
 
     def test_steps_record_every_primitive(self, monkeypatch) -> None:
         """A step with a bottleneck bank and one with a full_rank bank
-        record, between them, every primitive of the table."""
+        record, between them, every primitive of the table but
+        concat_tokens, which joins the class token to the patches in the
+        frozen prefix that runs once per run (``test_autodiff`` checks its
+        vjp)."""
         tapes = []
         real_backward = training.backward
         monkeypatch.setattr(training, "backward",
@@ -450,7 +462,7 @@ class TestRunState:
             train(TOY, weights, bank, data, self.CFG, max_steps=1)
         assert len(tapes) == 2
         recorded = {node.prim for tape in tapes for node in tape._nodes if node.prim is not None}
-        assert recorded == set(PRIMITIVES.values())
+        assert recorded == set(PRIMITIVES.values()) - {PRIMITIVES["concat_tokens"]}
 
     def test_leaves_alias_the_optimizer_buffer(self, monkeypatch) -> None:
         """Every step's parameter leaves, on the tape of its batch size, are
@@ -479,6 +491,120 @@ class TestRunState:
         assert short is not full and tapes == [full, full, full, short, full, full]
         count = len(self.trainables(weights, bank))
         assert len(full._params) == len(short._params) == count
+
+
+class TestFrozenPrefix:
+    """``train`` computes what no trainable reaches once per run, and each
+    step records from the forward's first node that reads a trainable."""
+
+    DEEP = dataclasses.replace(TOY, layers=4)
+
+    @staticmethod
+    def reference(backbone, weights, bank, data, cfg) -> list[float]:
+        """The run as a loop that records the whole forward, from the
+        patches, on a fresh tape at every step, draws each step's masks and
+        takes one AdamW step per tensor; its loss curve."""
+        trainable = {name: weights[name] for name in model.HEAD_NAMES}
+        if bank is not None:
+            trainable.update(bank.tensors)
+        opts = {name: AdamW(arr.size, cfg.weight_decay) for name, arr in trainable.items()}
+        rng, n = Rng(cfg.seed), len(data.train_labels)
+        per_epoch = math.ceil(n / cfg.batch_size)
+        total, losses = cfg.epochs * per_epoch, []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for first in range(0, n, cfg.batch_size):
+                idx = order[first:first + cfg.batch_size]
+                lr_t = cfg.lr * schedule_scale(cfg, len(losses), total,
+                                               cfg.warmup_epochs * per_epoch)
+                masks = dropout_masks(bank, idx.size, backbone.tokens + 1, rng)
+                tape = Tape()
+                values = {name: tape.constant(arr)
+                          for name, arr in weights.items() if name not in trainable}
+                values.update({name: tape.parameter(name, arr) for name, arr in trainable.items()})
+                patches = tape.constant(model.extract_patches(data.train_images[idx], backbone))
+                x = model.patch_embed(tape, backbone, values, patches)
+                logits = model.forward_tokens(tape, backbone, values, x, bank=bank, masks=masks)
+                loss = tape.cross_entropy(logits, data.train_labels[idx])
+                grads = backward(tape, loss)
+                losses.append(float(loss.value[0, 0]))
+                for name, arr in trainable.items():
+                    opts[name].step(arr.reshape(-1), grads[name].reshape(-1), lr_t)
+        return losses
+
+    def setup_run(self, arc, train_count):
+        weights = model.init_backbone(self.DEEP, Rng(61))
+        bank = None if arc is None else init_adapters(arc, self.DEEP, Rng(62))
+        task = SyntheticTask(classes=4, image_size=8, channels=1, noise_sigma=0.3,
+                             train_count=train_count, eval_count=4)
+        return weights, bank, make_task(task, Rng(63))
+
+    @pytest.mark.parametrize("arc, train_count", [
+        (None, 16),  # a probe: the prefix is the whole encoder and the final LayerNorm
+        (ArcConfig(bottleneck=4, insertion_layers=(3,), dropout_rate=0.1), 16),
+        (ArcConfig(bottleneck=4, positions=("after_mha", "after_ffn"), dropout_rate=0.1), 16),
+        (ArcConfig(bottleneck=4, positions=("after_ffn",), insertion_layers=(2, 4),
+                   dropout_rate=0.1), 16),
+        (ArcConfig(bottleneck=4, variant="full_rank", insertion_layers=(2,)), 16),
+        (ArcConfig(bottleneck=4, dropout_rate=0.1), 30),  # each epoch ends on a batch of 6
+    ], ids=["probe", "layer_3", "after_mha", "after_ffn_layer_2", "full_rank_layer_2",
+            "short_batch"])
+    def test_bits_of_a_fresh_full_tape_per_step(self, arc, train_count) -> None:
+        """The loss curve and the final trainables are those of a fresh tape
+        of the whole forward at every step, bit for bit."""
+        cfg = TrainConfig(lr=0.01, epochs=3, batch_size=8, warmup_epochs=1, weight_decay=0.05,
+                          seed=64)
+        weights, bank, data = self.setup_run(arc, train_count)
+        result = train(self.DEEP, weights, bank, data, cfg)
+        ref_weights, ref_bank, ref_data = self.setup_run(arc, train_count)
+        losses = self.reference(self.DEEP, ref_weights, ref_bank, ref_data, cfg)
+        assert len(losses) == result.steps == 3 * math.ceil(train_count / 8)
+        assert np.array([rec.loss for rec in result.curve]).tobytes() == \
+            np.array(losses).tobytes()
+        got = TestRunState.trainables(weights, bank) if bank else weights
+        want = TestRunState.trainables(ref_weights, ref_bank) if ref_bank else ref_weights
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+    def step_tape(self, monkeypatch, arc):
+        """The tape of one training step, and the run's backbone tensors."""
+        tapes = []
+        real_backward = training.backward
+        monkeypatch.setattr(training, "backward",
+                            lambda tape, out: tapes.append(tape) or real_backward(tape, out))
+        weights, bank, data = self.setup_run(arc, 16)
+        train(self.DEEP, weights, bank, data,
+              TrainConfig(lr=0.01, epochs=1, batch_size=8, seed=1), max_steps=1)
+        (tape,) = tapes
+        return tape, weights
+
+    @staticmethod
+    def frozen_reads(tape, weights) -> set[str]:
+        """The names of the frozen tensors the tape holds as constants."""
+        return {name for node in tape._nodes if node.prim is None
+                for name, arr in weights.items() if node.value is arr}
+
+    def test_probe_step_records_no_encoder_node(self, monkeypatch) -> None:
+        """A probe step records the head and the loss over the class token's
+        final LayerNorm, one constant; no encoder tensor is on its tape."""
+        tape, weights = self.step_tape(monkeypatch, None)
+        ops = [node.prim for node in tape._nodes if node.prim is not None]
+        assert ops == [PRIMITIVES["linear"], PRIMITIVES["cross_entropy"]]
+        assert self.frozen_reads(tape, weights) == set()
+        # the head's two parameters, then the batch's (8, D) class tokens
+        assert [node.value.shape for node in tape._nodes if node.prim is None] == \
+            [(16, 4), (1, 4), (8, 16)]
+
+    def test_layer_3_step_records_no_layer_1_or_2_node(self, monkeypatch) -> None:
+        """With one adapter layer, 3, a step starts at layer 3's before_mha
+        cut: it reads no tensor of the patch embedding or of layers 1 and 2,
+        nor layer 3's LN1, and records one attention node per layer 3 and 4."""
+        tape, weights = self.step_tape(monkeypatch, ArcConfig(bottleneck=4, insertion_layers=(3,)))
+        want = {name for name in weights
+                if name.startswith(("enc.3.", "enc.4.", "final_ln."))
+                and not name.startswith("enc.3.ln1.")}
+        assert self.frozen_reads(tape, weights) == want
+        ops = [node.prim for node in tape._nodes if node.prim is not None]
+        assert ops.count(PRIMITIVES["attention"]) == 2
 
 
 class TestEvaluate:

@@ -11,9 +11,9 @@ the checkout path's length moves the heap layout and so the peak RSS.
 
 Each pair prints one line with both sides' end-to-end metrics. Then, for
 each end-to-end metric of the base's ``BENCHMARK.json``, it prints the two
-medians, the base's quartiles, the change's wins out of N (a tie counts for
-neither side), the range of the per-pair ratios change / base, and one
-verdict:
+medians, the base's quartiles, each side's maximum, the change's wins out
+of N (a tie counts for neither side), the range of the per-pair ratios
+change / base, and one verdict:
 
 - ``gain``: there are at least ten pairs, the change won at least nine
   tenths of them, and its median is better than the base's by more than
@@ -103,8 +103,8 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     else:
         word = "flat"
     return {"base_median": base_median, "change_median": change_median, "base_q1": q1,
-            "base_q3": q3, "wins": wins, "ratio_min": min(ratios), "ratio_max": max(ratios),
-            "gap": gap, "verdict": word}
+            "base_q3": q3, "base_max": max(base), "change_max": max(change), "wins": wins,
+            "ratio_min": min(ratios), "ratio_max": max(ratios), "gap": gap, "verdict": word}
 
 
 def main(argv=None) -> int:
@@ -143,12 +143,13 @@ def main(argv=None) -> int:
                           f"{runs['change'][0]['fingerprints']}")
         print(f"pair {i} seed {seed} ({order[0]} first): " + " | ".join(cells))
     print(f"{'metric':<12} {'base median':>12} {'base q1-q3':>23} {'change median':>14} "
-          f"{'wins':>6} {'ratios':>17} {'gap':>8}  verdict")
+          f"{'base max':>10} {'change max':>10} {'wins':>6} {'ratios':>17} {'gap':>8}  verdict")
     for m in spec:
         v = verdict(values["base"][m["name"]], values["change"][m["name"]], m["better"],
                     m["bound"])
         print(f"{m['name']:<12} {v['base_median']:>12.6g} {v['base_q1']:>11.6g}-"
               f"{v['base_q3']:<11.6g} {v['change_median']:>14.6g} "
+              f"{v['base_max']:>10.6g} {v['change_max']:>10.6g} "
               f"{v['wins']:>3}/{args.pairs:<2} {v['ratio_min']:>8.4f}-{v['ratio_max']:<8.4f} "
               f"{v['gap']:>8.4f}  {v['verdict']}")
     for fault in faults:
