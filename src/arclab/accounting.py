@@ -9,12 +9,10 @@ growing with the projection size.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .adapters import ArcConfig, resolved_layers
-from .checkpoint import replace_file
+from .checkpoint import replace_csv
 from .errors import ConfigError
 
 METHODS = ("adapter", "vpt_shallow", "vpt_deep", "lora", "ssf", "arc", "arc_att")
@@ -161,9 +159,5 @@ def format_rows(rows: list[ScalingRow], method: str) -> str:
 
 def write_rows_csv(rows: list[ScalingRow], method: str, path) -> None:
     """The count table as CSV at ``path``, replaced atomically
-    (:func:`checkpoint.replace_file`): a failed write leaves an old file as it was."""
-    def write(fh) -> None:
-        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-            csv.writer(text).writerows(_table(rows, method))
-
-    replace_file(path, write)
+    (:func:`checkpoint.replace_csv`): a failed write leaves an old file as it was."""
+    replace_csv(path, _table(rows, method))

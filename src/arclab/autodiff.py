@@ -283,17 +283,12 @@ class Primitive(NamedTuple):
     eager: Callable | None = None
 
 
-def _gelu_in_place(a):
-    """GELU written into ``a``, which it returns."""
-    return kernel.gelu(a, out=a)
-
-
 PRIMITIVES: dict[str, Primitive] = {
     "matmul": Primitive(kernel.matmul, _matmul_vjp, 2),
     "linear": Primitive(kernel.linear, _linear_vjp, 3),
     "add": Primitive(_add, _add_vjp, 2),
     "layernorm": Primitive(kernel.layernorm_parts, _layernorm_vjp, 3, saves=True),
-    "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True, eager=_gelu_in_place),
+    "gelu": Primitive(kernel.gelu_parts, _gelu_vjp, 1, saves=True, eager=kernel.gelu),
     "attention": Primitive(_attention, _attention_vjp, 3, saves=True),
     "arc_adapter": Primitive(_arc_adapter, _arc_adapter_vjp, 5, saves=True),
     "concat_tokens": Primitive(_concat_tokens, _concat_tokens_vjp, 2),

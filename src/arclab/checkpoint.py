@@ -27,7 +27,10 @@ the adapter bank allocates the bank's bytes, not the backbone's.
 from __future__ import annotations
 
 import contextlib
+import csv
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -98,19 +101,39 @@ def replace_file(path, write: Callable[[BinaryIO], None]) -> None:
     as it was. There is no fsync, so the rename is atomic against other
     processes, not durable across a power cut. The new file keeps the
     permissions of the one it replaces, and a symlinked ``path`` has its
-    target replaced.
+    target replaced. A ``path`` that is a directory raises
+    IsADirectoryError before the temp file exists; that error, and one from
+    creating the temp file (a missing or non-directory parent), names
+    ``path`` as given, not the temp file.
     """
-    path = Path(os.path.realpath(path))  # through a symlink to its target, not over it
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    target = Path(os.path.realpath(path))  # through a symlink to its target, not over it
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    tmp = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
             with contextlib.suppress(FileNotFoundError):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
             write(fh)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def replace_csv(path, rows) -> None:
+    """Write ``rows``, an iterable of rows of cells, as UTF-8 CSV at ``path``
+    through :func:`replace_file`: ``csv.writer``'s bytes, and a failed write
+    leaves an old file as it was."""
+    def write(fh) -> None:
+        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            csv.writer(text).writerows(rows)
+
+    replace_file(path, write)
 
 
 def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> None:

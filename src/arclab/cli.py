@@ -207,9 +207,21 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Raise ConfigError if ``out_dir``, or the nearest of its ancestors that
+    exists, is not a directory: train could not write its outputs there."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
+            return
+
+
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
+    """config.json in ``out_dir``, replaced atomically (:func:`checkpoint.replace_file`)."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.json").write_text(json.dumps(cfg.as_dict(), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(cfg.as_dict(), indent=2, sort_keys=True) + "\n"
+    checkpoint.replace_file(out_dir / "config.json", lambda fh: fh.write(text.encode()))
 
 
 def _run_config(args) -> tuple[RunConfig, Path]:
@@ -254,6 +266,7 @@ def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: 
 def cmd_train(args) -> int:
     cfg, _ = _run_config(args)
     out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
+    _check_out_dir(out_dir)  # before the run, not after it
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     data = training.make_task(cfg.task, Rng(cfg.seed + 1))

@@ -4,13 +4,13 @@ Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
 products and row-wise maps act on the last one or two axes and treat any
 leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
 is a pure function of its inputs and keeps finite inputs finite, except
-that :func:`erf`, :func:`gelu` and :func:`softmax_rows` write into an
-``out`` array when given one, which may be their operand. LayerNorm and
-GELU come in a ``_parts`` form, which returns the value with the
-intermediates its vector-Jacobian product reuses; :func:`gelu` is the
-value of :func:`gelu_parts` alone, bit for bit, for the tape-free
-forward. :func:`run_both` runs two pieces of work on two cores, where the
-process has two.
+that :func:`erf` and :func:`gelu` write into their operand and return it,
+and :func:`softmax_rows` writes into an ``out`` array when given one,
+which may be its operand. LayerNorm and GELU come in a ``_parts`` form,
+which returns the value with the intermediates its vector-Jacobian
+product reuses; :func:`gelu` is the value of :func:`gelu_parts` alone, bit
+for bit, for the tape-free forward. :func:`run_both` runs two pieces of
+work on two cores, where the process has two.
 No differentiation logic lives here; see :mod:`arclab.autodiff` for that.
 
 numpy is the only dependency. The exp of :func:`erf` for |x| > 1 needs
@@ -165,9 +165,10 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
     return np.copysign(1.0 - scale, x)
 
 
-def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def erf(x: np.ndarray) -> np.ndarray:
     """The error function of a C-contiguous float64 array, elementwise, as
-    cephes computes it (``ndtr.c``, the route of ``scipy.special.erf``).
+    cephes computes it (``ndtr.c``, the route of ``scipy.special.erf``),
+    written into ``x``, which it returns.
 
     The |x| <= 1 branch is IEEE products, sums and one quotient in cephes'
     order, so its bits hold on every platform; that branch is odd, so it
@@ -178,18 +179,16 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     It runs in blocks of :data:`_ERF_BLOCK` values with two block buffers,
     x^2 and x T(x^2). Once the second is formed x is not read again, so
-    U(x^2) is built in the block of ``out`` and the quotient written over
-    it. ``out`` may be ``x`` or an array disjoint from it.
+    U(x^2) is built in the block of ``x`` and the quotient written over it.
+    A strided ``x`` raises ShapeError.
     """
-    if out is None:
-        out = np.empty(x.shape)
-    elif not (x.flags.c_contiguous and out.flags.c_contiguous):
-        raise ShapeError("erf writes into out only when x and out are C-contiguous")
-    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    if not x.flags.c_contiguous:
+        raise ShapeError("erf writes into its operand, which must be C-contiguous")
+    flat = x.reshape(-1)
     size = min(flat.size, _ERF_BLOCK)
     square, p = np.empty(size), np.empty(size)
     for i in range(0, flat.size, _ERF_BLOCK):
-        block, q = flat[i:i + _ERF_BLOCK], flat_out[i:i + _ERF_BLOCK]
+        block = q = flat[i:i + _ERF_BLOCK]
         if block.size < size:  # the last block
             square, p = square[:block.size], p[:block.size]
         np.abs(block, square)
@@ -201,19 +200,19 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             block[tail] = 0.0
         np.multiply(block, block, square)
         _polevl(square, _ERF_T, p)
-        p *= block  # the last read of x: U(x^2) may now overwrite it in out
+        p *= block  # the last read of x: U(x^2) may now overwrite it
         _p1evl(square, _ERF_U, q)
         np.divide(p, q, q)
         if tail is not None:
             q[tail] = _erf_tail(tail_x)
-    return out
+    return x
 
 
 def _gelu_into(a: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
     """GELU of ``a`` into ``out``, and 1 + erf(a / sqrt(2)) into the
     C-contiguous ``cdf``; ``out`` may be ``a``."""
     np.multiply(a, INV_SQRT2, out=cdf)
-    erf(cdf, out=cdf)
+    erf(cdf)
     cdf += 1.0
     np.multiply(a, 0.5, out=out)
     out *= cdf
@@ -230,20 +229,19 @@ def gelu_parts(a: np.ndarray):
     return out, cdf
 
 
-def gelu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The value of :func:`gelu_parts` alone, bit for bit, computed in
-    blocks of :data:`_ERF_BLOCK` values with one block of cdf scratch.
-    ``out`` may be ``a``, which then holds the result."""
-    if out is None:
-        out = np.empty(a.shape)
-    elif not (a.flags.c_contiguous and out.flags.c_contiguous):
-        raise ShapeError("gelu writes into out only when a and out are C-contiguous")
-    flat, flat_out = a.reshape(-1), out.reshape(-1)
+def gelu(a: np.ndarray) -> np.ndarray:
+    """The value of :func:`gelu_parts` alone, bit for bit, written into the
+    C-contiguous ``a``, which it returns; a strided ``a`` raises ShapeError.
+    It runs in blocks of :data:`_ERF_BLOCK` values with one block of cdf
+    scratch."""
+    if not a.flags.c_contiguous:
+        raise ShapeError("gelu writes into its operand, which must be C-contiguous")
+    flat = a.reshape(-1)
     cdf = np.empty(min(flat.size, _ERF_BLOCK))
     for i in range(0, flat.size, _ERF_BLOCK):
         block = flat[i:i + _ERF_BLOCK]
-        _gelu_into(block, cdf[:block.size], flat_out[i:i + _ERF_BLOCK])
-    return out
+        _gelu_into(block, cdf[:block.size], block)
+    return a
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:

@@ -285,18 +285,19 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x, z=None, *, bank=None, masks=N
     return ops.linear(x, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, bank=None):
+def forward(ops, cfg: BackboneConfig, v, images, bank=None, *, stop=None):
     """Eval-mode logits (B x classes) for a (B, H, W, C) image stack: the
     deterministic forward, with no adapter dropout. ``bank`` wires its
     adapters in, reading their tensors from ``v`` by name, and raises
-    ConfigError if it was built for another depth."""
+    ConfigError if it was built for another depth. A ``stop`` cut returns
+    the state there instead of the logits, as :func:`forward_tokens` does."""
     if bank is not None:
         bank.check_depth(cfg.layers)
     # no name here holds the embedding, so the encoder frees it at layer 1's first
     # residual add (from Python 3.11; 3.10 keeps a call's arguments until it returns)
     return forward_tokens(ops, cfg, v,
                           patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg))),
-                          bank=bank)
+                          bank=bank, stop=stop)
 
 
 def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:

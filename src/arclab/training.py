@@ -8,8 +8,6 @@ weight decay, linear warmup, and cosine (or constant) decay.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +16,7 @@ import numpy as np
 from . import model
 from .adapters import AdapterBank, dropout_masks
 from .autodiff import Eager, Tape, backward
-from .checkpoint import replace_file
+from .checkpoint import replace_csv
 from .errors import ConfigError, TrainingAborted
 from .kernel import Rng, cross_entropy
 
@@ -179,8 +177,8 @@ class _Constants(dict):
 
 def frozen_prefix(backbone_cfg, weights, images, cut: int, chunk: int) -> list[np.ndarray]:
     """The state at ``cut`` (:func:`model.forward_tokens`) of every image of
-    ``images``, from the patch embedding on, as one (n, ...) array per state
-    tensor: (x, z) at a site's cut, (x,) at the head cut.
+    ``images``, from :func:`model.forward` with ``stop=cut``, as one (n, ...)
+    array per state tensor: (x, z) at a site's cut, (x,) at the head cut.
 
     It runs on :class:`~arclab.autodiff.Eager` over ``chunk`` images at a
     time, in order, so each GEMM is as tall as a training step's, and only
@@ -189,10 +187,7 @@ def frozen_prefix(backbone_cfg, weights, images, cut: int, chunk: int) -> list[n
     ops, buffers = Eager(), []
     for first in range(0, len(images), chunk):
         rows = slice(first, first + chunk)
-        patches = model.extract_patches(images[rows], backbone_cfg)
-        state = model.forward_tokens(ops, backbone_cfg, weights,
-                                     model.patch_embed(ops, backbone_cfg, weights, patches),
-                                     stop=cut)
+        state = model.forward(ops, backbone_cfg, weights, images[rows], stop=cut)
         if not buffers:
             buffers = [np.empty((len(images), *part.shape[1:])) for part in state]
         for buffer, part in zip(buffers, state):
@@ -240,14 +235,14 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     tape, logits and loss. Every later step of that size refills the
     slot's buffers in place (``np.take`` from the prefix buffers, the
     masks with one copy) and replays the recording (:meth:`Tape.replay`);
-    ``model.forward`` itself never runs, and neither replay nor
-    :func:`backward` touches a frozen node. The stream is read in the
-    order of a draw per step, every update is elementwise and a replay runs
-    the recorded forwards, so the losses and values are the same bits as
-    with a fresh tape of the whole forward, a draw and an optimizer step
-    per tensor each step, wherever a GEMM row's bits do not depend on how
-    many rows share the GEMM with it: the prefix chunks hold other images
-    than the steps' batches. ``TestFrozenPrefix`` checks that at the toy
+    ``model.forward`` runs only on Eager, in the prefix, never taped, and
+    neither replay nor :func:`backward` touches a frozen node. The stream
+    is read in the order of a draw per step, every update is elementwise
+    and a replay runs the recorded forwards, so the losses and values are
+    the same bits as with a fresh tape of the whole forward, a draw and an
+    optimizer step per tensor each step, wherever a GEMM row's bits do not
+    depend on how many rows share the GEMM with it: the prefix chunks hold
+    other images than the steps' batches. ``TestFrozenPrefix`` checks that at the toy
     shapes; the chunks are as tall as a step to keep the GEMMs' shapes.
     The caller's arrays get the final values when training stops.
     """
@@ -343,13 +338,6 @@ def evaluate(backbone_cfg, weights, bank: AdapterBank | None, images, labels):
 
 def write_loss_csv(curve: list[StepRecord], path) -> None:
     """The loss curve as CSV at ``path``, replaced atomically
-    (:func:`checkpoint.replace_file`): a failed write leaves an old file as it was."""
-    def write(fh) -> None:
-        with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-            writer = csv.writer(text)
-            writer.writerow(["step", "lr", "loss", "accuracy"])
-            for rec in curve:
-                writer.writerow([rec.step, f"{rec.lr:.12g}", f"{rec.loss:.12g}",
-                                 f"{rec.accuracy:.6g}"])
-
-    replace_file(path, write)
+    (:func:`checkpoint.replace_csv`): a failed write leaves an old file as it was."""
+    replace_csv(path, [["step", "lr", "loss", "accuracy"]] + [
+        [rec.step, f"{rec.lr:.12g}", f"{rec.loss:.12g}", f"{rec.accuracy:.6g}"] for rec in curve])

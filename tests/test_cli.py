@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import contextlib
 import csv
 import gc
@@ -38,6 +39,20 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+class FailAfterFirstRow:
+    """A ``csv.writer`` whose ``writerows`` writes the first row and then
+    fails as a full disk would."""
+
+    real_writer = staticmethod(csv.writer)
+
+    def __init__(self, fh):
+        self.rows = self.real_writer(fh)
+
+    def writerows(self, rows):
+        self.rows.writerow(next(iter(rows)))
+        raise OSError(28, "No space left on device")
 
 
 def readme_config_text() -> str:
@@ -546,16 +561,6 @@ class TestCommands:
         temp file beside it."""
         csv_path = tmp_path / "t.csv"
         csv_path.write_bytes(b"the,old,table\r\n")
-        real_writer = csv.writer
-
-        class FailAfterFirstRow:
-            def __init__(self, fh):
-                self.rows = real_writer(fh)
-
-            def writerows(self, rows):
-                self.rows.writerow(rows[0])
-                raise OSError(28, "No space left on device")
-
         monkeypatch.setattr(csv, "writer", FailAfterFirstRow)
         rc = cli.main(["count", "--method", "arc", "--Dprime", "4", "--sweep", "layers",
                        "--L", "3", "--csv", str(csv_path)])
@@ -720,18 +725,6 @@ class TestCommands:
         out = tmp_path / "run"
         out.mkdir()
         (out / "loss.csv").write_bytes(b"the,old,curve\r\n")
-        real_writer = csv.writer
-
-        class FailAfterFirstRow:
-            def __init__(self, fh):
-                self.rows, self.written = real_writer(fh), 0
-
-            def writerow(self, row):
-                if self.written:
-                    raise OSError(28, "No space left on device")
-                self.written += 1
-                return self.rows.writerow(row)
-
         monkeypatch.setattr(csv, "writer", FailAfterFirstRow)
         rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
         stdout, err = capsys.readouterr()
@@ -740,6 +733,68 @@ class TestCommands:
         assert (out / "loss.csv").read_bytes() == b"the,old,curve\r\n"
         assert sorted(p.name for p in out.iterdir()) == ["checkpoint.arcl", "config.json",
                                                          "loss.csv"]
+
+    def test_train_failed_config_write_keeps_the_old_file(self, tmp_path, capsys,
+                                                          monkeypatch) -> None:
+        """A config.json write that fails after its first bytes exits 2 with
+        nothing on stdout, leaves the old config.json byte for byte as it
+        was, leaves no temp file beside it and saves no checkpoint."""
+        out = tmp_path / "run"
+        out.mkdir()
+        old = b'{"the": "old config"}\n'
+        (out / "config.json").write_bytes(old)
+        real_open = io.open
+
+        class FailAfterFirstBytes:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[:8])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def open_failing_config_writes(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if (isinstance(file, (str, os.PathLike)) and mode[0] in "wxa"
+                    and Path(file).parent == out and "config.json" in Path(file).name):
+                return FailAfterFirstBytes(fh)
+            return fh
+
+        monkeypatch.setattr(io, "open", open_failing_config_writes)
+        monkeypatch.setattr(builtins, "open", open_failing_config_writes)
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG == 2
+        assert stdout == "" and "No space left on device" in err
+        assert (out / "config.json").read_bytes() == old
+        assert [p.name for p in out.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("where", ["the file", "under the file"])
+    def test_train_out_at_a_file_exits_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       where) -> None:
+        """An --out that is an existing file, or lies under one, exits 2
+        naming it before training runs, and leaves the file as it was."""
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"not a directory\n")
+        out = blocker if where == "the file" else blocker / "run"
+        rc = cli.main(["train", "--config", str(write_config(tmp_path)), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG and stdout == "" and calls == []
+        assert err == f"config error: --out {out}: {blocker} exists and is not a directory\n"
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
     def test_train_fuse_verify_pipeline(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)
@@ -974,6 +1029,38 @@ class TestCommands:
         assert ckpt.read_bytes() == blob
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted({"checkpoint.arcl", out.name})
+
+    def test_fuse_out_a_directory_names_it(self, trained_run, tmp_path, capsys) -> None:
+        """An --out that is a directory exits 2 with an error that names that
+        path, not a temp file, and writes nothing into it."""
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "kept").write_bytes(b"kept")
+        rc = cli.main(["fuse", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                       "--out", str(out), "--config", str(trained_run / "config.json")])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG and stdout == ""
+        assert err == f"config error: [Errno 21] Is a directory: '{out}'\n"
+        assert [p.name for p in out.iterdir()] == ["kept"]
+        assert (out / "kept").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("parent, errno_", [("nodir", 2), ("afile", 20)])
+    def test_count_csv_under_no_directory_names_it(self, tmp_path, capsys, monkeypatch,
+                                                   parent, errno_) -> None:
+        """A --csv under a missing directory or under a file exits 2 with an
+        error that names the --csv path as given, not a temp file, and
+        creates nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_bytes(b"a file")
+        target = f"{parent}/t.csv"
+        rc = cli.main(["count", "--method", "arc", "--Dprime", "4", "--D", "16", "--L", "3",
+                       "--csv", target])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG and stdout == ""
+        assert err.startswith(f"config error: [Errno {errno_}] ")
+        assert err.endswith(f": '{target}'\n") and ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_bytes() == b"a file"
 
     def test_fuse_non_finite_adapter_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import re
 import sys
 import threading
-import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from arclab import adapters, model, reparam, training
 from arclab.autodiff import Eager, Tape, backward
 from arclab.errors import ConfigError, NumericalError, ShapeError
 from arclab.kernel import Rng, gelu_parts, layernorm_parts, softmax_rows
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "forward_peak.py"
+_SPEC = importlib.util.spec_from_file_location("forward_peak", _PATH)
+forward_peak = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(forward_peak)
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                            layers=2, heads=2, classes=4)
@@ -453,27 +459,15 @@ def _sha256(a) -> str:
 class TestForwardMemory:
     """The peak of one Eager forward with a bank at both default sites of
     every layer, above the traced memory at its start, as ``tracemalloc``
-    sees numpy's arrays: the forward's own activations and scratch. Each
-    bound is about 2% above the peak measured when it was set; a forward
-    that kept each block's intermediates to the end of its layer, erf's
-    three block buffers and an out-of-place softmax read 3.66 and
-    11.5 MiB."""
+    sees numpy's arrays (``tools/forward_peak.py``): the forward's own
+    activations and scratch. Each bound is about 2% above the peak measured
+    when it was set; a forward that kept each block's intermediates to the
+    end of its layer, erf's three block buffers and an out-of-place softmax
+    read 3.66 and 11.5 MiB."""
 
     @staticmethod
     def peak(cfg, images: int, bottleneck: int) -> int:
-        rng = Rng(0)
-        values = model.init_backbone(cfg, rng)
-        bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=bottleneck), cfg, rng)
-        values.update(bank.tensors)
-        x = rng.normals((images, cfg.image_size, cfg.image_size, cfg.channels))
-        model.forward(Eager(), cfg, values, x, bank)  # warm-up
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            model.forward(Eager(), cfg, values, x, bank)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = forward_peak.forward_peak(cfg, bottleneck, images)
         if sys.version_info < (3, 11):
             # 3.10 keeps a call's arguments on the caller's stack until the
             # call returns, so the patch embedding lives through the encoder

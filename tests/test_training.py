@@ -241,18 +241,23 @@ class TestTrain:
         """50 steps of the README demo (32 images, batches of 8) record the
         forward once and replay it 49 times; the taped ``model.forward``
         never runs."""
-        recorded, replays = [], []
-        real_tokens, real_replay = model.forward_tokens, Tape.replay
+        recorded, replays, taped_forwards = [], [], []
+        real_forward, real_tokens, real_replay = model.forward, model.forward_tokens, Tape.replay
 
         def record(ops, *args, **kwargs):
             if isinstance(ops, Tape):  # not the run's Eager frozen prefix
                 recorded.append(None)
             return real_tokens(ops, *args, **kwargs)
 
+        def forward(ops, *args, **kwargs):
+            if isinstance(ops, Tape):
+                taped_forwards.append(None)
+            return real_forward(ops, *args, **kwargs)
+
         monkeypatch.setattr(model, "forward_tokens", record)
         monkeypatch.setattr(Tape, "replay",
                             lambda tape: replays.append(None) or real_replay(tape))
-        monkeypatch.setattr(model, "forward", None)
+        monkeypatch.setattr(model, "forward", forward)
         backbone = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                         layers=3, heads=2, classes=4)
         bank = init_adapters(ArcConfig(bottleneck=4, dropout_rate=0.1), backbone, Rng(9))
@@ -262,6 +267,7 @@ class TestTrain:
                        TrainConfig(lr=0.01, epochs=125, batch_size=8, warmup_epochs=10, seed=3),
                        max_steps=50)
         assert result.steps == 50 and len(recorded) == 1 and len(replays) == 49
+        assert taped_forwards == []
 
     def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
         weights, bank, data = fresh_setup(dropout=0.1)

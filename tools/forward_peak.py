@@ -6,7 +6,8 @@ at both default sites of every layer. ``model.forward`` runs once on an
 peak is taken above the traced memory at the start of that second
 forward, so the weights, the bank and the images are not counted: it is
 the forward's own activations and scratch. It only prints; the bounds
-that gate the forward's memory are tests in ``tests/test_model.py``.
+that gate the forward's memory are tests in ``tests/test_model.py``,
+which call :func:`forward_peak`.
 
 Usage: PYTHONPATH=src python3 tools/forward_peak.py
 """
@@ -31,19 +32,19 @@ SHAPES = {  # name -> (backbone, adapter bottleneck D')
 }
 
 
-def forward_peak(cfg: model.BackboneConfig, bottleneck: int) -> int:
-    """Bytes the second of two Eager forwards over ``IMAGES`` images peaks
+def forward_peak(cfg: model.BackboneConfig, bottleneck: int, images: int = IMAGES) -> int:
+    """Bytes the second of two Eager forwards over ``images`` images peaks
     at, above the traced memory when it starts."""
     rng = Rng(0)
     values = model.init_backbone(cfg, rng)
     bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=bottleneck), cfg, rng)
     values.update(bank.tensors)
-    images = rng.normals((IMAGES, cfg.image_size, cfg.image_size, cfg.channels))
-    model.forward(Eager(), cfg, values, images, bank)
+    x = rng.normals((images, cfg.image_size, cfg.image_size, cfg.channels))
+    model.forward(Eager(), cfg, values, x, bank)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model.forward(Eager(), cfg, values, images, bank)
+        model.forward(Eager(), cfg, values, x, bank)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
