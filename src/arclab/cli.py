@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
 import math
@@ -30,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import accounting, analysis, checkpoint, model, reparam, training
-from .adapters import AdapterBank, ArcConfig, adapter_shapes, check_shapes, init_adapters
+from .adapters import (AdapterBank, ArcConfig, adapter_shapes, check_shapes, dropout_masks,
+                       init_adapters)
 from .autodiff import gradcheck
 from .errors import CheckpointError, ConfigError, NumericalError, ShapeError, TrainingAborted
 from .kernel import Rng
@@ -294,14 +296,17 @@ def cmd_fuse(args) -> int:
     """Fold ``--checkpoint``'s bank into the backbone tensors just loaded
     from it, which no one else holds, and save them as the fused file: one
     weight set in memory, and the checkpoint on disk is only read. An
-    ``--out`` that is the checkpoint file itself, by any path, is a config
-    error raised before anything is written."""
+    ``--out`` that is a directory, or the checkpoint file itself by any
+    path, is a config error raised before the config or the checkpoint is
+    read."""
+    out = Path(args.out)
+    if out.is_dir():  # the error checkpoint.save would raise, before the load
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if out.exists() and os.path.samefile(out, args.checkpoint):
+        raise ConfigError(f"--out {args.out} is the --checkpoint file {args.checkpoint}: "
+                          "fuse would overwrite the adapters it reads")
     cfg, config_path = _run_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
-    out = Path(args.out)
-    if out.exists() and os.path.samefile(out, args.checkpoint):
-        raise ConfigError(f"--out {out} is the --checkpoint file {args.checkpoint}: "
-                          "fuse would overwrite the adapters it reads")
     sites = reparam.fold(weights, bank, cfg.backbone)
     out.parent.mkdir(parents=True, exist_ok=True)
     checkpoint.save(out, weights, cfg.digest(), fused=True)
@@ -375,24 +380,26 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    """Finite differences against the analytic gradients of one training
+    step (:func:`training.record_step`), the graph ``train`` differentiates:
+    the task's first ``batch_size`` training images from the bank's first
+    cut, with one dropout draw held fixed. The trainables are the head, as
+    drawn, and the bank, drawn away from its identity init."""
     if not (math.isfinite(args.tol) and args.tol > 0):  # fail before the backbone is drawn
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     cfg, _ = _run_config(args)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     perturb = Rng(cfg.seed + 3)
-    live = {name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()}
-    side = cfg.backbone.image_size
-    image = Rng(cfg.seed + 4).normals((1, side, side, cfg.backbone.channels))
-    label = np.array([0])
-
-    def build(tape, values):
-        vals = {n: tape.constant(a) for n, a in weights.items()}
-        vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-        logits = model.forward(tape, cfg.backbone, vals, image, bank=bank)
-        return tape.cross_entropy(logits, label)
-
-    report = gradcheck(build, live, tol=args.tol)
+    live = {name: weights[name] for name in model.HEAD_NAMES}
+    live.update({name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()})
+    data = training.make_task(cfg.task, Rng(cfg.seed + 1))
+    batch = slice(cfg.train.batch_size)
+    images, labels = data.train_images[batch], data.train_labels[batch]
+    masks = dropout_masks(bank, len(labels), cfg.backbone.tokens + 1, Rng(cfg.seed + 4))
+    state = training.frozen_prefix(cfg.backbone, weights, bank, images, len(images))
+    report = gradcheck(lambda tape, values: training.record_step(
+        tape, cfg.backbone, weights, bank, values, state, labels, masks)[1], live, tol=args.tol)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_FAILED
 
@@ -473,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of adapter gradients")
+    p = sub.add_parser("gradcheck", help="finite-difference check of a training step's gradients")
     p.add_argument("--config", required=True)
     p.add_argument("--tol", type=float, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)

@@ -1,20 +1,23 @@
 """Small pre-norm Vision Transformer with optional adapter sites.
 
-The forward pass runs on a batch: a (B, H, W, C) image stack becomes a
-(B, T, D) token tensor (T = patches + the class token), and attention makes
-its heads a batch axis, (B, heads, T, D_h), so each primitive call covers
-every image and head at once. It is written against a backend object
+The forward pass runs on a batch: :func:`embed` turns a (B, H, W, C) image
+stack into a (B, T, D) token tensor (T = patches + the class token) on
+plain arrays, and attention makes its heads a batch axis, (B, heads, T,
+D_h), so each primitive call covers every image and head at once. The
+embedding reads no trainable, so it is never recorded. The encoder and
+head, :func:`forward_tokens`, are written against a backend object
 (:class:`~arclab.autodiff.Tape` for training, :class:`~arclab.autodiff.Eager`
 for plain evaluation); both run the forwards of the one primitive table in
 :mod:`arclab.autodiff`, so the recorded and unrecorded paths compute the
-same values. Weights are named tensors; the mapping passed to ``forward``
-resolves each name to a backend value. :func:`eager_logits` is the
-evaluation entry point: it runs a batch as two concurrent Eager halves.
-:func:`forward_tokens` is the one encoder-and-head forward, and it can
-start or stop at a cut, just before an adapter hook or the head, whose
-state is the residual stream and the pending block input: training runs
-everything before its first trainable once per run on Eager, and records
-from that cut on.
+same values. Weights are named tensors; the mapping passed to
+``forward_tokens`` resolves each name to a backend value.
+:func:`forward`, the embedding and the encoder on Eager only, is the
+image-to-logits forward, and :func:`eager_logits` the evaluation entry
+point: it runs a batch as two concurrent halves of :func:`forward`.
+:func:`forward_tokens` can start or stop at a cut, just before an adapter
+hook or the head, whose state is the residual stream and the pending
+block input: training runs everything before its first trainable once per
+run through :func:`forward`, and records from that cut on.
 
 No activation outlives its last reader: between residual adds only the
 (B, T, D) stream is bound, so on Eager numpy frees each block's
@@ -35,7 +38,7 @@ import numpy as np
 from . import adapters
 from .autodiff import Eager
 from .errors import ConfigError, ShapeError
-from .kernel import Rng, run_both
+from .kernel import Rng, linear, run_both
 
 HEAD_NAMES = ("head.weight", "head.bias")
 
@@ -198,10 +201,14 @@ def extract_patches(images: np.ndarray, cfg: BackboneConfig) -> np.ndarray:
     )
 
 
-def patch_embed(ops, cfg: BackboneConfig, v, patches):
-    """[cls; patches @ W + b] + pos, as backend values."""
-    proj = ops.linear(patches, v["patch.weight"], v["patch.bias"])
-    return ops.add(ops.concat_tokens(v["cls"], proj), v["pos"])
+def embed(cfg: BackboneConfig, weights, images) -> np.ndarray:
+    """[cls; patches W + b] + pos: the (B, T, D) tokens of a (B, H, W, C)
+    image stack (:func:`extract_patches`), on arrays."""
+    proj = linear(extract_patches(images, cfg), weights["patch.weight"], weights["patch.bias"])
+    cls = np.broadcast_to(weights["cls"], (len(proj), 1, cfg.embed_dim))
+    tokens = np.concatenate([cls, proj], axis=1)
+    tokens += weights["pos"]
+    return tokens
 
 
 def mha(ops, cfg: BackboneConfig, v, x_norm, layer: int):
@@ -250,7 +257,8 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x, z=None, *, bank=None, masks=N
     of the class token, (B, D). ``start=None`` starts from an embedded
     (B, T, D) token batch ``x``; ``stop=None`` runs on to the logits, and
     any other ``stop`` returns the state at that cut: (x, z), or (x,) at
-    the head.
+    the head. On a :class:`~arclab.autodiff.Tape` the tokens or the state
+    enter as constants.
 
     ``bank`` wires its adapters in at its (layer, site) pairs; ``masks`` is
     this batch's :func:`adapters.dropout_masks` array, or None for no
@@ -285,19 +293,19 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x, z=None, *, bank=None, masks=N
     return ops.linear(x, v["head.weight"], v["head.bias"])
 
 
-def forward(ops, cfg: BackboneConfig, v, images, bank=None, *, stop=None):
+def forward(cfg: BackboneConfig, weights, images, bank=None, *, stop=None):
     """Eval-mode logits (B x classes) for a (B, H, W, C) image stack: the
-    deterministic forward, with no adapter dropout. ``bank`` wires its
-    adapters in, reading their tensors from ``v`` by name, and raises
-    ConfigError if it was built for another depth. A ``stop`` cut returns
-    the state there instead of the logits, as :func:`forward_tokens` does."""
+    deterministic forward on :class:`~arclab.autodiff.Eager`, with no
+    adapter dropout. ``bank`` wires its adapters in, reading their tensors
+    from ``weights`` by name, and raises ConfigError if it was built for
+    another depth. A ``stop`` cut returns the state there instead of the
+    logits, as :func:`forward_tokens` does."""
     if bank is not None:
         bank.check_depth(cfg.layers)
     # no name here holds the embedding, so the encoder frees it at layer 1's first
     # residual add (from Python 3.11; 3.10 keeps a call's arguments until it returns)
-    return forward_tokens(ops, cfg, v,
-                          patch_embed(ops, cfg, v, ops.constant(extract_patches(images, cfg))),
-                          bank=bank, stop=stop)
+    return forward_tokens(Eager(), cfg, weights, embed(cfg, weights, images), bank=bank,
+                          stop=stop)
 
 
 def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:
@@ -320,8 +328,8 @@ def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:
     values = weights if bank is None else {**weights, **bank.tensors}
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) <= 1:  # one piece; forward rejects a bad shape
-        return forward(Eager(), cfg, values, images, bank)
+        return forward(cfg, values, images, bank)
     half = (len(images) + 1) // 2
-    first, rest = run_both(functools.partial(forward, Eager(), cfg, values, images[:half], bank),
-                           functools.partial(forward, Eager(), cfg, values, images[half:], bank))
+    first, rest = run_both(functools.partial(forward, cfg, values, images[:half], bank),
+                           functools.partial(forward, cfg, values, images[half:], bank))
     return np.concatenate([first, rest])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import model
 from .adapters import AdapterBank, dropout_masks
-from .autodiff import Eager, Tape, backward
+from .autodiff import Tape, backward
 from .checkpoint import replace_csv
 from .errors import ConfigError, TrainingAborted
 from .kernel import Rng, cross_entropy
@@ -175,24 +175,54 @@ class _Constants(dict):
         return leaf
 
 
-def frozen_prefix(backbone_cfg, weights, images, cut: int, chunk: int) -> list[np.ndarray]:
-    """The state at ``cut`` (:func:`model.forward_tokens`) of every image of
-    ``images``, from :func:`model.forward` with ``stop=cut``, as one (n, ...)
-    array per state tensor: (x, z) at a site's cut, (x,) at the head cut.
+def _cut(backbone_cfg, bank: AdapterBank | None) -> int:
+    """The cut (:func:`model.forward_tokens`) before a step's first node
+    that reads a trainable: the bank's first site, or the head for a probe."""
+    return model.head_cut(backbone_cfg) if bank is None else model.site_cut(*bank.sites[0])
 
-    It runs on :class:`~arclab.autodiff.Eager` over ``chunk`` images at a
-    time, in order, so each GEMM is as tall as a training step's, and only
-    one chunk's patches exist at once. An empty stack gives an empty list.
+
+def frozen_prefix(backbone_cfg, weights, bank: AdapterBank | None, images,
+                  chunk: int) -> list[np.ndarray]:
+    """The state at the cut before ``bank``'s first site (the head's for
+    ``bank=None``) of every image of ``images``, from :func:`model.forward`
+    with ``stop`` at that cut, as one (n, ...) array per state tensor:
+    (x, z) at a site's cut, (x,) at the head cut.
+
+    It runs over ``chunk`` images at a time, in order, so each GEMM is as
+    tall as a training step's, and only one chunk's patches exist at once.
+    An empty stack gives an empty list.
     """
-    ops, buffers = Eager(), []
+    cut, buffers = _cut(backbone_cfg, bank), []
     for first in range(0, len(images), chunk):
         rows = slice(first, first + chunk)
-        state = model.forward(ops, backbone_cfg, weights, images[rows], stop=cut)
+        state = model.forward(backbone_cfg, weights, images[rows], stop=cut)
         if not buffers:
             buffers = [np.empty((len(images), *part.shape[1:])) for part in state]
         for buffer, part in zip(buffers, state):
             buffer[rows] = part
     return buffers
+
+
+def record_step(tape: Tape, backbone_cfg, weights, bank: AdapterBank | None, params,
+                state, labels, masks):
+    """Record one training step on ``tape``; its (logits, loss) nodes.
+
+    The step is the forward from the cut before ``bank``'s first site (the
+    head's for ``bank=None``) to the mean cross-entropy over ``labels``:
+    the graph :func:`train` differentiates. ``params`` maps each trainable's
+    name to its array, which becomes a parameter, in that order. The
+    batch's ``state`` at the cut (:func:`frozen_prefix`) enters as
+    constants, and its ``labels`` and ``masks`` (:func:`adapters.dropout_masks`,
+    or None) as static arguments, all without a copy, so refilling them in
+    place and replaying the tape runs the step on another batch. A frozen
+    tensor of ``weights`` becomes a constant when the recording first reads
+    it, so the tape holds only those its nodes read.
+    """
+    values = _Constants(tape, weights)
+    values.update({name: tape.parameter(name, value) for name, value in params.items()})
+    logits = model.forward_tokens(tape, backbone_cfg, values, *map(tape.constant, state),
+                                  bank=bank, masks=masks, start=_cut(backbone_cfg, bank))
+    return logits, tape.cross_entropy(logits, labels)
 
 
 def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
@@ -227,17 +257,14 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     per batch size (the full size and the size of a short last batch). The
     first step of a size copies its batch's rows of the prefix buffers,
     its labels and its dropout masks (one array) into new buffers and
-    builds a :class:`Tape` whose leaves are the trainables, as parameters
-    over views of the flat buffer, the batch's prefix state and the frozen
-    tensors the recording reads, as constants. It records the forward from
-    the cut (``model.forward_tokens(..., start=cut)``), with the masks and
-    labels as static arguments; the size's slot keeps the buffers and the
-    tape, logits and loss. Every later step of that size refills the
-    slot's buffers in place (``np.take`` from the prefix buffers, the
-    masks with one copy) and replays the recording (:meth:`Tape.replay`);
-    ``model.forward`` runs only on Eager, in the prefix, never taped, and
-    neither replay nor :func:`backward` touches a frozen node. The stream
-    is read in the order of a draw per step, every update is elementwise
+    records the step over them on a new :class:`Tape` (:func:`record_step`),
+    with the trainables as parameters over views of the flat buffer; the
+    size's slot keeps the buffers and the tape, logits and loss. Every
+    later step of that size refills the slot's buffers in place
+    (``np.take`` from the prefix buffers, the masks with one copy) and
+    replays the recording (:meth:`Tape.replay`); nothing before the cut is
+    taped, and neither replay nor :func:`backward` touches a frozen node.
+    The stream is read in the order of a draw per step, every update is elementwise
     and a replay runs the recorded forwards, so the losses and values are
     the same bits as with a fresh tape of the whole forward, a draw and an
     optimizer step per tensor each step, wherever a GEMM row's bits do not
@@ -258,9 +285,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
         offset += arr.size
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
-    # the forward's first node that reads a trainable: the bank's first site, or the head
-    cut = model.head_cut(backbone_cfg) if bank is None else model.site_cut(*bank.sites[0])
-    frozen = frozen_prefix(backbone_cfg, weights, data.train_images, cut, cfg.batch_size)
+    frozen = frozen_prefix(backbone_cfg, weights, bank, data.train_images, cfg.batch_size)
     n = len(data.train_images)
     tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
@@ -294,12 +319,8 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                     state, labels = [part[idx] for part in frozen], data.train_labels[idx]
                     batch_masks = None if masks is None else masks[rows].copy()
                     tape = Tape()
-                    values = _Constants(tape, weights)
-                    values.update({name: tape.parameter(name, view) for name, view in views.items()})
-                    logits = model.forward_tokens(tape, backbone_cfg, values,
-                                                  *map(tape.constant, state), bank=bank,
-                                                  masks=batch_masks, start=cut)
-                    loss_node = tape.cross_entropy(logits, labels)
+                    logits, loss_node = record_step(tape, backbone_cfg, weights, bank, views,
+                                                    state, labels, batch_masks)
                     slots[idx.size] = state, labels, batch_masks, tape, logits, loss_node
                 loss = float(loss_node.value[0, 0])
                 if not math.isfinite(loss):

@@ -14,7 +14,7 @@ import pytest
 from arclab import adapters, model, reparam, training
 from arclab.accounting import MethodSpec, count_arc_config, count_finetune
 from arclab.adapters import ArcConfig, init_adapters
-from arclab.autodiff import Eager, gradcheck
+from arclab.autodiff import gradcheck
 from arclab.checkpoint import load, save
 from arclab.errors import CheckpointError
 from arclab.kernel import Rng, svd
@@ -98,25 +98,28 @@ def test_03_census_formula_agreement() -> None:
 
 
 def test_04_gradient_correctness() -> None:
-    """Criterion 4: Richardson-extrapolated central differences (h=1e-3) vs
-    analytic gradients over every adapter trainable, max relative error <= 1e-5."""
+    """Criterion 4: the analytic gradients of one recorded training step
+    (``training.record_step``: a batch of four images from the bank's first
+    cut, with its dropout masks held fixed) vs Richardson-extrapolated
+    central differences (h=1e-2), over every adapter trainable and the
+    head, max relative error <= 1e-5."""
     weights = model.init_backbone(TOY, Rng(7))
-    image = Rng(8).normals((1, 8, 8, 1))
-    cfg = ArcConfig(bottleneck=DPRIME, dropout_rate=0.0)
-    bank = init_adapters(cfg, TOY, Rng(9))
+    images = Rng(8).normals((4, 8, 8, 1))
+    labels = np.array([2, 0, 3, 1])
+    bank = init_adapters(ArcConfig(bottleneck=DPRIME, dropout_rate=0.1), TOY, Rng(9))
     r = Rng(10)
-    live = {n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()}
+    live = {n: weights[n] for n in model.HEAD_NAMES}
+    live.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
+    masks = adapters.dropout_masks(bank, len(images), TOY.tokens + 1, Rng(11))
+    state = training.frozen_prefix(TOY, weights, bank, images, len(images))
 
     def build(tape, values):
-        vals = {n: tape.constant(a) for n, a in weights.items()}
-        vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-        logits = model.forward(tape, TOY, vals, image, bank=bank)
-        return tape.cross_entropy(logits, np.array([2]))
+        return training.record_step(tape, TOY, weights, bank, values, state, labels, masks)[1]
 
     report = gradcheck(build, live, tol=1e-5)
     assert report.passed, report.summary()
     n_scalars = sum(a.size for a in live.values())
-    print(f"ACCEPTANCE 4 PASS: gradcheck over {n_scalars} adapter scalars, "
+    print(f"ACCEPTANCE 4 PASS: gradcheck over {n_scalars} adapter and head scalars, "
           f"max rel err {report.max_rel_err:.3e} <= 1e-5")
 
 
@@ -141,8 +144,7 @@ def test_06_identity_at_init() -> None:
     unchanged (zero coefficients and biases)."""
     weights = model.init_backbone(TOY, Rng(7))
     images = [Rng(40 + i).normals((1, 8, 8, 1)) for i in range(3)]
-    ops = Eager()
-    plain = [model.forward(ops, TOY, weights, img) for img in images]
+    plain = [model.forward(TOY, weights, img) for img in images]
     position_sets = [("before_mha", "before_ffn"), ("after_mha", "after_ffn"),
                      ("before_mha",), ("after_ffn",)]
     checked = 0
@@ -154,7 +156,7 @@ def test_06_identity_at_init() -> None:
             values = dict(weights)
             values.update(bank.tensors)
             for img, want in zip(images, plain):
-                got = model.forward(ops, TOY, values, img, bank=bank)
+                got = model.forward(TOY, values, img, bank=bank)
                 assert np.array_equal(got, want), (sharing, positions, variant)
             checked += 1
     print(f"ACCEPTANCE 6 PASS: exact identity at init for {checked} configurations")

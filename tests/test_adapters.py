@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from arclab import accounting, adapters, model
+from arclab import accounting, adapters, model, training
 from arclab.adapters import (AdapterBank, ArcConfig, adapter_shapes, arc_forward, dropout_mask,
                              init_adapters)
 from arclab.autodiff import Eager, Tape, gradcheck
@@ -56,19 +56,19 @@ class TestInit:
     def test_identity_at_init_for_all_configs(self) -> None:
         w = model.init_backbone(TOY, Rng(7))
         img = Rng(8).normals((1, 8, 8, 1))
-        plain = model.forward(Eager(), TOY, w, img)
+        plain = model.forward(TOY, w, img)
         for sharing, positions in product(adapters.SHARINGS, POSITION_SETS):
             cfg = ArcConfig(bottleneck=4, positions=positions, sharing=sharing)
             bank = init_adapters(cfg, TOY, Rng(9))
             values = dict(w)
             values.update(bank.tensors)
-            out = model.forward(Eager(), TOY, values, img, bank=bank)
+            out = model.forward(TOY, values, img, bank=bank)
             assert np.array_equal(out, plain), (sharing, positions)
         fr = ArcConfig(bottleneck=4, variant="full_rank")
         bank = init_adapters(fr, TOY, Rng(9))
         values = dict(w)
         values.update(bank.tensors)
-        out = model.forward(Eager(), TOY, values, img, bank=bank)
+        out = model.forward(TOY, values, img, bank=bank)
         assert np.array_equal(out, plain)
 
     @pytest.mark.parametrize("variant", adapters.VARIANTS)
@@ -167,8 +167,8 @@ class TestArcForward:
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(7).normals((2, 8, 8, 1))
-        a = model.forward(Eager(), TOY, values, imgs, bank=bank)
-        b = model.forward(Eager(), TOY, values, imgs, bank=bank)
+        a = model.forward(TOY, values, imgs, bank=bank)
+        b = model.forward(TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 
     def test_outside_insertion_set_is_contract_error(self) -> None:
@@ -266,11 +266,11 @@ class TestDropout:
 
         monkeypatch.setattr(adapters, "arc_forward", spy)
         tape = Tape()
-        values = {n: tape.constant(a) for n, a in model.init_backbone(backbone, Rng(4)).items()}
+        weights = model.init_backbone(backbone, Rng(4))
+        values = {n: tape.constant(a) for n, a in weights.items()}
         values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
-        patches = model.extract_patches(Rng(2).normals((2, 8, 8, 1)), backbone)
-        x_emb = model.patch_embed(tape, backbone, values, tape.constant(patches))
-        model.forward_tokens(tape, backbone, values, x_emb, bank=bank, masks=masks)
+        x_emb = model.embed(backbone, weights, Rng(2).normals((2, 8, 8, 1)))
+        model.forward_tokens(tape, backbone, values, tape.constant(x_emb), bank=bank, masks=masks)
         assert [key for key, _ in seen] == list(bank.sites)
         assert {layer for layer, _ in bank.sites} == {1, 3}
         for key, mask in seen:
@@ -284,9 +284,9 @@ class TestDropout:
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
         masks = adapters.dropout_masks(bank, imgs.shape[0], TOY.tokens + 1, Rng(0))
-        x_emb = model.patch_embed(Eager(), TOY, values, model.extract_patches(imgs, TOY))
-        a = model.forward_tokens(Eager(), TOY, values, x_emb, bank=bank, masks=masks)
-        b = model.forward(Eager(), TOY, values, imgs, bank=bank)
+        a = model.forward_tokens(Eager(), TOY, values, model.embed(TOY, values, imgs), bank=bank,
+                                 masks=masks)
+        b = model.forward(TOY, values, imgs, bank=bank)
         assert np.array_equal(a, b)
 
 
@@ -388,12 +388,12 @@ class TestIntraSharingGradient:
         r = Rng(33)
         live = {n: r.normals(a.shape, 0.4) for n, a in bank.tensors.items()}
 
+        state = training.frozen_prefix(TOY, w, bank, img, 1)
+
         def build(tape, values):
-            vals = {n: tape.constant(a) for n, a in w.items()}
-            vals.update({n: tape.constant(a) for n, a in live.items() if n not in values})
-            vals.update({n: tape.parameter(n, a) for n, a in values.items()})
-            logits = model.forward(tape, TOY, vals, img, bank=bank)
-            return tape.cross_entropy(logits, np.array([1]))
+            # the bank tensors not in values enter as constants
+            return training.record_step(tape, TOY, {**w, **live}, bank, values, state,
+                                        np.array([1]), None)[1]
 
         report = gradcheck(build, {"arc.mha.down": live["arc.mha.down"],
                                    "arc.ffn.down": live["arc.ffn.down"]})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
-from arclab import kernel, model
+from arclab import kernel, model, training
 from arclab.adapters import ArcConfig, dropout_masks, init_adapters
 from arclab.autodiff import (
     PRIMITIVES,
@@ -122,24 +123,21 @@ class TestReplay:
     fresh recording over the new contents."""
 
     @staticmethod
-    def _record(tape, weights, bank, patches, masks, labels):
-        """The training step's graph: frozen constants, trainable head and
-        bank, patches, dropout masks and labels as the training loop passes
-        them."""
-        values = {n: tape.constant(a) for n, a in weights.items() if n not in model.HEAD_NAMES}
-        values.update({n: tape.parameter(n, weights[n]) for n in model.HEAD_NAMES})
-        values.update({n: tape.parameter(n, a) for n, a in bank.tensors.items()})
-        x_emb = model.patch_embed(tape, DEMO, values, tape.constant(patches))
-        logits = model.forward_tokens(tape, DEMO, values, x_emb, bank=bank, masks=masks)
-        return tape.cross_entropy(logits, labels)
+    def _record(tape, weights, bank, state, masks, labels):
+        """The training step's graph (``training.record_step``): trainable
+        head and bank, the batch's state at the bank's first cut, its
+        dropout masks and labels, as the training loop passes them."""
+        params = {n: weights[n] for n in model.HEAD_NAMES}
+        params.update(bank.tensors)
+        return training.record_step(tape, DEMO, weights, bank, params, state, labels, masks)[1]
 
     @staticmethod
-    def _draw(rng, batch, bank):
-        """(patches, masks, labels) of one random batch."""
-        patches = model.extract_patches(rng.normals((batch, 8, 8, 1)), DEMO)
+    def _draw(rng, batch, weights, bank):
+        """(state, masks, labels) of one random batch."""
+        state = training.frozen_prefix(DEMO, weights, bank, rng.normals((batch, 8, 8, 1)), batch)
         masks = dropout_masks(bank, batch, DEMO.tokens + 1, rng)
         labels = (rng.uniforms(batch) * DEMO.classes).astype(np.int64)
-        return patches, masks, labels
+        return state, masks, labels
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 8))
@@ -147,14 +145,15 @@ class TestReplay:
         rng = Rng(seed)
         weights = model.init_backbone(DEMO, Rng(7))
         bank = init_adapters(DEMO_ARC, DEMO, Rng(9))
-        patches, masks, labels = self._draw(rng, batch, bank)
+        state, masks, labels = self._draw(rng, batch, weights, bank)
         tape = Tape()
-        loss = self._record(tape, weights, bank, patches, masks, labels)
+        loss = self._record(tape, weights, bank, state, masks, labels)
         first = float(loss.value[0, 0])
 
         # refill every leaf in place: inputs, masks, labels and trainables
-        new_patches, new_masks, new_labels = self._draw(rng, batch, bank)
-        patches[...] = new_patches
+        new_state, new_masks, new_labels = self._draw(rng, batch, weights, bank)
+        for part, new_part in zip(state, new_state):
+            part[...] = new_part
         masks[...] = new_masks
         labels[...] = new_labels
         for name in model.HEAD_NAMES:
@@ -164,7 +163,7 @@ class TestReplay:
         tape.replay()
 
         fresh = Tape()
-        want = self._record(fresh, weights, bank, patches, masks, labels)
+        want = self._record(fresh, weights, bank, state, masks, labels)
         assert len(tape._nodes) == len(fresh._nodes) and loss.idx == want.idx
         for idx, (got, ref) in enumerate(zip(tape._nodes, fresh._nodes)):
             assert np.array_equal(got.value, ref.value), idx
@@ -179,7 +178,7 @@ class TestReplay:
         weights = model.init_backbone(DEMO, Rng(7))
         bank = init_adapters(DEMO_ARC, DEMO, Rng(9))
         tape = Tape()
-        self._record(tape, weights, bank, *self._draw(Rng(3), 2, bank))
+        self._record(tape, weights, bank, *self._draw(Rng(3), 2, weights, bank))
         nodes = tape._nodes
         recorded = [node.needs for node in nodes]
         assert all(node.needs == tuple(p.needs_grad for p in node.parents) for node in nodes)
@@ -313,20 +312,28 @@ class TestBackward:
         assert backward(other, out)["x"][0, 0] == 4.0
 
     def test_broadcast_bias_grad_sums_rows(self) -> None:
-        x = np.ones((3, 2))
+        """linear's (1, n) bias row, the one operand a forward broadcasts:
+        its gradient sums the rows of every batch entry."""
+        x = np.ones((2, 3, 2))
         tape = Tape()
         b = tape.parameter("b", np.array([[0.5, -0.5]]))
-        out = tape.add(tape.constant(x), b)
+        out = tape.linear(tape.constant(x), tape.constant(np.eye(2)), b)
         loss = tape.matmul(mean(tape, out), tape.constant([[float(out.value.size)]]))
         grads = backward(tape, loss)
-        assert np.array_equal(grads["b"], np.array([[3.0, 3.0]]))
+        assert np.array_equal(grads["b"], np.array([[6.0, 6.0]]))
 
     def test_add_shape_mismatch(self) -> None:
-        tape = Tape()
-        a = tape.constant(np.zeros((2, 3)))
-        b = tape.constant(np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            tape.add(a, b)
+        """add broadcasts nothing: operands of different shapes, even ones
+        numpy would broadcast, are a ShapeError naming both shapes, on the
+        tape and on Eager."""
+        for left, right in (((2, 3), (2, 2)), ((2, 3), (1, 3)), ((2, 3, 4), (3, 4))):
+            tape = Tape()
+            a, b = np.zeros(left), np.zeros(right)
+            message = re.escape(f"{left} + {right}")
+            with pytest.raises(ShapeError, match=message):
+                tape.add(tape.constant(a), tape.constant(b))
+            with pytest.raises(ShapeError, match=message):
+                Eager.add(a, b)
 
     def test_deterministic_gradstore(self) -> None:
         def run():
@@ -349,7 +356,9 @@ class TestPrimitiveGradients:
     once checked; those operations now live inside ``arc_adapter`` (the
     coefficient scaling and the dropout mask) and ``attention`` (the score
     scale and the softmax), which the cases check with every operand a
-    parameter.
+    parameter. ``concat_slice`` keeps its id too: the token concatenation
+    left the table with the patch embedding, and the case checks
+    ``slice_tokens``.
     """
 
     # case -> the seed of its random data
@@ -367,7 +376,7 @@ class TestPrimitiveGradients:
             params = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
                       "b": rng.normal(size=(1, 5))}
         elif name == "add":
-            params = {"x": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(1, 4))}
+            params = {"x": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(2, 3, 4))}
         elif name in ("scale", "attention"):
             shape, heads = ((3, 4), 2) if name == "scale" else ((2, 3, 6), 3)
             params = {n: rng.normal(size=shape) for n in ("x", "k", "v")}
@@ -406,17 +415,14 @@ class TestPrimitiveGradients:
             elif name == "gelu":
                 y = tape.gelu(x)
             elif name == "concat_slice":
-                top = tape.slice_tokens(x, slice(0, 2))
-                bottom = tape.slice_tokens(x, slice(2, 3))
-                # the constant block broadcasts the (3, 4) tokens to a batch of two
-                z = tape.concat_tokens(tape.constant(rng_z), tape.concat_tokens(bottom, top))
-                y = tape.matmul(z, tape.constant(rng_w))  # (2, 4, 4) tokens times a 2-D weight
+                # two overlapping token slices: the middle token's gradient sums both
+                z = tape.add(tape.slice_tokens(x, slice(0, 2)), tape.slice_tokens(x, slice(1, 3)))
+                y = tape.matmul(z, tape.constant(rng_w))
             else:  # cross_entropy
                 return tape.cross_entropy(x, np.array([1, 3, 0]))
             return mean(tape, tape.gelu(y))
 
         rng_w = rng.normal(size=(4, 4))
-        rng_z = rng.normal(size=(2, 1, 4))
         return build, params
 
     @pytest.mark.parametrize("name", PRIMITIVES)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arclab import analysis, cli, model, reparam, training
+from arclab import analysis, checkpoint, cli, model, reparam, training
 from arclab.adapters import AdapterBank
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
@@ -1044,6 +1044,27 @@ class TestCommands:
         assert [p.name for p in out.iterdir()] == ["kept"]
         assert (out / "kept").read_bytes() == b"kept"
 
+    @pytest.mark.parametrize("kind", ["directory", "checkpoint"])
+    def test_fuse_out_refused_before_the_checkpoint_is_read(self, trained_run, tmp_path, capsys,
+                                                            monkeypatch, kind) -> None:
+        """An --out that is a directory, or the checkpoint file itself, exits 2
+        naming the path as given, and the checkpoint is never loaded."""
+        ckpt = trained_run / "checkpoint.arcl"
+        if kind == "directory":
+            out = tmp_path / "run"
+            out.mkdir()
+        else:  # the checkpoint by another spelling of its path
+            out = trained_run / ".." / trained_run.name / ckpt.name
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("fuse loaded the checkpoint")
+
+        monkeypatch.setattr(checkpoint, "load", no_load)
+        rc = cli.main(["fuse", "--checkpoint", str(ckpt), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG and stdout == ""
+        assert err.startswith("config error: ") and str(out) in err
+
     @pytest.mark.parametrize("parent, errno_", [("nodir", 2), ("afile", 20)])
     def test_count_csv_under_no_directory_names_it(self, tmp_path, capsys, monkeypatch,
                                                    parent, errno_) -> None:
@@ -1162,8 +1183,15 @@ class TestCommands:
         assert "missing" in err and last in err
         assert not (tmp_path / "f.arcl").exists()
 
-    @pytest.mark.parametrize("doc", [{}, {"arc": {"variant": "full_rank"}}],
-                             ids=["defaults", "full_rank"])
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"arc": {"variant": "full_rank"}},
+        # two configs whose correct gradients read 3.6e-05 and 1.6e-05 when the
+        # numeric derivative took h = 1e-3
+        {"train": {"epochs": 1}, "arc": {"insertion_layers": [2]}},
+        {"arc": {"sharing": "non_intra_non_inter", "positions": ["after_ffn"]},
+         "train": {"epochs": 1}},
+    ], ids=["defaults", "full_rank", "g1", "g2"])
     def test_gradcheck_passes_at_tol_1e_5(self, tmp_path, capsys, doc) -> None:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
@@ -1178,6 +1206,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_gradcheck_checks_the_recorded_training_step(self, tmp_path, capsys,
+                                                         monkeypatch) -> None:
+        """train and gradcheck record through ``training.record_step``, and
+        on one config they record the same graph: the same primitives, the
+        same needs-grad flags and the same parameters, over a batch of
+        ``batch_size`` images with a dropout mask."""
+        graphs = []
+        real = training.record_step
+
+        def spy(tape, *args):
+            logits, loss = real(tape, *args)
+            graphs.append(([(node.prim, node.needs, node.value.shape) for node in tape._nodes],
+                           list(tape._params)))
+            return logits, loss
+
+        monkeypatch.setattr(training, "record_step", spy)
+        config = write_config(tmp_path, arc={"dropout_rate": 0.1}, train={"epochs": 1})
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        assert cli.main(["gradcheck", "--config", str(config)]) == 0
+        assert "gradcheck PASS" in capsys.readouterr().out
+        (trained, trained_names), (checked, checked_names) = graphs
+        assert checked == trained and checked_names == trained_names
+        assert trained[-1][2] == (1, 1) and any(shape[0] == 8 for _, _, shape in trained)
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
     def test_gradcheck_bad_tol_exit_2(self, tmp_path, capsys, tol) -> None:

@@ -81,15 +81,20 @@ class TestPatchEmbed:
     def test_zero_everything_leaves_pos(self) -> None:
         w = {name: np.zeros(shape) for name, shape in model.weight_shapes(TOY).items()}
         w["pos"] = Rng(3).normals(w["pos"].shape)
-        out = model.patch_embed(Eager(), TOY, w, np.zeros((1, TOY.tokens, TOY.patch_dim)))
+        out = model.embed(TOY, w, np.zeros((1, 8, 8, 1)))
         assert np.array_equal(out[0], w["pos"])
 
     def test_token_count(self) -> None:
-        img = Rng(4).normals((1, 8, 8, 1))
+        img = Rng(4).normals((3, 8, 8, 1))
         patches = model.extract_patches(img, TOY)
-        assert patches.shape == (1, 4, 16)
-        out = model.patch_embed(Eager(), TOY, toy_weights(), patches)
-        assert out.shape == (1, 5, 16)
+        assert patches.shape == (3, 4, 16)
+        w = toy_weights()
+        out = model.embed(TOY, w, img)
+        assert out.shape == (3, 5, 16)
+        # every image's first token is the class token plus its position row
+        assert all(np.array_equal(row, (w["cls"] + w["pos"][:1])[0]) for row in out[:, 0])
+        np.testing.assert_allclose(out[:, 1:], patches @ w["patch.weight"] + w["patch.bias"]
+                                   + w["pos"][1:], rtol=0, atol=1e-14)
 
     def test_patch_extraction_against_loop_oracle(self) -> None:
         img = Rng(5).normals((1, 8, 8, 1))
@@ -182,7 +187,7 @@ class TestForward:
     def test_matches_independent_reference(self) -> None:
         w = toy_weights()
         img = Rng(16).normals((1, 8, 8, 1))
-        got = model.forward(Eager(), TOY, w, img)
+        got = model.forward(TOY, w, img)
         want = reference_forward(TOY, w, img[0])
         assert got.shape == (1, 4)
         assert np.abs(got - want).max() <= 1e-12
@@ -190,10 +195,10 @@ class TestForward:
     def test_tape_forward_bitwise_equals_eager(self) -> None:
         w = toy_weights()
         img = Rng(17).normals((1, 8, 8, 1))
-        plain = model.forward(Eager(), TOY, w, img)
+        plain = model.forward(TOY, w, img)
         tape = Tape()
         values = {n: tape.constant(a) for n, a in w.items()}
-        recorded = model.forward(tape, TOY, values, img)
+        recorded = model.forward_tokens(tape, TOY, values, tape.constant(model.embed(TOY, w, img)))
         assert np.array_equal(recorded.value, plain)
 
     def test_zero_blocks_preserve_residual_stream(self) -> None:
@@ -202,8 +207,8 @@ class TestForward:
             if ".attn." in name or ".ffn." in name:
                 w[name] = np.zeros_like(w[name])
         img = Rng(20).normals((1, 8, 8, 1))
-        got = model.forward(Eager(), TOY, w, img)
-        x_emb = model.patch_embed(Eager(), TOY, w, model.extract_patches(img, TOY))
+        got = model.forward(TOY, w, img)
+        x_emb = model.embed(TOY, w, img)
         cls = layernorm_parts(x_emb[:, 0], w["final_ln.gamma"], w["final_ln.beta"], TOY.ln_eps)[0]
         want = cls @ w["head.weight"] + w["head.bias"]
         assert np.array_equal(got, want)
@@ -211,7 +216,7 @@ class TestForward:
     def test_patch_permutation_with_pos_rows_preserves_logits(self) -> None:
         w = toy_weights()
         img = Rng(21).normals((1, 8, 8, 1))
-        base = model.forward(Eager(), TOY, w, img)
+        base = model.forward(TOY, w, img)
 
         perm = np.array([2, 0, 3, 1])
         patches = model.extract_patches(img, TOY)[0]
@@ -224,18 +229,18 @@ class TestForward:
                 patches[src].reshape(p, p, TOY.channels)
         w2 = dict(w)
         w2["pos"] = np.vstack([w["pos"][0:1], w["pos"][1:][perm]])
-        permuted = model.forward(Eager(), TOY, w2, img2)
+        permuted = model.forward(TOY, w2, img2)
         assert np.abs(permuted - base).max() <= 1e-12
 
     def test_identity_adapters_change_nothing(self) -> None:
         w = toy_weights()
         img = Rng(22).normals((1, 8, 8, 1))
-        plain = model.forward(Eager(), TOY, w, img)
+        plain = model.forward(TOY, w, img)
         acfg = adapters.ArcConfig(bottleneck=4)
         bank = adapters.init_adapters(acfg, TOY, Rng(23))
         values = dict(w)
         values.update(bank.tensors)
-        adapted = model.forward(Eager(), TOY, values, img, bank=bank)
+        adapted = model.forward(TOY, values, img, bank=bank)
         assert np.array_equal(adapted, plain)
 
 
@@ -258,10 +263,10 @@ class TestBatchedContract:
             values.update(self._adapted_values(values))
             bank = self.BANK
         images = Rng(26).normals((5, 8, 8, 1))
-        batch = model.forward(Eager(), TOY, values, images, bank=bank)
+        batch = model.forward(TOY, values, images, bank=bank)
         assert batch.shape == (5, TOY.classes)
         for i in range(5):
-            one = model.forward(Eager(), TOY, values, images[i:i + 1], bank=bank)
+            one = model.forward(TOY, values, images[i:i + 1], bank=bank)
             assert np.abs(batch[i] - one[0]).max() <= 1e-12
 
     def test_batch_mean_gradient_is_mean_of_per_image_gradients(self) -> None:
@@ -275,7 +280,9 @@ class TestBatchedContract:
             vals = {n: tape.parameter(n, a) if n in model.HEAD_NAMES else tape.constant(a)
                     for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
-            logits = model.forward(tape, TOY, vals, imgs, bank=self.BANK)
+            logits = model.forward_tokens(tape, TOY, vals,
+                                          tape.constant(model.embed(TOY, weights, imgs)),
+                                          bank=self.BANK)
             return backward(tape, tape.cross_entropy(logits, labs))
 
         whole = grads(images, labels)
@@ -297,7 +304,9 @@ class TestBatchedContract:
             vals = {n: tape.parameter(n, a) if backbone_trainable or n in model.HEAD_NAMES
                     else tape.constant(a) for n, a in weights.items()}
             vals.update({n: tape.parameter(n, a) for n, a in live.items()})
-            logits = model.forward(tape, TOY, vals, images, bank=self.BANK)
+            logits = model.forward_tokens(tape, TOY, vals,
+                                          tape.constant(model.embed(TOY, weights, images)),
+                                          bank=self.BANK)
             return backward(tape, tape.cross_entropy(logits, np.array([2, 0, 1])))
 
         frozen, full = grads(False), grads(True)
@@ -307,21 +316,25 @@ class TestBatchedContract:
 
 
 class TestBankDepth:
-    """A bank runs only on a backbone of the depth it was built for."""
+    """A bank runs only on a backbone of the depth it was built for: on
+    ``model.forward``, which runs on Eager, and on ``training.train``, which
+    records its steps on a Tape."""
 
-    @pytest.mark.parametrize("ops", [Eager, Tape])
+    @pytest.mark.parametrize("route", ["Eager", "Tape"])
     @pytest.mark.parametrize("built_layers", [1, 3], ids=["shallower", "deeper"])
-    def test_other_depth_is_config_error(self, ops, built_layers) -> None:
+    def test_other_depth_is_config_error(self, route, built_layers) -> None:
         other = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                      layers=built_layers, heads=2, classes=4)
         bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=4), other, Rng(1))
         values = toy_weights()
-        values.update(bank.tensors)
-        backend = ops()
-        if isinstance(backend, Tape):
-            values = {name: backend.constant(arr) for name, arr in values.items()}
+        images = Rng(2).normals((2, 8, 8, 1))
         with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
-            model.forward(backend, TOY, values, Rng(2).normals((1, 8, 8, 1)), bank=bank)
+            if route == "Eager":
+                model.forward(TOY, {**values, **bank.tensors}, images, bank=bank)
+            else:
+                data = training.Dataset(images, np.arange(2), images, np.arange(2), images)
+                training.train(TOY, values, bank, data,
+                               training.TrainConfig(lr=0.01, epochs=1, batch_size=2))
 
 
 class TestEagerLogits:
@@ -351,10 +364,10 @@ class TestEagerLogits:
         images = Rng(53).normals((batch, cfg.image_size, cfg.image_size, cfg.channels))
         got = model.eager_logits(cfg, values, images, bank=bank)
         half = (batch + 1) // 2
-        parts = [model.forward(Eager(), cfg, values, part, bank=bank)
+        parts = [model.forward(cfg, values, part, bank=bank)
                  for part in (images[:half], images[half:]) if len(part)]
         assert np.array_equal(got, np.concatenate(parts))
-        whole = model.forward(Eager(), cfg, values, images, bank=bank)
+        whole = model.forward(cfg, values, images, bank=bank)
         np.testing.assert_allclose(got, whole, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
@@ -365,7 +378,7 @@ class TestEagerLogits:
         images = Rng(56).normals((5, 8, 8, 1), 30.0)
         inputs = {**values, **(bank.tensors if bank else {}), "images": images}
         before = {name: a.tobytes() for name, a in inputs.items()}
-        model.forward(Eager(), TOY, values, images, bank=bank)
+        model.forward(TOY, values, images, bank=bank)
         model.eager_logits(TOY, values, images, bank=bank)
         assert {name: a.tobytes() for name, a in inputs.items()} == before
 
@@ -378,9 +391,9 @@ class TestEagerLogits:
         calls = []
         real = model.forward
 
-        def forward(ops, cfg, values, images, bank=None):
+        def forward(cfg, values, images, bank=None):
             calls.append((threading.get_ident(), len(images)))
-            return real(ops, cfg, values, images, bank)
+            return real(cfg, values, images, bank)
 
         monkeypatch.setattr(model, "forward", forward)
         model.eager_logits(TOY, toy_weights(), Rng(54).normals((batch, 8, 8, 1)))
@@ -400,9 +413,9 @@ class TestEagerLogits:
         calls, started = [], []
         real = model.forward
 
-        def forward(ops, cfg, values, images, bank=None):
+        def forward(cfg, values, images, bank=None):
             calls.append((threading.get_ident(), len(images)))
-            return real(ops, cfg, values, images, bank)
+            return real(cfg, values, images, bank)
 
         monkeypatch.setattr(model, "forward", forward)
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
@@ -421,7 +434,7 @@ class TestEagerLogits:
             got = model.eager_logits(TOY, toy_weights(), images)
         assert got.shape == (4, TOY.classes)
         with pytest.raises(RuntimeWarning):
-            model.forward(Eager(), TOY, toy_weights(), images[2:])
+            model.forward(TOY, toy_weights(), images[2:])
 
     def test_other_depth_raises_once_and_leaves_no_thread(self) -> None:
         other = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -517,7 +530,7 @@ class TestKnownAnswers:
             r = Rng(33)
             values.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
         images = Rng(34).normals((6, 8, 8, 3))
-        assert _sha256(model.forward(Eager(), self.CFG, values, images, bank=bank)) == digest
+        assert _sha256(model.forward(self.CFG, values, images, bank=bank)) == digest
 
     def test_loss_curve(self) -> None:
         task = training.SyntheticTask(classes=5, image_size=8, channels=3, noise_sigma=0.5,

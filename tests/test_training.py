@@ -239,25 +239,18 @@ class TestTrain:
 
     def test_readme_demo_records_once(self, monkeypatch) -> None:
         """50 steps of the README demo (32 images, batches of 8) record the
-        forward once and replay it 49 times; the taped ``model.forward``
-        never runs."""
-        recorded, replays, taped_forwards = [], [], []
-        real_forward, real_tokens, real_replay = model.forward, model.forward_tokens, Tape.replay
+        forward once and replay it 49 times."""
+        recorded, replays = [], []
+        real_tokens, real_replay = model.forward_tokens, Tape.replay
 
         def record(ops, *args, **kwargs):
             if isinstance(ops, Tape):  # not the run's Eager frozen prefix
                 recorded.append(None)
             return real_tokens(ops, *args, **kwargs)
 
-        def forward(ops, *args, **kwargs):
-            if isinstance(ops, Tape):
-                taped_forwards.append(None)
-            return real_forward(ops, *args, **kwargs)
-
         monkeypatch.setattr(model, "forward_tokens", record)
         monkeypatch.setattr(Tape, "replay",
                             lambda tape: replays.append(None) or real_replay(tape))
-        monkeypatch.setattr(model, "forward", forward)
         backbone = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
                                         layers=3, heads=2, classes=4)
         bank = init_adapters(ArcConfig(bottleneck=4, dropout_rate=0.1), backbone, Rng(9))
@@ -267,7 +260,6 @@ class TestTrain:
                        TrainConfig(lr=0.01, epochs=125, batch_size=8, warmup_epochs=10, seed=3),
                        max_steps=50)
         assert result.steps == 50 and len(recorded) == 1 and len(replays) == 49
-        assert taped_forwards == []
 
     def test_dropout_step_draws_one_batch_of_masks(self, monkeypatch) -> None:
         weights, bank, data = fresh_setup(dropout=0.1)
@@ -454,21 +446,34 @@ class TestRunState:
 
     def test_steps_record_every_primitive(self, monkeypatch) -> None:
         """A step with a bottleneck bank and one with a full_rank bank
-        record, between them, every primitive of the table but
-        concat_tokens, which joins the class token to the patches in the
-        frozen prefix that runs once per run (``test_autodiff`` checks its
-        vjp)."""
-        tapes = []
+        record, between them, every primitive of the table, and their
+        backward passes call every primitive's vjp: each vjp is wrapped to
+        log its calls."""
+        tapes, recorded, reached = [], set(), set()
+        names = {prim: name for name, prim in PRIMITIVES.items()}
         real_backward = training.backward
-        monkeypatch.setattr(training, "backward",
-                            lambda tape, out: tapes.append(tape) or real_backward(tape, out))
+
+        def logged(name, vjp):
+            def vjp_call(*args):
+                reached.add(name)
+                return vjp(*args)
+            return vjp_call
+
+        def wrapping_backward(tape, out):
+            tapes.append(tape)
+            for node in tape._nodes:
+                if node.prim is not None:
+                    recorded.add(names[node.prim])
+                    node.prim = node.prim._replace(vjp=logged(names[node.prim], node.prim.vjp))
+            return real_backward(tape, out)
+
+        monkeypatch.setattr(training, "backward", wrapping_backward)
         weights, _, data = self.setup_run()
         for variant in ("bottleneck", "full_rank"):
             bank = init_adapters(ArcConfig(bottleneck=4, variant=variant), TOY, Rng(52))
             train(TOY, weights, bank, data, self.CFG, max_steps=1)
         assert len(tapes) == 2
-        recorded = {node.prim for tape in tapes for node in tape._nodes if node.prim is not None}
-        assert recorded == set(PRIMITIVES.values()) - {PRIMITIVES["concat_tokens"]}
+        assert recorded == reached == set(PRIMITIVES)
 
     def test_leaves_alias_the_optimizer_buffer(self, monkeypatch) -> None:
         """Every step's parameter leaves, on the tape of its batch size, are
@@ -507,8 +512,8 @@ class TestFrozenPrefix:
 
     @staticmethod
     def reference(backbone, weights, bank, data, cfg) -> list[float]:
-        """The run as a loop that records the whole forward, from the
-        patches, on a fresh tape at every step, draws each step's masks and
+        """The run as a loop that records the whole encoder and head, from
+        the embedded tokens, on a fresh tape at every step, draws each step's masks and
         takes one AdamW step per tensor; its loss curve."""
         trainable = {name: weights[name] for name in model.HEAD_NAMES}
         if bank is not None:
@@ -528,8 +533,7 @@ class TestFrozenPrefix:
                 values = {name: tape.constant(arr)
                           for name, arr in weights.items() if name not in trainable}
                 values.update({name: tape.parameter(name, arr) for name, arr in trainable.items()})
-                patches = tape.constant(model.extract_patches(data.train_images[idx], backbone))
-                x = model.patch_embed(tape, backbone, values, patches)
+                x = tape.constant(model.embed(backbone, weights, data.train_images[idx]))
                 logits = model.forward_tokens(tape, backbone, values, x, bank=bank, masks=masks)
                 loss = tape.cross_entropy(logits, data.train_labels[idx])
                 grads = backward(tape, loss)

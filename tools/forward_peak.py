@@ -1,8 +1,8 @@
 """Print the tracemalloc peak of one 16-image Eager forward at three shapes.
 
 Each shape is a backbone from ``init_backbone`` with a fresh adapter bank
-at both default sites of every layer. ``model.forward`` runs once on an
-``Eager`` backend to warm up, then once more under ``tracemalloc``. The
+at both default sites of every layer. ``model.forward`` (Eager) runs once
+to warm up, then once more under ``tracemalloc``. The
 peak is taken above the traced memory at the start of that second
 forward, so the weights, the bank and the images are not counted: it is
 the forward's own activations and scratch. It only prints; the bounds
@@ -17,7 +17,6 @@ from __future__ import annotations
 import tracemalloc
 
 from arclab import adapters, model
-from arclab.autodiff import Eager
 from arclab.kernel import Rng
 
 IMAGES = 16
@@ -40,11 +39,11 @@ def forward_peak(cfg: model.BackboneConfig, bottleneck: int, images: int = IMAGE
     bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=bottleneck), cfg, rng)
     values.update(bank.tensors)
     x = rng.normals((images, cfg.image_size, cfg.image_size, cfg.channels))
-    model.forward(Eager(), cfg, values, x, bank)
+    model.forward(cfg, values, x, bank)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model.forward(Eager(), cfg, values, x, bank)
+        model.forward(cfg, values, x, bank)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
