@@ -17,11 +17,15 @@ the records before the cut.
 
 Both directions stream. :func:`save` writes each payload straight from its
 array into a temp file beside the target and renames it over the target, so
-it never holds a second copy of the weights. :func:`load` reads the file once,
-front to back: it checks each record head, then reads that record's payload
-into an array of its own if it was asked for, or seeks past it if not. It
-never holds the file's bytes beside the arrays, and a load that keeps only
-the adapter bank allocates the bank's bytes, not the backbone's.
+it never holds a second copy of the weights. :func:`load` reads the file by
+offset, front to back, with no buffer in between: one ``os.pread`` of a
+fixed window at each record checks its head, which may read a bounded few
+bytes past it, and one ``os.preadv`` reads that record's payload straight
+into an array of its own if it was asked for; a payload it was not asked
+for costs no read at all. It never holds the file's bytes beside the arrays,
+and a load that keeps only the adapter bank allocates the bank's bytes, not
+the backbone's. It opens without blocking and refuses anything but a
+regular file, so a FIFO path fails at once instead of waiting for a writer.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ MAGIC = b"ARCL"
 VERSION = 1
 _MAX_NAME = 4096
 _MAX_NDIM = 8
+_HEAD_WINDOW = 256  # bytes read at each record: the head of any name up to 216 bytes
+_U32 = struct.Struct("<I")
+_DIMS = tuple(struct.Struct(f"<{n}I") for n in range(_MAX_NDIM + 1))  # the dims of each rank
 
 
 @dataclass(frozen=True)
@@ -164,44 +171,95 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
     replace_file(path, write)
 
 
-class _Reader:
-    """Reads a checkpoint once, front to back, checking each step against the file size."""
+def nonblocking_opener(path, flags: int) -> int:
+    """An ``opener`` for :func:`open` that never waits in ``open`` itself: a
+    FIFO with no writer opens at once instead of blocking until one comes.
+    A directory still raises ``open``'s own IsADirectoryError naming ``path``."""
+    return os.open(path, flags | os.O_NONBLOCK)
 
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
-        self.offset = 0
 
-    def _advance(self, n: int, what: str) -> int:
-        """Move past the next ``n`` bytes, which must all be in the file; return where they start."""
-        start = self.offset
-        if start + n > self.size:
-            raise CheckpointError(f"truncated while reading {what}", offset=start)
-        self.offset += n
-        return start
+def _truncated(what: str, offset: int) -> CheckpointError:
+    return CheckpointError(f"truncated while reading {what}", offset=offset)
 
-    def take(self, n: int, what: str) -> bytes:
-        start = self._advance(n, what)
-        out = self.fh.read(n)
-        if len(out) != n:  # the file shrank after it was measured
-            raise CheckpointError(f"truncated while reading {what}", offset=start)
-        return out
 
-    def skip(self, n: int, what: str) -> None:
-        self._advance(n, what)
-        self.fh.seek(self.offset)
+def _read_payload(fd: int, dims: tuple[int, ...], at: int, what: str) -> np.ndarray:
+    """The float64 payload of ``dims`` at byte ``at``, read by ``os.preadv``
+    straight into an array of its own; one call, unless the kernel returns a
+    payload above its 2 GiB per-read cap in parts."""
+    out = np.empty(dims, dtype="<f8")
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], at + done)
+        if n == 0:  # the file shrank after it was measured
+            raise _truncated(what, at)
+        done += n
+    return out
 
-    def read_floats(self, shape: tuple[int, ...], what: str) -> np.ndarray:
-        """The next payload, of ``shape``, read into a float64 array of its own
-        once the bounds check has passed."""
-        start = self._advance(8 * math.prod(shape), what)
-        out = np.empty(shape, dtype="<f8")
-        if self.fh.readinto(memoryview(out).cast("B")) != out.nbytes:  # the file shrank
-            raise CheckpointError(f"truncated while reading {what}", offset=start)
-        return out
 
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+def _read_records(fd: int, size: int, keep) -> tuple[CheckpointHeader, dict[str, np.ndarray]]:
+    """The header and the kept tensors of the checkpoint open as ``fd``, of
+    ``size`` bytes; :func:`load` without the open and the error prefix.
+    A field past what a read returned, where the file shrank after it was
+    measured, raises the same error as a field past ``size``."""
+    head = os.pread(fd, min(41, size), 0)
+
+    def field(start: int, stop: int, what: str) -> bytes:
+        if len(head) < stop:
+            raise _truncated(what, start)
+        return head[start:stop]
+
+    magic = field(0, 4, "magic")
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    version = _U32.unpack(field(4, 8, "version"))[0]
+    if version != VERSION:
+        raise CheckpointError(f"unsupported format version {version}", offset=4)
+    fused_byte = field(8, 9, "fused flag")[0]
+    if fused_byte not in (0, 1):
+        raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
+    digest = field(9, 41, "config digest")
+    shapes: dict[str, tuple[int, ...]] = {}
+    tensors: dict[str, np.ndarray] = {}
+    at = 41
+    while at < size:
+        # one read of the head window; a second only for a name too long for it
+        buf = os.pread(fd, min(_HEAD_WINDOW, size - at), at)
+        got = len(buf)
+        if got < 4:
+            raise _truncated("tensor name length", at)
+        name_len = _U32.unpack_from(buf)[0]
+        if name_len == 0 or name_len > _MAX_NAME:
+            raise CheckpointError(f"implausible name length {name_len}", offset=at)
+        rank_end = 8 + name_len  # the head up to and with the rank
+        if got == _HEAD_WINDOW < rank_end + 4 * _MAX_NDIM:
+            buf += os.pread(fd, min(rank_end + 4 * _MAX_NDIM, size - at) - got, at + got)
+            got = len(buf)
+        if got < rank_end:
+            raise _truncated("tensor name and rank", at + 4)
+        try:
+            name = buf[4:4 + name_len].decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=at) from exc
+        if name in shapes:
+            raise CheckpointError(f"duplicate tensor name {name!r}", offset=at)
+        ndim = _U32.unpack_from(buf, rank_end - 4)[0]
+        if ndim > _MAX_NDIM:
+            raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=at)
+        payload_at = at + rank_end + 4 * ndim
+        if got < rank_end + 4 * ndim:
+            raise _truncated(f"dims of {name!r}", at + rank_end)
+        dims = _DIMS[ndim].unpack_from(buf, rank_end)
+        if 0 in dims:
+            raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=at)
+        shapes[name] = dims
+        at = payload_at + 8 * math.prod(dims)
+        if at > size:
+            raise _truncated(f"payload of {name!r}", payload_at)
+        if keep is None or keep(name):
+            tensors[name] = _read_payload(fd, dims, payload_at, f"payload of {name!r}")
+    return CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest,
+                            shapes=shapes), tensors
 
 
 def load(path, keep: Callable[[str], bool] | None = None
@@ -218,13 +276,26 @@ def load(path, keep: Callable[[str], bool] | None = None
     need a full set check the names (``adapters.check_shapes``, as the CLI
     does). The header's ``shapes`` lists every record's dims.
 
-    The file is read once, front to back, each byte at most once. Only the
+    The file is read by offset, front to back, with no buffer between the
+    file and the arrays: one ``os.pread`` of the 41-byte file header; one
+    ``os.pread`` of a 256-byte window at each record, which holds the whole
+    head of any name up to 216 bytes (a longer name takes a second read, to
+    the end of the longest head it allows); and one ``os.preadv`` of each
+    kept payload, straight into its array. So each head is read once, each
+    kept payload byte exactly once, and past a head at most the window less
+    the head (for a longer name, the room of its unused dims). Only the
     records whose name ``keep`` accepts are returned (all of them when
-    ``keep`` is None); the payloads of the others are seeked past, not
-    read. A file damaged after some kept records is rejected once their
-    payloads have been read, with the same error and offset as when nothing
-    is kept, and those arrays are dropped: a failing load never holds more
-    than a successful load of the same file.
+    ``keep`` is None); the payloads of the others cost no read at all. A
+    file damaged after some kept records is rejected once their payloads
+    have been read, with the same error and offset as when nothing is kept,
+    and those arrays are dropped: a failing load never holds more than a
+    successful load of the same file. A read that comes back short, where
+    the file shrank after it was measured, raises "truncated while reading"
+    at the offset of the field it cut.
+
+    ``path`` must be a regular file. The open does not block, so a FIFO or
+    a device is refused with a CheckpointError naming it instead of being
+    waited on; a directory raises ``open``'s IsADirectoryError.
 
     Each kept payload is read into its own float64 array, writeable and
     C-contiguous, that shares memory with no other returned tensor, so a
@@ -233,47 +304,11 @@ def load(path, keep: Callable[[str], bool] | None = None
     process has already freed.
     """
     try:
-        with open(path, "rb") as fh:
-            reader = _Reader(fh)
-            magic = reader.take(4, "magic")
-            if magic != MAGIC:
-                raise CheckpointError(f"bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-            version = reader.u32("version")
-            if version != VERSION:
-                raise CheckpointError(f"unsupported format version {version}", offset=4)
-            fused_byte = reader.take(1, "fused flag")[0]
-            if fused_byte not in (0, 1):
-                raise CheckpointError(f"fused flag must be 0 or 1, got {fused_byte}", offset=8)
-            digest = reader.take(32, "config digest")
-            shapes: dict[str, tuple[int, ...]] = {}
-            tensors: dict[str, np.ndarray] = {}
-            while reader.offset < reader.size:
-                record_at = reader.offset
-                # a record head in three reads: name length; name and rank; dims
-                name_len = reader.u32("tensor name length")
-                if name_len == 0 or name_len > _MAX_NAME:
-                    raise CheckpointError(f"implausible name length {name_len}", offset=record_at)
-                encoded, ndim = struct.unpack(
-                    f"<{name_len}sI", reader.take(name_len + 4, "tensor name and rank"))
-                try:
-                    name = encoded.decode()
-                except UnicodeDecodeError as exc:
-                    raise CheckpointError(f"tensor name is not UTF-8: {exc}", offset=record_at) from exc
-                if name in shapes:
-                    raise CheckpointError(f"duplicate tensor name {name!r}", offset=record_at)
-                if ndim > _MAX_NDIM:
-                    raise CheckpointError(f"implausible rank {ndim} for {name!r}", offset=record_at)
-                dims = struct.unpack(f"<{ndim}I", reader.take(4 * ndim, f"dims of {name!r}"))
-                if 0 in dims:
-                    raise CheckpointError(f"zero-sized dim in {name!r}: {list(dims)}", offset=record_at)
-                shapes[name] = dims
-                if keep is None or keep(name):
-                    tensors[name] = reader.read_floats(dims, f"payload of {name!r}")
-                else:
-                    reader.skip(8 * math.prod(dims), f"payload of {name!r}")
+        with open(path, "rb", buffering=0, opener=nonblocking_opener) as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise CheckpointError("not a regular file")
+            return _read_records(fh.fileno(), info.st_size, keep)
     except CheckpointError as exc:
         exc.args = (f"{path}: {exc}",)  # the byte offset, if any, stays in .offset
         raise
-    header = CheckpointHeader(version=version, fused=bool(fused_byte), config_digest=digest,
-                              shapes=shapes)
-    return header, tensors

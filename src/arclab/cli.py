@@ -171,7 +171,10 @@ def load_run_config(path) -> RunConfig:
         return doc
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        # an open that cannot wait on a FIFO with no writer, blocking again to
+        # read: such a FIFO reads as empty, and a pipe from <(...) is read whole
+        with open(path, encoding="utf-8", opener=checkpoint.nonblocking_opener) as fh:
+            os.set_blocking(fh.fileno(), True)
             doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
                             object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:

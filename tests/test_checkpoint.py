@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import tracemalloc
 
@@ -215,15 +216,13 @@ def _listing(directory) -> list[str]:
     return sorted(p.name for p in directory.iterdir())
 
 
-class _SpyFile:
-    """The file :func:`load` opens, recording the byte span of each read and
-    the position before and after each seek. It offers only the methods it
-    records, so a read by any other route fails the test."""
+class _FdOnly:
+    """The file :func:`load` opens, offering its descriptor and no method to
+    read with, so a read by any route but ``os.pread`` and ``os.preadv``
+    fails the test."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.reads: list[tuple[int, int]] = []
-        self.seeks: list[tuple[int, int]] = []
 
     def __enter__(self):
         return self
@@ -234,95 +233,73 @@ class _SpyFile:
     def fileno(self) -> int:
         return self.fh.fileno()
 
-    def read(self, n: int) -> bytes:
-        start = self.fh.tell()
-        out = self.fh.read(n)
-        self.reads.append((start, start + len(out)))
-        return out
-
-    def readinto(self, buffer) -> int:
-        start = self.fh.tell()
-        n = self.fh.readinto(buffer)
-        self.reads.append((start, start + n))
-        return n
-
-    def seek(self, offset: int, whence: int = 0) -> int:
-        before = self.fh.tell()
-        after = self.fh.seek(offset, whence)
-        self.seeks.append((before, after))
-        return after
-
-
-def _merged(spans) -> list[tuple[int, int]]:
-    """``spans`` in order, each one that starts where the last stops joined to it."""
-    out: list[tuple[int, int]] = []
-    for start, stop in spans:
-        if out and out[-1][1] == start:
-            out[-1] = (out[-1][0], stop)
-        else:
-            out.append((start, stop))
-    return out
-
 
 class TestOnePass:
-    """:func:`load` reads a file once, front to back: the file header, then
-    each record head, then that record's payload or a seek past it."""
+    """:func:`load` reads by offset: one ``os.pread`` of the file header,
+    one of a 256-byte window at each record (a second for the rest of a
+    longer name's head), one ``os.preadv`` of each kept payload straight
+    into its array, and nothing for a payload it skips."""
 
     @pytest.fixture
     def spied(self, tmp_path, monkeypatch):
-        """A checkpoint with a bank and a backbone, its tensors, and the
-        spies of the files :func:`load` opens."""
+        """A checkpoint with a bank, a backbone and a name too long for one
+        window; its tensors; and the (call, start, stop) of every read
+        :func:`load` makes, in order."""
         rng = Rng(3)
         tensors = {"arc.down": rng.normals((16, 4)), "arc.up": rng.normals((4, 16)),
                    "blocks.0.w": rng.normals((64, 64)), "cls": rng.normals((1, 16)),
-                   "pos": rng.normals((5, 16))}  # blocks.0.w is 32 KiB, past any read buffer
+                   "n" * 300: rng.normals((2, 3, 4)), "pos": rng.normals((5, 16))}
         path = tmp_path / "ck.arcl"
         save(path, tensors)
-        spies: list[_SpyFile] = []
+        reads: list[tuple[str, int, int]] = []
+        pread, preadv = os.pread, os.preadv
 
-        def spy_open(*args, **kwargs):
-            spies.append(_SpyFile(open(*args, **kwargs)))
-            return spies[-1]
+        def spy_pread(fd, n, offset):
+            out = pread(fd, n, offset)
+            reads.append(("pread", offset, offset + len(out)))
+            return out
 
-        monkeypatch.setattr(checkpoint, "open", spy_open, raising=False)
-        return path, tensors, spies
+        def spy_preadv(fd, buffers, offset):
+            n = preadv(fd, buffers, offset)
+            reads.append(("preadv", offset, offset + n))
+            return n
+
+        monkeypatch.setattr(os, "pread", spy_pread)
+        monkeypatch.setattr(os, "preadv", spy_preadv)
+        monkeypatch.setattr(checkpoint, "open", lambda *a, **kw: _FdOnly(open(*a, **kw)),
+                            raising=False)
+        return path, tensors, reads
 
     @staticmethod
-    def _expected_reads(tensors, keep) -> list[tuple[int, int]]:
-        spans, at = [(0, 41)], 41  # magic, version, fused flag and digest
+    def _expected_reads(tensors, keep, size) -> list[tuple[str, int, int]]:
+        """The reads of the contract: each head read once, from its record's
+        start; each kept payload byte exactly once; past a head, at most the
+        window's 256 bytes less the head, or a longer name's unused dims."""
+        reads, at = [("pread", 0, 41)], 41  # magic, version, fused flag and digest
         for name in sorted(tensors):
-            t = tensors[name]
-            head = 8 + len(name.encode()) + 4 * t.ndim
-            spans.append((at, at + head))
+            t, name_len = tensors[name], len(name.encode())
+            reads.append(("pread", at, min(at + 256, size)))
+            if size - at >= 256 and 8 + name_len + 4 * 8 > 256:  # a name too long for the window
+                reads.append(("pread", at + 256, min(at + 8 + name_len + 4 * 8, size)))
+            payload_at = at + 8 + name_len + 4 * t.ndim
             if keep is None or keep(name):
-                spans.append((at + head, at + head + t.nbytes))
-            at += head + t.nbytes
-        return _merged(spans)
+                reads.append(("preadv", payload_at, payload_at + t.nbytes))
+            at = payload_at + t.nbytes
+        return reads
 
-    def test_whole_load_reads_each_byte_once(self, spied) -> None:
-        path, tensors, spies = spied
+    def test_whole_load_reads_each_head_and_payload_once(self, spied) -> None:
+        path, tensors, reads = spied
         _, loaded = load(path)
-        [spy] = spies
-        assert all(after >= before for before, after in spy.seeks), spy.seeks
-        assert spy.reads == sorted(spy.reads)
-        assert sum(stop - start for start, stop in spy.reads) == path.stat().st_size
-        assert _merged(spy.reads) == [(0, path.stat().st_size)]
+        assert reads == self._expected_reads(tensors, None, path.stat().st_size)
         assert all(loaded[name].tobytes() == t.tobytes() for name, t in tensors.items())
 
     def test_bank_only_load_reads_heads_and_bank(self, spied) -> None:
-        """The bytes ``spectrum`` reads: the file header, every record head
-        and the bank's payloads, each once; the backbone payloads are
-        seeked past."""
-        path, tensors, spies = spied
+        """The reads ``spectrum`` makes: the file header, every record head
+        and the bank's payloads, each once; no read for a backbone payload."""
+        path, tensors, reads = spied
         keep = lambda n: n.startswith("arc.")  # noqa: E731 - the CLI's selection
         _, loaded = load(path, keep=keep)
-        [spy] = spies
-        assert all(after >= before for before, after in spy.seeks), spy.seeks
-        assert spy.reads == sorted(spy.reads)
-        assert _merged(spy.reads) == self._expected_reads(tensors, keep)
-        heads = sum(8 + len(name) + 4 * t.ndim for name, t in tensors.items())
-        bank = sum(t.nbytes for name, t in tensors.items() if keep(name))
-        assert sum(stop - start for start, stop in spy.reads) == 41 + heads + bank
+        assert reads == self._expected_reads(tensors, keep, path.stat().st_size)
         assert list(loaded) == ["arc.down", "arc.up"]
 
 
@@ -446,18 +423,23 @@ class TestSaveContract:
         assert all(loaded[k].tobytes() == bank[k].tobytes() for k in bank)
 
 
+def _saved(path, tensors):
+    """``tensors`` saved at ``path``: the path, its bytes, the tensors and the
+    record boundaries, from the end of the 41-byte file header on."""
+    save(path, tensors)
+    ends = [41]
+    for name in sorted(tensors):
+        t = tensors[name]
+        ends.append(ends[-1] + 8 + len(name.encode()) + 4 * t.ndim + 8 * t.size)
+    return path, path.read_bytes(), tensors, ends
+
+
 @pytest.fixture(scope="module")
 def valid_file(tmp_path_factory):
     """A three-record checkpoint, its bytes, its tensors and its record boundaries."""
     rng = Rng(5)
     tensors = {"a": rng.normals((2, 3)), "bb": rng.normals((4,)), "c.d": rng.normals((1, 2, 2))}
-    path = tmp_path_factory.mktemp("fuzz") / "ck.arcl"
-    save(path, tensors)
-    ends = [41]
-    for name in sorted(tensors):
-        t = tensors[name]
-        ends.append(ends[-1] + 8 + len(name) + 4 * t.ndim + 8 * t.size)
-    return path, path.read_bytes(), tensors, ends
+    return _saved(tmp_path_factory.mktemp("fuzz") / "ck.arcl", tensors)
 
 
 def _middle(name: str) -> bool:
@@ -481,6 +463,25 @@ def _load_both(path):
     for name, t in picked.items():
         assert t.tobytes() == tensors[name].tobytes()
     return header, tensors
+
+
+def _check_cuts(saved, damaged, cuts) -> None:
+    """Each of ``cuts`` of the saved file at ``damaged``: a cut at a record
+    boundary loads the records before it; any other raises naming the path
+    and an offset inside the cut record."""
+    _, blob, tensors, ends = saved
+    starts = [0] + ends  # the 41-byte file header, then each record
+    for cut in cuts:
+        damaged.write_bytes(blob[:cut])
+        if cut in ends:
+            _, loaded = _load_both(damaged)
+            assert list(loaded) == sorted(tensors)[: ends.index(cut)], cut
+            continue
+        with pytest.raises(CheckpointError) as info:
+            _load_both(damaged)
+        k = max(i for i, start in enumerate(starts) if start <= cut)
+        assert str(info.value).startswith(f"{damaged}: truncated while reading "), cut
+        assert starts[k] <= info.value.offset <= cut < starts[k + 1], cut
 
 
 class TestDamagedFiles:
@@ -520,20 +521,63 @@ class TestDamagedFiles:
     def test_every_cut(self, valid_file, tmp_path) -> None:
         """A cut at a record boundary loads the records before it; any other
         cut raises naming the path and an offset inside the cut record."""
-        path, blob, tensors, ends = valid_file
-        starts = [0] + ends  # the 41-byte file header, then each record
+        _check_cuts(valid_file, tmp_path / "cut.arcl", range(len(valid_file[1]) + 1))
+
+    def test_every_cut_of_a_long_name(self, tmp_path) -> None:
+        """A 4,096-byte name with a rank-8 tensor, a head too long for one
+        256-byte window: the file round-trips, and every cut inside that
+        record raises as :meth:`test_every_cut`'s cuts do."""
+        rng = Rng(6)
+        long = "n" * 4096
+        saved = _saved(tmp_path / "ck.arcl", {
+            "a": rng.normals((2, 3)), "bb": rng.normals((4,)),
+            long: rng.normals((1, 2, 1, 2, 1, 2, 1, 2)), "z": rng.normals((3,))})
+        path, _, tensors, ends = saved
+        header, loaded = _load_both(path)
+        assert header.shapes[long] == (1, 2, 1, 2, 1, 2, 1, 2)
+        assert list(loaded) == sorted(tensors)
+        assert all(loaded[name].tobytes() == t.tobytes() for name, t in tensors.items())
+        k = sorted(tensors).index(long)
+        _check_cuts(saved, tmp_path / "cut.arcl", range(ends[k], ends[k + 1] + 1))
+
+    def test_file_shrunk_after_it_was_measured(self, valid_file, tmp_path, monkeypatch) -> None:
+        """``os.pread`` and ``os.preadv`` returning short, as they do on a
+        file cut after :func:`load` took its size, raise the error of a file
+        cut there, offset included: a cut at a record boundary reads as
+        truncated inside the record that should follow. No dict comes back,
+        even when the payloads before the cut were read. Every record is
+        kept, so every byte of the file is read."""
+        path, blob, _, ends = valid_file
+        expected = {}
         damaged = tmp_path / "cut.arcl"
-        for cut in range(len(blob) + 1):
+        for cut in range(len(blob)):
             damaged.write_bytes(blob[:cut])
             if cut in ends:
-                _, loaded = _load_both(damaged)
-                assert list(loaded) == sorted(tensors)[: ends.index(cut)], cut
+                expected[cut] = (
+                    f"truncated while reading tensor name length (at byte offset {cut})", cut)
                 continue
             with pytest.raises(CheckpointError) as info:
-                _load_both(damaged)
-            k = max(i for i, start in enumerate(starts) if start <= cut)
-            assert str(info.value).startswith(f"{damaged}: truncated while reading "), cut
-            assert starts[k] <= info.value.offset <= cut < starts[k + 1], cut
+                load(damaged)
+            expected[cut] = (str(info.value).removeprefix(f"{damaged}: "), info.value.offset)
+        pread, preadv = os.pread, os.preadv
+        cut = 0
+
+        def short_pread(fd, n, offset):
+            return pread(fd, max(0, min(n, cut - offset)), offset)
+
+        def short_preadv(fd, buffers, offset):
+            [buffer] = buffers
+            n = max(0, min(len(buffer), cut - offset))
+            return preadv(fd, [buffer[:n]], offset) if n else 0
+
+        monkeypatch.setattr(os, "pread", short_pread)
+        monkeypatch.setattr(os, "preadv", short_preadv)
+        for cut in range(len(blob)):
+            with pytest.raises(CheckpointError) as info:
+                load(path)
+            assert str(info.value).startswith(f"{path}: truncated while reading "), cut
+            assert (str(info.value).removeprefix(f"{path}: "), info.value.offset) == \
+                expected[cut], cut
 
     @settings(max_examples=300, deadline=None)
     @given(record=st.integers(0, 2), at=st.integers(0, 63), data=st.binary(min_size=1, max_size=8))

@@ -475,6 +475,63 @@ class TestCheckpointInputs:
         assert not (tmp_path / "run").exists()
 
 
+def _arclab(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``arclab <argv>`` as a fresh process, under a timeout a hang would meet."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "arclab.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
+
+
+class TestFifoPaths:
+    """A FIFO with no writer, given as a checkpoint or a config, exits 2 at
+    once: an open that waited for a writer would block forever."""
+
+    @pytest.fixture
+    def fifo(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        return path
+
+    @pytest.mark.parametrize("command", ["spectrum", "fuse", "verify"])
+    def test_checkpoint_fifo_refused(self, trained_run, tmp_path, fifo, command) -> None:
+        config = trained_run / "config.json"
+        argv = {
+            "spectrum": ["--checkpoint", fifo, "--config", config, "--out", tmp_path / "spectra"],
+            "fuse": ["--checkpoint", fifo, "--config", config, "--out", tmp_path / "fused.arcl"],
+            "verify": ["--checkpoint", trained_run / "checkpoint.arcl", "--fused", fifo,
+                       "--trials", "1"],
+        }[command]
+        done = _arclab(command, *argv)
+        assert (done.returncode, done.stdout) == (cli.EXIT_CONFIG, "")
+        assert done.stderr == f"config error: {fifo}: not a regular file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
+
+    def test_config_fifo_reads_as_empty(self, tmp_path, fifo) -> None:
+        done = _arclab("train", "--config", fifo, "--out", tmp_path / "run")
+        assert (done.returncode, done.stdout) == (cli.EXIT_CONFIG, "")
+        assert done.stderr.startswith(f"config error: config {fifo} is not valid JSON: "), \
+            done.stderr
+        assert not (tmp_path / "run").exists()
+
+    def test_config_from_a_pipe(self, tmp_path) -> None:
+        """``--config <(cat config.json)``: a pipe whose writer has written
+        is read whole."""
+        text = write_config(tmp_path, train={"epochs": 1, "warmup_epochs": 1}).read_text()
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+        try:
+            done = _arclab("train", "--config", f"/dev/fd/{read_end}", "--out",
+                           tmp_path / "run", pass_fds=(read_end,))
+        finally:
+            os.close(read_end)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert (cli.load_run_config(tmp_path / "run" / "config.json").digest()
+                == cli.load_run_config(tmp_path / "config.json").digest())
+
+
 class TestCommands:
     def test_count_prints_value(self, capsys) -> None:
         rc = cli.main(["count", "--method", "arc", "--D", "768", "--L", "12",
