@@ -4,14 +4,14 @@ Each (layer, group) adapter of a bank adds x P to its input, where P is
 the re-composed W_down diag(c) W_up of a bottleneck bank (rank at most
 D') or the learned delta of a full-rank one. This module decomposes each
 P, bins the singular values into fixed-width histogram buckets, and
-reports scale-free rank metrics. CSV output is the artifact; plotting is
-left to whatever consumes the CSVs.
+reports scale-free rank metrics. Two CSV tables are the artifact, each
+written whole through :func:`checkpoint.replace_csv`: every report's bins
+in one, every report's rank metrics in the other. Plotting is left to
+whatever consumes them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import AdapterBank, composite_matrix
+from .checkpoint import replace_csv
 from .errors import ConfigError, NumericalError, ShapeError
 from .kernel import svd
 
@@ -90,26 +91,24 @@ def rank_sweep(bank: AdapterBank, bins: int = DEFAULT_BINS) -> list[SpectrumRepo
 
 
 def write_spectrum_csvs(reports: list[SpectrumReport], out_dir) -> list[Path]:
-    """One bin_lo,bin_hi,count file per (layer, group) plus a summary file.
+    """Two tables under ``out_dir``, in this order: ``spectrum_bins.csv``,
+    one layer,group,bin_lo,bin_hi,count row per bin of every report (edges
+    as ``.17g``), and ``spectrum_summary.csv``, one row of rank metrics per
+    report.
 
-    Each file is rendered whole and written once, with ``csv.writer``'s
-    bytes: CRLF line ends, edges as ``.17g``.
+    Each is ``csv.writer``'s bytes, replaced atomically
+    (:func:`checkpoint.replace_csv`): a failed write leaves that table as it
+    was, and a failure between the two renames leaves the new bins table
+    beside the old summary. Returns both paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
+    bins = [["layer", "group", "bin_lo", "bin_hi", "count"]]
     for r in reports:
         edges = [f"{edge:.17g}" for edge in r.bin_edges.tolist()]
-        rows = "".join(f"{lo},{hi},{count}\r\n"
-                       for lo, hi, count in zip(edges, edges[1:], r.bin_counts.tolist()))
-        path = out / f"spectrum_layer{r.layer}_{r.group}.csv"
-        path.write_text("bin_lo,bin_hi,count\r\n" + rows, newline="")
-        paths.append(path)
-    text = io.StringIO()  # csv.writer quotes a group name that needs it
-    writer = csv.writer(text)
-    writer.writerow(["layer", "group", "effective_rank", "energy_top10"])
-    writer.writerows([r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"] for r in reports)
-    summary = out / "spectrum_summary.csv"
-    summary.write_text(text.getvalue(), newline="")
-    paths.append(summary)
-    return paths
+        bins += ([r.layer, r.group, lo, hi, count]
+                 for lo, hi, count in zip(edges, edges[1:], r.bin_counts.tolist()))
+    replace_csv(out / "spectrum_bins.csv", bins)
+    replace_csv(out / "spectrum_summary.csv", [["layer", "group", "effective_rank", "energy_top10"]]
+                + [[r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"] for r in reports])
+    return [out / "spectrum_bins.csv", out / "spectrum_summary.csv"]

@@ -212,13 +212,21 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
-def _check_out_dir(out_dir: Path) -> None:
-    """Raise ConfigError if ``out_dir``, or the nearest of its ancestors that
-    exists, is not a directory: train could not write its outputs there."""
-    for path in (out_dir, *out_dir.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
+def _check_output(flag: str, path, *, directory: bool) -> None:
+    """Refuse the output ``path`` given as ``flag`` before anything is read:
+    an empty path, a directory where a file goes (``directory`` false), and
+    a path at (``directory`` true) or under an existing non-directory,
+    whose writes could never land. A missing parent is left to the write,
+    which creates it or names it."""
+    if os.fspath(path) == "":
+        raise ConfigError(f"{flag} must be a non-empty path")
+    target = Path(path)
+    if not directory and target.is_dir():  # the error checkpoint.replace_file would raise
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    for ancestor in (target, *target.parents) if directory else target.parents:
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                raise ConfigError(f"{flag} {path}: {ancestor} exists and is not a directory")
             return
 
 
@@ -269,9 +277,12 @@ def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: 
 
 
 def cmd_train(args) -> int:
+    if args.out is not None:  # a given --out is refused before the config is read
+        _check_output("--out", args.out, directory=True)
     cfg, _ = _run_config(args)
     out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
-    _check_out_dir(out_dir)  # before the run, not after it
+    if args.out is None:  # io.out_dir's, before the run, not after it
+        _check_output("--out", out_dir, directory=True)
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     data = training.make_task(cfg.task, Rng(cfg.seed + 1))
@@ -299,12 +310,11 @@ def cmd_fuse(args) -> int:
     """Fold ``--checkpoint``'s bank into the backbone tensors just loaded
     from it, which no one else holds, and save them as the fused file: one
     weight set in memory, and the checkpoint on disk is only read. An
-    ``--out`` that is a directory, or the checkpoint file itself by any
-    path, is a config error raised before the config or the checkpoint is
-    read."""
+    ``--out`` that :func:`_check_output` refuses, or the checkpoint file
+    itself by any path, is a config error raised before the config or the
+    checkpoint is read."""
+    _check_output("--out", args.out, directory=False)
     out = Path(args.out)
-    if out.is_dir():  # the error checkpoint.save would raise, before the load
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     if out.exists() and os.path.samefile(out, args.checkpoint):
         raise ConfigError(f"--out {args.out} is the --checkpoint file {args.checkpoint}: "
                           "fuse would overwrite the adapters it reads")
@@ -341,6 +351,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.csv is not None:
+        _check_output("--csv", args.csv, directory=False)
     spec = accounting.MethodSpec(args.method,
                                  **{knob: getattr(args, knob) for knob in accounting.KNOB_FLAGS})
     if args.sweep == "backbones":
@@ -372,6 +384,7 @@ def cmd_spectrum(args) -> int:
     payloads are read; the backbone is checked from its record heads."""
     if args.bins < 1:  # fail before the config or checkpoint is read
         raise ConfigError(f"--bins must be >= 1, got {args.bins}")
+    _check_output("--out", args.out, directory=True)
     cfg, config_path = _run_config(args)
     _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False, bank_only=True)
     reports = analysis.rank_sweep(bank, bins=args.bins)
@@ -493,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("out", "csv"):  # an output path, checked before anything is read
-            if getattr(args, flag, None) == "":
-                raise ConfigError(f"--{flag} must be a non-empty path")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not in the interpreter's exit flush
         return code

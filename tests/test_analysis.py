@@ -212,29 +212,38 @@ class TestTrainedSpectrum:
               f"(reported, not asserted)")
 
 
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
 class TestCsvEmission:
     def test_files_and_schema(self, tmp_path) -> None:
+        """Two tables, whatever the bank: every bin of every (layer, group) in
+        one, each group's counts summing to its matrix size, and one summary
+        row per (layer, group) in the other."""
         bank = init_adapters(ArcConfig(variant="full_rank"), TOY, Rng(9))
         rng = np.random.default_rng(10)
         for name in bank.tensors:
             bank.tensors[name] = rng.normal(size=(16, 16))
         reports = rank_sweep(bank, bins=5)
         paths = analysis.write_spectrum_csvs(reports, tmp_path)
-        names = sorted(p.name for p in paths)
-        assert "spectrum_summary.csv" in names
-        assert "spectrum_layer1_mha.csv" in names
-        with open(tmp_path / "spectrum_layer1_mha.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["bin_lo", "bin_hi", "count"]
-        assert len(rows) == 6
-        assert sum(int(r[2]) for r in rows[1:]) == 16
-        with open(tmp_path / "spectrum_summary.csv") as fh:
-            rows = list(csv.reader(fh))
+        assert paths == [tmp_path / "spectrum_bins.csv", tmp_path / "spectrum_summary.csv"]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        rows = read_rows(paths[0])
+        assert rows[0] == ["layer", "group", "bin_lo", "bin_hi", "count"]
+        sites = [(str(r.layer), r.group) for r in reports]
+        assert len(sites) == 4 and len(rows) == 1 + 5 * len(sites)
+        counts = {}
+        for layer, group, _, _, count in rows[1:]:
+            counts[layer, group] = counts.get((layer, group), 0) + int(count)
+        assert counts == {site: 16 for site in sites}
+        rows = read_rows(paths[1])
         assert rows[0] == ["layer", "group", "effective_rank", "energy_top10"]
-        assert len(rows) == 5
+        assert [tuple(row[:2]) for row in rows[1:]] == sites
 
     def test_bytes_match_csv_writer(self, tmp_path) -> None:
-        """Each file holds exactly what ``csv.writer`` writes for the same rows."""
+        """Each table holds exactly what ``csv.writer`` writes for the same rows."""
         rng = np.random.default_rng(11)
         reports = [
             spectrum(rng.normal(size=(16, 16)), bins=50, layer=1, group="mha"),
@@ -243,23 +252,35 @@ class TestCsvEmission:
             spectrum(1e-300 * rng.normal(size=(5, 5)), bins=4, layer=2, group="ffn"),
             spectrum(np.diag([3.0, 2.0, 1.0]), bins=3, layer=3, group='odd, "quoted"'),
         ]
-        paths = analysis.write_spectrum_csvs(reports, tmp_path)
-        want_dir = tmp_path / "want"
-        want_dir.mkdir()
-        for r in reports:
-            with open(want_dir / f"spectrum_layer{r.layer}_{r.group}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_lo", "bin_hi", "count"])
+        bins_path, summary_path = analysis.write_spectrum_csvs(reports, tmp_path / "out")
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["layer", "group", "bin_lo", "bin_hi", "count"])
+            for r in reports:
                 for i, count in enumerate(r.bin_counts):
-                    writer.writerow([f"{r.bin_edges[i]:.17g}", f"{r.bin_edges[i + 1]:.17g}",
-                                     int(count)])
-        with open(want_dir / "spectrum_summary.csv", "w", newline="") as fh:
+                    writer.writerow([r.layer, r.group, f"{r.bin_edges[i]:.17g}",
+                                     f"{r.bin_edges[i + 1]:.17g}", int(count)])
+        assert bins_path.read_bytes() == want.read_bytes()
+        with open(want, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layer", "group", "effective_rank", "energy_top10"])
             for r in reports:
                 writer.writerow([r.layer, r.group, r.effective_rank, f"{r.energy_top10:.12g}"])
-        assert [p.name for p in paths] == [f"spectrum_layer{r.layer}_{r.group}.csv"
-                                           for r in reports] + ["spectrum_summary.csv"]
-        for path in paths:
-            assert path.read_bytes() == (want_dir / path.name).read_bytes(), path.name
-        assert b'"odd, ""quoted"""' in paths[-1].read_bytes()
+        assert summary_path.read_bytes() == want.read_bytes()
+        assert b'"odd, ""quoted"""' in summary_path.read_bytes()
+
+    @pytest.mark.parametrize("group", ['odd, "quoted"', "../x"])
+    def test_group_name_is_a_cell_not_a_path(self, tmp_path, group) -> None:
+        """A group name is written as a cell of each table and read back as it
+        was; it names no file, so ``../x`` creates nothing outside the output
+        directory."""
+        reports = [spectrum(np.diag([3.0, 2.0, 1.0]), bins=3, layer=1, group=group),
+                   spectrum(np.eye(4), bins=2, layer=2, group=group)]
+        out = tmp_path / "out"
+        bins_path, summary_path = analysis.write_spectrum_csvs(reports, out)
+        assert ([row[:2] for row in read_rows(bins_path)[1:]]
+                == [["1", group]] * 3 + [["2", group]] * 2)
+        assert [row[:2] for row in read_rows(summary_path)[1:]] == [["1", group], ["2", group]]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert sorted(out.iterdir()) == [bins_path, summary_path]

@@ -55,6 +55,11 @@ class FailAfterFirstRow:
         raise OSError(28, "No space left on device")
 
 
+def snapshot(root) -> dict:
+    """Every path under ``root``, with a file's bytes or None for a directory."""
+    return {p: p.read_bytes() if p.is_file() else None for p in Path(root).rglob("*")}
+
+
 def readme_config_text() -> str:
     """The README's "Run config" example, as written."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -983,6 +988,8 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG
 
     def test_spectrum_command(self, tmp_path, capsys) -> None:
+        """spectrum writes its two tables and nothing else, and its summary
+        line reads the summary table's ranks."""
         config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
         run_dir = tmp_path / "run"
         assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
@@ -991,12 +998,17 @@ class TestCommands:
         rc = cli.main(["spectrum", "--checkpoint", str(run_dir / "checkpoint.arcl"),
                        "--bins", "10", "--out", str(out_dir)])
         assert rc == 0
-        assert (out_dir / "spectrum_layer1_mha.csv").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == ["spectrum_bins.csv",
+                                                             "spectrum_summary.csv"]
+        with open(out_dir / "spectrum_bins.csv", newline="") as fh:
+            sites = [(row["layer"], row["group"]) for row in csv.DictReader(fh)]
         with open(out_dir / "spectrum_summary.csv", newline="") as fh:
-            ranks = [int(row["effective_rank"]) for row in csv.DictReader(fh)]
-        assert capsys.readouterr().out.splitlines() == [  # the summary line reads the CSV's ranks
+            rows = list(csv.DictReader(fh))
+        assert sites == [(row["layer"], row["group"]) for row in rows for _ in range(10)]
+        ranks = [int(row["effective_rank"]) for row in rows]
+        assert capsys.readouterr().out.splitlines() == [
             f"analyzed 4 matrices  median_effective_rank {np.median(ranks):.6g}",
-            f"wrote 5 files under {out_dir}",
+            f"wrote 2 files under {out_dir}",
         ]
 
     def test_spectrum_of_bottleneck_bank(self, tmp_path, capsys) -> None:
@@ -1020,8 +1032,10 @@ class TestCommands:
         ckpt = str(trained_run / "checkpoint.arcl")
 
         def histogram_rows(out_dir) -> set[int]:
-            return {len(path.read_text().splitlines()) - 1
-                    for path in out_dir.glob("spectrum_layer*.csv")}
+            """The bin count of each (layer, group) in the bins table."""
+            with open(out_dir / "spectrum_bins.csv", newline="") as fh:
+                sites = [(row["layer"], row["group"]) for row in csv.DictReader(fh)]
+            return {sites.count(site) for site in sites}
 
         assert cli.main(["spectrum", "--checkpoint", ckpt, "--bins", "5",
                          "--out", str(tmp_path / "five")]) == 0
@@ -1122,12 +1136,13 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG and stdout == ""
         assert err.startswith("config error: ") and str(out) in err
 
-    @pytest.mark.parametrize("parent, errno_", [("nodir", 2), ("afile", 20)])
+    @pytest.mark.parametrize("parent, errno_", [("nodir", 2)])
     def test_count_csv_under_no_directory_names_it(self, tmp_path, capsys, monkeypatch,
                                                    parent, errno_) -> None:
-        """A --csv under a missing directory or under a file exits 2 with an
-        error that names the --csv path as given, not a temp file, and
-        creates nothing."""
+        """A --csv under a missing directory exits 2 with the write's error,
+        which names the --csv path as given, not a temp file, and creates
+        nothing. (A --csv under a file is refused earlier, by
+        test_output_at_or_under_a_file_refused_before_reading.)"""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_bytes(b"a file")
         target = f"{parent}/t.csv"
@@ -1139,6 +1154,117 @@ class TestCommands:
         assert err.endswith(f": '{target}'\n") and ".tmp" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
         assert (tmp_path / "afile").read_bytes() == b"a file"
+
+    @pytest.mark.parametrize("command, where", [
+        ("fuse", "afile/f.arcl"), ("spectrum", "afile"), ("spectrum", "afile/sub"),
+        ("count", "afile/x.csv")], ids=["fuse-under", "spectrum-at", "spectrum-under",
+                                         "count-under"])
+    def test_output_at_or_under_a_file_refused_before_reading(
+            self, trained_run, tmp_path, capsys, monkeypatch, command, where) -> None:
+        """An output path whose writes could never land, a directory's path at
+        a file or any path under one, exits 2 naming the path as given and the
+        file in the way, before the config or the checkpoint is read: nothing
+        on stdout, and no file changed or made."""
+        def no_reads(*args, **kwargs):
+            raise AssertionError(f"{command} read its input")
+
+        monkeypatch.setattr(cli, "load_run_config", no_reads)
+        monkeypatch.setattr(cli.checkpoint, "load", no_reads)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_bytes(b"a file")
+        ckpt = str(trained_run / "checkpoint.arcl")
+        before = snapshot(tmp_path), snapshot(trained_run)
+        argv, flag = {
+            "fuse": (["fuse", "--checkpoint", ckpt, "--out", where], "--out"),
+            "spectrum": (["spectrum", "--checkpoint", ckpt, "--out", where], "--out"),
+            "count": (["count", "--method", "arc", "--Dprime", "4", "--csv", where], "--csv"),
+        }[command]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: {flag} {where}: afile exists and is not a directory\n")
+        assert (snapshot(tmp_path), snapshot(trained_run)) == before
+
+    @pytest.mark.parametrize("table", ["bins", "summary"])
+    def test_spectrum_failed_table_write(self, trained_run, tmp_path, capsys, monkeypatch,
+                                         table) -> None:
+        """A table write that fails after its first row exits 2 with nothing
+        on stdout and no temp file left. The bins table is written first: a
+        failure there leaves both old tables as they were, and one in the
+        summary leaves the new bins table beside the old summary."""
+        ckpt = str(trained_run / "checkpoint.arcl")
+        fresh = tmp_path / "fresh"
+        assert cli.main(["spectrum", "--checkpoint", ckpt, "--out", str(fresh)]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {"spectrum_bins.csv": b"the,old,bins\r\n",
+               "spectrum_summary.csv": b"the,old,summary\r\n"}
+        for name, blob in old.items():
+            (out / name).write_bytes(blob)
+        writers = []
+
+        def writer(fh):  # the bins table's writer is the first, the summary's the second
+            writers.append(fh)
+            failing = len(writers) == ("bins", "summary").index(table) + 1
+            return (FailAfterFirstRow if failing else FailAfterFirstRow.real_writer)(fh)
+
+        monkeypatch.setattr(csv, "writer", writer)
+        capsys.readouterr()
+        assert cli.main(["spectrum", "--checkpoint", ckpt, "--out", str(out)]) == cli.EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "No space left on device" in err
+        if table == "summary":
+            old["spectrum_bins.csv"] = (fresh / "spectrum_bins.csv").read_bytes()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    def test_every_file_is_written_through_a_temp_file(self, tmp_path, capsys,
+                                                       monkeypatch) -> None:
+        """train, fuse, spectrum and count --csv open files for writing only as
+        hidden temp files beside their targets, and os.replace moves each one
+        onto its target: every file they leave was written whole, and no temp
+        file is left."""
+        config = write_config(tmp_path)
+        opened, replaced = [], []
+        real_open, real_io_open, real_os_open, real_replace = (
+            builtins.open, io.open, os.open, os.replace)
+
+        def spy(real, writes):
+            def call(file, mode_or_flags="r", *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and writes(mode_or_flags):
+                    opened.append(Path(file))
+                return real(file, mode_or_flags, *args, **kwargs)
+            return call
+
+        def replace(src, dst, **kwargs):
+            replaced.append((Path(src), Path(dst)))
+            return real_replace(src, dst, **kwargs)
+
+        def mode_writes(mode: str) -> bool:
+            return mode[0] in "wxa" or "+" in mode
+
+        def flags_write(flags: int) -> bool:
+            return bool(flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND))
+
+        monkeypatch.setattr(builtins, "open", spy(real_open, mode_writes))
+        monkeypatch.setattr(io, "open", spy(real_io_open, mode_writes))
+        monkeypatch.setattr(os, "open", spy(real_os_open, flags_write))
+        monkeypatch.setattr(os, "replace", replace)
+        run = tmp_path / "run"
+        for argv in (["train", "--config", str(config), "--out", str(run)],
+                     ["fuse", "--checkpoint", str(run / "checkpoint.arcl"),
+                      "--out", str(run / "fused.arcl")],
+                     ["spectrum", "--checkpoint", str(run / "checkpoint.arcl"),
+                      "--out", str(run / "spectra")],
+                     ["count", "--method", "arc", "--Dprime", "4", "--csv", str(run / "t.csv")]):
+            assert cli.main(argv) == 0, argv
+        monkeypatch.undo()
+        assert opened and [src for src, _ in replaced] == opened
+        for src, dst in replaced:
+            assert src.parent == dst.parent and src.name.startswith(f".{dst.name}.")
+            assert src.name.endswith(".tmp") and not src.exists()
+        written = sorted(str(dst.relative_to(run)) for _, dst in replaced)
+        assert written == ["checkpoint.arcl", "config.json", "fused.arcl", "loss.csv",
+                           "spectra/spectrum_bins.csv", "spectra/spectrum_summary.csv", "t.csv"]
+        assert sorted(str(p.relative_to(run)) for p in run.rglob("*") if p.is_file()) == written
 
     def test_fuse_non_finite_adapter_exit_3(self, tmp_path, capsys) -> None:
         config = write_config(tmp_path)
