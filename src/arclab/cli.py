@@ -246,33 +246,28 @@ def _run_config(args) -> tuple[RunConfig, Path]:
     return args.run_config, path
 
 
-def _is_adapter(name: str) -> bool:
-    return name.startswith("arc.")
-
-
 def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: bool = False):
     """``(weights, bank)`` of the checkpoint at ``path``, which must carry
-    ``cfg``'s digest and the ``fused`` flag, in that order. Its record heads
-    are checked in one :func:`adapters.check_shapes` against the backbone's
-    table plus, when unfused, the bank's: a fused checkpoint holds the
-    backbone alone and yields no bank, an unfused one yields a bank of its
-    ``arc.*`` tensors. With ``bank_only`` the backbone payloads are not
-    read, and ``weights`` is empty."""
-    header, tensors = checkpoint.load(path, keep=_is_adapter if bank_only else None)
+    ``cfg``'s digest and the ``fused`` flag, in that order. The bank's
+    records are the names :func:`adapters.adapter_shapes` gives ``cfg``,
+    and the record heads are checked in one :func:`adapters.check_shapes`
+    against the backbone's table plus, when unfused, that one: a fused
+    checkpoint holds the backbone alone and yields no bank, an unfused one
+    yields a bank of those records. With ``bank_only`` only their payloads
+    are read, and ``weights`` is empty."""
+    bank_shapes = {} if fused else adapter_shapes(cfg.arc, cfg.backbone)
+    header, tensors = checkpoint.load(path, keep=bank_shapes.__contains__ if bank_only else None)
     if header.config_digest != cfg.digest():
         raise CheckpointError(f"checkpoint {path} was not produced by config {config_path}")
     if header.fused != fused:
         raise ConfigError(f"checkpoint {path} "
                           f"{'does not carry' if fused else 'already carries'} the fused flag")
-    expected = model.weight_shapes(cfg.backbone)
-    if not fused:
-        expected.update(adapter_shapes(cfg.arc, cfg.backbone))
     try:
-        check_shapes(expected, header.shapes)
+        check_shapes({**model.weight_shapes(cfg.backbone), **bank_shapes}, header.shapes)
     except ShapeError as exc:
         raise ShapeError(f"checkpoint {path}: {exc}") from None
     bank = None if fused else AdapterBank(cfg.arc, cfg.backbone, {
-        name: tensors.pop(name) for name in list(tensors) if _is_adapter(name)})
+        name: tensors.pop(name) for name in bank_shapes})
     return tensors, bank
 
 
@@ -286,11 +281,7 @@ def cmd_train(args) -> int:
     weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
     bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
     data = training.make_task(cfg.task, Rng(cfg.seed + 1))
-    before = model.frozen_checksum(weights)
     result = training.train(cfg.backbone, weights, bank, data, cfg.train)
-    after = model.frozen_checksum(weights)
-    if before != after:  # pragma: no cover - would be a trainer bug
-        raise NumericalError("frozen backbone changed during training")
     train_loss, train_acc = training.evaluate(
         cfg.backbone, weights, bank, data.train_images, data.train_labels)
     eval_loss, eval_acc = training.evaluate(
@@ -353,8 +344,8 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     if args.csv is not None:
         _check_output("--csv", args.csv, directory=False)
-    spec = accounting.MethodSpec(args.method,
-                                 **{knob: getattr(args, knob) for knob in accounting.KNOB_FLAGS})
+    knobs = {knob: getattr(args, flag) for knob, flag in accounting.KNOB_FLAGS.items()}
+    spec = accounting.MethodSpec(args.method, **knobs)
     if args.sweep == "backbones":
         given = [f"--{flag}" for flag in ("D", "L") if getattr(args, flag) is not None]
         if given:
@@ -483,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=accounting.METHODS)
     p.add_argument("--D", type=int, default=None, help="embedding width (default: 768)")
     p.add_argument("--L", type=int, default=None, help="encoder depth (default: 12)")
-    for knob, flag in accounting.KNOB_FLAGS.items():
-        p.add_argument(f"--{flag}", dest=knob, type=int, default=None)
+    for flag in accounting.KNOB_FLAGS.values():
+        p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--sweep", choices=("layers", "backbones"), default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_count)
@@ -517,8 +508,10 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError, CheckpointError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as exc:  # numpy's message names the size it could not allocate
-        print(f"out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's message names the size; Python's may be empty
+        reason = str(exc) or (f"an allocation grown from {_largest_size(args)}, "
+                              "the largest size given, failed")
+        print(f"out of memory: {reason}", file=sys.stderr)
         return EXIT_CONFIG
     except ValueError as exc:
         if not str(exc).startswith(_NUMPY_SIZE_REFUSALS):

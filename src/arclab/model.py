@@ -296,12 +296,15 @@ def forward_tokens(ops, cfg: BackboneConfig, v, x, z=None, *, bank=None, masks=N
 def forward(cfg: BackboneConfig, weights, images, bank=None, *, stop=None):
     """Eval-mode logits (B x classes) for a (B, H, W, C) image stack: the
     deterministic forward on :class:`~arclab.autodiff.Eager`, with no
-    adapter dropout. ``bank`` wires its adapters in, reading their tensors
-    from ``weights`` by name, and raises ConfigError if it was built for
-    another depth. A ``stop`` cut returns the state there instead of the
-    logits, as :func:`forward_tokens` does."""
+    adapter dropout. The backbone tensors come from ``weights`` and the
+    adapter tensors from ``bank``, whose tensors take the place of any of
+    the same name in ``weights``; ``bank`` wires its adapters in, and
+    raises ConfigError if it was built for another depth. A ``stop`` cut
+    returns the state there instead of the logits, as
+    :func:`forward_tokens` does."""
     if bank is not None:
         bank.check_depth(cfg.layers)
+        weights = {**weights, **bank.tensors}
     # no name here holds the embedding, so the encoder frees it at layer 1's first
     # residual add (from Python 3.11; 3.10 keeps a call's arguments until it returns)
     return forward_tokens(Eager(), cfg, weights, embed(cfg, weights, images), bank=bank,
@@ -311,25 +314,23 @@ def forward(cfg: BackboneConfig, weights, images, bank=None, *, stop=None):
 def eager_logits(cfg: BackboneConfig, weights, images, bank=None) -> np.ndarray:
     """Eval-mode logits (B x classes) of an image stack, as two concurrent halves.
 
-    The backbone tensors come from ``weights`` and the adapter tensors from
-    ``bank``, whose tensors take the place of any of the same name in
-    ``weights``. The first ceil(B/2) images run through :func:`forward` on
-    an :class:`~arclab.autodiff.Eager` backend on the calling thread while the
-    rest run on one worker thread (:func:`~arclab.kernel.run_both`), and the
-    two logit blocks are concatenated in order. A batch of at most one
-    image runs as one forward on the calling thread, and on one CPU the two
-    halves run there in turn. The split never depends on the machine, so
+    Both halves read ``weights`` and ``bank`` as :func:`forward` does. The
+    first ceil(B/2) images run through :func:`forward` on the calling
+    thread while the rest run on one worker thread
+    (:func:`~arclab.kernel.run_both`), and the two logit blocks are
+    concatenated in order. A batch of at most one image runs as one
+    forward on the calling thread, and on one CPU the two halves run there
+    in turn. The split never depends on the machine, so
     the result is the two half-batch forwards concatenated, bit for bit.
     That can differ from one whole-batch forward in the last place, as a
     row's logits already depend on how many rows share its GEMMs. A
     caller's ``np.errstate`` holds in both halves, and an exception in
     either reaches the caller once both have finished.
     """
-    values = weights if bank is None else {**weights, **bank.tensors}
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4 or len(images) <= 1:  # one piece; forward rejects a bad shape
-        return forward(cfg, values, images, bank)
+        return forward(cfg, weights, images, bank)
     half = (len(images) + 1) // 2
-    first, rest = run_both(functools.partial(forward, cfg, values, images[:half], bank),
-                           functools.partial(forward, cfg, values, images[half:], bank))
+    first, rest = run_both(functools.partial(forward, cfg, weights, images[:half], bank),
+                           functools.partial(forward, cfg, weights, images[half:], bank))
     return np.concatenate([first, rest])

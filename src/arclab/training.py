@@ -1,9 +1,10 @@
 """Frozen-backbone fine-tuning on synthetic class-conditional tasks.
 
 Only the adapter bank and the classification head receive gradient
-updates; everything else in the backbone stays bit-identical, which the
-frozen checksum makes checkable. The optimizer is AdamW with decoupled
-weight decay, linear warmup, and cosine (or constant) decay.
+updates; everything else in the backbone stays bit-identical, which
+:func:`train` enforces by making those arrays read-only for the run. The
+optimizer is AdamW with decoupled weight decay, linear warmup, and cosine
+(or constant) decay.
 """
 
 from __future__ import annotations
@@ -233,6 +234,12 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     TrainingAborted on a non-finite loss; the trainable arrays then hold
     the values of the last completed step.
 
+    Every other array of ``weights``, the frozen backbone, is read-only
+    for the whole run, the frozen prefix included, so a write into one
+    raises ValueError at the write. Each array that was writeable is made
+    so again when the run ends, however it ends; one passed read-only
+    stays so.
+
     The run is ``cfg.epochs`` epochs of ceil(images / batch_size) steps,
     cut after ``max_steps`` steps. It runs exactly the epochs its steps
     reach, each opening with one permutation, so no draw follows the last
@@ -285,7 +292,6 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
         offset += arr.size
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
-    frozen = frozen_prefix(backbone_cfg, weights, bank, data.train_images, cfg.batch_size)
     n = len(data.train_images)
     tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
@@ -297,7 +303,11 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     max_grad_seen = 0.0
     step = 0
     slots = {}  # batch size -> (state, labels, masks, tape, logits, loss) of that size
+    locked = [arr for name, arr in weights.items() if name not in trainable and arr.flags.writeable]
     try:
+        for arr in locked:
+            arr.flags.writeable = False
+        frozen = frozen_prefix(backbone_cfg, weights, bank, data.train_images, cfg.batch_size)
         # one pass per epoch the steps reach (none for an empty train set)
         for _ in range(-(-total_steps // max(batches_per_epoch, 1))):
             order = rng.permutation(n)
@@ -332,7 +342,9 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
                 opt.step(flat, grad, lr_t)
                 result.curve.append(StepRecord(step=step, lr=lr_t, loss=loss, accuracy=accuracy))
                 step += 1
-    finally:
+    finally:  # owners first: a view turns writeable again only while its base is
+        for arr in sorted(locked, key=lambda arr: arr.base is not None):
+            arr.flags.writeable = True
         for name, arr in trainable.items():
             arr[...] = views[name]
     return result

@@ -2,11 +2,7 @@ from __future__ import annotations
 
 import os
 
-# arclab's own default (see arclab/__init__.py), set here since this file
-# imports numpy before any test imports arclab
-for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_variable, "1")
-
+import arclab  # noqa: F401  first, so its one-thread BLAS default holds when numpy loads
 import numpy as np
 import pytest
 

@@ -153,10 +153,8 @@ def test_06_identity_at_init() -> None:
             cfg = ArcConfig(bottleneck=DPRIME, positions=positions, sharing=sharing,
                             variant=variant)
             bank = init_adapters(cfg, TOY, Rng(50 + checked))
-            values = dict(weights)
-            values.update(bank.tensors)
             for img, want in zip(images, plain):
-                got = model.forward(TOY, values, img, bank=bank)
+                got = model.forward(TOY, weights, img, bank=bank)
                 assert np.array_equal(got, want), (sharing, positions, variant)
             checked += 1
     print(f"ACCEPTANCE 6 PASS: exact identity at init for {checked} configurations")

@@ -60,15 +60,11 @@ class TestInit:
         for sharing, positions in product(adapters.SHARINGS, POSITION_SETS):
             cfg = ArcConfig(bottleneck=4, positions=positions, sharing=sharing)
             bank = init_adapters(cfg, TOY, Rng(9))
-            values = dict(w)
-            values.update(bank.tensors)
-            out = model.forward(TOY, values, img, bank=bank)
+            out = model.forward(TOY, w, img, bank=bank)
             assert np.array_equal(out, plain), (sharing, positions)
         fr = ArcConfig(bottleneck=4, variant="full_rank")
         bank = init_adapters(fr, TOY, Rng(9))
-        values = dict(w)
-        values.update(bank.tensors)
-        out = model.forward(TOY, values, img, bank=bank)
+        out = model.forward(TOY, w, img, bank=bank)
         assert np.array_equal(out, plain)
 
     @pytest.mark.parametrize("variant", adapters.VARIANTS)
@@ -164,11 +160,10 @@ class TestArcForward:
         r = Rng(6)
         for name in bank.tensors:
             bank.tensors[name] = r.normals(bank.tensors[name].shape, 0.3)
-        values = dict(model.init_backbone(TOY, Rng(6)))
-        values.update(bank.tensors)
+        weights = model.init_backbone(TOY, Rng(6))
         imgs = Rng(7).normals((2, 8, 8, 1))
-        a = model.forward(TOY, values, imgs, bank=bank)
-        b = model.forward(TOY, values, imgs, bank=bank)
+        a = model.forward(TOY, weights, imgs, bank=bank)
+        b = model.forward(TOY, weights, imgs, bank=bank)
         assert np.array_equal(a, b)
 
     def test_outside_insertion_set_is_contract_error(self) -> None:

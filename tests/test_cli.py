@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arclab import analysis, checkpoint, cli, model, reparam, training
-from arclab.adapters import AdapterBank
+from arclab.adapters import AdapterBank, adapter_shapes
 from arclab.checkpoint import load, save
 from arclab.errors import ConfigError
 from arclab.kernel import Rng
@@ -466,6 +466,46 @@ class TestCheckpointInputs:
         assert str(bad) in err and message in err, err
         assert not (tmp_path / "s").exists()
 
+    def test_spectrum_reads_the_payloads_adapter_shapes_names(self, trained_run, tmp_path,
+                                                              monkeypatch) -> None:
+        """The bank-only load reads one payload per name of the bank's shape
+        table, each of its size, and no other."""
+        cfg = cli.load_run_config(trained_run / "config.json")
+        reads, preadv = [], os.preadv
+
+        def spy_preadv(fd, buffers, offset):
+            reads.append(preadv(fd, buffers, offset))
+            return reads[-1]
+
+        monkeypatch.setattr(os, "preadv", spy_preadv)
+        assert cli.main(["spectrum", "--checkpoint", str(trained_run / "checkpoint.arcl"),
+                         "--out", str(tmp_path / "s")]) == 0
+        shapes = adapter_shapes(cfg.arc, cfg.backbone)
+        assert sorted(reads) == sorted(8 * rows * cols for rows, cols in shapes.values())
+
+    @pytest.mark.parametrize("command", ["fuse", "spectrum"])
+    @pytest.mark.parametrize("fault", ["extra", "missing"])
+    def test_bank_record_extra_or_missing_exit_2(self, trained_run, tmp_path, capsys, command,
+                                                 fault) -> None:
+        """A bank record the config does not name, or one it names that the
+        file lacks, exits 2 naming the file and the record."""
+        header, tensors = load(trained_run / "checkpoint.arcl")
+        if fault == "extra":
+            tensors["arc.ffn.9.bias"] = np.zeros((1, 16))
+            mismatch = "missing [], unexpected ['arc.ffn.9.bias']"
+        else:
+            del tensors["arc.ffn.1.bias"]
+            mismatch = "missing ['arc.ffn.1.bias'], unexpected []"
+        bad = tmp_path / "bad.arcl"
+        save(bad, tensors, header.config_digest)
+        out = tmp_path / ("f.arcl" if command == "fuse" else "s")
+        rc = cli.main([command, "--checkpoint", str(bad), "--out", str(out),
+                       "--config", str(trained_run / "config.json")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: checkpoint {bad}: tensor set mismatch: {mismatch}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault", ["missing", "empty", "not UTF-8"])
     def test_unreadable_train_config_exit_2(self, tmp_path, capsys, fault) -> None:
         config = tmp_path / "config.json"
@@ -721,6 +761,17 @@ class TestCommands:
         assert rc == cli.EXIT_CONFIG == 2
         assert err == f"out of memory: {message}\n" and "Traceback" not in err
         assert not out.exists()
+
+    def test_train_hashes_no_weights(self, tmp_path, monkeypatch) -> None:
+        """The frozen backbone is training.train's to keep: train runs no
+        checksum before or after it."""
+        def no_checksum(weights):
+            raise AssertionError("train hashed the weights")
+
+        monkeypatch.setattr(model, "frozen_checksum", no_checksum)
+        monkeypatch.setattr(model, "checksum", no_checksum)
+        assert cli.main(["train", "--config", str(write_config(tmp_path)),
+                         "--out", str(tmp_path / "run")]) == 0
 
     def test_train_empty_out_exit_2(self, tmp_path, capsys, monkeypatch) -> None:
         """``--out ""`` is rejected, not read as "use io.out_dir"."""
@@ -1531,6 +1582,33 @@ class TestSizesNumpyRefuses:
             else ["gradcheck", "--config", str(config)]
         self._refused(capsys, argv, "backbone.embed_dim 1000000000000")
         assert not out.exists()
+
+    DEEP = "4000000000000000000000"
+
+    @pytest.mark.parametrize("command", ["train", "count", "count-knob"])
+    def test_bare_memory_error_names_the_largest_size(self, tmp_path, capsys, monkeypatch,
+                                                      command) -> None:
+        """A MemoryError with no message, as Python raises when a dict or a
+        list outgrows memory, names the largest size given, by the flag
+        that gave it."""
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        if command == "train":
+            monkeypatch.setattr(model, "weight_shapes", out_of_memory)
+            config = write_config(tmp_path, backbone={"layers": int(self.DEEP)})
+            argv = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+            where = f"backbone.layers {self.DEEP}"
+        else:
+            monkeypatch.setattr(cli.accounting, "scaling_table", out_of_memory)
+            sizes = {"count": ("4", self.DEEP), "count-knob": (self.DEEP, "12")}[command]
+            argv = ["count", "--method", "arc", "--Dprime", sizes[0], "--D", "16", "--L", sizes[1]]
+            where = f"--L {self.DEEP}" if command == "count" else f"--Dprime {self.DEEP}"
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"out of memory: an allocation grown from {where}, the largest size given, "
+                "failed\n")
+        assert not (tmp_path / "run").exists()
 
     def test_other_value_errors_keep_their_traceback(self, tmp_path, monkeypatch) -> None:
         def bug(*args):

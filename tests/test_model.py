@@ -238,10 +238,25 @@ class TestForward:
         plain = model.forward(TOY, w, img)
         acfg = adapters.ArcConfig(bottleneck=4)
         bank = adapters.init_adapters(acfg, TOY, Rng(23))
-        values = dict(w)
-        values.update(bank.tensors)
-        adapted = model.forward(TOY, values, img, bank=bank)
+        adapted = model.forward(TOY, w, img, bank=bank)
         assert np.array_equal(adapted, plain)
+
+    @pytest.mark.parametrize("cfg, bottleneck", [(TOY, 4), (DEPLOY, 50)], ids=["toy", "deploy"])
+    def test_bank_tensors_come_from_the_bank(self, cfg, bottleneck) -> None:
+        """Backbone-only weights and a drawn bank give the bits of the
+        encoder run over the weights merged with the bank's tensors, and a
+        stale same-name tensor in ``weights`` is not read."""
+        weights = model.init_backbone(cfg, Rng(24))
+        bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=bottleneck), cfg, Rng(25))
+        r = Rng(26)
+        bank.tensors.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
+        images = Rng(27).normals((4, cfg.image_size, cfg.image_size, cfg.channels))
+        merged = {**weights, **bank.tensors}
+        want = model.forward_tokens(Eager(), cfg, merged, model.embed(cfg, merged, images),
+                                    bank=bank)
+        stale = {**weights, **{n: np.zeros_like(a) for n, a in bank.tensors.items()}}
+        for values in (weights, merged, stale):
+            assert model.forward(cfg, values, images, bank=bank).tobytes() == want.tobytes()
 
 
 class TestBatchedContract:
@@ -260,8 +275,7 @@ class TestBatchedContract:
         values = toy_weights()
         bank = None
         if with_bank:
-            values.update(self._adapted_values(values))
-            bank = self.BANK
+            bank = adapters.AdapterBank(self.ARC, TOY, self._adapted_values(values))
         images = Rng(26).normals((5, 8, 8, 1))
         batch = model.forward(TOY, values, images, bank=bank)
         assert batch.shape == (5, TOY.classes)
@@ -330,7 +344,7 @@ class TestBankDepth:
         images = Rng(2).normals((2, 8, 8, 1))
         with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
             if route == "Eager":
-                model.forward(TOY, {**values, **bank.tensors}, images, bank=bank)
+                model.forward(TOY, values, images, bank=bank)
             else:
                 data = training.Dataset(images, np.arange(2), images, np.arange(2), images)
                 training.train(TOY, values, bank, data,
@@ -349,7 +363,6 @@ class TestEagerLogits:
         r = Rng(52)
         perturbed = {n: r.normals(shape, 0.3)
                      for n, shape in adapters.adapter_shapes(self.ARC, cfg).items()}
-        values.update(perturbed)
         return values, adapters.AdapterBank(self.ARC, cfg, perturbed)
 
     @pytest.mark.parametrize("with_bank", [False, True], ids=["plain", "bank"])
@@ -441,7 +454,6 @@ class TestEagerLogits:
                                      layers=3, heads=2, classes=4)
         bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=4), other, Rng(1))
         values = toy_weights()
-        values.update(bank.tensors)
         before = threading.active_count()
         with pytest.raises(ConfigError, match=re.escape(f"covers layers {bank.layers}")):
             model.eager_logits(TOY, values, Rng(2).normals((4, 8, 8, 1)), bank=bank)
@@ -528,7 +540,7 @@ class TestKnownAnswers:
         if arc is not None:
             bank = adapters.init_adapters(arc, self.CFG, Rng(32))
             r = Rng(33)
-            values.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
+            bank.tensors.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
         images = Rng(34).normals((6, 8, 8, 3))
         assert _sha256(model.forward(self.CFG, values, images, bank=bank)) == digest
 

@@ -166,6 +166,80 @@ class TestTrain:
         assert model.frozen_checksum(weights) == before
         assert not np.array_equal(weights["head.weight"], head_before)
 
+    @pytest.mark.parametrize("probe", [False, True], ids=["bank", "probe"])
+    def test_write_into_frozen_weight_raises_at_the_write(self, monkeypatch, probe) -> None:
+        """The frozen prefix reads ``pos`` in the patch embedding: a write
+        there raises, leaves the weight as it was and writeable again."""
+        weights, bank, data = fresh_setup()
+        before = weights["pos"].copy()
+        real_embed = model.embed
+
+        def writing_embed(cfg, values, images):
+            values["pos"][0, 0] += 1.0
+            return real_embed(cfg, values, images)
+
+        monkeypatch.setattr(model, "embed", writing_embed)
+        with pytest.raises(ValueError, match="read-only"):
+            train(TOY, weights, None if probe else bank, data,
+                  TrainConfig(lr=0.01, epochs=1, batch_size=8))
+        assert np.array_equal(weights["pos"], before) and weights["pos"].flags.writeable
+
+    def test_write_during_a_step_raises(self, monkeypatch) -> None:
+        weights, bank, data = fresh_setup()
+
+        def writing_backward(tape, out):
+            weights["enc.2.ffn.w1"][0, 0] = 0.0
+            raise AssertionError("the write went through")
+
+        monkeypatch.setattr(training, "backward", writing_backward)
+        with pytest.raises(ValueError, match="read-only"):
+            train(TOY, weights, bank, data, TrainConfig(lr=0.01, epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize("ending", ["normal", "aborted"])
+    def test_writeable_flags_during_and_after(self, monkeypatch, ending) -> None:
+        """During the run every frozen array is read-only while the head and
+        the bank stay writeable; afterwards each array has its flag back,
+        and one the caller passed read-only is still read-only."""
+        weights, bank, data = fresh_setup()
+        weights["cls"].flags.writeable = False
+        if ending == "aborted":
+            bank.tensors["arc.mha.1.coef"][0, 0] = np.nan
+        frozen = [name for name in weights if name not in model.HEAD_NAMES]
+        seen = []
+
+        def watching(real):
+            def watch(*args):
+                seen.append({name: arr.flags.writeable
+                             for name, arr in {**weights, **bank.tensors}.items()})
+                return real(*args)
+            return watch
+
+        # the prefix embeds its two chunks, and each step runs one backward
+        monkeypatch.setattr(model, "embed", watching(model.embed))
+        monkeypatch.setattr(training, "backward", watching(training.backward))
+        cfg = TrainConfig(lr=0.01, epochs=1, batch_size=8)
+        if ending == "aborted":  # the first step's loss is NaN: no backward runs
+            with pytest.raises(TrainingAborted):
+                train(TOY, weights, bank, data, cfg)
+        else:
+            train(TOY, weights, bank, data, cfg)
+        assert len(seen) == {"normal": 4, "aborted": 2}[ending]
+        for flags in seen:
+            assert not any(flags[name] for name in frozen)
+            assert all(flag for name, flag in flags.items() if name not in frozen)
+        assert not weights["cls"].flags.writeable
+        assert all(arr.flags.writeable for name, arr in {**weights, **bank.tensors}.items()
+                   if name != "cls")
+
+    def test_view_listed_before_its_base_is_writeable_again(self) -> None:
+        """A frozen weight that views another, listed before it, gets its
+        flag back: numpy turns a view writeable only while its base is."""
+        weights, bank, data = fresh_setup()
+        weights["enc.1.ln1.beta"] = weights["enc.1.ln2.beta"][:]
+        train(TOY, weights, bank, data, TrainConfig(lr=0.01, epochs=1, batch_size=8))
+        assert weights["enc.1.ln1.beta"].flags.writeable
+        assert weights["enc.1.ln2.beta"].flags.writeable
+
     def test_same_seed_identical_curves(self) -> None:
         def run():
             weights, bank, data = fresh_setup(dropout=0.1)

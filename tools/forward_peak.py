@@ -35,15 +35,14 @@ def forward_peak(cfg: model.BackboneConfig, bottleneck: int, images: int = IMAGE
     """Bytes the second of two Eager forwards over ``images`` images peaks
     at, above the traced memory when it starts."""
     rng = Rng(0)
-    values = model.init_backbone(cfg, rng)
+    weights = model.init_backbone(cfg, rng)
     bank = adapters.init_adapters(adapters.ArcConfig(bottleneck=bottleneck), cfg, rng)
-    values.update(bank.tensors)
     x = rng.normals((images, cfg.image_size, cfg.image_size, cfg.channels))
-    model.forward(cfg, values, x, bank)
+    model.forward(cfg, weights, x, bank)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        model.forward(cfg, values, x, bank)
+        model.forward(cfg, weights, x, bank)
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
