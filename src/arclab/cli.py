@@ -2,8 +2,11 @@
 
 Run configs are strict JSON documents with sections ``backbone``, ``arc``,
 ``train``, ``task`` and ``io``; unknown sections or keys are rejected so a
-typo can never silently fall back to a default. Every command echoes the
-fully-defaulted effective config it ran with.
+typo can never silently fall back to a default. Every known key is checked,
+but ``arc.variant: full_rank`` ignores ``arc.bottleneck``, ``arc.sharing``
+and ``arc.dropout_rate``: its bank is one square delta per layer and group,
+with no dropout. Every command echoes the fully-defaulted effective config
+it ran with.
 
 Exit codes: 0 success, 1 a verification failed, 2 configuration error
 (an unreadable config or checkpoint path included, a config nested too
@@ -239,11 +242,23 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
 
 def _run_config(args) -> tuple[RunConfig, Path]:
     """The run config ``--config`` names (default: config.json next to the
-    checkpoint), and its path. It is kept as ``args.run_config``, where
-    :func:`main` looks for the sizes the run was given."""
-    path = Path(args.config) if args.config else Path(args.checkpoint).parent / "config.json"
+    checkpoint, a config error naming both when there is none), and its
+    path. It is kept as ``args.run_config``, where :func:`main` looks for
+    the sizes the run was given."""
+    path = Path(args.config or Path(args.checkpoint).parent / "config.json")
+    if not (args.config or path.exists()):
+        raise ConfigError(f"--config was not given, and --checkpoint {args.checkpoint} has no "
+                          f"config.json beside it: {path} does not exist")
     args.run_config = load_run_config(path)
     return args.run_config, path
+
+
+def _draw_run(cfg: RunConfig):
+    """The frozen backbone, the fresh bank and the task of a run of ``cfg``,
+    drawn from ``Rng(seed)``, ``Rng(seed + 2)`` and ``Rng(seed + 1)``."""
+    return (model.init_backbone(cfg.backbone, Rng(cfg.seed)),
+            init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2)),
+            training.make_task(cfg.task, Rng(cfg.seed + 1)))
 
 
 def _load_checkpoint(cfg: RunConfig, config_path, path, fused: bool, bank_only: bool = False):
@@ -278,9 +293,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or cfg.io.out_dir or "runs/latest")
     if args.out is None:  # io.out_dir's, before the run, not after it
         _check_output("--out", out_dir, directory=True)
-    weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
-    bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
-    data = training.make_task(cfg.task, Rng(cfg.seed + 1))
+    weights, bank, data = _draw_run(cfg)
     result = training.train(cfg.backbone, weights, bank, data, cfg.train)
     train_loss, train_acc = training.evaluate(
         cfg.backbone, weights, bank, data.train_images, data.train_labels)
@@ -395,12 +408,10 @@ def cmd_gradcheck(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):  # fail before the backbone is drawn
         raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     cfg, _ = _run_config(args)
-    weights = model.init_backbone(cfg.backbone, Rng(cfg.seed))
-    bank = init_adapters(cfg.arc, cfg.backbone, Rng(cfg.seed + 2))
+    weights, bank, data = _draw_run(cfg)
     perturb = Rng(cfg.seed + 3)
     live = {name: weights[name] for name in model.HEAD_NAMES}
     live.update({name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()})
-    data = training.make_task(cfg.task, Rng(cfg.seed + 1))
     batch = slice(cfg.train.batch_size)
     images, labels = data.train_images[batch], data.train_labels[batch]
     masks = dropout_masks(bank, len(labels), cfg.backbone.tokens + 1, Rng(cfg.seed + 4))

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -207,6 +208,23 @@ class TestRunConfig:
         assert capsys.readouterr().err == (
             "config error: backbone.layers must be a positive integer, got 0\n")
         assert not (tmp_path / "run").exists()
+
+    def test_full_rank_ignores_bottleneck_sharing_and_dropout(self, tmp_path) -> None:
+        """A full_rank bank is one square delta per layer and group with no
+        dropout: arc.bottleneck, arc.sharing and arc.dropout_rate are checked
+        but train to the same tensors and loss curve as their defaults."""
+        runs = []
+        for name, arc in (("defaults", {}), ("set", {"bottleneck": 16, "dropout_rate": 0.5,
+                                                     "sharing": "non_intra_non_inter"})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"arc": {"variant": "full_rank", **arc},
+                                        "train": {"epochs": 2}}))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+            _, tensors = load(tmp_path / name / "checkpoint.arcl")
+            runs.append(({k: v.tobytes() for k, v in tensors.items()},
+                         (tmp_path / name / "loss.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_digest_stable_under_out_dir(self, tmp_path) -> None:
         a = cli.load_run_config(write_config(tmp_path))
@@ -504,6 +522,26 @@ class TestCheckpointInputs:
         assert rc == cli.EXIT_CONFIG
         assert capsys.readouterr() == (
             "", f"config error: checkpoint {bad}: tensor set mismatch: {mismatch}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "verify", "spectrum"])
+    @pytest.mark.parametrize("where", ["beside no config", "in no directory"])
+    def test_missing_default_config_exit_2(self, trained_run, tmp_path, capsys, command,
+                                           where) -> None:
+        """Without --config, a checkpoint with no config.json beside it exits 2
+        saying that --config was not given and naming the file looked for
+        beside the --checkpoint path, not only a path the user never typed."""
+        ckpt = tmp_path / "alone" / "checkpoint.arcl"
+        if where == "beside no config":
+            ckpt.parent.mkdir()
+            ckpt.write_bytes((trained_run / "checkpoint.arcl").read_bytes())
+        out = tmp_path / "out"
+        argv = {"fuse": ["--out", out], "verify": ["--fused", ckpt], "spectrum": ["--out", out]}
+        rc = cli.main([command, "--checkpoint", str(ckpt), *map(str, argv[command])])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: --config was not given, and --checkpoint {ckpt} has no "
+                f"config.json beside it: {ckpt.parent / 'config.json'} does not exist\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("fault", ["missing", "empty", "not UTF-8"])
@@ -1109,6 +1147,23 @@ class TestCommands:
         assert exc.value.code == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
         assert "argument --seed: must be a non-negative integer, got '-1'" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["train", "fuse", "verify", "count", "spectrum",
+                                         "gradcheck"])
+    def test_help_screens(self, capsys, command) -> None:
+        """``arclab --help`` lists every subcommand, and ``arclab <command>
+        --help`` exits 0 printing its usage. argparse reads a help string only
+        when it formats one, so a bad string (a stray ``%``) fails only here."""
+        screens = []
+        for argv in (["--help"], [command, "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == cli.EXIT_OK, argv
+            screens.append(capsys.readouterr())
+        (listing, listing_err), (usage, usage_err) = screens
+        assert listing_err == usage_err == ""
+        assert re.search(rf"^ +{command}( |$)", listing, re.MULTILINE), listing
+        assert usage.startswith(f"usage: arclab {command} "), usage
 
     def test_spectrum_non_finite_delta_exit_3(self, tmp_path, capfd) -> None:
         config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
