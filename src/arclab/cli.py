@@ -92,7 +92,13 @@ class RunConfig:
         return self.io.seed
 
     def as_dict(self) -> dict:
-        return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
+        """Each section as a dict of its fields. Every field is a number, a
+        str, None or a tuple, so the dicts share those values with the
+        sections; ``dataclasses.asdict`` would deep-copy each one."""
+        sections = {name: getattr(self, name) for name in _SECTIONS}
+        return {name: {field.name: getattr(section, field.name)
+                       for field in dataclasses.fields(section)}
+                for name, section in sections.items()}
 
     def digest(self) -> bytes:
         doc = self.as_dict()
@@ -336,13 +342,11 @@ def cmd_verify(args) -> int:
 
     One checkpoint is held at a time (:func:`reparam.verify_fusion`): the
     unfused file is read, checked and run, and dropped before the fused
-    file is read. So the errors come in reading order: a bad ``--trials``
-    (exit 2) before either file, then any fault of the unfused file or its
-    bank (exit 2, or 3 for a non-finite adapter tensor) before the fused
-    file is opened, then any fault of the fused file (exit 2).
+    file is read. So the errors come in reading order: any fault of the
+    unfused file or its bank (exit 2, or 3 for a non-finite adapter tensor)
+    before the fused file is opened, then any fault of the fused file
+    (exit 2). A ``--trials`` below 1 never gets here: the parser refuses it.
     """
-    if args.trials < 1:  # fail before either checkpoint is read
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg, config_path = _run_config(args)
     deviation = reparam.verify_fusion(
         cfg.backbone,
@@ -386,8 +390,6 @@ def cmd_count(args) -> int:
 def cmd_spectrum(args) -> int:
     """Spectra of ``--checkpoint``'s adapter matrices. Only the bank's
     payloads are read; the backbone is checked from its record heads."""
-    if args.bins < 1:  # fail before the config or checkpoint is read
-        raise ConfigError(f"--bins must be >= 1, got {args.bins}")
     _check_output("--out", args.out, directory=True)
     cfg, config_path = _run_config(args)
     _, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False, bank_only=True)
@@ -405,8 +407,6 @@ def cmd_gradcheck(args) -> int:
     the task's first ``batch_size`` training images from the bank's first
     cut, with one dropout draw held fixed. The trainables are the head, as
     drawn, and the bank, drawn away from its identity init."""
-    if not (math.isfinite(args.tol) and args.tol > 0):  # fail before the backbone is drawn
-        raise ConfigError(f"--tol must be finite and > 0, got {args.tol!r}")
     cfg, _ = _run_config(args)
     weights, bank, data = _draw_run(cfg)
     perturb = Rng(cfg.seed + 3)
@@ -441,15 +441,26 @@ def _largest_size(args) -> str:
     return "{1} {0}".format(*max(sizes)) if sizes else "its input"
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy's PCG64 takes non-negative integers only."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+def _checked(convert, valid, rule: str):
+    """An argparse ``type=``: ``convert(text)``, refused as ``must be
+    <rule>`` unless ``valid`` holds for it. argparse names the flag and
+    exits 2 before any command runs."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
+
+
+# numpy's PCG64 takes non-negative seeds only
+_seed = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_count = _checked(int, lambda value: value >= 1, "an integer >= 1")  # --trials, --bins
+# an infinite tol would pass any gradient, and a NaN or negative one fail every gradient
+_tolerance = _checked(float, lambda value: math.isfinite(value) and value > 0, "finite and > 0")
 
 
 @functools.cache
@@ -476,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare adapted-unfused vs fused forward")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--fused", required=True)
-    p.add_argument("--trials", type=int, default=32)
+    p.add_argument("--trials", type=_count, default=32)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_verify)
@@ -493,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="singular-value spectra of each adapter's matrix")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--bins", type=int, default=analysis.DEFAULT_BINS)
+    p.add_argument("--bins", type=_count, default=analysis.DEFAULT_BINS)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a training step's gradients")
     p.add_argument("--config", required=True)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=_tolerance, default=1e-5)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

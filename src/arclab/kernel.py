@@ -2,9 +2,10 @@
 
 Operands are C-contiguous ``numpy.float64`` arrays (row-major). The
 products and row-wise maps act on the last one or two axes and treat any
-leading axes as a batch; the SVD takes a single 2-D matrix. Every operation
-is a pure function of its inputs and keeps finite inputs finite, except
-that :func:`erf` and :func:`gelu` write into their operand and return it,
+leading axes as a batch, and so does the SVD, which takes a stack of
+matrices and decomposes each in its own LAPACK call. Every operation is a
+pure function of its inputs and keeps finite inputs finite, except that
+:func:`erf` and :func:`gelu` write into their operand and return it,
 and :func:`softmax_rows` writes into an ``out`` array when given one,
 which may be its operand. LayerNorm and GELU come in a ``_parts`` form,
 which returns the value with the intermediates its vector-Jacobian
@@ -275,10 +276,14 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def svd(a: np.ndarray, compute_uv: bool = True):
-    """Thin SVD by LAPACK (``np.linalg.svd``).
+    """Thin SVD by LAPACK (``np.linalg.svd``) of a matrix or a stack of
+    matrices, shape ``(..., m, n)``.
 
     Returns (U, s, V) with a ~= U @ diag(s) @ V.T, s sorted descending and
-    non-negative, and U (m x k), V (n x k) orthonormal, k = min(m, n).
+    non-negative, and U (m x k), V (n x k) orthonormal, k = min(m, n); a
+    stack's U, s and V carry its leading axes. numpy runs the same LAPACK
+    routine once per matrix of a stack, so each matrix's values are the
+    bits of its own call.
     With ``compute_uv=False`` it returns (None, s, None) from LAPACK's
     values-only route, two to three times faster; that route is another
     algorithm, so its s differs from the full route's by rounding (within
@@ -291,10 +296,10 @@ def svd(a: np.ndarray, compute_uv: bool = True):
     converge.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
     if min(a.shape) < 1:
-        raise ShapeError(f"svd needs a non-empty matrix, got {a.shape}")
+        raise ShapeError(f"svd needs non-empty matrices, got {a.shape}")
     if not np.isfinite(a).all():
         raise NumericalError(f"svd input of shape {a.shape} holds non-finite values")
     try:
@@ -302,8 +307,8 @@ def svd(a: np.ndarray, compute_uv: bool = True):
             return None, np.linalg.svd(a, compute_uv=False), None
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"svd of a {a.shape} matrix did not converge: {exc}") from None
-    return u, s, vt.T
+        raise NumericalError(f"svd of a {a.shape} input did not converge: {exc}") from None
+    return u, s, np.swapaxes(vt, -1, -2)
 
 
 def _cpus() -> int:

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arclab import analysis, model
 from arclab.adapters import ArcConfig, init_adapters
 from arclab.analysis import DEFAULT_RANK_THRESHOLD, rank_sweep, spectrum
-from arclab.errors import ConfigError, ShapeError
+from arclab.errors import ConfigError, NumericalError, ShapeError
 from arclab.kernel import Rng
 
 TOY = model.BackboneConfig(image_size=8, patch_size=4, channels=1, embed_dim=16,
@@ -98,6 +101,19 @@ class TestSpectrum:
         assert report.bin_edges.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert report.bin_counts.tolist() == [0, 1, 2]  # [0,1), [1,2), [2,3]
 
+    def test_tiny_largest_value_is_a_numerical_error(self) -> None:
+        """[0, 1e-322] holds no 50 strictly increasing edges: np.histogram
+        raises ValueError there, and spectrum a NumericalError naming the
+        matrix, not 50 bins of zero width."""
+        delta = np.zeros((16, 16))
+        delta[0, 0] = 1e-322
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(np.linalg.svd(delta, compute_uv=False), bins=50, range=(0.0, 1e-322))
+        with pytest.raises(NumericalError, match=r"^layer 2 group ffn matrix: .*cannot hold 50 "
+                                                 r"bins"):
+            spectrum(delta, bins=50, layer=2, group="ffn")
+        assert spectrum(delta, bins=2).bin_counts.tolist() == [15, 1]
+
     def test_rejects_non_square(self) -> None:
         with pytest.raises(ShapeError):
             spectrum(np.zeros((3, 4)))
@@ -114,6 +130,69 @@ class TestSpectrum:
         assert np.abs(u @ np.diag(s) @ v.T - delta).max() <= 1e-8 * np.abs(delta).max()
         assert np.abs(u.T @ u - np.eye(16)).max() <= 1e-10
         assert np.all(np.diff(s) <= 0)
+
+
+def _histogram(s: np.ndarray, bins: int):
+    """The reference: np.histogram over [0, s_max], [0, 1] for a zero spectrum."""
+    return np.histogram(s, bins=bins, range=(0.0, float(s[0]) if s[0] > 0.0 else 1.0))
+
+
+@st.composite
+def stacks(draw):
+    """A stack of 1-24 square matrices of one size, 1-20, each dense, zero,
+    with one repeated value, or diagonal with values on the edges of
+    ``bins`` unit bins, and all scaled, from subnormal to near overflow. In
+    about a third of the stacks one matrix has every entry 1e308, so its
+    s_max overflows unless it is 1x1."""
+    count, n, bins = draw(st.integers(1, 24)), draw(st.integers(1, 20)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300, 1e-320, 1e-322]))
+    huge = draw(st.integers(0, 3 * count - 1))
+    stack = np.zeros((count, n, n))
+    for matrix in stack:
+        kind = draw(st.sampled_from(["dense", "zero", "repeated", "on_edges"]))
+        if kind == "dense":
+            matrix[:] = rng.normal(size=(n, n))
+        elif kind == "repeated":  # an orthogonal matrix times 3: every value is 3
+            matrix[:] = 3.0 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+        elif kind == "on_edges":  # s_max = bins, so the edges are 0, 1, ..., bins
+            values = rng.integers(0, bins + 1, size=n).astype(float)
+            values[0] = bins
+            matrix[:] = np.diag(values)
+    stack *= scale
+    if huge < count:
+        stack[huge] = 1e308
+    return stack, bins
+
+
+class TestOnePassBinning:
+    """Every spectrum of a stack binned at once, against np.histogram per matrix."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(drawn=stacks())
+    @example(drawn=(np.stack([np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3))]), 3))  # values on edges
+    def test_matches_np_histogram(self, drawn) -> None:
+        """Edges bit for bit and counts exactly, and a NumericalError naming
+        the first matrix exactly where np.histogram raises for one."""
+        stack, bins = drawn
+        sites = [(layer, "mha") for layer in range(1, len(stack) + 1)]
+        values = np.linalg.svd(stack, compute_uv=False)
+        want = []
+        for s in values:
+            try:
+                want.append(_histogram(s, bins))
+            except ValueError:
+                first = sites[len(want)]
+                with pytest.raises(NumericalError,
+                                   match=rf"^layer {first[0]} group mha matrix: .* bins"):
+                    analysis._spectra([stack], sites, bins)
+                return
+        reports = analysis._spectra([stack], sites, bins)
+        for report, s, (counts, edges) in zip(reports, values, want):
+            assert report.singular_values.tobytes() == s.tobytes()
+            assert report.bin_edges.tobytes() == edges.tobytes()
+            assert report.bin_counts.dtype == counts.dtype
+            assert np.array_equal(report.bin_counts, counts)
 
 
 class TestPaperWidthSpectrum:
@@ -133,6 +212,19 @@ class TestPaperWidthSpectrum:
         assert report.effective_rank == 8
         assert np.abs(report.singular_values[:8] - sigmas).max() <= 1e-8
         assert report.bin_counts.sum() == n
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch) -> list:
+    """The shape of every array ``analysis`` hands to ``svd``, in call order."""
+    shapes, real_svd = [], analysis.svd
+
+    def recording(a, **kwargs):
+        shapes.append(a.shape)
+        return real_svd(a, **kwargs)
+
+    monkeypatch.setattr(analysis, "svd", recording)
+    return shapes
 
 
 class TestRankSweep:
@@ -171,6 +263,51 @@ class TestRankSweep:
             assert r.singular_values.size == 16
             s = r.singular_values
             assert int((s > 1e-10 * s[0]).sum()) == 4
+
+    def test_stacks_stay_under_the_byte_cap(self, monkeypatch, svd_shapes) -> None:
+        """With the cap at three matrices a bank of four goes in two calls,
+        of three and one, and reports the bits of one call per matrix."""
+        bank = self._full_rank_bank()
+        rng = np.random.default_rng(12)
+        for name in bank.tensors:
+            bank.tensors[name] = rng.normal(size=(16, 16))
+        alone = [spectrum(analysis.composite_matrix(bank, group, layer)[0], bins=9,
+                          layer=layer, group=group)
+                 for layer in bank.layers for group in bank.config.groups]
+        assert svd_shapes == [(1, 16, 16)] * 4
+        svd_shapes.clear()
+        monkeypatch.setattr(analysis, "_STACK_BYTES", 3 * 16 * 16 * 8 + 7)
+        reports = rank_sweep(bank, bins=9)
+        assert svd_shapes == [(3, 16, 16), (1, 16, 16)]
+        assert all(8 * math.prod(shape) <= analysis._STACK_BYTES for shape in svd_shapes)
+        for got, want in zip(reports, alone, strict=True):
+            assert (got.layer, got.group) == (want.layer, want.group)
+            for field in ("singular_values", "bin_edges", "bin_counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_one_768_matrix_per_call(self, svd_shapes) -> None:
+        """A 768x768 matrix (4.5 MiB) is more than the cap: each goes alone,
+        and no call holds more than the cap save a single matrix."""
+        vit = model.BackboneConfig(image_size=16, patch_size=16, channels=1, embed_dim=768,
+                                   layers=2, heads=12, classes=2)
+        bank = init_adapters(ArcConfig(variant="full_rank"), vit, Rng(13))
+        reports = rank_sweep(bank, bins=4)
+        assert svd_shapes == [(1, 768, 768)] * 4 and len(reports) == 4
+        assert 768 * 768 * 8 > analysis._STACK_BYTES >= 128 * 64 * 64 * 8
+
+    def test_non_finite_matrix_in_a_later_stack_named(self, monkeypatch) -> None:
+        """The message names the first non-finite (layer, group) of the bank,
+        in the second of two stacks, and nothing else is reported."""
+        cfg = ArcConfig(variant="full_rank")
+        bank = init_adapters(cfg, model.BackboneConfig(image_size=8, patch_size=4, channels=1,
+                                                       embed_dim=16, layers=3, heads=2,
+                                                       classes=4), Rng(14))
+        bank.tensors[cfg.site_keys("ffn", 2)[0]][3, 3] = np.inf
+        bank.tensors[cfg.site_keys("mha", 3)[0]][0, 1] = np.nan
+        monkeypatch.setattr(analysis, "_STACK_BYTES", 3 * 16 * 16 * 8)
+        with pytest.raises(NumericalError, match=r"^layer 2 group ffn matrix: svd input of "
+                                                 r"shape \(16, 16\) holds non-finite values$"):
+            rank_sweep(bank)
 
     def test_planted_low_rank_deltas_detected(self) -> None:
         bank = self._full_rank_bank()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -95,6 +96,31 @@ class TestRunConfig:
         echoed = json.loads(json.dumps(cli.load_run_config(path).as_dict()))
         for section, keys in json.loads(example).items():
             assert {key: echoed[section][key] for key in keys} == keys, section
+
+    @settings(max_examples=40, deadline=None)
+    @given(positions=st.lists(st.sampled_from(["before_mha", "after_mha", "before_ffn",
+                                               "after_ffn"]), min_size=1, max_size=4),
+           layers=st.none() | st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           sharing=st.sampled_from(["intra_inter", "non_intra_non_inter"]),
+           lr=st.floats(1e-6, 1.0), seed=st.integers(0, 2**63),
+           out_dir=st.none() | st.text(min_size=1, max_size=8))
+    def test_as_dict_is_asdict(self, tmp_path_factory, positions, layers, sharing, lr, seed,
+                               out_dir) -> None:
+        """``as_dict`` equals ``dataclasses.asdict`` of each section, on the
+        README config and on drawn ones with tuple, None and str fields, so
+        the echoed JSON and the digest are the ones asdict gave."""
+        path = tmp_path_factory.mktemp("as_dict") / "config.json"
+        docs = [json.loads(readme_config_text()),
+                {"arc": {"bottleneck": 4, "positions": positions, "insertion_layers": layers,
+                         "sharing": sharing},
+                 "train": {"lr": lr}, "io": {"seed": seed, "out_dir": out_dir}}]
+        for doc in docs:
+            path.write_text(json.dumps(doc))
+            cfg = cli.load_run_config(path)
+            want = {name: dataclasses.asdict(getattr(cfg, name)) for name in cli._SECTIONS}
+            assert cfg.as_dict() == want
+            want["io"]["out_dir"] = None
+            assert cfg.digest() == checkpoint.config_digest(want)
 
     def test_task_defaults_to_backbone(self, tmp_path) -> None:
         """The task's classes and image shape default to the backbone's; an
@@ -845,13 +871,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
     def test_spectrum_bad_bins_exit_2_before_loading(self, tmp_path, capsys, bins) -> None:
-        """A bin count below one is a config error naming --bins, raised
-        before the config or the checkpoint is read."""
+        """A bin count below one is refused by the parser naming --bins
+        (exit 2), before the config or the checkpoint is read."""
         missing = tmp_path / "missing.arcl"
-        rc = cli.main(["spectrum", "--checkpoint", str(missing), "--bins", bins,
-                       "--out", str(tmp_path / "s")])
-        assert rc == cli.EXIT_CONFIG
-        assert capsys.readouterr() == ("", f"config error: --bins must be >= 1, got {bins}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--checkpoint", str(missing), "--bins", bins,
+                      "--out", str(tmp_path / "s")])
+        assert exc.value.code == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --bins: must be an integer >= 1, got '{bins}'" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_evaluation_out_of_memory_writes_nothing(self, tmp_path, capsys,
@@ -1182,6 +1210,27 @@ class TestCommands:
         assert "layer 2 group mha" in err and "non-finite" in err
         assert "DLASCL" not in err
         assert not (out_dir / "spectrum_summary.csv").exists()
+
+    def test_spectrum_range_too_narrow_for_bins_exit_3(self, tmp_path, capfd) -> None:
+        """A delta whose one non-zero value is 1e-322 spans [0, 1e-322], which
+        holds no 50 bins of positive width: a fresh process exits 3 naming
+        the layer and group, with no traceback, and writes nothing."""
+        config = write_config(tmp_path, arc={"variant": "full_rank", "bottleneck": 4})
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--out", str(run_dir)]) == 0
+        ckpt = run_dir / "checkpoint.arcl"
+        header, tensors = load(ckpt)
+        tensors["arc.mha.2.delta"][:] = 0.0
+        tensors["arc.mha.2.delta"][0, 0] = 1e-322
+        save(ckpt, tensors, header.config_digest)
+        capfd.readouterr()
+        out_dir = tmp_path / "spec"
+        done = _arclab("spectrum", "--checkpoint", ckpt, "--bins", 50, "--out", out_dir)
+        assert done.returncode == cli.EXIT_NUMERICAL, done.stderr
+        assert done.stdout == "" and "Traceback" not in done.stderr
+        assert done.stderr.startswith("numerical abort: layer 2 group mha matrix: ")
+        assert "cannot hold 50 bins" in done.stderr and done.stderr.count("\n") == 1
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("route", ["same path", "symlink", "hard link"])
     def test_fuse_out_naming_the_checkpoint_exit_2(self, trained_run, tmp_path, capsys,
@@ -1523,29 +1572,31 @@ class TestCommands:
     @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
     def test_gradcheck_bad_tol_exit_2(self, tmp_path, capsys, tol) -> None:
         """An infinite tol would pass any gradient and a NaN or negative one
-        fail every gradient, so each is a config error naming --tol."""
+        fail every gradient, so the parser refuses each naming --tol (exit 2)."""
         config = write_config(tmp_path)
-        rc = cli.main(["gradcheck", "--config", str(config), "--tol", tol])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gradcheck", "--config", str(config), "--tol", tol])
         out, err = capsys.readouterr()
-        assert rc == cli.EXIT_CONFIG
-        assert "--tol must be finite and > 0" in err and "gradcheck" not in out
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"argument --tol: must be finite and > 0, got '{tol}'" in err and out == ""
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_verify_bad_trials_exit_2_before_loading(self, tmp_path, capsys, monkeypatch,
                                                      trials) -> None:
-        """A trial count below one is a config error naming --trials, raised
-        before either checkpoint is read."""
+        """A trial count below one is refused by the parser naming --trials
+        (exit 2), before either checkpoint is read."""
         def no_loads(*args, **kwargs):
             raise AssertionError("verify read a checkpoint")
 
         monkeypatch.setattr(cli, "_load_checkpoint", no_loads)
         monkeypatch.setattr(cli.checkpoint, "load", no_loads)
         missing = str(tmp_path / "missing.arcl")
-        rc = cli.main(["verify", "--checkpoint", missing, "--fused", missing,
-                       "--trials", trials])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--checkpoint", missing, "--fused", missing,
+                      "--trials", trials])
         out, err = capsys.readouterr()
-        assert rc == cli.EXIT_CONFIG
-        assert f"--trials must be >= 1, got {trials}" in err and out == ""
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"argument --trials: must be an integer >= 1, got '{trials}'" in err and out == ""
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_verify_bad_seed_rejected_by_the_parser(self, tmp_path, capsys, monkeypatch,

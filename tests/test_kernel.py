@@ -184,13 +184,34 @@ class TestSvd:
         with pytest.raises(NumericalError, match="did not converge"):
             svd(np.eye(3), compute_uv=False)
 
-    @pytest.mark.parametrize("a", [np.ones(4), np.ones((2, 2, 2)), np.zeros((0, 3)),
+    @pytest.mark.parametrize("a", [np.ones(4), np.zeros((0, 3, 3)), np.zeros((0, 3)),
                                    np.zeros((3, 0))])
     def test_rejects_non_matrix_or_empty(self, a: np.ndarray) -> None:
         with pytest.raises(ShapeError):
             svd(a)
         with pytest.raises(ShapeError):
             svd(a, compute_uv=False)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (8, 64, 64), (3, 5, 7), (2, 3, 9, 4)])
+    def test_stack_is_each_matrix_alone(self, shape) -> None:
+        """A stack's U, s and V are each matrix's own call's, bit for bit, on
+        both routes."""
+        stack = np.random.default_rng(sum(shape)).normal(size=shape)
+        stack[0, ..., 0, :] = 0.0  # a zero row in the first matrix
+        (_, s, _), (u, s_full, v) = svd(stack, compute_uv=False), svd(stack)
+        k = min(shape[-2:])
+        assert s.shape == s_full.shape == shape[:-2] + (k,)
+        assert u.shape == shape[:-1] + (k,) and v.shape == shape[:-2] + (shape[-1], k)
+        for index in np.ndindex(*shape[:-2]):
+            assert s[index].tobytes() == svd(stack[index], compute_uv=False)[1].tobytes()
+            for got, want in zip((u, s_full, v), svd(stack[index])):
+                assert got[index].tobytes() == want.tobytes()
+
+    def test_non_finite_matrix_in_a_stack_raises(self) -> None:
+        stack = np.zeros((3, 4, 4))
+        stack[2, 1, 1] = np.nan
+        with pytest.raises(NumericalError, match=r"\(3, 4, 4\) holds non-finite"):
+            svd(stack, compute_uv=False)
 
     @settings(max_examples=200, deadline=None)
     @given(m=st.integers(1, 40), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
