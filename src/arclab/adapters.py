@@ -225,11 +225,11 @@ def dropout_mask(rng: Rng, shape, rate: float) -> np.ndarray:
     return np.where(u < rate, 0.0, 1.0 / (1.0 - rate))
 
 
-def dropout_masks(bank: AdapterBank | None, batch: int, tokens: int, rng: Rng):
+def dropout_masks(bank: AdapterBank | None, batch: int, rng: Rng):
     """One training batch's hidden-feature masks as one (batch, site, token,
-    D') array, its site axis in ``bank.sites`` order, drawn from ``rng`` at
-    the bank's ``dropout_rate``; or None when no site drops anything (no
-    draw is made then).
+    D') array, its site axis in ``bank.sites`` order and its token axis the
+    backbone's sequence, drawn from ``rng`` at the bank's ``dropout_rate``;
+    or None when no site drops anything (no draw is made then).
 
     The single draw covers the batch in (image, layer, site) order, the
     order in which one image at a time would consume the stream.
@@ -237,7 +237,8 @@ def dropout_masks(bank: AdapterBank | None, batch: int, tokens: int, rng: Rng):
     if bank is None or bank.config.variant == "full_rank" or bank.config.dropout_rate <= 0.0:
         return None
     cfg = bank.config
-    return dropout_mask(rng, (batch, len(bank.sites), tokens, cfg.bottleneck), cfg.dropout_rate)
+    shape = (batch, len(bank.sites), bank.backbone.tokens + 1, cfg.bottleneck)
+    return dropout_mask(rng, shape, cfg.dropout_rate)
 
 
 def arc_forward(ops, bank: AdapterBank, layer: int, site: str, x, values, mask=None):

@@ -171,7 +171,7 @@ def save(path, tensors, digest: bytes = b"\x00" * 32, fused: bool = False) -> No
     replace_file(path, write)
 
 
-def nonblocking_opener(path, flags: int) -> int:
+def _nonblocking_opener(path, flags: int) -> int:
     """An ``opener`` for :func:`open` that never waits in ``open`` itself: a
     FIFO with no writer opens at once instead of blocking until one comes.
     A directory still raises ``open``'s own IsADirectoryError naming ``path``."""
@@ -304,7 +304,7 @@ def load(path, keep: Callable[[str], bool] | None = None
     process has already freed.
     """
     try:
-        with open(path, "rb", buffering=0, opener=nonblocking_opener) as fh:
+        with open(path, "rb", buffering=0, opener=_nonblocking_opener) as fh:
             info = os.fstat(fh.fileno())
             if not stat.S_ISREG(info.st_mode):
                 raise CheckpointError("not a regular file")

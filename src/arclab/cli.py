@@ -180,10 +180,7 @@ def load_run_config(path) -> RunConfig:
         return doc
 
     try:
-        # an open that cannot wait on a FIFO with no writer, blocking again to
-        # read: such a FIFO reads as empty, and a pipe from <(...) is read whole
-        with open(path, encoding="utf-8", opener=checkpoint.nonblocking_opener) as fh:
-            os.set_blocking(fh.fileno(), True)
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=reject_constant, parse_float=finite_float,
                             object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
@@ -246,12 +243,17 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     checkpoint.replace_file(out_dir / "config.json", lambda fh: fh.write(text.encode()))
 
 
+def _config_path(args) -> Path:
+    """``--config``, or by default config.json next to ``--checkpoint``."""
+    return Path(args.config or Path(args.checkpoint).parent / "config.json")
+
+
 def _run_config(args) -> tuple[RunConfig, Path]:
-    """The run config ``--config`` names (default: config.json next to the
-    checkpoint, a config error naming both when there is none), and its
-    path. It is kept as ``args.run_config``, where :func:`main` looks for
-    the sizes the run was given."""
-    path = Path(args.config or Path(args.checkpoint).parent / "config.json")
+    """The run config at :func:`_config_path` (a config error naming both
+    flags when the default is missing), and its path. It is kept as
+    ``args.run_config``, where :func:`main` looks for the sizes the run was
+    given."""
+    path = _config_path(args)
     if not (args.config or path.exists()):
         raise ConfigError(f"--config was not given, and --checkpoint {args.checkpoint} has no "
                           f"config.json beside it: {path} does not exist")
@@ -320,14 +322,15 @@ def cmd_fuse(args) -> int:
     """Fold ``--checkpoint``'s bank into the backbone tensors just loaded
     from it, which no one else holds, and save them as the fused file: one
     weight set in memory, and the checkpoint on disk is only read. An
-    ``--out`` that :func:`_check_output` refuses, or the checkpoint file
-    itself by any path, is a config error raised before the config or the
-    checkpoint is read."""
+    ``--out`` that :func:`_check_output` refuses, or by any path a file
+    fuse reads, the checkpoint or the run config, is a config error raised
+    before either is read."""
     _check_output("--out", args.out, directory=False)
     out = Path(args.out)
-    if out.exists() and os.path.samefile(out, args.checkpoint):
-        raise ConfigError(f"--out {args.out} is the --checkpoint file {args.checkpoint}: "
-                          "fuse would overwrite the adapters it reads")
+    for flag, path in (("--checkpoint", args.checkpoint), ("--config", _config_path(args))):
+        if out.exists() and os.path.exists(path) and os.path.samefile(out, path):
+            raise ConfigError(f"--out {args.out} is the {flag} file {path}: "
+                              "fuse would overwrite a file it reads")
     cfg, config_path = _run_config(args)
     weights, bank = _load_checkpoint(cfg, config_path, args.checkpoint, fused=False)
     sites = reparam.fold(weights, bank, cfg.backbone)
@@ -414,7 +417,7 @@ def cmd_gradcheck(args) -> int:
     live.update({name: perturb.normals(arr.shape, 0.3) for name, arr in bank.tensors.items()})
     batch = slice(cfg.train.batch_size)
     images, labels = data.train_images[batch], data.train_labels[batch]
-    masks = dropout_masks(bank, len(labels), cfg.backbone.tokens + 1, Rng(cfg.seed + 4))
+    masks = dropout_masks(bank, len(labels), Rng(cfg.seed + 4))
     state = training.frozen_prefix(cfg.backbone, weights, bank, images, len(images))
     report = gradcheck(lambda tape, values: training.record_step(
         tape, cfg.backbone, weights, bank, values, state, labels, masks)[1], live, tol=args.tol)

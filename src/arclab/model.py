@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,19 +62,10 @@ class BackboneConfig:
     ln_eps: float = 1e-6
 
     def __post_init__(self):
-        positive = {
-            "image_size": self.image_size,
-            "patch_size": self.patch_size,
-            "channels": self.channels,
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "classes": self.classes,
-            "mlp_ratio": self.mlp_ratio,
-        }
-        for name, value in positive.items():
-            if int(value) != value or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int" and (int(value) != value or value <= 0):
+                raise ConfigError(f"{field.name} must be a positive integer, got {value!r}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}"

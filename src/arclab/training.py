@@ -293,7 +293,6 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
     opt = AdamW(flat.size, weight_decay=cfg.weight_decay)
     rng = Rng(cfg.seed)
     n = len(data.train_images)
-    tokens = backbone_cfg.tokens + 1
     batches_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * batches_per_epoch
     if max_steps is not None:
@@ -312,7 +311,7 @@ def train(backbone_cfg, weights, bank: AdapterBank | None, data: Dataset,
         for _ in range(-(-total_steps // max(batches_per_epoch, 1))):
             order = rng.permutation(n)
             runs = min(batches_per_epoch, total_steps - step)
-            masks = dropout_masks(bank, min(n, runs * cfg.batch_size), tokens, rng)
+            masks = dropout_masks(bank, min(n, runs * cfg.batch_size), rng)
             for b in range(runs):
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
                 idx = order[rows]

@@ -110,7 +110,7 @@ def test_04_gradient_correctness() -> None:
     r = Rng(10)
     live = {n: weights[n] for n in model.HEAD_NAMES}
     live.update({n: r.normals(a.shape, 0.3) for n, a in bank.tensors.items()})
-    masks = adapters.dropout_masks(bank, len(images), TOY.tokens + 1, Rng(11))
+    masks = adapters.dropout_masks(bank, len(images), Rng(11))
     state = training.frozen_prefix(TOY, weights, bank, images, len(images))
 
     def build(tape, values):

@@ -237,7 +237,7 @@ class TestDropout:
         # one draw for the batch equals per-image draws in (image, layer, site) order
         cfg = ArcConfig(bottleneck=4, positions=adapters.SITES, dropout_rate=0.3)
         bank = init_adapters(cfg, TOY, Rng(1))
-        masks = adapters.dropout_masks(bank, 3, 5, Rng(9))
+        masks = adapters.dropout_masks(bank, 3, Rng(9))
         rng = Rng(9)
         assert masks.shape == (3, len(bank.sites), 5, 4)
         for image in range(3):
@@ -251,7 +251,7 @@ class TestDropout:
         cfg = ArcConfig(bottleneck=4, positions=adapters.SITES, insertion_layers=(1, 3),
                         dropout_rate=0.3)
         bank = init_adapters(cfg, backbone, Rng(1))
-        masks = adapters.dropout_masks(bank, 2, backbone.tokens + 1, Rng(3))
+        masks = adapters.dropout_masks(bank, 2, Rng(3))
         seen = []
         real = adapters.arc_forward
 
@@ -278,7 +278,7 @@ class TestDropout:
         values = dict(model.init_backbone(TOY, Rng(6)))
         values.update(bank.tensors)
         imgs = Rng(8).normals((2, 8, 8, 1))
-        masks = adapters.dropout_masks(bank, imgs.shape[0], TOY.tokens + 1, Rng(0))
+        masks = adapters.dropout_masks(bank, imgs.shape[0], Rng(0))
         a = model.forward_tokens(Eager(), TOY, values, model.embed(TOY, values, imgs), bank=bank,
                                  masks=masks)
         b = model.forward(TOY, values, imgs, bank=bank)

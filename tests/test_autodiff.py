@@ -135,7 +135,7 @@ class TestReplay:
     def _draw(rng, batch, weights, bank):
         """(state, masks, labels) of one random batch."""
         state = training.frozen_prefix(DEMO, weights, bank, rng.normals((batch, 8, 8, 1)), batch)
-        masks = dropout_masks(bank, batch, DEMO.tokens + 1, rng)
+        masks = dropout_masks(bank, batch, rng)
         labels = (rng.uniforms(batch) * DEMO.classes).astype(np.int64)
         return state, masks, labels
 

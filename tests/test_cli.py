@@ -11,6 +11,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -584,24 +586,58 @@ class TestCheckpointInputs:
         assert not (tmp_path / "run").exists()
 
 
-def _arclab(*argv, **kwargs) -> subprocess.CompletedProcess:
-    """``arclab <argv>`` as a fresh process, under a timeout a hang would meet."""
+def _arclab_process(*argv, **kwargs) -> subprocess.Popen:
+    """``arclab <argv>`` started as a fresh process, its output piped as text."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "arclab.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=60, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "arclab.cli", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                            **kwargs)
+
+
+def _arclab(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``arclab <argv>`` run to its exit, under a timeout a hang would meet."""
+    with _arclab_process(*argv, **kwargs) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 class TestFifoPaths:
-    """A FIFO with no writer, given as a checkpoint or a config, exits 2 at
-    once: an open that waited for a writer would block forever."""
+    """A FIFO given as a checkpoint exits 2 at once, writer or not: a
+    checkpoint must be a regular file. A FIFO given as a config is read as
+    ``cat`` reads it: the open waits for a writer, and the read runs to EOF.
+    Every wait here has a timeout, so a regression fails instead of hanging."""
 
     @pytest.fixture
     def fifo(self, tmp_path):
         path = tmp_path / "fifo"
         os.mkfifo(path)
         return path
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _writer(fifo, text: str, delay: float):
+        """A thread that opens ``fifo`` for writing ``delay`` seconds from now
+        and writes ``text``. On exit it is joined, given a reader first if it
+        still waits for one, so no test leaves it blocked in its open."""
+        def write() -> None:
+            time.sleep(delay)
+            fifo.write_text(text)
+
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        try:
+            yield thread
+        finally:
+            if thread.is_alive():
+                reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+                thread.join(timeout=10)
+                os.close(reader)
+            assert not thread.is_alive()
 
     @pytest.mark.parametrize("command", ["spectrum", "fuse", "verify"])
     def test_checkpoint_fifo_refused(self, trained_run, tmp_path, fifo, command) -> None:
@@ -617,12 +653,39 @@ class TestFifoPaths:
         assert done.stderr == f"config error: {fifo}: not a regular file\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
-    def test_config_fifo_reads_as_empty(self, tmp_path, fifo) -> None:
-        done = _arclab("train", "--config", fifo, "--out", tmp_path / "run")
-        assert (done.returncode, done.stdout) == (cli.EXIT_CONFIG, "")
-        assert done.stderr.startswith(f"config error: config {fifo} is not valid JSON: "), \
-            done.stderr
-        assert not (tmp_path / "run").exists()
+    def test_config_fifo_late_writer_read_whole(self, tmp_path, fifo) -> None:
+        """A writer that opens about 0.3 s after the read starts is waited for
+        and read to EOF, by the library and by ``train``."""
+        text = write_config(tmp_path, train={"epochs": 1, "warmup_epochs": 1}).read_text()
+        want = cli.load_run_config(tmp_path / "config.json").digest()
+        with self._writer(fifo, text, 0.3) as writer:
+            assert cli.load_run_config(fifo).digest() == want
+            writer.join(timeout=10)
+        proc = _arclab_process("train", "--config", fifo, "--out", tmp_path / "run")
+        try:
+            with self._writer(fifo, text, 0.3):
+                stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode == cli.EXIT_OK, stderr
+        assert cli.load_run_config(tmp_path / "run" / "config.json").digest() == want
+
+    def test_config_fifo_with_no_writer_waits(self, tmp_path, fifo) -> None:
+        """``train --config <fifo>`` with no writer is still waiting after
+        0.5 s, and exits 0 once a writer opens and writes the config."""
+        text = write_config(tmp_path, train={"epochs": 1, "warmup_epochs": 1}).read_text()
+        proc = _arclab_process("train", "--config", fifo, "--out", tmp_path / "run")
+        try:
+            with pytest.raises(subprocess.TimeoutExpired):
+                proc.wait(timeout=0.5)
+            with self._writer(fifo, text, 0.0):
+                stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode == cli.EXIT_OK, stderr
+        assert (tmp_path / "run" / "checkpoint.arcl").exists()
 
     def test_config_from_a_pipe(self, tmp_path) -> None:
         """``--config <(cat config.json)``: a pipe whose writer has written
@@ -1255,6 +1318,37 @@ class TestCommands:
         assert ckpt.read_bytes() == blob
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted({"checkpoint.arcl", out.name})
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_fuse_out_naming_the_config_exit_2(self, trained_run, tmp_path, capsys, monkeypatch,
+                                               given) -> None:
+        """An --out that is the run config, the --config given or the
+        config.json beside the checkpoint by default, would replace it with
+        the fused weights: fuse exits 2 naming --config before reading
+        either file, and writes nothing."""
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("checkpoint.arcl", "config.json"):
+            (run / name).write_bytes((trained_run / name).read_bytes())
+        blob = (run / "config.json").read_bytes()
+        argv = ["fuse", "--checkpoint", str(run / "checkpoint.arcl"), "--out"]
+        if given:  # the config by another spelling of its path
+            argv += [str(run / ".." / "run" / "config.json"), "--config", str(run / "config.json")]
+        else:
+            argv += [str(run / "config.json")]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("fuse read an input")
+
+        monkeypatch.setattr(checkpoint, "load", no_read)
+        monkeypatch.setattr(cli, "load_run_config", no_read)
+        rc = cli.main(argv)
+        stdout, err = capsys.readouterr()
+        assert rc == cli.EXIT_CONFIG and stdout == ""
+        assert err.startswith("config error: --out ") and "--config" in err, err
+        assert (run / "config.json").read_bytes() == blob
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.arcl", "config.json"]
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_fuse_out_a_directory_names_it(self, trained_run, tmp_path, capsys) -> None:
         """An --out that is a directory exits 2 with an error that names that

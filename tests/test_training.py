@@ -602,7 +602,7 @@ class TestFrozenPrefix:
                 idx = order[first:first + cfg.batch_size]
                 lr_t = cfg.lr * schedule_scale(cfg, len(losses), total,
                                                cfg.warmup_epochs * per_epoch)
-                masks = dropout_masks(bank, idx.size, backbone.tokens + 1, rng)
+                masks = dropout_masks(bank, idx.size, rng)
                 tape = Tape()
                 values = {name: tape.constant(arr)
                           for name, arr in weights.items() if name not in trainable}
