@@ -737,7 +737,8 @@ class TestRngChunks:
 
 
 class TestRngSplit:
-    """A draw split into pieces equals one draw, and no draw starts a thread."""
+    """A draw split into pieces equals one draw, on one CPU or two, and no
+    draw starts a thread."""
 
     SIZES = [257, 512, 1001, 4099, 8195]
 
@@ -748,12 +749,14 @@ class TestRngSplit:
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         return started
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("block", [64, 1024, 2560])
     @pytest.mark.parametrize("n", SIZES)
-    def test_equals_scalar_loop(self, monkeypatch, block: int, n: int) -> None:
+    def test_equals_scalar_loop(self, monkeypatch, pin_cpus, cpus: int, block: int, n: int) -> None:
         """From a used state, n uniforms and then n normals drawn at once
         equal the same values drawn one at a time and in pieces of
         ``block``, and all three leave the same state."""
+        pin_cpus(cpus)
         started = self.record_starts(monkeypatch)
         bulk, scalar, pieces = Rng(n), Rng(n), Rng(n)
         for rng in (bulk, scalar, pieces):
